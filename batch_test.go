@@ -16,7 +16,7 @@ import (
 )
 
 // batchSizes is the equivalence sweep: a degenerate batch, a size that
-// cuts runs and sync events at awkward offsets, the service's typical
+// cuts access runs and sync events at awkward offsets, the service's typical
 // frame size, and a batch larger than most test traces (one IngestBatch
 // call for the whole stream).
 var batchSizes = []int{1, 7, 64, 4096}
@@ -24,11 +24,8 @@ var batchSizes = []int{1, 7, 64, 4096}
 // replayBatch feeds tr through a fresh FastTrack monitor in IngestBatch
 // chunks of size batch and returns warnings, stats, and health. Every
 // chunk must be accepted in full — the monitor is never closed here.
-func replayBatch(t *testing.T, tr trace.Trace, shards, batch int, opts ...MonitorOption) ([]Report, Stats, Health) {
+func replayBatch(t *testing.T, tr trace.Trace, batch int, opts ...MonitorOption) ([]Report, Stats, Health) {
 	t.Helper()
-	if shards > 1 {
-		opts = append(opts, WithShards(shards))
-	}
 	m := NewMonitor(opts...)
 	for i := 0; i < len(tr); i += batch {
 		chunk := tr[i:min(i+batch, len(tr))]
@@ -41,10 +38,7 @@ func replayBatch(t *testing.T, tr trace.Trace, shards, batch int, opts ...Monito
 }
 
 // replayEvents is the per-event baseline with the same return shape.
-func replayEvents(tr trace.Trace, shards int, opts ...MonitorOption) ([]Report, Stats, Health) {
-	if shards > 1 {
-		opts = append(opts, WithShards(shards))
-	}
+func replayEvents(tr trace.Trace, opts ...MonitorOption) ([]Report, Stats, Health) {
 	m := NewMonitor(opts...)
 	for _, e := range tr {
 		m.Ingest(e)
@@ -53,24 +47,17 @@ func replayEvents(tr trace.Trace, shards int, opts ...MonitorOption) ([]Report, 
 }
 
 // assertBatchEquivalent checks IngestBatch against per-event Ingest on
-// one trace at every batch size. On the serial path delivery order is
-// identical, so the reports must match exactly, index for index. On the
-// sharded path a batch's accesses are delivered stripe by stripe — a
-// legal interleaving — so the (variable, kind) race multiset, stats,
-// and health must match, but indices may not.
-func assertBatchEquivalent(t *testing.T, label string, tr trace.Trace, shards int) {
+// one trace at every batch size. Delivery order is identical, so the
+// reports must match exactly, index for index.
+func assertBatchEquivalent(t *testing.T, label string, tr trace.Trace) {
 	t.Helper()
-	wantRaces, wantStats, wantHealth := replayEvents(tr, shards)
+	wantRaces, wantStats, wantHealth := replayEvents(tr)
 	wantStats.ShadowBytes = 0
 	for _, batch := range batchSizes {
-		got, gotStats, gotHealth := replayBatch(t, tr, shards, batch)
-		name := fmt.Sprintf("%s/shards=%d/batch=%d", label, shards, batch)
-		if shards <= 1 {
-			if !reflect.DeepEqual(got, wantRaces) {
-				t.Errorf("%s: races = %v, want %v", name, got, wantRaces)
-			}
-		} else if want := raceSet(wantRaces); !reflect.DeepEqual(raceSet(got), want) {
-			t.Errorf("%s: race set = %v, want %v", name, raceSet(got), want)
+		got, gotStats, gotHealth := replayBatch(t, tr, batch)
+		name := fmt.Sprintf("%s/batch=%d", label, batch)
+		if !reflect.DeepEqual(got, wantRaces) {
+			t.Errorf("%s: races = %v, want %v", name, got, wantRaces)
 		}
 		gotStats.ShadowBytes = 0
 		if gotStats != wantStats {
@@ -84,21 +71,17 @@ func assertBatchEquivalent(t *testing.T, label string, tr trace.Trace, shards in
 
 // TestIngestBatchEquivalenceSim: paper-shaped benchmark workloads and
 // random feasible traces report identical results through IngestBatch
-// and per-event Ingest, serial and sharded, at every batch size.
+// and per-event Ingest at every batch size.
 func TestIngestBatchEquivalenceSim(t *testing.T) {
 	for _, b := range sim.Benchmarks()[:4] {
-		tr := b.Trace(0.05)
-		assertBatchEquivalent(t, b.Name, tr, 1)
-		assertBatchEquivalent(t, b.Name, tr, 8)
+		assertBatchEquivalent(t, b.Name, b.Trace(0.05))
 	}
 	cfg := sim.DefaultRandomConfig()
 	cfg.Events = 600
 	cfg.Vars = 12
 	for seed := int64(1); seed <= 4; seed++ {
 		tr := sim.RandomTrace(rand.New(rand.NewSource(seed)), cfg)
-		label := fmt.Sprintf("random/seed=%d", seed)
-		assertBatchEquivalent(t, label, tr, 1)
-		assertBatchEquivalent(t, label, tr, 8)
+		assertBatchEquivalent(t, fmt.Sprintf("random/seed=%d", seed), tr)
 	}
 }
 
@@ -117,8 +100,7 @@ func TestIngestBatchEquivalenceChaos(t *testing.T) {
 		if len(tr) == 0 {
 			continue
 		}
-		assertBatchEquivalent(t, "chaos/"+mode.String(), tr, 1)
-		assertBatchEquivalent(t, "chaos/"+mode.String(), tr, 8)
+		assertBatchEquivalent(t, "chaos/"+mode.String(), tr)
 	}
 }
 
@@ -141,15 +123,14 @@ func TestIngestBatchStraddlesSync(t *testing.T) {
 	}
 	tr = append(tr, trace.JoinOf(0, 1), trace.JoinOf(0, 2))
 
-	if races, _, _ := replayEvents(tr, 1); len(races) == 0 {
+	if races, _, _ := replayEvents(tr); len(races) == 0 {
 		t.Fatal("trace was built to race on the unprotected variables")
 	}
-	assertBatchEquivalent(t, "straddle", tr, 1)
-	assertBatchEquivalent(t, "straddle", tr, 8)
+	assertBatchEquivalent(t, "straddle", tr)
 }
 
-// TestIngestBatchValidationRepair: the serial batch path runs the
-// stream validator per event, so a repairing monitor behaves
+// TestIngestBatchValidationRepair: the batch path runs the stream
+// validator per event, so a repairing monitor behaves
 // identically batched and unbatched on a corrupted stream.
 func TestIngestBatchValidationRepair(t *testing.T) {
 	base := sim.RandomTrace(rand.New(rand.NewSource(11)), sim.DefaultRandomConfig())
@@ -162,10 +143,10 @@ func TestIngestBatchValidationRepair(t *testing.T) {
 	if len(tr) == 0 {
 		t.Skip("mutation produced an undecodable trace")
 	}
-	wantRaces, wantStats, wantHealth := replayEvents(tr, 1, WithValidation(PolicyRepair))
+	wantRaces, wantStats, wantHealth := replayEvents(tr, WithValidation(PolicyRepair))
 	wantStats.ShadowBytes = 0
 	for _, batch := range batchSizes {
-		got, gotStats, gotHealth := replayBatch(t, tr, 1, batch, WithValidation(PolicyRepair))
+		got, gotStats, gotHealth := replayBatch(t, tr, batch, WithValidation(PolicyRepair))
 		if !reflect.DeepEqual(got, wantRaces) {
 			t.Errorf("batch=%d: races = %v, want %v", batch, got, wantRaces)
 		}
@@ -180,32 +161,26 @@ func TestIngestBatchValidationRepair(t *testing.T) {
 }
 
 // TestIngestBatchRaceHandler: the per-batch callback drain fires
-// exactly once per reported warning, serial and sharded.
+// exactly once per reported warning.
 func TestIngestBatchRaceHandler(t *testing.T) {
 	var tr trace.Trace
 	tr = append(tr, trace.ForkOf(0, 1), trace.ForkOf(0, 2))
 	for k := 0; k < 20; k++ {
 		tr = append(tr, trace.Wr(1, uint64(40+k)), trace.Wr(2, uint64(40+k)))
 	}
-	for _, shards := range []int{1, 8} {
-		var fired atomic.Int64
-		opts := []MonitorOption{WithRaceHandler(func(Report) { fired.Add(1) })}
-		if shards > 1 {
-			opts = append(opts, WithShards(shards))
+	var fired atomic.Int64
+	m := NewMonitor(WithRaceHandler(func(Report) { fired.Add(1) }))
+	for i := 0; i < len(tr); i += 7 {
+		if _, err := m.IngestBatch(tr[i:min(i+7, len(tr))]); err != nil {
+			t.Fatal(err)
 		}
-		m := NewMonitor(opts...)
-		for i := 0; i < len(tr); i += 7 {
-			if _, err := m.IngestBatch(tr[i:min(i+7, len(tr))]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		races := m.Races()
-		if len(races) == 0 {
-			t.Fatalf("shards=%d: no races on unsynchronized same-variable writes", shards)
-		}
-		if got := fired.Load(); got != int64(len(races)) {
-			t.Errorf("shards=%d: handler fired %d times, %d races reported", shards, got, len(races))
-		}
+	}
+	races := m.Races()
+	if len(races) == 0 {
+		t.Fatal("no races on unsynchronized same-variable writes")
+	}
+	if got := fired.Load(); got != int64(len(races)) {
+		t.Errorf("handler fired %d times, %d races reported", got, len(races))
 	}
 }
 
@@ -213,39 +188,33 @@ func TestIngestBatchRaceHandler(t *testing.T) {
 // contract — an empty batch is a no-op even on a closed monitor, and a
 // whole batch offered after Close is rejected and counted.
 func TestIngestBatchEmptyAndClosed(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		var opts []MonitorOption
-		if shards > 1 {
-			opts = append(opts, WithShards(shards))
-		}
-		m := NewMonitor(opts...)
-		if n, err := m.IngestBatch(nil); n != 0 || err != nil {
-			t.Errorf("shards=%d: IngestBatch(nil) = %d, %v", shards, n, err)
-		}
-		m.Fork(0, 1)
-		m.Close()
-		batch := trace.Trace{trace.Wr(1, 5), trace.Rd(1, 5), trace.Acq(1, 9), trace.Rel(1, 9)}
-		n, err := m.IngestBatch(batch)
-		if n != 0 || !errors.Is(err, ErrMonitorClosed) {
-			t.Errorf("shards=%d: IngestBatch after Close = %d, %v", shards, n, err)
-		}
-		if got := m.Rejected(); got != int64(len(batch)) {
-			t.Errorf("shards=%d: Rejected() = %d, want %d", shards, got, len(batch))
-		}
-		if n, err := m.IngestBatch(nil); n != 0 || err != nil {
-			t.Errorf("shards=%d: IngestBatch(nil) after Close = %d, %v", shards, n, err)
-		}
+	m := NewMonitor()
+	if n, err := m.IngestBatch(nil); n != 0 || err != nil {
+		t.Errorf("IngestBatch(nil) = %d, %v", n, err)
+	}
+	m.Fork(0, 1)
+	m.Close()
+	batch := trace.Trace{trace.Wr(1, 5), trace.Rd(1, 5), trace.Acq(1, 9), trace.Rel(1, 9)}
+	n, err := m.IngestBatch(batch)
+	if n != 0 || !errors.Is(err, ErrMonitorClosed) {
+		t.Errorf("IngestBatch after Close = %d, %v", n, err)
+	}
+	if got := m.Rejected(); got != int64(len(batch)) {
+		t.Errorf("Rejected() = %d, want %d", got, len(batch))
+	}
+	if n, err := m.IngestBatch(nil); n != 0 || err != nil {
+		t.Errorf("IngestBatch(nil) after Close = %d, %v", n, err)
 	}
 }
 
 // TestIngestBatchConcurrentClose: concurrent batching producers against
-// a mid-stream Close. The partial-batch contract must hold exactly:
-// every producer's accepted counts plus the monitor's rejected counter
-// account for every event offered, with no double counting. Run with
-// -race this also stresses the batch path's locking discipline.
+// a mid-stream Close. The all-or-nothing batch contract must hold
+// exactly: every producer's accepted counts plus the monitor's rejected
+// counter account for every event offered, with no double counting. Run
+// with -race this also stresses the batch path's locking discipline.
 func TestIngestBatchConcurrentClose(t *testing.T) {
 	const producers = 4
-	m := NewMonitor(WithShards(4))
+	m := NewMonitor()
 	for f := 1; f <= producers; f++ {
 		m.Fork(0, int32(f))
 	}
@@ -260,8 +229,8 @@ func TestIngestBatchConcurrentClose(t *testing.T) {
 		wg.Add(1)
 		go func(tid int32) {
 			defer wg.Done()
-			// Disjoint variables per producer; a sync pair inside each
-			// batch so Close can cut between a run and a barrier.
+			// Disjoint variables per producer, and a sync pair inside
+			// each batch.
 			base := uint64(tid) << 20
 			batch := make(trace.Trace, 0, 22)
 			for k := uint64(0); k < 10; k++ {
@@ -277,8 +246,8 @@ func TestIngestBatchConcurrentClose(t *testing.T) {
 					if !errors.Is(err, ErrMonitorClosed) {
 						t.Errorf("producer %d: %v", tid, err)
 					}
-					if n >= len(batch) {
-						t.Errorf("producer %d: error with full batch accepted (n=%d)", tid, n)
+					if n != 0 {
+						t.Errorf("producer %d: error with %d events accepted, want 0", tid, n)
 					}
 					return
 				}

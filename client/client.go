@@ -236,9 +236,6 @@ func WithTool(name string) Option { return func(c *config) { c.hello.Tool = name
 // ("off", "strict", "repair", "drop").
 func WithValidation(policy string) Option { return func(c *config) { c.hello.Policy = policy } }
 
-// WithShards asks the server for lock-striped ingestion with n stripes.
-func WithShards(n int) Option { return func(c *config) { c.hello.Shards = n } }
-
 // WithGranularity selects the server-side shadow granularity ("fine" or
 // "coarse").
 func WithGranularity(g string) Option { return func(c *config) { c.hello.Gran = g } }

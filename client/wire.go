@@ -29,9 +29,7 @@
 // One wire frame is one server-side batch: the daemon decodes a
 // FrameEvents payload and hands it to Monitor.IngestBatch in a single
 // call, so the client's batch size (WithBatchSize) directly sets the
-// server's per-event amortization unit. With a sharded session the
-// batch's accesses are checked stripe-by-stripe, so report indices
-// reflect that (legal) interleaving; the race set is unaffected.
+// server's per-event amortization unit.
 package client
 
 import (
@@ -67,12 +65,14 @@ const (
 //
 // All post-version fields are optional JSON, so a version-1 peer that
 // predates them interoperates: an old client simply never degrades
-// fidelity, an old server ignores the request and runs full.
+// fidelity, an old server ignores the request and runs full. Unknown
+// fields are ignored the same way: the "shards" field older clients
+// send is dropped and the session runs on the one serial ingestion
+// path.
 type Handshake struct {
 	Version int    `json:"version"`
 	Tool    string `json:"tool,omitempty"`        // detector name ("" = FastTrack)
 	Policy  string `json:"policy,omitempty"`      // validation: off|strict|repair|drop ("" = off)
-	Shards  int    `json:"shards,omitempty"`      // lock-striped ingestion stripes (<=1 = serial)
 	Gran    string `json:"granularity,omitempty"` // fine|coarse ("" = fine)
 
 	// Fidelity selects the session's fidelity mode: "full" (default),

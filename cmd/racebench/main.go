@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	racebench [-table all|1|2|3|rules|compose|eclipse|ops|shards|batch] [-scale N] [-runs N]
+//	racebench [-table all|1|2|3|rules|compose|eclipse|ops|batch] [-scale N] [-runs N]
 //
 // Table 1: slowdown and warnings for seven tools on sixteen benchmarks.
 // Table 2: vector clocks allocated / O(n) VC operations, DJIT+ vs
@@ -13,12 +13,9 @@
 // Section 5.3 Eclipse-shaped experiment. "ops": per-detector analysis
 // cost (ns/event) and constant-time path shares; with -out FILE it
 // writes the machine-readable fasttrack/bench-ops/v1 JSON artifact
-// (BENCH_ops.json in CI). "shards": live-Monitor ingestion throughput,
-// serial vs lock-striped (WithShards), at 1/2/4/8 feeder goroutines;
-// with -out FILE it writes the fasttrack/bench-scaling/v1 artifact
-// (BENCH_scaling.json in CI). "batch": Monitor.IngestBatch throughput
-// across batch sizes vs per-event Ingest, serial and sharded; with
-// -out FILE it writes the fasttrack/bench-batch/v1 artifact
+// (BENCH_ops.json in CI). "batch": Monitor.IngestBatch throughput
+// across batch sizes vs per-event Ingest; with -out FILE it writes the
+// fasttrack/bench-batch/v2 artifact
 // (BENCH_batch.json in CI). "provenance": FastTrack throughput with
 // the provenance flight recorder off vs on across workload mixes; with
 // -out FILE it writes the fasttrack/bench-provenance/v1 artifact
@@ -47,11 +44,11 @@ import (
 )
 
 func main() {
-	table := flag.String("table", "all", "which table to regenerate: all, 1, 2, 3, rules, compose, eclipse, scaling, accordion, ops, shards, batch, fidelity, provenance, speed, chan, fleet")
+	table := flag.String("table", "all", "which table to regenerate: all, 1, 2, 3, rules, compose, eclipse, scaling, accordion, ops, batch, fidelity, provenance, speed, chan, fleet")
 	scale := flag.Float64("scale", 1, "workload scale factor")
 	runs := flag.Int("runs", 3, "timed repetitions per cell (fastest kept)")
 	asCSV := flag.Bool("csv", false, "emit machine-readable CSV instead of formatted tables (tables 1, 2, 3, compose, scaling, accordion)")
-	out := flag.String("out", "", "for -table ops/shards/batch/fidelity: also write the JSON artifact to this file")
+	out := flag.String("out", "", "for -table ops/batch/fidelity/provenance/speed/chan/fleet: also write the JSON artifact to this file")
 	flag.Parse()
 
 	cfg := bench.DefaultConfig()
@@ -121,20 +118,9 @@ func main() {
 				check(f.Close())
 				fmt.Fprintf(os.Stderr, "racebench: wrote %s\n", *out)
 			}
-		case "shards":
-			fmt.Println("=== Extension: sharded Monitor ingestion throughput ===")
-			rep := bench.ShardScaling(cfg, nil, nil, 0)
-			bench.FprintShardScaling(os.Stdout, rep)
-			if *out != "" {
-				f, err := os.Create(*out)
-				check(err)
-				check(bench.WriteShardScalingJSON(f, rep))
-				check(f.Close())
-				fmt.Fprintf(os.Stderr, "racebench: wrote %s\n", *out)
-			}
 		case "batch":
 			fmt.Println("=== Extension: batched Monitor ingestion throughput ===")
-			rep := bench.Batch(cfg, nil, 0, 0)
+			rep := bench.Batch(cfg, nil, 0)
 			bench.FprintBatch(os.Stdout, rep)
 			if *out != "" {
 				f, err := os.Create(*out)
@@ -208,7 +194,7 @@ func main() {
 	}
 
 	if *table == "all" {
-		for _, name := range []string{"1", "2", "3", "rules", "compose", "eclipse", "scaling", "accordion", "ops", "shards", "batch", "fidelity", "provenance", "speed", "chan"} {
+		for _, name := range []string{"1", "2", "3", "rules", "compose", "eclipse", "scaling", "accordion", "ops", "batch", "fidelity", "provenance", "speed", "chan"} {
 			run(name)
 		}
 		return

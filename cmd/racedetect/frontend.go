@@ -18,8 +18,10 @@ import (
 // event stream to a binary trace file via the runtime shim's trace
 // sink), then analyze that trace by re-invoking this binary — so the
 // run/test modes produce byte-identical reports to `racedetect
-// <trace>` on the same stream, locally and with -server.
-func runFrontend(mode string, args []string) {
+// <trace>` on the same stream, locally and with -server. It returns the
+// process exit status instead of exiting, so the deferred removal of the
+// instrumented work directory runs on every path.
+func runFrontend(mode string, args []string) int {
 	fs := flag.NewFlagSet("racedetect "+mode, flag.ExitOnError)
 	fs.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: racedetect %s [flags] [package-dir]\n\n"+
@@ -41,7 +43,7 @@ func runFrontend(mode string, args []string) {
 
 	if fs.NArg() > 1 {
 		fs.Usage()
-		os.Exit(2)
+		return 2
 	}
 	pkgDir := "."
 	if fs.NArg() == 1 {
@@ -52,13 +54,13 @@ func runFrontend(mode string, args []string) {
 	if root == "" {
 		var err error
 		if root, err = findFasttrackModule(); err != nil {
-			fatal(fmt.Errorf("cannot locate the fasttrack module (run from inside it or pass -module): %w", err))
+			return reportErr(fmt.Errorf("cannot locate the fasttrack module (run from inside it or pass -module): %w", err))
 		}
 	}
 
 	workDir, err := os.MkdirTemp("", "ft-instrument-")
 	if err != nil {
-		fatal(err)
+		return reportErr(err)
 	}
 	if *keep {
 		fmt.Fprintln(os.Stderr, "instrumented module:", workDir)
@@ -71,7 +73,7 @@ func runFrontend(mode string, args []string) {
 		Test:      mode == "test",
 	})
 	if err != nil {
-		fatal(err)
+		return reportErr(err)
 	}
 	if *stats {
 		s := res.Stats
@@ -79,7 +81,7 @@ func runFrontend(mode string, args []string) {
 			s.Files, s.Reads, s.Writes, s.Forks, s.ChanOps, s.SyncOps, s.Skipped)
 	}
 	if mode == "run" && !res.Main {
-		fatal(fmt.Errorf("racedetect run: %s is package %s, not a main package (use racedetect test)", pkgDir, res.Package))
+		return reportErr(fmt.Errorf("racedetect run: %s is package %s, not a main package (use racedetect test)", pkgDir, res.Package))
 	}
 
 	tracePath := filepath.Join(workDir, "ft.trace")
@@ -87,25 +89,29 @@ func runFrontend(mode string, args []string) {
 		"GOFLAGS=-mod=mod", "GOWORK=off",
 		"FASTTRACK_MODE=trace", "FASTTRACK_TRACE="+tracePath)
 
-	var targetExit int
+	var target *exec.Cmd
 	if mode == "run" {
 		bin := filepath.Join(workDir, "ft.bin")
 		build := exec.Command("go", "build", "-o", bin, ".")
 		build.Dir = workDir
 		build.Env = runEnv
 		if out, err := build.CombinedOutput(); err != nil {
-			fatal(fmt.Errorf("building instrumented package:\n%s%w", out, err))
+			return reportErr(fmt.Errorf("building instrumented package:\n%s%w", out, err))
 		}
-		targetExit = runTarget(exec.Command(bin), workDir, runEnv)
+		target = exec.Command(bin)
 	} else {
-		targetExit = runTarget(exec.Command("go", "test", "-count=1", "."), workDir, runEnv)
+		target = exec.Command("go", "test", "-count=1", ".")
+	}
+	targetExit, err := runTarget(target, workDir, runEnv)
+	if err != nil {
+		return reportErr(err)
 	}
 	if _, err := os.Stat(tracePath); err != nil {
-		fatal(fmt.Errorf("the instrumented target produced no trace (it exited %d before the shim ran)", targetExit))
+		return reportErr(fmt.Errorf("the instrumented target produced no trace (it exited %d before the shim ran)", targetExit))
 	}
 	if *traceOut != "" {
 		if err := copyFile(tracePath, *traceOut); err != nil {
-			fatal(err)
+			return reportErr(err)
 		}
 	}
 
@@ -133,7 +139,7 @@ func runFrontend(mode string, args []string) {
 		if ee, ok := err.(*exec.ExitError); ok {
 			analyzeExit = ee.ExitCode()
 		} else {
-			fatal(err)
+			return reportErr(err)
 		}
 	}
 	if targetExit != 0 {
@@ -142,23 +148,32 @@ func runFrontend(mode string, args []string) {
 			analyzeExit = targetExit
 		}
 	}
-	os.Exit(analyzeExit)
+	return analyzeExit
+}
+
+// reportErr prints err and returns the error exit status, for paths
+// that must unwind through deferred cleanup before exiting (fatal is
+// reportErr plus os.Exit).
+func reportErr(err error) int {
+	fmt.Fprintln(os.Stderr, "racedetect:", err)
+	return 2
 }
 
 // runTarget executes the instrumented target with its output passed
-// through, returning its exit status.
-func runTarget(cmd *exec.Cmd, dir string, env []string) int {
+// through, returning its exit status; err is set only when the target
+// could not be run at all.
+func runTarget(cmd *exec.Cmd, dir string, env []string) (int, error) {
 	cmd.Dir = dir
 	cmd.Env = env
 	cmd.Stdout = os.Stdout
 	cmd.Stderr = os.Stderr
 	if err := cmd.Run(); err != nil {
 		if ee, ok := err.(*exec.ExitError); ok {
-			return ee.ExitCode()
+			return ee.ExitCode(), nil
 		}
-		fatal(err)
+		return 0, err
 	}
-	return 0
+	return 0, nil
 }
 
 var moduleLineRE = regexp.MustCompile(`(?m)^module\s+fasttrack\s*$`)

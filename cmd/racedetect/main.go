@@ -6,7 +6,7 @@
 //
 //	racedetect [-tool FastTrack] [-all] [-granularity fine|coarse]
 //	           [-validate] [-stats] [-policy off|strict|repair|drop]
-//	           [-membudget bytes] [-shards N] [-batch N] [-json]
+//	           [-membudget bytes] [-batch N] [-json]
 //	           [-fidelity full|sampled(p)|adaptive] [-provenance]
 //	           [-json.file out.json] [-metrics.addr :6060] trace-file
 //	racedetect -chaos [trace-file]
@@ -70,8 +70,7 @@ func main() {
 	// `racedetect test` instrument and execute a real Go package, then
 	// feed the captured trace back through the flag-based analysis path.
 	if len(os.Args) > 1 && (os.Args[1] == "run" || os.Args[1] == "test") {
-		runFrontend(os.Args[1], os.Args[2:])
-		return
+		os.Exit(runFrontend(os.Args[1], os.Args[2:]))
 	}
 
 	toolName := flag.String("tool", "FastTrack", "detector to run (see -list)")
@@ -83,8 +82,7 @@ func main() {
 	stream := flag.Bool("stream", false, "process the trace incrementally without loading it into memory (single tool only)")
 	policyName := flag.String("policy", "off", "stream-validation policy: off, strict, repair, or drop")
 	memBudget := flag.Int64("membudget", 0, "FastTrack shadow-memory budget in bytes (0 = unbounded)")
-	shards := flag.Int("shards", 1, "ingest through the lock-striped Monitor with this many stripes (single tool, -policy off, no -membudget or -stream)")
-	batch := flag.Int("batch", 0, "replay through the Monitor in IngestBatch chunks of this many events (0 = per-event; same restrictions as -shards)")
+	batch := flag.Int("batch", 0, "replay through the Monitor in IngestBatch chunks of this many events (0 = off; single tool, -policy off, no -membudget or -stream)")
 	chaosMode := flag.Bool("chaos", false, "run the fault-injection smoke suite over every detector")
 	jsonOut := flag.Bool("json", false, "write a machine-readable run report to stdout")
 	jsonFile := flag.String("json.file", "", "write the run report to this file instead of stdout")
@@ -160,7 +158,7 @@ func main() {
 		if *all || *stream || *explain {
 			fatal(fmt.Errorf("-server streams a single tool's batch run; drop -all/-stream/-explain"))
 		}
-		os.Exit(runRemote(flag.Arg(0), *serverAddr, *servers, *toolName, *gran, *policyName, *fidelity, *shards, *validate, *provenance, *traceWire, *jsonOut, *jsonFile))
+		os.Exit(runRemote(flag.Arg(0), *serverAddr, *servers, *toolName, *gran, *policyName, *fidelity, *validate, *provenance, *traceWire, *jsonOut, *jsonFile))
 	}
 
 	ms, err := startMetrics(*metricsAddr)
@@ -185,9 +183,6 @@ func main() {
 		if *all {
 			fatal(fmt.Errorf("-stream runs a single tool; drop -all"))
 		}
-		if *shards > 1 {
-			fatal(fmt.Errorf("-shards applies to batch ingestion; drop -stream"))
-		}
 		exit := runStream(flag.Arg(0), *toolName, g, policy, sampleRate, *validate, *stats, jsonWanted, *provenance, *jsonFile, ms, rep, humanOut)
 		finishJSON(jsonWanted, rep, *jsonFile)
 		os.Exit(exit)
@@ -208,17 +203,17 @@ func main() {
 		return
 	}
 
-	if *shards > 1 || *batch > 0 {
+	if *batch > 0 {
 		if *all {
-			fatal(fmt.Errorf("-shards/-batch run a single tool; drop -all"))
+			fatal(fmt.Errorf("-batch runs a single tool; drop -all"))
 		}
 		if policy != fasttrack.PolicyOff {
-			fatal(fmt.Errorf("-shards/-batch are incompatible with -policy %s (the stream validator is sequential)", *policyName))
+			fatal(fmt.Errorf("-batch is incompatible with -policy %s", *policyName))
 		}
 		if *memBudget != 0 {
-			fatal(fmt.Errorf("-shards/-batch are incompatible with -membudget"))
+			fatal(fmt.Errorf("-batch is incompatible with -membudget"))
 		}
-		exit := runMonitor(tr, *toolName, g, *shards, *batch, sampleRate, *stats, jsonWanted, *provenance, ms, rep, humanOut)
+		exit := runMonitor(tr, *toolName, g, *batch, sampleRate, *stats, jsonWanted, *provenance, ms, rep, humanOut)
 		finishJSON(jsonWanted, rep, *jsonFile)
 		os.Exit(exit)
 	}
@@ -306,16 +301,10 @@ func applySampleRate(tool fasttrack.Tool, rate float64) {
 	s.SetSamplingRate(rate)
 }
 
-// runMonitor replays the trace through the Monitor (serial or
-// lock-striped via -shards) instead of the raw dispatcher, optionally
-// in IngestBatch chunks of batch events. A file replay is a single
-// feeder, so -shards does not speed the analysis up — it exercises
-// exactly the production concurrent path (striped locking, watermark
-// slow path, reconciled metrics) against a recorded trace and reports
-// the same race set as the serial path; -batch measures/exercises the
-// amortized batch ingestion the racedetectd service uses per wire
-// frame.
-func runMonitor(tr trace.Trace, toolName string, g fasttrack.Granularity, shards, batch int,
+// runMonitor replays the trace through the Monitor instead of the raw
+// dispatcher, in IngestBatch chunks of batch events: the amortized
+// batch ingestion the racedetectd service uses per wire frame.
+func runMonitor(tr trace.Trace, toolName string, g fasttrack.Granularity, batch int,
 	sampleRate float64, stats, jsonWanted, provenance bool, ms *metricsServer, rep *runReport, humanOut io.Writer) int {
 
 	hints := fasttrack.Hints{Threads: tr.Threads(), Provenance: provenance}
@@ -327,33 +316,16 @@ func runMonitor(tr trace.Trace, toolName string, g fasttrack.Granularity, shards
 		fatal(err)
 	}
 	applySampleRate(tool, sampleRate)
-	opts := []fasttrack.MonitorOption{
-		fasttrack.WithTool(tool),
-		fasttrack.WithGranularity(g),
-	}
-	if shards > 1 {
-		if _, ok := tool.(fasttrack.ShardedTool); !ok {
-			fatal(fmt.Errorf("-shards: tool %q does not support sharded ingestion", tool.Name()))
-		}
-		opts = append(opts, fasttrack.WithShards(shards))
-	}
-
-	mon := fasttrack.NewMonitor(opts...)
+	mon := fasttrack.NewMonitor(fasttrack.WithTool(tool), fasttrack.WithGranularity(g))
 	ms.attach(mon.MetricsRegistry())
-	if batch > 0 {
-		for i := 0; i < len(tr); i += batch {
-			mon.IngestBatch(tr[i:min(i+batch, len(tr))])
-		}
-	} else {
-		for _, e := range tr {
-			mon.Ingest(e)
-		}
+	for i := 0; i < len(tr); i += batch {
+		mon.IngestBatch(tr[i:min(i+batch, len(tr))])
 	}
 
 	races := mon.Races()
 	st := mon.Stats()
 	health := mon.Health()
-	snap := mon.Metrics() // also publishes tool.* and monitor.sharded.*
+	snap := mon.Metrics() // also publishes tool.*
 	var details []fasttrack.DetailedReport
 	if provenance {
 		details = mon.DetailedRaces()
@@ -361,14 +333,7 @@ func runMonitor(tr trace.Trace, toolName string, g fasttrack.Granularity, shards
 
 	printReport(humanOut, tool, races, st, stats)
 	printDetails(humanOut, details)
-	mode := "serial monitor"
-	if mon.Shards() > 1 {
-		mode = fmt.Sprintf("%d-stripe monitor", mon.Shards())
-	}
-	if batch > 0 {
-		mode += fmt.Sprintf(", batch %d", batch)
-	}
-	fmt.Fprintf(humanOut, "(%d events via %s)\n", len(tr), mode)
+	fmt.Fprintf(humanOut, "(%d events via serial monitor, batch %d)\n", len(tr), batch)
 	if jsonWanted {
 		rep.Tools = append(rep.Tools, toolReport{
 			Tool:    tool.Name(),
@@ -721,7 +686,4 @@ func readTrace(path string) (trace.Trace, error) {
 	return trace.ReadText(br)
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "racedetect:", err)
-	os.Exit(2)
-}
+func fatal(err error) { os.Exit(reportErr(err)) }

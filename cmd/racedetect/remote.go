@@ -15,7 +15,7 @@ import (
 // session is fleet-routed (client.DialFleet): it lands on the key's
 // owning node, steers around capped/draining/dead nodes, and fails over
 // mid-stream if its node dies. Returns the process exit code.
-func runRemote(path, addr, servers, toolName, gran, policyName, fidelity string, shards int, validate, provenance, traceWire, jsonOut bool, jsonFile string) int {
+func runRemote(path, addr, servers, toolName, gran, policyName, fidelity string, validate, provenance, traceWire, jsonOut bool, jsonFile string) int {
 	tr, err := readTrace(path)
 	if err != nil {
 		fatal(err)
@@ -40,9 +40,6 @@ func runRemote(path, addr, servers, toolName, gran, policyName, fidelity string,
 	}
 	if policyName != "" && policyName != "off" {
 		opts = append(opts, client.WithValidation(policyName))
-	}
-	if shards > 1 {
-		opts = append(opts, client.WithShards(shards))
 	}
 	if fidelity != "" {
 		opts = append(opts, client.WithFidelity(fidelity))

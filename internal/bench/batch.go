@@ -12,15 +12,15 @@ import (
 	"fasttrack/trace"
 )
 
-// BatchSchema versions the BENCH_batch.json artifact.
-const BatchSchema = "fasttrack/bench-batch/v1"
+// BatchSchema versions the BENCH_batch.json artifact. v2 dropped the
+// per-row mode and shards fields along with the sharded sweep.
+const BatchSchema = "fasttrack/bench-batch/v2"
 
 // BatchReport is the machine-readable batched-ingestion artifact: the
-// throughput of Monitor.IngestBatch across batch sizes, serial and
-// sharded, against the per-event Monitor.Ingest baseline on the same
-// event stream. One producer feeds the monitor, so the table isolates
-// the per-event lock/dispatch toll that batching amortizes rather than
-// feeder contention (BENCH_scaling.json covers that axis).
+// throughput of Monitor.IngestBatch across batch sizes against the
+// per-event Monitor.Ingest baseline on the same event stream. One
+// producer feeds the monitor, so the table isolates the per-event
+// lock/dispatch toll that batching amortizes.
 type BatchReport struct {
 	Schema string     `json:"schema"`
 	CPUs   int        `json:"cpus"`
@@ -29,22 +29,18 @@ type BatchReport struct {
 	Rows   []BatchRow `json:"rows"`
 }
 
-// BatchRow is one (mode, batch size) cell. Batch == 0 is the per-event
-// Ingest baseline; Speedup is relative to the same mode's baseline row
-// (so the shards=1 and sharded sweeps are each self-normalized).
+// BatchRow is one batch size. Batch == 0 is the per-event Ingest
+// baseline; Speedup is relative to that baseline row.
 type BatchRow struct {
-	Mode         string  `json:"mode"`   // "serial" or "sharded"
-	Shards       int     `json:"shards"` // 1 in serial mode
-	Batch        int     `json:"batch"`  // events per IngestBatch; 0 = per-event Ingest
+	Batch        int     `json:"batch"` // events per IngestBatch; 0 = per-event Ingest
 	ElapsedNs    int64   `json:"elapsedNs"`
 	EventsPerSec float64 `json:"eventsPerSec"`
 	Speedup      float64 `json:"speedup"`
 }
 
 // batchWorkload builds the event stream the sweep replays: one thread
-// sweeping write/read pairs over a working set large enough to spread
-// across every stripe, with an acquire/release pair every ~1k accesses
-// so the batch path's sync-barrier flush is part of what is measured.
+// sweeping write/read pairs over a 4096-variable working set, with an
+// acquire/release pair every ~1k accesses.
 func batchWorkload(events int) []trace.Event {
 	const vars = 4096
 	out := make([]trace.Event, 0, events)
@@ -59,15 +55,9 @@ func batchWorkload(events int) []trace.Event {
 }
 
 // batchRun replays the workload through one monitor and times it.
-func batchRun(shards, batch int, events []trace.Event) time.Duration {
-	var opts []fasttrack.MonitorOption
-	if shards > 1 {
-		opts = append(opts, fasttrack.WithShards(shards))
-	}
-	m := fasttrack.NewMonitor(opts...)
+func batchRun(batch int, events []trace.Event) time.Duration {
+	m := fasttrack.NewMonitor()
 	defer m.Close()
-	// Materialize the producer thread up front so the sharded path never
-	// needs its once-per-thread slow path mid-measurement.
 	m.Fork(0, 1)
 	t0 := time.Now()
 	if batch <= 0 {
@@ -83,15 +73,11 @@ func batchRun(shards, batch int, events []trace.Event) time.Duration {
 }
 
 // Batch produces the batched-ingestion throughput table. Nil batchSizes
-// defaults to {1, 8, 64, 512, 4096}; shards <= 1 defaults to 8 stripes
-// for the sharded sweep; totalEvents <= 0 defaults to 400k scaled by
-// cfg.Scale with a 50k floor.
-func Batch(cfg Config, batchSizes []int, shards, totalEvents int) BatchReport {
+// defaults to {1, 8, 64, 512, 4096}; totalEvents <= 0 defaults to 400k
+// scaled by cfg.Scale with a 50k floor.
+func Batch(cfg Config, batchSizes []int, totalEvents int) BatchReport {
 	if len(batchSizes) == 0 {
 		batchSizes = []int{1, 8, 64, 512, 4096}
-	}
-	if shards <= 1 {
-		shards = 8
 	}
 	if totalEvents <= 0 {
 		totalEvents = int(400_000 * cfg.Scale)
@@ -106,34 +92,27 @@ func Batch(cfg Config, batchSizes []int, shards, totalEvents int) BatchReport {
 		Events: len(events),
 		Runs:   cfg.runs(),
 	}
-	for _, mode := range []struct {
-		name   string
-		shards int
-	}{{"serial", 1}, {"sharded", shards}} {
-		var baseline float64
-		for _, batch := range append([]int{0}, batchSizes...) {
-			best := time.Duration(0)
-			for r := 0; r < cfg.runs(); r++ {
-				el := batchRun(mode.shards, batch, events)
-				if best == 0 || el < best {
-					best = el
-				}
+	var baseline float64
+	for _, batch := range append([]int{0}, batchSizes...) {
+		best := time.Duration(0)
+		for r := 0; r < cfg.runs(); r++ {
+			el := batchRun(batch, events)
+			if best == 0 || el < best {
+				best = el
 			}
-			row := BatchRow{
-				Mode:         mode.name,
-				Shards:       mode.shards,
-				Batch:        batch,
-				ElapsedNs:    best.Nanoseconds(),
-				EventsPerSec: float64(len(events)) / best.Seconds(),
-			}
-			if batch == 0 {
-				baseline = row.EventsPerSec
-			}
-			if baseline > 0 {
-				row.Speedup = row.EventsPerSec / baseline
-			}
-			rep.Rows = append(rep.Rows, row)
 		}
+		row := BatchRow{
+			Batch:        batch,
+			ElapsedNs:    best.Nanoseconds(),
+			EventsPerSec: float64(len(events)) / best.Seconds(),
+		}
+		if batch == 0 {
+			baseline = row.EventsPerSec
+		}
+		if baseline > 0 {
+			row.Speedup = row.EventsPerSec / baseline
+		}
+		rep.Rows = append(rep.Rows, row)
 	}
 	return rep
 }
@@ -150,18 +129,18 @@ func FprintBatch(w io.Writer, rep BatchReport) {
 	fmt.Fprintf(w, "Batched ingestion throughput, %d events, best of %d, %d CPU(s)\n\n",
 		rep.Events, rep.Runs, rep.CPUs)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "Mode\tShards\tBatch\tms\tevents/sec\tvs per-event")
+	fmt.Fprintln(tw, "Batch\tms\tevents/sec\tvs per-event")
 	for _, r := range rep.Rows {
 		batch := fmt.Sprint(r.Batch)
 		if r.Batch == 0 {
 			batch = "per-event"
 		}
-		fmt.Fprintf(tw, "%s\t%d\t%s\t%.1f\t%.2fM\t%.2fx\n",
-			r.Mode, r.Shards, batch,
+		fmt.Fprintf(tw, "%s\t%.1f\t%.2fM\t%.2fx\n",
+			batch,
 			float64(r.ElapsedNs)/1e6, r.EventsPerSec/1e6, r.Speedup)
 	}
 	tw.Flush()
 	fmt.Fprintln(w, "\n(single producer; the table isolates the per-event lock and dispatch")
-	fmt.Fprintln(w, " toll that IngestBatch amortizes — one serial-lock or stripe-lock")
-	fmt.Fprintln(w, " acquisition per batch instead of per event)")
+	fmt.Fprintln(w, " toll that IngestBatch amortizes — one lock acquisition per batch")
+	fmt.Fprintln(w, " instead of per event)")
 }

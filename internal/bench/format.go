@@ -140,9 +140,17 @@ func FprintCompose(w io.Writer, rows []ComposeRow) {
 		}
 		fmt.Fprintln(tw)
 	}
+	if len(rows) > 0 {
+		fmt.Fprint(tw, "events forwarded")
+		for _, f := range ComposeFilters {
+			fmt.Fprintf(tw, "\t%d", rows[0].Forwarded[f])
+		}
+		fmt.Fprintln(tw)
+	}
 	tw.Flush()
 	fmt.Fprintln(w, "\n(average slowdown over compute-bound benchmarks; prefilters forward only")
-	fmt.Fprintln(w, " accesses not yet proven race-free, per Section 5.2 and footnote 6)")
+	fmt.Fprintln(w, " accesses not yet proven race-free, per Section 5.2 and footnote 6; the")
+	fmt.Fprintln(w, " forwarded-event counts depend only on the prefilter)")
 }
 
 // FprintEclipse renders the Section 5.3 table.

@@ -1,15 +1,10 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
-	"sync"
 	"text/tabwriter"
-	"time"
 
-	"fasttrack"
 	"fasttrack/internal/sim"
 )
 
@@ -100,150 +95,4 @@ func FprintScaling(w io.Writer, rows []ScalingRow) {
 	tw.Flush()
 	fmt.Fprintln(w, "\n(identical per-thread workload; the DJIT+/FastTrack gap widens with n,")
 	fmt.Fprintln(w, " the O(1)-vs-O(n) separation the epoch representation buys)")
-}
-
-// ShardScalingSchema versions the BENCH_scaling.json artifact.
-const ShardScalingSchema = "fasttrack/bench-scaling/v1"
-
-// ShardScalingReport is the machine-readable ingestion-throughput
-// artifact for the Monitor's lock-striped concurrent path: events/sec
-// through a live Monitor at 1/2/4/8 feeder goroutines, serial versus
-// sharded. CPUs records the parallelism available when the table was
-// produced — on a single-core host the sharded rows cannot beat the
-// serial ones, and consumers must interpret Speedup accordingly.
-type ShardScalingReport struct {
-	Schema    string            `json:"schema"`
-	CPUs      int               `json:"cpus"`
-	PerFeeder int               `json:"perFeeder"`
-	Runs      int               `json:"runs"`
-	Rows      []ShardScalingRow `json:"rows"`
-}
-
-// ShardScalingRow is one (feeders, shards) cell: total events ingested,
-// wall-clock time for the concurrent feeding phase (best of Runs), and
-// the throughput relative to the serial monitor under the same feeder
-// count (Speedup == 1 for the shards=1 rows themselves).
-type ShardScalingRow struct {
-	Feeders      int     `json:"feeders"`
-	Shards       int     `json:"shards"`
-	Events       int64   `json:"events"`
-	ElapsedNs    int64   `json:"elapsedNs"`
-	EventsPerSec float64 `json:"eventsPerSec"`
-	Speedup      float64 `json:"speedup"`
-}
-
-// shardScalingRun feeds perFeeder access events from each of feeders
-// goroutines into one monitor and times the concurrent phase. Each
-// feeder works a disjoint block of variables (write/read pairs over a
-// small working set), the workload on which striped ingestion should
-// approach linear scaling: no two feeders ever contend on a variable,
-// only — by hash collision — on a stripe lock.
-func shardScalingRun(feeders, shards, perFeeder int) time.Duration {
-	var opts []fasttrack.MonitorOption
-	if shards > 1 {
-		opts = append(opts, fasttrack.WithShards(shards))
-	}
-	m := fasttrack.NewMonitor(opts...)
-	// Fork every feeder thread up front so its state is materialized and
-	// the sharded path never needs the once-per-thread slow path mid-run.
-	for f := 1; f <= feeders; f++ {
-		m.Fork(0, int32(f))
-	}
-	const block = 4096
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	for f := 0; f < feeders; f++ {
-		wg.Add(1)
-		go func(f int) {
-			defer wg.Done()
-			tid := int32(f + 1)
-			base := uint64(f) * block
-			<-start
-			for i := 0; i < perFeeder; i += 2 {
-				x := base + uint64(i/2)%block
-				m.Write(tid, x)
-				m.Read(tid, x)
-			}
-		}(f)
-	}
-	t0 := time.Now()
-	close(start)
-	wg.Wait()
-	return time.Since(t0)
-}
-
-// ShardScaling produces the sharded-ingestion throughput table. Nil
-// feederCounts defaults to 1/2/4/8 and nil shardCounts to serial-vs-8;
-// perFeeder <= 0 defaults to 200k events per feeder.
-func ShardScaling(cfg Config, feederCounts, shardCounts []int, perFeeder int) ShardScalingReport {
-	if len(feederCounts) == 0 {
-		feederCounts = []int{1, 2, 4, 8}
-	}
-	if len(shardCounts) == 0 {
-		shardCounts = []int{1, 8}
-	}
-	if perFeeder <= 0 {
-		perFeeder = int(200_000 * cfg.Scale)
-		if perFeeder < 10_000 {
-			perFeeder = 10_000
-		}
-	}
-	rep := ShardScalingReport{
-		Schema:    ShardScalingSchema,
-		CPUs:      runtime.GOMAXPROCS(0),
-		PerFeeder: perFeeder,
-		Runs:      cfg.runs(),
-	}
-	serial := map[int]float64{} // feeders -> serial events/sec
-	for _, feeders := range feederCounts {
-		for _, shards := range shardCounts {
-			best := time.Duration(0)
-			for r := 0; r < cfg.runs(); r++ {
-				el := shardScalingRun(feeders, shards, perFeeder)
-				if best == 0 || el < best {
-					best = el
-				}
-			}
-			events := int64(feeders) * int64(perFeeder)
-			row := ShardScalingRow{
-				Feeders:      feeders,
-				Shards:       shards,
-				Events:       events,
-				ElapsedNs:    best.Nanoseconds(),
-				EventsPerSec: float64(events) / best.Seconds(),
-			}
-			if shards == 1 {
-				serial[feeders] = row.EventsPerSec
-			}
-			if s := serial[feeders]; s > 0 {
-				row.Speedup = row.EventsPerSec / s
-			}
-			rep.Rows = append(rep.Rows, row)
-		}
-	}
-	return rep
-}
-
-// WriteShardScalingJSON writes the artifact as indented JSON.
-func WriteShardScalingJSON(w io.Writer, rep ShardScalingReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
-
-// FprintShardScaling renders the sharded-ingestion throughput table.
-func FprintShardScaling(w io.Writer, rep ShardScalingReport) {
-	fmt.Fprintf(w, "Monitor ingestion throughput, %d events/feeder, best of %d, %d CPU(s)\n\n",
-		rep.PerFeeder, rep.Runs, rep.CPUs)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "Feeders\tShards\tEvents\tms\tevents/sec\tvs serial")
-	for _, r := range rep.Rows {
-		fmt.Fprintf(tw, "%d\t%d\t%d\t%.1f\t%.2fM\t%.2fx\n",
-			r.Feeders, r.Shards, r.Events,
-			float64(r.ElapsedNs)/1e6, r.EventsPerSec/1e6, r.Speedup)
-	}
-	tw.Flush()
-	fmt.Fprintln(w, "\n(disjoint per-feeder variable blocks; sharded speedup requires real")
-	fmt.Fprintln(w, " CPU parallelism — on a single-core host the striped path only adds")
-	fmt.Fprintln(w, " locking overhead, which this table then quantifies)")
 }

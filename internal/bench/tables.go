@@ -271,10 +271,25 @@ var ComposeFilters = []string{"NONE", "TL", "ERASER", "DJIT+", "FASTTRACK"}
 var ComposeCheckers = []string{"Atomizer", "Velodrome", "SingleTrack"}
 
 // ComposeRow is one downstream checker's slowdowns under each prefilter.
+// Forwarded is the deterministic counterpart of Slowdowns: the number of
+// events that reached the checker, summed over the workloads — the work
+// a prefilter saves, free of timer noise.
 type ComposeRow struct {
 	Checker   string
 	Slowdowns map[string]float64 // by filter name
 	Warnings  map[string]int
+	Forwarded map[string]int64
+}
+
+// forwardCounter counts the events delivered to the wrapped checker.
+type forwardCounter struct {
+	rr.Tool
+	n int64
+}
+
+func (c *forwardCounter) HandleEvent(i int, e trace.Event) {
+	c.n++
+	c.Tool.HandleEvent(i, e)
 }
 
 func checkerMaker(name string) func() rr.Tool {
@@ -328,13 +343,18 @@ func Compose(cfg Config) []ComposeRow {
 			Checker:   checker,
 			Slowdowns: map[string]float64{},
 			Warnings:  map[string]int{},
+			Forwarded: map[string]int64{},
 		}
 		for _, filter := range ComposeFilters {
 			var slow float64
 			warnings := 0
+			var forwarded int64
 			for _, w := range works {
+				// Every run replays the same trace, so the last run's
+				// count is the count.
+				var back *forwardCounter
 				mk := func() rr.Tool {
-					back := checkerMaker(checker)()
+					back = &forwardCounter{Tool: checkerMaker(checker)()}
 					if filter == "NONE" {
 						return back
 					}
@@ -343,9 +363,11 @@ func Compose(cfg Config) []ComposeRow {
 				m := MeasureTool(w.tr, mk, cfg, w.base)
 				slow += m.Slowdown
 				warnings += m.Warnings
+				forwarded += back.n
 			}
 			row.Slowdowns[filter] = slow / float64(len(works))
 			row.Warnings[filter] = warnings
+			row.Forwarded[filter] = forwarded
 		}
 		rows = append(rows, row)
 	}

@@ -69,19 +69,11 @@ func chanTrace(t *testing.T, seed int64, unbufferedOnly bool) trace.Trace {
 	return tr
 }
 
-// racyVarsSharded runs FastTrack in sharded mode over a trace.
-func racyVarsSharded(tr trace.Trace) map[uint64]bool {
-	d := core.New(4, 8)
-	d.EnableSharding(4)
-	return RacyVars(d, tr)
-}
-
 // TestCapacityAwareRefinesConservative: forcing every channel to
 // capacity 0 adds happens-before edges the runtime does not guarantee,
 // so the capacity-aware race set must be a superset of the conservative
 // one — the capacity-aware semantics only ever EXPOSES races the old
-// encoding masked, never the reverse. Checked in serial and sharded
-// mode.
+// encoding masked, never the reverse.
 func TestCapacityAwareRefinesConservative(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		tr := chanTrace(t, 7000+seed, false)
@@ -91,24 +83,13 @@ func TestCapacityAwareRefinesConservative(t *testing.T) {
 			t.Fatalf("seed %d: conservative races %v ⊄ capacity-aware races %v\ntrace:\n%s",
 				seed, cons, exact, tr)
 		}
-		exactSh := racyVarsSharded(tr)
-		if !SameVars(exactSh, exact) {
-			t.Fatalf("seed %d: sharded capacity-aware %v != serial %v\ntrace:\n%s",
-				seed, exactSh, exact, tr)
-		}
-		consSh := racyVarsSharded(conservativeChans(tr))
-		if !Subset(consSh, exactSh) {
-			t.Fatalf("seed %d: sharded conservative %v ⊄ sharded capacity-aware %v\ntrace:\n%s",
-				seed, consSh, exactSh, tr)
-		}
 	}
 }
 
 // TestUnbufferedMatchesVolatileEncoding: on traces whose channels are
 // all unbuffered, the first-class channel rules coincide with the old
 // volatile-pair encoding — the rendezvous accumulators implement
-// exactly that relation — so both report the same racy variables, in
-// serial and sharded mode.
+// exactly that relation — so both report the same racy variables.
 func TestUnbufferedMatchesVolatileEncoding(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		tr := chanTrace(t, 9000+seed, true)
@@ -117,11 +98,6 @@ func TestUnbufferedMatchesVolatileEncoding(t *testing.T) {
 		if !SameVars(native, encoded) {
 			t.Fatalf("seed %d: native unbuffered races %v != volatile encoding %v\ntrace:\n%s",
 				seed, native, encoded, tr)
-		}
-		nativeSh := racyVarsSharded(tr)
-		if !SameVars(nativeSh, native) {
-			t.Fatalf("seed %d: sharded %v != serial %v\ntrace:\n%s",
-				seed, nativeSh, native, tr)
 		}
 	}
 }

@@ -86,7 +86,8 @@ func (d *Detector) Compact(dead []int32) CompactStats {
 	// retained marks dead threads still referenced somewhere.
 	retained := map[vc.Tid]bool{}
 
-	compactVar := func(wp, rp *vc.Epoch, rs *rvcStore) {
+	rs := &d.shared
+	compactVar := func(wp, rp *vc.Epoch) {
 		w := *wp
 		if w != vc.Bottom && deadSet[w.Tid()] {
 			if dominated(w) {
@@ -140,18 +141,9 @@ func (d *Detector) Compact(dead []int32) CompactStats {
 		}
 	}
 	for x := range d.r {
-		compactVar(&d.w[x], &d.r[x], &d.shared)
+		compactVar(&d.w[x], &d.r[x])
 	}
-	d.shared.compactSlab()
-	for i := range d.stripes {
-		s := &d.stripes[i]
-		for slot := range s.tab.keys {
-			if s.tab.meta[slot]&slotUsed != 0 {
-				compactVar(&s.tab.w[slot], &s.tab.r[slot], &s.shared)
-			}
-		}
-		s.shared.compactSlab()
-	}
+	rs.compactSlab()
 
 	// Lock and volatile clocks: dominated dead components are zeroed.
 	compactL := func(lt *lockTab) {

@@ -10,45 +10,41 @@ import (
 // These tests pin the zero-allocation contract of the access paths
 // (DESIGN.md §13): once a variable's shadow slot and the acting thread
 // exist, the same-epoch and exclusive paths — >99% of accesses in the
-// paper's workloads — must not touch the Go allocator, in either
-// storage layout. testing.AllocsPerRun is exact for serial code, so any
+// paper's workloads — must not touch the Go allocator.
+// testing.AllocsPerRun is exact for serial code, so any
 // regression (a map rehash on the hot path, an escaped closure, a
 // forgotten pool) fails loudly.
 
-// allocDetectors builds a serial and a sharded detector with thread 0
-// and variable 5 pre-materialized, so the measured loops exercise
-// steady-state paths rather than first-touch growth.
-func allocDetectors() map[string]*Detector {
-	ds := map[string]*Detector{"serial": New(0, 0), "sharded": New(0, 0)}
-	ds["sharded"].EnableSharding(4)
-	for _, d := range ds {
-		d.HandleEvent(0, trace.Wr(0, 5))
-		d.HandleEvent(1, trace.Rd(0, 5))
-		d.HandleEvent(2, trace.Acq(0, 9))
-		d.HandleEvent(3, trace.Rel(0, 9))
-	}
-	return ds
+// allocDetector builds a detector with thread 0 and variable 5
+// pre-materialized, so the measured loops exercise steady-state paths
+// rather than first-touch growth.
+func allocDetector() *Detector {
+	d := New(0, 0)
+	d.HandleEvent(0, trace.Wr(0, 5))
+	d.HandleEvent(1, trace.Rd(0, 5))
+	d.HandleEvent(2, trace.Acq(0, 9))
+	d.HandleEvent(3, trace.Rel(0, 9))
+	return d
 }
 
-func assertZeroAllocs(t *testing.T, layout, path string, f func()) {
+func assertZeroAllocs(t *testing.T, path string, f func()) {
 	t.Helper()
 	if n := testing.AllocsPerRun(200, f); n != 0 {
-		t.Errorf("%s %s path: %.1f allocs per event, want 0", layout, path, n)
+		t.Errorf("%s path: %.1f allocs per event, want 0", path, n)
 	}
 }
 
 func TestSameEpochPathsAllocateNothing(t *testing.T) {
-	for layout, d := range allocDetectors() {
-		i := 100
-		assertZeroAllocs(t, layout, "read same-epoch", func() {
-			d.HandleEvent(i, trace.Rd(0, 5))
-			i++
-		})
-		assertZeroAllocs(t, layout, "write same-epoch", func() {
-			d.HandleEvent(i, trace.Wr(0, 5))
-			i++
-		})
-	}
+	d := allocDetector()
+	i := 100
+	assertZeroAllocs(t, "read same-epoch", func() {
+		d.HandleEvent(i, trace.Rd(0, 5))
+		i++
+	})
+	assertZeroAllocs(t, "write same-epoch", func() {
+		d.HandleEvent(i, trace.Wr(0, 5))
+		i++
+	})
 }
 
 func TestExclusivePathsAllocateNothing(t *testing.T) {
@@ -56,32 +52,30 @@ func TestExclusivePathsAllocateNothing(t *testing.T) {
 	// access misses the same-epoch compare and takes the exclusive rule —
 	// still required to be allocation-free (epoch store plus, on the
 	// release, a pooled/materialized lock-clock copy).
-	for layout, d := range allocDetectors() {
-		i := 100
-		assertZeroAllocs(t, layout, "read-exclusive", func() {
-			d.HandleEvent(i, trace.Rel(0, 9))
-			d.HandleEvent(i+1, trace.Rd(0, 5))
-			i += 2
-		})
-		assertZeroAllocs(t, layout, "write-exclusive", func() {
-			d.HandleEvent(i, trace.Rel(0, 9))
-			d.HandleEvent(i+1, trace.Wr(0, 5))
-			i += 2
-		})
-	}
+	d := allocDetector()
+	i := 100
+	assertZeroAllocs(t, "read-exclusive", func() {
+		d.HandleEvent(i, trace.Rel(0, 9))
+		d.HandleEvent(i+1, trace.Rd(0, 5))
+		i += 2
+	})
+	assertZeroAllocs(t, "write-exclusive", func() {
+		d.HandleEvent(i, trace.Rel(0, 9))
+		d.HandleEvent(i+1, trace.Wr(0, 5))
+		i += 2
+	})
 }
 
 func TestSyncSteadyStateAllocatesNothing(t *testing.T) {
 	// Steady-state lock traffic: acquire joins into the thread's clock,
 	// release copies into the lock's pooled clock in place.
-	for layout, d := range allocDetectors() {
-		i := 100
-		assertZeroAllocs(t, layout, "acquire/release", func() {
-			d.HandleEvent(i, trace.Acq(0, 9))
-			d.HandleEvent(i+1, trace.Rel(0, 9))
-			i += 2
-		})
-	}
+	d := allocDetector()
+	i := 100
+	assertZeroAllocs(t, "acquire/release", func() {
+		d.HandleEvent(i, trace.Acq(0, 9))
+		d.HandleEvent(i+1, trace.Rel(0, 9))
+		i += 2
+	})
 }
 
 // TestReadShareRecyclesStoreSlots: the promote/demote cycle — inflate to

@@ -36,11 +36,6 @@ const budgetCheckInterval = 1024
 // degrading precision, never by aborting; see Stats.MemSqueezes and
 // Stats.MemCoarse for how often each rung fired.
 func (d *Detector) SetMemoryBudget(bytes int64) {
-	if bytes > 0 && d.stripes != nil {
-		// The coarse fallback remaps variable ids, which would move
-		// variables across stripes behind the stripe locks' back.
-		panic("core: memory budget is incompatible with sharding")
-	}
 	d.budget = bytes
 }
 

@@ -44,9 +44,7 @@ type chanSlot struct {
 	clk vc.VC
 }
 
-// chanState is the detector's per-channel synchronization state. It is
-// touched only under full exclusion (channel events are sync events), so
-// sharded detectors share one table like locks and volatiles.
+// chanState is the detector's per-channel synchronization state.
 type chanState struct {
 	capacity int32
 	sends    uint64 // chsend events seen

@@ -80,7 +80,7 @@ func TestChanBufferedReverseEdgeAtCapacity(t *testing.T) {
 	const x, ch = 0, 1
 	d := run(t, trace.Trace{
 		trace.ChSend(0, ch, 1),
-		trace.Wr(1, x),         // before the receive, so recv 1's clock covers it
+		trace.Wr(1, x), // before the receive, so recv 1's clock covers it
 		trace.ChRecv(1, ch, 1),
 		trace.ChSend(0, ch, 1), // send 2, cap 1: joins recv 1's clock
 		trace.Wr(0, x),
@@ -194,9 +194,9 @@ func TestChanStatsAccounting(t *testing.T) {
 	}
 }
 
-// TestChanShardedMatchesSerial replays a mixed channel workload through
-// a serial and a sharded detector and requires identical warnings.
-func TestChanShardedMatchesSerial(t *testing.T) {
+// TestChanMixedWorkloadRace replays a mixed unbuffered/buffered channel
+// workload and requires exactly the one race the buffered slack leaves.
+func TestChanMixedWorkloadRace(t *testing.T) {
 	const ch, ch2 = 100, 101
 	tr := trace.Trace{
 		trace.Wr(0, 0),
@@ -211,22 +211,11 @@ func TestChanShardedMatchesSerial(t *testing.T) {
 		trace.ChSend(2, ch2, 2), // send 2 ≤ cap: no reverse edge
 		trace.Wr(0, 2),          // races with thread 2's write
 	}
-	serial := run(t, tr)
-	sharded := New(4, 16)
-	sharded.EnableSharding(4)
-	for i, e := range tr {
-		sharded.HandleEvent(i, e)
+	d := run(t, tr)
+	wantRaces(t, d, 1)
+	if got := d.Races()[0].Var; got != 2 {
+		t.Errorf("race on var %d, want 2", got)
 	}
-	a, b := serial.Races(), sharded.Races()
-	if len(a) != len(b) {
-		t.Fatalf("serial %d races, sharded %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].Var != b[i].Var {
-			t.Errorf("race %d: serial var %d, sharded var %d", i, a[i].Var, b[i].Var)
-		}
-	}
-	wantRaces(t, serial, 1)
 }
 
 // TestChanFootprintCounted checks that channel state shows up in the

@@ -29,8 +29,6 @@
 package core
 
 import (
-	"sort"
-
 	"fasttrack/internal/rr"
 	"fasttrack/internal/vc"
 	"fasttrack/trace"
@@ -65,8 +63,7 @@ func sharedTag(idx int) vc.Epoch { return sharedTagBase | vc.Epoch(idx) }
 // allocates only when the store has never been this large; discarding
 // (budget squeeze, accordion compaction) forgets the region, and
 // compactSlab repacks the survivors so the memory actually returns to
-// the allocator. Serial detectors own one store; in sharded mode each
-// stripe owns its own, preserving stripe confinement.
+// the allocator.
 type rvcStore struct {
 	clocks  []vc.Clock  // flat slab of every slot's components
 	regions []rvcRegion // slot -> region in clocks
@@ -97,7 +94,7 @@ func (rs *rvcStore) get(idx int, t vc.Tid) vc.Clock {
 
 // set updates component t of slot idx in place. The region grows
 // (rarely: only when threads were created after the promotion) by
-// re-carving at the slab's end. The [FT READ SHARED] rule in readSlow
+// re-carving at the slab's end. The [FT READ SHARED] rule in read
 // open-codes the in-bounds store and only calls here to grow.
 func (rs *rvcStore) set(idx int, t vc.Tid, c vc.Clock) {
 	if int32(t) >= rs.regions[idx].width {
@@ -211,22 +208,19 @@ type Detector struct {
 	vols    lockTab // L extended to volatiles (Section 4)
 
 	// chans holds the per-channel happens-before state (see channel.go).
-	// Channel events are sync events, always delivered under full
-	// exclusion, so sharded detectors share this table like locks.
 	chans map[uint64]*chanState
 
-	// Serial struct-of-arrays variable tables: W and R epochs indexed by
+	// Struct-of-arrays variable tables: W and R epochs indexed by
 	// variable id (hot), the per-variable race flags as a bitset, and
-	// the read-VC side store (cold). Sharded detectors leave these empty
-	// and use the per-stripe tables instead (see shard.go).
+	// the read-VC side store (cold).
 	w, r    []vc.Epoch
 	flagged []uint64
 	shared  rvcStore
 
-	// pool recycles vector-clock backing arrays across the allocation
-	// sites that run under full exclusion (lock/volatile
-	// materialization, barrier joins, thread creation); the reclamation
-	// seams (Compact, budget trims) feed it.
+	// pool recycles vector-clock backing arrays across the sync-path
+	// allocation sites (lock/volatile materialization, barrier joins,
+	// thread creation); the reclamation seams (Compact, budget trims)
+	// feed it.
 	pool vc.Pool
 
 	// Detailed error reporting (the "more precise error reporting" of
@@ -257,12 +251,6 @@ type Detector struct {
 	// re-checked here (see the rule-frequency tests).
 	extendedSameEpoch bool
 
-	// stripes, when non-nil, holds the per-stripe variable tables, access
-	// counters and race lists used under the sharded Monitor's
-	// stripe-locking discipline (see shard.go and rr.ShardedTool). Serial
-	// detectors leave it nil and use the dense tables above.
-	stripes []stripeState
-
 	// sampleThr is the sampling-tier threshold (see sampling.go): an
 	// access to x is analyzed iff sampleHash(x) < sampleThr. The default
 	// sampleFull (1<<32) is unreachable by the 32-bit hash, so full
@@ -276,14 +264,6 @@ type Detector struct {
 
 	races []rr.Report
 	st    rr.Stats
-
-	// raceSnap caches the merged, index-sorted view of the stripe race
-	// lists; raceSnapN is the total race count it was built from. Stripe
-	// race lists are append-only, so a changed sum of lengths is exactly
-	// "some stripe appended" — a per-stripe generation counter folded
-	// into one comparison. Guarded by the same full exclusion as Races.
-	raceSnap  []rr.Report
-	raceSnapN int
 }
 
 var (
@@ -391,7 +371,8 @@ func growEpochs(es []vc.Epoch, n int) []vc.Epoch {
 	return ns
 }
 
-// flagBit reports whether variable x is flagged (serial layout).
+// flagBit reports whether a race has already been recorded on variable
+// x, without materializing shadow state.
 func (d *Detector) flagBit(x uint64) bool {
 	w := x >> 6
 	return w < uint64(len(d.flagged)) && d.flagged[w]&(1<<(x&63)) != 0
@@ -426,57 +407,34 @@ func (d *Detector) incThread(ts *threadState, t vc.Tid) {
 	ts.refreshEpoch(t)
 }
 
-// report records a warning, at most one per variable, into the
-// detector's race list in serial mode or the variable's stripe in
-// sharded mode (s/slot identify the stripe slot then; s is nil in
-// serial mode and x is the dense index). w and r are the variable's
-// pre-update history, rs the active read-VC store — the enricher needs
-// them because the caller overwrites the history right after.
-func (d *Detector) report(i int, x uint64, s *stripeState, slot int, w, r vc.Epoch, rs *rvcStore, ts *threadState, kind rr.RaceKind, tid int32, prev vc.Tid) {
+// report records a warning, at most one per variable. w and r are the
+// variable's pre-update history — the enricher needs them because the
+// caller overwrites the history right after.
+func (d *Detector) report(i int, x uint64, w, r vc.Epoch, ts *threadState, kind rr.RaceKind, tid int32, prev vc.Tid) {
+	if d.flagBit(x) {
+		return
+	}
+	d.flagged[x>>6] |= 1 << (x & 63)
 	prevIdx := -1
-	races := &d.races
-	if s != nil {
-		if s.tab.meta[slot]&slotFlagged != 0 {
-			return
-		}
-		s.tab.meta[slot] |= slotFlagged
-		races = &s.races
-		if d.detailed {
-			if c := s.tab.coldOf(slot); c != nil {
-				if kind == rr.ReadWrite {
-					prevIdx = c.lastR
-				} else {
-					prevIdx = c.lastW
-				}
-			}
-		}
-	} else {
-		if d.flagBit(x) {
-			return
-		}
-		d.flagged[x>>6] |= 1 << (x & 63)
-		if d.detailed {
-			if kind == rr.ReadWrite {
-				prevIdx = d.lastReadIdx[x]
-			} else {
-				prevIdx = d.lastWriteIdx[x]
-			}
+	if d.detailed {
+		if kind == rr.ReadWrite {
+			prevIdx = d.lastReadIdx[x]
+		} else {
+			prevIdx = d.lastWriteIdx[x]
 		}
 	}
 	rep := rr.Report{
 		Var: x, Kind: kind, Tid: tid, PrevTid: int32(prev), Index: i, PrevIndex: prevIdx,
 	}
-	*races = append(*races, rep)
+	d.races = append(d.races, rep)
 	if d.prov != nil {
-		d.enrich(rep, w, r, rs, s, slot, ts)
+		d.enrich(rep, w, r, ts)
 	}
 }
 
 // HandleEvent implements rr.Tool. Accesses are handled entirely inside
-// read/write (including the Events count), because in sharded mode every
-// counter an access touches must live on the variable's stripe; all
-// other kinds are delivered under full exclusion and use the detector's
-// own counters.
+// read/write, including the Events count, which the Prefilter path
+// skips.
 func (d *Detector) HandleEvent(i int, e trace.Event) {
 	switch e.Kind {
 	case trace.Read:
@@ -539,42 +497,25 @@ func (d *Detector) HandleFilter(i int, e trace.Event) bool {
 	switch e.Kind {
 	case trace.Read:
 		d.read(i, e.Tid, e.Target, false)
-		return d.flaggedOf(d.budgetVar(e.Target))
+		return d.flagBit(d.budgetVar(e.Target))
 	case trace.Write:
 		d.write(i, e.Tid, e.Target, false)
-		return d.flaggedOf(d.budgetVar(e.Target))
+		return d.flagBit(d.budgetVar(e.Target))
 	default:
 		d.HandleEvent(i, e)
 		return true
 	}
 }
 
-// flaggedOf reports whether a race has already been recorded on variable
-// x, without materializing shadow state in either layout.
-func (d *Detector) flaggedOf(x uint64) bool {
-	if d.stripes != nil {
-		s := d.stripeOf(x)
-		if slot := s.tab.find(x); slot >= 0 {
-			return s.tab.meta[slot]&slotFlagged != 0
-		}
-		return false
-	}
-	return d.flagBit(x)
-}
-
 // read implements the four read rules of Figure 2 / the read handler of
 // Figure 5. countEvent distinguishes the Tool path (which counts the
 // event) from the Prefilter path (which historically does not). The
-// serial body is the zero-allocation fast path: counters, then a single
-// r[] load against the thread's cached epoch; everything else defers to
-// readSlow.
+// body is the zero-allocation fast path — counters, then a single r[]
+// load against the thread's cached epoch — with the remaining rules
+// open-coded after it, so the non-fast-path reads pay no extra call.
 func (d *Detector) read(i int, tid int32, x uint64, countEvent bool) {
-	if d.stripes != nil {
-		d.readSharded(i, tid, x, countEvent)
-		return
-	}
 	if d.sampleThr != sampleFull && sampleHash(x) >= d.sampleThr {
-		d.skipAccess(x, true, countEvent)
+		d.skipAccess(true, countEvent)
 		return
 	}
 	d.st.Reads++
@@ -597,10 +538,6 @@ func (d *Detector) read(i int, tid int32, x uint64, countEvent bool) {
 		d.st.ReadSameEpoch++
 		return
 	}
-	// The remaining rules, open-coded for the serial layout (no extra
-	// call on the non-fast-path reads). Mirrors readSlow, which serves
-	// the sharded layout; the serial/sharded equivalence property tests
-	// keep the two in lockstep.
 	t := vc.Tid(tid)
 	rs := &d.shared
 	// Extended rule (optional): same-epoch read of read-shared data.
@@ -611,55 +548,10 @@ func (d *Detector) read(i int, tid int32, x uint64, countEvent bool) {
 	// Write-read race check: W_x ⊑ C_t.
 	w := d.w[x]
 	if !w.LEq(ts.c) {
-		d.report(i, x, nil, 0, w, r, rs, ts, rr.WriteRead, tid, w.Tid())
+		d.report(i, x, w, r, ts, rr.WriteRead, tid, w.Tid())
 	}
 	if d.detailed {
-		d.noteRead(i, x, nil, 0, tid, ts)
-	}
-	switch {
-	case isShared(r):
-		// [FT READ SHARED] — one word store into the slab.
-		idx := sharedIdx(r)
-		if g := rs.regions[idx]; int32(t) < g.width {
-			rs.clocks[g.off+int32(t)] = ts.c.Get(t)
-		} else {
-			rs.set(idx, t, ts.c.Get(t))
-		}
-		d.st.ReadShared++
-	case r.LEq(ts.c):
-		// [FT READ EXCLUSIVE].
-		d.r[x] = ts.epoch
-		d.st.ReadExclusive++
-	default:
-		// [FT READ SHARE] — inflate to a vector clock.
-		idx := rs.promote(len(d.threads), r.Tid(), r.Clock(), t, ts.c.Get(t))
-		d.st.VCAlloc++
-		d.r[x] = sharedTag(idx)
-		d.st.ReadShare++
-	}
-}
-
-// readSlow runs the remaining read rules against the variable's
-// history. wp/rp point into the active layout's epoch arrays and rs is
-// that layout's read-VC store; s/slot identify the sharded slot (s nil
-// in serial mode). In sharded mode everything it mutates is confined to
-// x's stripe, so it is safe under that stripe's lock.
-func (d *Detector) readSlow(i int, tid int32, x uint64, wp, rp *vc.Epoch, rs *rvcStore, st *rr.Stats, s *stripeState, slot int) {
-	ts := &d.threads[tid]
-	t := vc.Tid(tid)
-	r := *rp
-	// Extended rule (optional): same-epoch read of read-shared data.
-	if d.extendedSameEpoch && isShared(r) && rs.get(sharedIdx(r), t) == ts.c.Get(t) {
-		st.ReadSameEpoch++
-		return
-	}
-	// Write-read race check: W_x � C_t.
-	w := *wp
-	if !w.LEq(ts.c) {
-		d.report(i, x, s, slot, w, r, rs, ts, rr.WriteRead, tid, w.Tid())
-	}
-	if d.detailed {
-		d.noteRead(i, x, s, slot, tid, ts)
+		d.noteRead(i, x, tid, ts)
 	}
 	switch {
 	case isShared(r):
@@ -673,34 +565,29 @@ func (d *Detector) readSlow(i int, tid int32, x uint64, wp, rp *vc.Epoch, rs *rv
 		} else {
 			rs.set(idx, t, ts.c.Get(t))
 		}
-		st.ReadShared++
+		d.st.ReadShared++
 	case r.LEq(ts.c):
 		// [FT READ EXCLUSIVE] — reads still totally ordered.
-		*rp = ts.epoch
-		st.ReadExclusive++
+		d.r[x] = ts.epoch
+		d.st.ReadExclusive++
 	default:
 		// [FT READ SHARE] — concurrent reads; inflate to a vector clock.
 		// (The slow path of Figure 5: 0.1% of reads.) VCAlloc counts the
 		// logical allocation even when the store recycles a demoted
 		// variable's region — the counter tracks the algorithm's
-		// allocation behavior, not the allocator's, so serial and sharded
-		// layouts report identically.
+		// allocation behavior, not the allocator's.
 		idx := rs.promote(len(d.threads), r.Tid(), r.Clock(), t, ts.c.Get(t))
-		st.VCAlloc++
-		*rp = sharedTag(idx)
-		st.ReadShare++
+		d.st.VCAlloc++
+		d.r[x] = sharedTag(idx)
+		d.st.ReadShare++
 	}
 }
 
 // write implements the three write rules of Figure 2 / the write handler
-// of Figure 5. See read for the fast-path shape and sharding notes.
+// of Figure 5. See read for the fast-path shape.
 func (d *Detector) write(i int, tid int32, x uint64, countEvent bool) {
-	if d.stripes != nil {
-		d.writeSharded(i, tid, x, countEvent)
-		return
-	}
 	if d.sampleThr != sampleFull && sampleHash(x) >= d.sampleThr {
-		d.skipAccess(x, false, countEvent)
+		d.skipAccess(false, countEvent)
 		return
 	}
 	d.st.Writes++
@@ -722,55 +609,18 @@ func (d *Detector) write(i int, tid int32, x uint64, countEvent bool) {
 		d.st.WriteSameEpoch++
 		return
 	}
-	// Remaining rules, open-coded for the serial layout; mirrors
-	// writeSlow (the sharded path), kept in lockstep by the equivalence
-	// property tests.
 	w, r := d.w[x], d.r[x]
-	rs := &d.shared
 	// Write-write race check: W_x ⊑ C_t.
 	if !w.LEq(ts.c) {
-		d.report(i, x, nil, 0, w, r, rs, ts, rr.WriteWrite, tid, w.Tid())
+		d.report(i, x, w, r, ts, rr.WriteWrite, tid, w.Tid())
 	}
 	if !isShared(r) {
 		// [FT WRITE EXCLUSIVE] — read-write race check against the read
 		// epoch: R_x ⊑ C_t.
 		if !r.LEq(ts.c) {
-			d.report(i, x, nil, 0, w, r, rs, ts, rr.ReadWrite, tid, r.Tid())
+			d.report(i, x, w, r, ts, rr.ReadWrite, tid, r.Tid())
 		}
 		d.st.WriteExclusive++
-	} else {
-		// [FT WRITE SHARED] — full vector compare, then demote.
-		d.st.VCOp++
-		idx := sharedIdx(r)
-		if prev := rs.vcAt(idx).FirstExceeding(ts.c); prev >= 0 {
-			d.report(i, x, nil, 0, w, r, rs, ts, rr.ReadWrite, tid, prev)
-		}
-		rs.release(idx)
-		d.r[x] = vc.Bottom
-		d.st.WriteShared++
-	}
-	if d.detailed {
-		d.noteWrite(i, x, nil, 0, tid, ts)
-	}
-	d.w[x] = ts.epoch
-}
-
-// writeSlow runs the remaining write rules; see readSlow for the
-// parameter and confinement notes.
-func (d *Detector) writeSlow(i int, tid int32, x uint64, wp, rp *vc.Epoch, rs *rvcStore, st *rr.Stats, s *stripeState, slot int) {
-	ts := &d.threads[tid]
-	w, r := *wp, *rp
-	// Write-write race check: W_x � C_t.
-	if !w.LEq(ts.c) {
-		d.report(i, x, s, slot, w, r, rs, ts, rr.WriteWrite, tid, w.Tid())
-	}
-	if !isShared(r) {
-		// [FT WRITE EXCLUSIVE] — read-write race check against the read
-		// epoch: R_x � C_t.
-		if !r.LEq(ts.c) {
-			d.report(i, x, s, slot, w, r, rs, ts, rr.ReadWrite, tid, r.Tid())
-		}
-		st.WriteExclusive++
 	} else {
 		// [FT WRITE SHARED] — the one slow write path (0.1% of writes):
 		// R_x ⊑ C_t is a full vector-clock comparison. The write then
@@ -778,52 +628,35 @@ func (d *Detector) writeSlow(i int, tid int32, x uint64, wp, rp *vc.Epoch, rs *r
 		// to the minimal epoch ⊥e, re-enabling the fast paths; the
 		// vector's backing array goes back to the store for the next
 		// promotion.
-		st.VCOp++
+		d.st.VCOp++
 		idx := sharedIdx(r)
-		if prev := rs.vcAt(idx).FirstExceeding(ts.c); prev >= 0 {
-			d.report(i, x, s, slot, w, r, rs, ts, rr.ReadWrite, tid, prev)
+		if prev := d.shared.vcAt(idx).FirstExceeding(ts.c); prev >= 0 {
+			d.report(i, x, w, r, ts, rr.ReadWrite, tid, prev)
 		}
-		rs.release(idx)
-		*rp = vc.Bottom
-		st.WriteShared++
+		d.shared.release(idx)
+		d.r[x] = vc.Bottom
+		d.st.WriteShared++
 	}
 	if d.detailed {
-		d.noteWrite(i, x, s, slot, tid, ts)
+		d.noteWrite(i, x, tid, ts)
 	}
-	*wp = ts.epoch
+	d.w[x] = ts.epoch
 }
 
-// noteRead records the detailed-mode read history (and, when the flight
-// recorder is on, the provenance last-access record) for the layout the
-// access ran under.
-func (d *Detector) noteRead(i int, x uint64, s *stripeState, slot int, tid int32, ts *threadState) {
-	if s != nil {
-		c := s.tab.coldFor(slot)
-		c.lastR = i
-		if d.prov != nil {
-			c.provRec().r.record(tid, i, d.provGenOf(tid), ts.epoch)
-		}
-		return
-	}
+// noteRead records the detailed-mode read history and, when the flight
+// recorder is on, the provenance last-access record.
+func (d *Detector) noteRead(i int, x uint64, tid int32, ts *threadState) {
 	d.lastReadIdx[x] = i
 	if d.prov != nil {
-		d.provVarSerial(x).r.record(tid, i, d.provGenOf(tid), ts.epoch)
+		d.provVar(x).r.record(tid, i, d.provGenOf(tid), ts.epoch)
 	}
 }
 
 // noteWrite is noteRead's write-side twin.
-func (d *Detector) noteWrite(i int, x uint64, s *stripeState, slot int, tid int32, ts *threadState) {
-	if s != nil {
-		c := s.tab.coldFor(slot)
-		c.lastW = i
-		if d.prov != nil {
-			c.provRec().w.record(tid, i, d.provGenOf(tid), ts.epoch)
-		}
-		return
-	}
+func (d *Detector) noteWrite(i int, x uint64, tid int32, ts *threadState) {
 	d.lastWriteIdx[x] = i
 	if d.prov != nil {
-		d.provVarSerial(x).w.record(tid, i, d.provGenOf(tid), ts.epoch)
+		d.provVar(x).w.record(tid, i, d.provGenOf(tid), ts.epoch)
 	}
 }
 
@@ -924,51 +757,21 @@ func (d *Detector) barrier(tids []int32) {
 	d.pool.Put(join)
 }
 
-// Races implements rr.Tool. In sharded mode the per-stripe race lists
-// are merged and ordered by event index — the same total order a serial
-// run over the same delivered trace produces. Must be called under full
-// exclusion; for incremental draining under a single stripe lock use
-// StripeRaces.
-func (d *Detector) Races() []rr.Report {
-	if d.stripes == nil {
-		return d.races
-	}
-	total := 0
-	for i := range d.stripes {
-		total += len(d.stripes[i].races)
-	}
-	// Queries (Monitor.Races, Metrics, Close) are far more frequent than
-	// new races; re-merge and re-sort only when a stripe has appended
-	// since the cached snapshot was built.
-	if total == d.raceSnapN {
-		return d.raceSnap
-	}
-	all := make([]rr.Report, 0, total)
-	for i := range d.stripes {
-		all = append(all, d.stripes[i].races...)
-	}
-	sort.Slice(all, func(a, b int) bool { return all[a].Index < all[b].Index })
-	d.raceSnap, d.raceSnapN = all, total
-	return all
-}
+// Races implements rr.Tool.
+func (d *Detector) Races() []rr.Report { return d.races }
 
 // footprint computes the live shadow-memory footprint in bytes; the
 // memory budget (budget.go) compares it against the configured ceiling.
 // Every retained byte is charged to the structure that pins it: the
 // dense epoch arrays (16 bytes per variable across w and r), the flag
 // bitset, the detailed-mode index tables, read-VC stores (free slots
-// included — their arrays are still held), stripe tables, provenance
-// state, thread/lock/volatile clocks, and the slab pool's free lists.
+// included — their arrays are still held), provenance state, thread/lock/volatile clocks, and the slab pool's free lists.
 func (d *Detector) footprint() int64 {
 	var bytes int64
 	bytes += int64(cap(d.w)+cap(d.r)) * 8
 	bytes += int64(cap(d.flagged)) * 8
 	bytes += int64(cap(d.lastWriteIdx)+cap(d.lastReadIdx)) * 8
 	bytes += d.shared.bytes()
-	for i := range d.stripes {
-		bytes += d.stripes[i].tab.bytes()
-		bytes += d.stripes[i].shared.bytes()
-	}
 	if d.prov != nil {
 		bytes += provVarRecBytes * int64(len(d.prov.vars))
 		for _, r := range d.prov.rings {
@@ -995,15 +798,9 @@ func (d *Detector) footprint() int64 {
 // of four scalars each).
 const provVarRecBytes = 64
 
-// Stats implements rr.Tool; ShadowBytes is computed from live state. In
-// sharded mode the per-stripe counters are merged into the detector's
-// own (which hold the sync-event accounting). Must be called under full
-// exclusion.
+// Stats implements rr.Tool; ShadowBytes is computed from live state.
 func (d *Detector) Stats() rr.Stats {
 	st := d.st
-	for i := range d.stripes {
-		st.Merge(d.stripes[i].st)
-	}
 	st.ShadowBytes = d.footprint()
 	return st
 }
@@ -1015,29 +812,20 @@ func (d *Detector) ClockOf(t int32) vc.VC { return d.thread(t).c.Copy() }
 // ReadStateOf exposes variable x's read history for white-box tests: the
 // epoch and false, or the read vector clock and true when read-shared.
 func (d *Detector) ReadStateOf(x uint64) (vc.Epoch, vc.VC, bool) {
-	_, rp, rs := d.histOf(x)
-	if isShared(*rp) {
-		return 0, rs.vcAt(sharedIdx(*rp)).Copy(), true
+	if x >= uint64(len(d.r)) {
+		d.growVars(x)
 	}
-	return *rp, nil, false
+	r := d.r[x]
+	if isShared(r) {
+		return 0, d.shared.vcAt(sharedIdx(r)).Copy(), true
+	}
+	return r, nil, false
 }
 
 // WriteEpochOf exposes variable x's write epoch W_x for white-box tests.
 func (d *Detector) WriteEpochOf(x uint64) vc.Epoch {
-	wp, _, _ := d.histOf(x)
-	return *wp
-}
-
-// histOf returns pointers to variable x's epoch history and the read-VC
-// store of whichever layout is active, materializing the slot if needed.
-func (d *Detector) histOf(x uint64) (wp, rp *vc.Epoch, rs *rvcStore) {
-	if d.stripes != nil {
-		s := d.stripeOf(x)
-		slot := s.tab.lookup(x)
-		return &s.tab.w[slot], &s.tab.r[slot], &s.shared
-	}
 	if x >= uint64(len(d.r)) {
 		d.growVars(x)
 	}
-	return &d.w[x], &d.r[x], &d.shared
+	return d.w[x]
 }

@@ -76,23 +76,3 @@ func TestFootprintCountsDetailedTables(t *testing.T) {
 			delta, nvars, want)
 	}
 }
-
-// TestFootprintCountsShardedTables: the sharded layout's accounting must
-// scale with the variables actually inserted, and must also stay within
-// 2x of the measured live heap.
-func TestFootprintCountsShardedTables(t *testing.T) {
-	const nvars = 100_000
-	var d *Detector
-	measured := liveBytes(func() {
-		d = New(0, 0)
-		d.EnableSharding(8)
-		for x := 0; x < nvars; x++ {
-			d.HandleEvent(x, trace.Wr(0, uint64(x)))
-		}
-	})
-	got := d.footprint()
-	if got < measured/2 || got > measured*2 {
-		t.Errorf("sharded footprint() = %d bytes, measured live growth %d: accounting off by more than 2x", got, measured)
-	}
-	runtime.KeepAlive(d)
-}

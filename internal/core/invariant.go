@@ -109,12 +109,12 @@ func (d *Detector) CheckWellFormed() error {
 		}
 		return nil
 	}
-	checkVar := func(x uint64, w, r vc.Epoch, rs *rvcStore) error {
+	checkVar := func(x uint64, w, r vc.Epoch) error {
 		if err := checkEpoch("W", x, w); err != nil {
 			return err
 		}
 		if isShared(r) {
-			rvc := rs.vcAt(sharedIdx(r))
+			rvc := d.shared.vcAt(sharedIdx(r))
 			for t := range d.threads {
 				if d.threads[t].c == nil {
 					if rvc.Get(vc.Tid(t)) > 0 {
@@ -132,20 +132,8 @@ func (d *Detector) CheckWellFormed() error {
 		return checkEpoch("R", x, r)
 	}
 	for x := range d.r {
-		if err := checkVar(uint64(x), d.w[x], d.r[x], &d.shared); err != nil {
+		if err := checkVar(uint64(x), d.w[x], d.r[x]); err != nil {
 			return err
-		}
-	}
-	// Sharded layout: the same conditions over every stripe's table.
-	for i := range d.stripes {
-		s := &d.stripes[i]
-		for slot := range s.tab.keys {
-			if s.tab.meta[slot]&slotUsed == 0 {
-				continue
-			}
-			if err := checkVar(s.tab.keys[slot], s.tab.w[slot], s.tab.r[slot], &s.shared); err != nil {
-				return err
-			}
 		}
 	}
 	return nil

@@ -14,20 +14,16 @@ import (
 //
 //   - a per-thread ring of recent synchronization operations (acquire,
 //     release, fork, join, volatile, barrier) with the thread's epoch
-//     at the time. Sync events are delivered under full exclusion, so
-//     the rings are written race-free even in sharded mode, and may be
-//     read from an access path (stripe lock only) because nothing can
-//     be writing them concurrently;
+//     at the time;
 //   - a per-thread ring of recent clock snapshots, one taken at every
-//     synchronization operation that changes the thread's clock
-//     (delivered under full exclusion, like the sync rings). A thread's
-//     clock is constant between sync operations, so the snapshot at an
-//     access's generation IS the accessor's clock at the access;
+//     synchronization operation that changes the thread's clock. A
+//     thread's clock is constant between sync operations, so the
+//     snapshot at an access's generation IS the accessor's clock at the
+//     access;
 //   - a per-variable last-access record: the tid, event index, epoch,
 //     and snapshot generation of the most recent non-redundant read and
-//     write — four scalar stores, no copying. In sharded mode it hangs
-//     off shardedVar so the access path stays stripe-confined; in
-//     serial mode it is a dense slice parallel to the variable table.
+//     write — four scalar stores, no copying — in a dense slice parallel
+//     to the variable table.
 //
 // When a race fires, Detector.report enriches the rr.Report into an
 // rr.DetailedReport: both accesses' clocks (the prior one reconstructed
@@ -150,7 +146,7 @@ func (d *Detector) ProvenanceEnabled() bool { return d.prov != nil }
 // provRecordSync appends one sync operation to the acting threads'
 // rings with their post-operation epochs, and snapshots every clock the
 // operation may have changed (both ends of a fork/join, every barrier
-// participant). Called from HandleEvent under full exclusion, after the
+// participant). Called from HandleEvent after the
 // handler ran — it sees the post-operation clocks.
 func (d *Detector) provRecordSync(i int, e trace.Event) {
 	switch e.Kind {
@@ -184,8 +180,7 @@ func (d *Detector) provRecordSync(i int, e trace.Event) {
 }
 
 // snapshot records the thread's (just-changed) clock into its snapshot
-// ring, reusing the slot's buffer. Called only under full exclusion, so
-// the write cannot race with the access paths reading gen.
+// ring, reusing the slot's buffer.
 func (r *provRing) snapshot(c vc.VC) {
 	slot := &r.snaps[r.gen%provSnapRing]
 	*slot = slot.CopyInto(c)
@@ -193,8 +188,7 @@ func (r *provRing) snapshot(c vc.VC) {
 }
 
 // provGenOf reads thread t's snapshot generation without materializing,
-// for the access paths (stripe lock only in sharded mode — the rings
-// are written exclusively under full exclusion).
+// for the access paths.
 func (d *Detector) provGenOf(t int32) uint64 {
 	if int(t) < len(d.prov.rings) {
 		if r := d.prov.rings[t]; r != nil {
@@ -224,7 +218,6 @@ func (d *Detector) provClockAt(pa *provAccess) []uint64 {
 }
 
 // provRing returns (materializing if needed) thread t's sync ring.
-// Materialization happens only under full exclusion (sync delivery).
 func (d *Detector) provRing(t int32) *provRing {
 	for int(t) >= len(d.prov.rings) {
 		d.prov.rings = append(d.prov.rings, nil)
@@ -244,11 +237,9 @@ func (d *Detector) provRingOf(t int32) *provRing {
 	return nil
 }
 
-// provVarSerial returns (materializing if needed) variable x's
-// last-access record in the serial layout; sharded records live in the
-// variable's stripe-confined varCold (see varCold.provRec). Callers hold
-// full exclusion, the same discipline as the serial shadow state itself.
-func (d *Detector) provVarSerial(x uint64) *provVarRec {
+// provVar returns (materializing if needed) variable x's last-access
+// record.
+func (d *Detector) provVar(x uint64) *provVarRec {
 	for x >= uint64(len(d.prov.vars)) {
 		d.prov.vars = append(d.prov.vars, provVarRec{
 			w: provAccess{idx: -1}, r: provAccess{idx: -1},
@@ -272,25 +263,18 @@ func clockSnapshot(c vc.VC) []uint64 {
 }
 
 // enrich builds the DetailedReport for a just-detected race and stores
-// it where DetailedRaces will find it: the serial details map, or the
-// variable's stripe-confined cold entry (s/slot identify it; s is nil in
-// serial mode). w and r are the variable's pre-update history — w the
-// prior write epoch, r (or a component of the rs store's clock it tags)
-// the prior read history. It runs at most once per variable, under the
-// same lock as the access that raced.
-func (d *Detector) enrich(rep rr.Report, w, r vc.Epoch, rs *rvcStore, s *stripeState, slot int, ts *threadState) {
+// it in the details map, where DetailedRaces will find it. w and r are
+// the variable's pre-update history — w the prior write epoch, r (or a
+// component of the read-VC store's clock it tags) the prior read
+// history. It runs at most once per variable.
+func (d *Detector) enrich(rep rr.Report, w, r vc.Epoch, ts *threadState) {
 	det := &rr.DetailedReport{
 		Report:      rep,
 		AccessClock: clockSnapshot(ts.c),
-		FailedCheck: d.failedCheck(rep, w, r, rs, ts),
+		FailedCheck: d.failedCheck(rep, w, r, ts),
 	}
 
-	var pv *provVarRec
-	if s != nil {
-		pv = s.tab.coldFor(slot).provRec()
-	} else {
-		pv = d.provVarSerial(rep.Var)
-	}
+	pv := d.provVar(rep.Var)
 	// The epoch and clock snapshot of the prior access.
 	prev := vc.Tid(rep.PrevTid)
 	var prevRec *provAccess
@@ -302,7 +286,7 @@ func (d *Detector) enrich(rep rr.Report, w, r vc.Epoch, rs *rvcStore, s *stripeS
 		}
 	case rr.ReadWrite:
 		if isShared(r) {
-			det.PrevEpoch = vc.MakeEpoch(prev, rs.get(sharedIdx(r), prev)).String()
+			det.PrevEpoch = vc.MakeEpoch(prev, d.shared.get(sharedIdx(r), prev)).String()
 		} else {
 			det.PrevEpoch = r.String()
 		}
@@ -325,18 +309,13 @@ func (d *Detector) enrich(rep rr.Report, w, r vc.Epoch, rs *rvcStore, s *stripeS
 	sortSyncChain(det.SyncChain)
 
 	det.Explanation = det.Render()
-
-	if s != nil {
-		s.tab.coldFor(slot).detail = det
-	} else {
-		d.prov.details[rep.Var] = det
-	}
+	d.prov.details[rep.Var] = det
 }
 
 // failedCheck renders the FastTrack happens-before comparison the race
-// failed, in the paper's notation. w/r/rs are the pre-update history, as
+// failed, in the paper's notation. w/r are the pre-update history, as
 // in enrich.
-func (d *Detector) failedCheck(rep rr.Report, w, r vc.Epoch, rs *rvcStore, ts *threadState) string {
+func (d *Detector) failedCheck(rep rr.Report, w, r vc.Epoch, ts *threadState) string {
 	switch rep.Kind {
 	case rr.WriteRead, rr.WriteWrite:
 		// W_x ⋠ C_t: the write epoch's clock exceeds the reader's /
@@ -347,7 +326,7 @@ func (d *Detector) failedCheck(rep rr.Report, w, r vc.Epoch, rs *rvcStore, ts *t
 		if isShared(r) {
 			prev := vc.Tid(rep.PrevTid)
 			return fmt.Sprintf("R_x%d[%d] = %d !<= C_%d[%d] = %d",
-				rep.Var, prev, rs.get(sharedIdx(r), prev), rep.Tid, prev, ts.c.Get(prev))
+				rep.Var, prev, d.shared.get(sharedIdx(r), prev), rep.Tid, prev, ts.c.Get(prev))
 		}
 		return fmt.Sprintf("R_x%d = %s !<= C_%d (C_%d[%d] = %d)",
 			rep.Var, r, rep.Tid, rep.Tid, r.Tid(), ts.c.Get(r.Tid()))
@@ -368,24 +347,14 @@ func sortSyncChain(chain []rr.SyncRecord) {
 // DetailedRaces implements rr.DetailedTool: one DetailedReport per
 // Races() entry, in the same order, with the embedded Report identical.
 // Races detected while the recorder was off (or reported by a detector
-// without it) carry only the plain Report fields. Must be called under
-// full exclusion, like Races.
+// without it) carry only the plain Report fields.
 func (d *Detector) DetailedRaces() []rr.DetailedReport {
 	races := d.Races()
 	out := make([]rr.DetailedReport, len(races))
 	for i, r := range races {
 		var det *rr.DetailedReport
 		if d.prov != nil {
-			if d.stripes != nil {
-				tb := &d.stripeOf(r.Var).tab
-				if slot := tb.find(r.Var); slot >= 0 {
-					if c := tb.coldOf(slot); c != nil {
-						det = c.detail
-					}
-				}
-			} else {
-				det = d.prov.details[r.Var]
-			}
+			det = d.prov.details[r.Var]
 		}
 		if det != nil && det.Report == r {
 			out[i] = *det

@@ -12,11 +12,11 @@ import (
 // 0 writes x under lock m, thread 1 then writes x without acquiring m.
 func provTrace() trace.Trace {
 	return trace.Trace{
-		trace.ForkOf(0, 1),  // 0
-		trace.Acq(0, 5),     // 1
-		trace.Wr(0, 3),      // 2
-		trace.Rel(0, 5),     // 3
-		trace.Wr(1, 3),      // 4: races with event 2
+		trace.ForkOf(0, 1), // 0
+		trace.Acq(0, 5),    // 1
+		trace.Wr(0, 3),     // 2
+		trace.Rel(0, 5),    // 3
+		trace.Wr(1, 3),     // 4: races with event 2
 	}
 }
 
@@ -72,29 +72,6 @@ func TestProvenanceDetailedReport(t *testing.T) {
 	}
 	if det.Explanation == "" || !strings.Contains(det.Explanation, "failed happens-before check") {
 		t.Errorf("Explanation = %q", det.Explanation)
-	}
-}
-
-// TestProvenanceShardedMatchesSerial replays the directed race through
-// the sharded layout and requires the identical detail.
-func TestProvenanceShardedMatchesSerial(t *testing.T) {
-	serial := New(2, 4)
-	serial.EnableProvenance()
-	sharded := New(2, 4)
-	sharded.EnableProvenance()
-	sharded.EnableSharding(4)
-	for i, e := range provTrace() {
-		serial.HandleEvent(i, e)
-		sharded.HandleEvent(i, e)
-	}
-	sd := serial.DetailedRaces()
-	hd := sharded.DetailedRaces()
-	if len(sd) != 1 || len(hd) != 1 {
-		t.Fatalf("detail counts: serial %d, sharded %d", len(sd), len(hd))
-	}
-	if sd[0].Explanation != hd[0].Explanation {
-		t.Errorf("explanations diverge\n serial:  %s\n sharded: %s",
-			sd[0].Explanation, hd[0].Explanation)
 	}
 }
 

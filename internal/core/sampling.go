@@ -7,8 +7,8 @@ package core
 // Pacer): analyze a deterministic p-fraction of the variable space at
 // full FastTrack fidelity and spend O(1) on every other access.
 //
-// Mechanism. Each variable id is hashed once (the same MurmurHash3
-// finalizer rr.StripeOf mixes with) and compared against a threshold
+// Mechanism. Each variable id is hashed once (the MurmurHash3
+// finalizer) and compared against a threshold
 // thr = p·2³²: the variable is in the sampled set iff hash(x) < thr.
 // Accesses to unsampled variables take the skip path at the very top of
 // read/write — before the memory budget, before the variable table —
@@ -40,28 +40,21 @@ package core
 //   - At p = 1.0 the threshold is 2³², no 32-bit hash reaches it, the
 //     skip path never fires, and the run is byte-identical to one that
 //     never enabled sampling (also asserted).
-//
-// Sharded mode: the threshold is written only under the Monitor's full
-// write lock (the same exclusion as sync events) and read on the access
-// path under the stripe discipline, so it needs no atomics; the skip
-// path's counters live on the accessed variable's stripe.
 
 // sampleFull is the threshold meaning "every variable sampled": no
 // 32-bit hash value reaches 1<<32, so the skip path is unreachable and
 // full fidelity is exactly the pre-sampling behavior.
 const sampleFull = uint64(1) << 32
 
-// sampleHash mixes a variable id to a uniform 32-bit value with the
-// finalizer of MurmurHash3 (mix64, shared with the stripe tables) — the
-// same mixer as rr.StripeOf, but keeping the high word so stripe choice
-// and sampling verdict stay independent.
+// sampleHash mixes a variable id to a uniform 32-bit value: the high
+// word of the MurmurHash3 finalizer (mix64, shared with the sync
+// tables).
 func sampleHash(x uint64) uint64 { return mix64(x) >> 32 }
 
 // SetSamplingRate implements rr.Sampled: the fraction of the variable
 // space analyzed at full fidelity. p >= 1 restores full fidelity; p <= 0
-// sheds every access; callers must hold the same exclusion as a
-// synchronization event (serial detectors and tests: any; under a
-// sharded Monitor: its full write lock).
+// sheds every access. Like every detector method it must not run
+// concurrently with event delivery.
 func (d *Detector) SetSamplingRate(p float64) {
 	switch {
 	case p >= 1:
@@ -87,22 +80,17 @@ func (d *Detector) sampledOut(x uint64) bool {
 }
 
 // skipAccess is the O(1) path for an access outside the sampled set:
-// count it (into the variable's stripe in sharded mode) and stop before
-// any shadow state exists or is read. isRead selects the Reads/Writes
-// counter; countEvent mirrors the read/write handlers' Tool-vs-Prefilter
-// distinction.
-func (d *Detector) skipAccess(x uint64, isRead, countEvent bool) {
-	st := &d.st
-	if d.stripes != nil {
-		st = &d.stripeOf(x).st
-	}
+// count it and stop before any shadow state exists or is read. isRead
+// selects the Reads/Writes counter; countEvent mirrors the read/write
+// handlers' Tool-vs-Prefilter distinction.
+func (d *Detector) skipAccess(isRead, countEvent bool) {
 	if isRead {
-		st.Reads++
+		d.st.Reads++
 	} else {
-		st.Writes++
+		d.st.Writes++
 	}
 	if countEvent {
-		st.Events++
+		d.st.Events++
 	}
-	st.SampledOut++
+	d.st.SampledOut++
 }

@@ -14,19 +14,16 @@ import (
 )
 
 // replaySampled feeds tr through a fresh detector at the given sampling
-// rate, optionally sharded, checking well-formedness at the end.
-func replaySampled(t *testing.T, tr trace.Trace, rate float64, shards int) *Detector {
+// rate, checking well-formedness at the end.
+func replaySampled(t *testing.T, tr trace.Trace, rate float64) *Detector {
 	t.Helper()
 	d := New(4, 8)
-	if shards > 1 {
-		d.EnableSharding(shards)
-	}
 	d.SetSamplingRate(rate)
 	for i, e := range tr {
 		d.HandleEvent(i, e)
 	}
 	if err := d.CheckWellFormed(); err != nil {
-		t.Fatalf("rate %v shards %d: %v", rate, shards, err)
+		t.Fatalf("rate %v: %v", rate, err)
 	}
 	return d
 }
@@ -45,8 +42,7 @@ func raceKeys(reports []rr.Report) map[rr.Report]bool {
 // false positive, never a miss inside the analyzed slice. This is the
 // strong form of the soundness contract (per-variable analysis is
 // independent, so skipping variable y cannot change variable x's
-// verdict), property-tested over random feasible traces, serial and
-// sharded.
+// verdict), property-tested over random feasible traces.
 func TestSampledRacesExactSubsetProperty(t *testing.T) {
 	cfg := sim.DefaultRandomConfig()
 	cfg.Events = 400
@@ -55,23 +51,21 @@ func TestSampledRacesExactSubsetProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		tr := sim.RandomTrace(rng, cfg)
-		for _, shards := range []int{0, 4} {
-			full := replaySampled(t, tr, 1, shards)
-			fullSet := raceKeys(full.Races())
-			for _, rate := range rates {
-				d := replaySampled(t, tr, rate, shards)
-				got := raceKeys(d.Races())
-				want := map[rr.Report]bool{}
-				for r := range fullSet {
-					if !d.sampledOut(r.Var) {
-						want[r] = true
-					}
+		full := replaySampled(t, tr, 1)
+		fullSet := raceKeys(full.Races())
+		for _, rate := range rates {
+			d := replaySampled(t, tr, rate)
+			got := raceKeys(d.Races())
+			want := map[rr.Report]bool{}
+			for r := range fullSet {
+				if !d.sampledOut(r.Var) {
+					want[r] = true
 				}
-				if !reflect.DeepEqual(got, want) {
-					t.Logf("seed %d rate %v shards %d: races %v, want %v (full %v)",
-						seed, rate, shards, got, want, fullSet)
-					return false
-				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Logf("seed %d rate %v: races %v, want %v (full %v)",
+					seed, rate, got, want, fullSet)
+				return false
 			}
 		}
 		return true
@@ -89,28 +83,22 @@ func TestSampledFullRateByteIdentical(t *testing.T) {
 	cfg := sim.DefaultRandomConfig()
 	cfg.Events = 500
 	tr := sim.RandomTrace(rng, cfg)
-	for _, shards := range []int{0, 4} {
-		plain := New(4, 8)
-		tuned := New(4, 8)
-		if shards > 1 {
-			plain.EnableSharding(shards)
-			tuned.EnableSharding(shards)
-		}
-		tuned.SetSamplingRate(1.0)
-		for i, e := range tr {
-			plain.HandleEvent(i, e)
-			tuned.HandleEvent(i, e)
-		}
-		if !reflect.DeepEqual(plain.Races(), tuned.Races()) {
-			t.Errorf("shards %d: sampled(1.0) races differ from full", shards)
-		}
-		if !reflect.DeepEqual(plain.Stats(), tuned.Stats()) {
-			t.Errorf("shards %d: sampled(1.0) stats differ from full:\n%+v\n%+v",
-				shards, plain.Stats(), tuned.Stats())
-		}
-		if got := tuned.Stats().SampledOut; got != 0 {
-			t.Errorf("shards %d: sampled(1.0) skipped %d accesses", shards, got)
-		}
+	plain := New(4, 8)
+	tuned := New(4, 8)
+	tuned.SetSamplingRate(1.0)
+	for i, e := range tr {
+		plain.HandleEvent(i, e)
+		tuned.HandleEvent(i, e)
+	}
+	if !reflect.DeepEqual(plain.Races(), tuned.Races()) {
+		t.Error("sampled(1.0) races differ from full")
+	}
+	if !reflect.DeepEqual(plain.Stats(), tuned.Stats()) {
+		t.Errorf("sampled(1.0) stats differ from full:\n%+v\n%+v",
+			plain.Stats(), tuned.Stats())
+	}
+	if got := tuned.Stats().SampledOut; got != 0 {
+		t.Errorf("sampled(1.0) skipped %d accesses", got)
 	}
 }
 
@@ -132,30 +120,25 @@ func TestAdaptiveRateChangesSoundProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		tr := sim.RandomTrace(rng, cfg)
 		racy := hb.New(tr).RacyVars()
-		for _, shards := range []int{0, 4} {
-			d := New(4, 8)
-			if shards > 1 {
-				d.EnableSharding(shards)
-			}
-			for i, e := range tr {
-				if rng.Intn(16) == 0 {
-					d.SetSamplingRate(rates[rng.Intn(len(rates))])
-					if err := d.CheckWellFormed(); err != nil {
-						t.Logf("seed %d shards %d after rate change at %d: %v", seed, shards, i, err)
-						return false
-					}
-				}
-				d.HandleEvent(i, e)
-			}
-			if err := d.CheckWellFormed(); err != nil {
-				t.Logf("seed %d shards %d: %v", seed, shards, err)
-				return false
-			}
-			for _, r := range d.Races() {
-				if !racy[r.Var] {
-					t.Logf("seed %d shards %d: adaptive run invented false positive %+v", seed, shards, r)
+		d := New(4, 8)
+		for i, e := range tr {
+			if rng.Intn(16) == 0 {
+				d.SetSamplingRate(rates[rng.Intn(len(rates))])
+				if err := d.CheckWellFormed(); err != nil {
+					t.Logf("seed %d after rate change at %d: %v", seed, i, err)
 					return false
 				}
+			}
+			d.HandleEvent(i, e)
+		}
+		if err := d.CheckWellFormed(); err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
+		for _, r := range d.Races() {
+			if !racy[r.Var] {
+				t.Logf("seed %d: adaptive run invented false positive %+v", seed, r)
+				return false
 			}
 		}
 		return true

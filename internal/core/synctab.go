@@ -9,15 +9,30 @@ import "fasttrack/internal/vc"
 // the murmur-finalizer probe hash answers them in one probe — no
 // hashing twice for a lookup-then-store pair (release uses ref, a
 // single probe that inserts on miss), no bucket chains, no map header.
-// Like stripeTab it never deletes, so linear probing needs no
-// tombstones; growth doubles at 3/4 load. The detector touches it only
-// under full exclusion.
+// It never deletes, so linear probing needs no tombstones; growth
+// doubles at 3/4 load.
 type lockTab struct {
 	keys []uint64
 	vcs  []vc.VC
-	meta []uint8 // slotUsed bit, as in stripeTab
+	meta []uint8 // slotUsed bit
 	mask uint64
 	used int
+}
+
+// slotUsed marks a live lockTab slot.
+const slotUsed = 1 << 0
+
+// mix64 is the 64-bit murmur finalizer, the probe hash of lockTab.
+// Raw lock ids are often sequential, which linear probing punishes; the
+// finalizer's avalanche spreads them across the table. sampleHash
+// (sampling.go) uses the top half of the same mixer.
+func mix64(x uint64) uint64 {
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
 }
 
 // get returns lock m's clock, or (nil, false) if m was never released.

@@ -2,8 +2,6 @@ package rr
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"fasttrack/internal/obs"
@@ -91,34 +89,16 @@ type Dispatcher struct {
 	// own Stats are audited against.
 	deliveredKind [trace.ChanClose + 1]int64
 
-	// concurrent switches the access-path bookkeeping (Fed, next,
-	// deliveredKind, the quarantine check) to atomic operations so the
-	// sharded Monitor may deliver Read/Write events from several
-	// goroutines under its stripe-locking discipline. Sync events must
-	// still be exclusively serialized by the caller. See SetConcurrent.
-	concurrent bool
-
 	val  *Validator
 	verr error // sticky PolicyStrict validation error
 
-	// cur holds the tool events are currently delivered to; it diverges
-	// from the Tool field after a panic-budget downgrade. Kept atomic so
-	// concurrent deliveries observe the downgrade without a lock.
-	cur atomic.Value // toolBox
-
-	// qmu guards the panic path below (panic accounting, quarantine
-	// growth, tool downgrade); it is only taken when a tool panics.
-	qmu             sync.Mutex
+	// Panic quarantine state (see recoverPanic).
 	panics          int64
 	panicLog        []PanicRecord
-	quarantined     atomic.Pointer[map[uint64]bool] // copy-on-write under qmu
-	quarantinedHits int64                           // atomic
+	quarantined     map[uint64]bool
+	quarantinedHits int64
 	disabled        bool
 }
-
-// toolBox wraps a Tool for atomic.Value, which requires a consistent
-// concrete type across stores.
-type toolBox struct{ t Tool }
 
 // DefaultMaxToolPanics is the default panic budget before a tool is
 // downgraded to a no-op.
@@ -180,61 +160,22 @@ func NewDispatcher(tool Tool) *Dispatcher {
 	return &Dispatcher{Tool: tool, depth: map[lockKey]int{}}
 }
 
-// MapVar applies the dispatcher's granularity to a variable id.
-func (d *Dispatcher) MapVar(x uint64) uint64 {
-	if d.Granularity == Coarse {
-		return x / FieldsPerObject
-	}
-	return x
-}
-
-// SetConcurrent prepares the dispatcher for concurrent delivery of
-// access events: per-event bookkeeping moves to atomic operations and
-// the observability handles are resolved eagerly. The caller owns the
-// locking discipline — accesses to different stripes may run in
-// parallel, but sync events (and all queries) still require full
-// exclusion, and the validation policy must stay PolicyOff. Must be
-// called before the first event.
-func (d *Dispatcher) SetConcurrent() {
-	d.concurrent = true
-	if d.Obs != nil && d.om == nil {
-		d.initObs()
-	}
-}
-
-// currentTool returns the tool events are delivered to right now: the
+// CurrentTool returns the tool events are delivered to right now: the
 // configured Tool until a panic-budget downgrade swaps in its no-op
-// wrapper.
-func (d *Dispatcher) currentTool() Tool {
-	if b, ok := d.cur.Load().(toolBox); ok {
-		return b.t
-	}
-	return d.Tool
-}
-
-// CurrentTool exposes the delivery target for queries. Races and Stats
-// should be read through it rather than through a caller-retained tool
-// reference: after a downgrade the wrapper's recover guards contain a
-// tool whose accessors panic too.
-func (d *Dispatcher) CurrentTool() Tool { return d.currentTool() }
+// wrapper. Races and Stats should be read through it rather than
+// through a caller-retained tool reference: after a downgrade the
+// wrapper's recover guards contain a tool whose accessors panic too.
+func (d *Dispatcher) CurrentTool() Tool { return d.Tool }
 
 // Event offers one event to the dispatcher. Under PolicyStrict the first
 // violation halts the stream (see Err); all later events are ignored.
 func (d *Dispatcher) Event(e trace.Event) {
-	var idx int64
-	if d.concurrent {
-		idx = atomic.AddInt64(&d.Fed, 1) - 1
-	} else {
-		idx = d.Fed
-		d.Fed++
-	}
+	idx := d.Fed
+	d.Fed++
 	if d.Obs != nil && d.om == nil {
 		d.initObs()
 	}
-	// In concurrent mode the per-event registry updates are skipped on
-	// the hot path — each is an atomic RMW on a cache line shared by
-	// every stripe — and reconciled in bulk by SyncObs instead.
-	if d.om != nil && !d.concurrent {
+	if d.om != nil {
 		d.om.fed.Inc()
 	}
 	d.checked(idx, e)
@@ -251,17 +192,12 @@ func (d *Dispatcher) EventBatch(events []trace.Event) {
 	if n == 0 {
 		return
 	}
-	var base int64
-	if d.concurrent {
-		base = atomic.AddInt64(&d.Fed, n) - n
-	} else {
-		base = d.Fed
-		d.Fed += n
-	}
+	base := d.Fed
+	d.Fed += n
 	if d.Obs != nil && d.om == nil {
 		d.initObs()
 	}
-	if d.om != nil && !d.concurrent {
+	if d.om != nil {
 		d.om.fed.Add(n)
 	}
 	for i := range events {
@@ -296,48 +232,6 @@ func (d *Dispatcher) checked(idx int64, e trace.Event) {
 		}
 	}
 	d.process(e)
-}
-
-// AccessBatch delivers a run of data-access (Read/Write) events that
-// the caller has serialized under a single stripe lock. It is the
-// batched analog of per-event delivery in concurrent mode: the fed
-// count and the delivery-index reservation are one atomic add each for
-// the whole run, and the delivered-kind counters are added once per
-// run instead of once per event. Requires SetConcurrent (and therefore
-// PolicyOff); events must all be Read or Write, already mapped to the
-// caller's stripe in shadow-location space.
-func (d *Dispatcher) AccessBatch(events []trace.Event) {
-	n := int64(len(events))
-	if n == 0 {
-		return
-	}
-	atomic.AddInt64(&d.Fed, n)
-	base := int(atomic.AddInt64(&d.next, n) - n)
-	var reads, writes int64
-	for i := range events {
-		e := events[i]
-		if d.Granularity == Coarse {
-			e.Target /= FieldsPerObject
-		}
-		// Reload the quarantine map per event: a delivery in this very
-		// run may panic and quarantine a location later in the run.
-		if q := d.quarantined.Load(); q != nil && (*q)[e.Target] {
-			atomic.AddInt64(&d.quarantinedHits, 1)
-			continue
-		}
-		if e.Kind == trace.Read {
-			reads++
-		} else {
-			writes++
-		}
-		d.invoke(base+i, e)
-	}
-	if reads > 0 {
-		atomic.AddInt64(&d.deliveredKind[trace.Read], reads)
-	}
-	if writes > 0 {
-		atomic.AddInt64(&d.deliveredKind[trace.Write], writes)
-	}
 }
 
 // Delivered returns how many events of kind k the dispatcher actually
@@ -437,15 +331,10 @@ func (d *Dispatcher) process(e trace.Event) {
 }
 
 func (d *Dispatcher) forward(e trace.Event) {
-	var i int
-	if d.concurrent {
-		i = int(atomic.AddInt64(&d.next, 1)) - 1
-	} else {
-		i = int(d.next)
-		d.next++
-	}
-	if q := d.quarantined.Load(); q != nil && e.Kind.IsAccess() && (*q)[e.Target] {
-		atomic.AddInt64(&d.quarantinedHits, 1)
+	i := int(d.next)
+	d.next++
+	if d.quarantined != nil && e.Kind.IsAccess() && d.quarantined[e.Target] {
+		d.quarantinedHits++
 		return
 	}
 	d.deliver(i, e)
@@ -469,27 +358,13 @@ func (d *Dispatcher) unheldRelease() {
 // hands it to the tool.
 func (d *Dispatcher) deliver(i int, e trace.Event) {
 	if int(e.Kind) < len(d.deliveredKind) {
-		if d.concurrent {
-			atomic.AddInt64(&d.deliveredKind[e.Kind], 1)
-		} else {
-			d.deliveredKind[e.Kind]++
-		}
+		d.deliveredKind[e.Kind]++
 	}
-	if d.om != nil && !d.concurrent {
-		d.om.countDelivered(e.Kind)
-	}
-	d.invoke(i, e)
-}
-
-// invoke hands the event to the tool inside the panic quarantine.
-// AccessBatch calls it directly, having batched the kind counters.
-func (d *Dispatcher) invoke(i int, e trace.Event) {
 	if d.om != nil {
+		d.om.countDelivered(e.Kind)
 		// Sample 1 in latencySampleEvery deliveries into the latency
 		// histogram; registered before the recover defer (LIFO) so a
-		// panicking delivery is still timed. The histogram is kept in
-		// concurrent mode too: at a 1/64 sampling rate the atomic bucket
-		// updates are contention-free in practice.
+		// panicking delivery is still timed.
 		if i%latencySampleEvery == 0 {
 			start := time.Now()
 			defer func() { d.om.latency.Observe(time.Since(start).Nanoseconds()) }()
@@ -500,70 +375,39 @@ func (d *Dispatcher) invoke(i int, e trace.Event) {
 			d.recoverPanic(i, e, r)
 		}
 	}()
-	d.currentTool().HandleEvent(i, e)
+	d.Tool.HandleEvent(i, e)
 }
 
 // recoverPanic is the quarantine's slow path: account the panic, put
 // the offending location in quarantine, and downgrade the tool once the
-// panic budget is spent. Serialized by qmu because under concurrent
-// delivery two stripes can panic at once.
+// panic budget is spent.
 func (d *Dispatcher) recoverPanic(i int, e trace.Event, r any) {
-	d.qmu.Lock()
-	defer d.qmu.Unlock()
 	d.panics++
 	if len(d.panicLog) < maxPanicLog {
 		d.panicLog = append(d.panicLog, PanicRecord{Index: i, Event: e, Value: fmt.Sprint(r)})
 	}
 	if e.Kind.IsAccess() {
-		// Copy-on-write so the lock-free quarantine check in forward
-		// never observes a map mid-update.
-		old := d.quarantined.Load()
-		var next map[uint64]bool
-		if old == nil {
-			next = make(map[uint64]bool, 1)
-		} else {
-			next = make(map[uint64]bool, len(*old)+1)
-			for k, v := range *old {
-				next[k] = v
-			}
+		if d.quarantined == nil {
+			d.quarantined = map[uint64]bool{}
 		}
-		next[e.Target] = true
-		d.quarantined.Store(&next)
+		d.quarantined[e.Target] = true
 	}
 	if d.om != nil {
 		d.om.panics.Inc()
-		d.om.quarantine.Set(int64(d.quarantinedLen()))
+		d.om.quarantine.Set(int64(len(d.quarantined)))
 	}
 	max := d.MaxToolPanics
 	if max <= 0 {
 		max = DefaultMaxToolPanics
 	}
 	if !d.disabled && d.panics >= int64(max) {
-		wrapped := &disabledTool{inner: d.currentTool()}
-		d.cur.Store(toolBox{wrapped})
-		if !d.concurrent {
-			// Serial callers historically observe the downgrade through the
-			// Tool field itself. Under concurrent delivery other goroutines
-			// read Tool without a lock (currentTool's fallback), so the
-			// plain field stays put and readers must use CurrentTool.
-			d.Tool = wrapped
-		}
+		d.Tool = &disabledTool{inner: d.Tool}
 		d.disabled = true
 	}
 }
 
-func (d *Dispatcher) quarantinedLen() int {
-	if q := d.quarantined.Load(); q != nil {
-		return len(*q)
-	}
-	return 0
-}
-
 // Quarantined reports whether shadow location x is quarantined.
-func (d *Dispatcher) Quarantined(x uint64) bool {
-	q := d.quarantined.Load()
-	return q != nil && (*q)[x]
-}
+func (d *Dispatcher) Quarantined(x uint64) bool { return d.quarantined[x] }
 
 // Health returns a degradation snapshot of the pipeline.
 func (d *Dispatcher) Health() Health {
@@ -571,8 +415,8 @@ func (d *Dispatcher) Health() Health {
 		ToolDisabled:         d.disabled,
 		Panics:               d.panics,
 		PanicLog:             append([]PanicRecord(nil), d.panicLog...),
-		QuarantinedLocations: d.quarantinedLen(),
-		QuarantinedAccesses:  atomic.LoadInt64(&d.quarantinedHits),
+		QuarantinedLocations: len(d.quarantined),
+		QuarantinedAccesses:  d.quarantinedHits,
 		UnheldReleases:       d.UnheldReleases,
 		Err:                  d.verr,
 	}
@@ -596,7 +440,7 @@ func (d *Dispatcher) Health() Health {
 // validator violation being recorded.
 func (d *Dispatcher) FillStats(st *Stats) {
 	st.Panics += d.panics
-	st.Quarantined += int64(d.quarantinedLen())
+	st.Quarantined += int64(len(d.quarantined))
 	st.UnheldReleases += d.UnheldReleases
 	if d.val != nil {
 		st.Violations += d.val.Violations

@@ -140,32 +140,6 @@ func (m *obsMetrics) publishValidator(v *Validator) {
 	}
 }
 
-// SyncObs reconciles the live rr.* event counters with the dispatcher's
-// ground-truth counts. Concurrent mode uses it instead of per-event
-// updates (see Event); the caller must hold full exclusion, so no other
-// goroutine is adding to these counters concurrently.
-func (d *Dispatcher) SyncObs() {
-	if d.om == nil {
-		return
-	}
-	raise := func(c *obs.Counter, target int64) {
-		if delta := target - c.Load(); delta > 0 {
-			c.Add(delta)
-		}
-	}
-	raise(d.om.fed, d.Fed)
-	raise(d.om.reads, d.deliveredKind[trace.Read])
-	raise(d.om.writes, d.deliveredKind[trace.Write])
-	raise(d.om.syncs, d.DeliveredSyncs())
-	var total int64
-	for _, c := range d.deliveredKind {
-		total += c
-	}
-	raise(d.om.delivered, total)
-	raise(d.om.filtered, d.FilteredReentrant)
-	raise(d.om.unheld, d.UnheldReleases)
-}
-
 // countDelivered classifies one delivered event into the live counters.
 func (m *obsMetrics) countDelivered(k trace.Kind) {
 	m.delivered.Inc()

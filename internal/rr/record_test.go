@@ -80,13 +80,18 @@ func (r *recorderTool) HandleEvent(_ int, e trace.Event) {
 func (r *recorderTool) Races() []Report { return []Report{{Var: 1}} }
 func (r *recorderTool) Stats() Stats    { return r.st }
 
+// TestMapVar: the dispatcher maps variable ids to shadow locations by
+// its granularity before delivery.
 func TestMapVar(t *testing.T) {
-	d := NewDispatcher(nil)
-	if d.MapVar(17) != 17 {
-		t.Error("fine granularity must be identity")
-	}
+	rec := &recorderTool{}
+	d := NewDispatcher(rec)
+	d.Event(trace.Rd(0, 17))
 	d.Granularity = Coarse
-	if d.MapVar(17) != 17/FieldsPerObject {
-		t.Error("coarse granularity must fold fields")
+	d.Event(trace.Wr(0, 17))
+	if got := rec.events[0].Target; got != 17 {
+		t.Errorf("fine granularity delivered x%d, want identity x17", got)
+	}
+	if got := rec.events[1].Target; got != 17/FieldsPerObject {
+		t.Errorf("coarse granularity delivered x%d, want x%d", got, 17/FieldsPerObject)
 	}
 }

@@ -322,9 +322,8 @@ type Prefilter interface {
 //     sampling-induced false positives), and rate 1.0 is byte-identical
 //     to never having called SetSamplingRate.
 //
-// SetSamplingRate must be called under the same exclusion as
-// synchronization events (the Monitor's full write lock); reading the
-// rate on the access path is safe under the usual stripe discipline.
+// Like every Tool method, SetSamplingRate must not run concurrently
+// with event delivery.
 type Sampled interface {
 	Tool
 	// SetSamplingRate sets the fraction of variables analyzed at full

@@ -21,10 +21,12 @@ func serialRaces(t *testing.T, p sim.ChanProfile, enc sim.ChanEncoding) int {
 	return len(fasttrack.Replay(tr, tool, fasttrack.Fine))
 }
 
-func shardedRaces(t *testing.T, p sim.ChanProfile, enc sim.ChanEncoding) int {
+// monitorRaces feeds the workload through a live Monitor in one
+// IngestBatch call, the path the racedetectd service uses per frame.
+func monitorRaces(t *testing.T, p sim.ChanProfile, enc sim.ChanEncoding) int {
 	t.Helper()
 	tr := p.Generate(1, enc)
-	m := fasttrack.NewMonitor(fasttrack.WithShards(4))
+	m := fasttrack.NewMonitor()
 	if _, err := m.IngestBatch(tr); err != nil {
 		t.Fatal(err)
 	}
@@ -38,8 +40,8 @@ func shardedRaces(t *testing.T, p sim.ChanProfile, enc sim.ChanEncoding) int {
 // capacity-aware rules on the generated workload: the native encoding
 // reports exactly the seeded buffered-slack races, the conservative
 // volatile encoding reports a subset (here: none) on buffered
-// workloads, and on the unbuffered-only workload the two agree —
-// serial and sharded alike.
+// workloads, and on the unbuffered-only workload the two agree — on a
+// plain replay and through a batching Monitor alike.
 func TestChanWorkloadSeededRaces(t *testing.T) {
 	buffered := sim.ChanMix()
 	unbuffered := sim.ChanProfile{Name: "handoff-only", Pairs: 2, Handoffs: 50}
@@ -49,7 +51,7 @@ func TestChanWorkloadSeededRaces(t *testing.T) {
 		races func(*testing.T, sim.ChanProfile, sim.ChanEncoding) int
 	}{
 		{"serial", serialRaces},
-		{"sharded", shardedRaces},
+		{"monitor", monitorRaces},
 	} {
 		t.Run(run.name, func(t *testing.T) {
 			native := run.races(t, buffered, sim.ChanNative)

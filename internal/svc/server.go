@@ -195,19 +195,10 @@ func (c *Config) withDefaults() Config {
 	return d
 }
 
-// MaxShards bounds the per-session shard count a handshake may request.
-// Shard count drives per-stripe lock and detector-state allocation, so
-// without a cap a single handshake could force an arbitrarily large
-// allocation before the session has ingested a byte.
-const MaxShards = 256
-
 // BuildMonitor constructs a session Monitor from a handshake, returning
 // the monitor and the canonical detector name. It is the default
 // Config.NewMonitor.
 func BuildMonitor(h client.Handshake) (*fasttrack.Monitor, string, error) {
-	if h.Shards > MaxShards {
-		return nil, "", fmt.Errorf("%s: shards %d exceeds limit %d", client.ErrCodeBadRequest, h.Shards, MaxShards)
-	}
 	name := h.Tool
 	if name == "" {
 		name = "FastTrack"
@@ -233,24 +224,13 @@ func BuildMonitor(h client.Handshake) (*fasttrack.Monitor, string, error) {
 	default:
 		return nil, "", fmt.Errorf("%s: unknown granularity %q", client.ErrCodeBadRequest, h.Gran)
 	}
-	if h.Shards > 1 {
-		if _, ok := tool.(fasttrack.ShardedTool); !ok {
-			return nil, "", fmt.Errorf("%s: tool %q does not support sharded ingestion", client.ErrCodeBadRequest, name)
-		}
-		if policy != fasttrack.PolicyOff {
-			return nil, "", fmt.Errorf("%s: shards > 1 is incompatible with validation policy %q", client.ErrCodeBadRequest, h.Policy)
-		}
-	}
-	opts := []fasttrack.MonitorOption{
+	mon := fasttrack.NewMonitor(
 		fasttrack.WithDetector(name),
 		fasttrack.WithGranularity(gran),
 		fasttrack.WithValidation(policy),
 		fasttrack.WithHints(hints),
-	}
-	if h.Shards > 1 {
-		opts = append(opts, fasttrack.WithShards(h.Shards))
-	}
-	return fasttrack.NewMonitor(opts...), tool.Name(), nil
+	)
+	return mon, tool.Name(), nil
 }
 
 // serverMetrics caches the aggregate svc.* metric handles.
@@ -574,8 +554,8 @@ func (s *Server) handleConn(conn net.Conn) {
 	s.mu.Unlock()
 	s.sm.sessionsActive.Add(1)
 	s.sm.sessionsTotal.Inc()
-	s.cfg.Logf("svc: session %s open (tool=%s policy=%q shards=%d fidelity=%s) from %s",
-		id, toolName, h.Policy, h.Shards, sess.fidelityString(plan.start), conn.RemoteAddr())
+	s.cfg.Logf("svc: session %s open (tool=%s policy=%q fidelity=%s) from %s",
+		id, toolName, h.Policy, sess.fidelityString(plan.start), conn.RemoteAddr())
 	s.event(Event{Kind: "open", Session: id, Remote: sess.remote, Fidelity: sess.fidelityString(plan.start)})
 
 	s.wg.Add(1)

@@ -73,24 +73,6 @@ func streamAll(sess *client.Session, tr trace.Trace) error {
 	return nil
 }
 
-// raceKey identifies a warning by what it is about rather than when it
-// was found.
-type raceKey struct {
-	Var  uint64
-	Kind fasttrack.RaceKind
-}
-
-// raceSet projects warnings onto (variable, kind) with multiplicity —
-// for paths whose report indices reflect a legal interleaving rather
-// than arrival order (sharded batch ingestion).
-func raceSet(rs []fasttrack.Report) map[raceKey]int {
-	set := make(map[raceKey]int, len(rs))
-	for _, r := range rs {
-		set[raceKey{r.Var, r.Kind}]++
-	}
-	return set
-}
-
 func sameRaces(got, want []fasttrack.Report) bool {
 	if len(got) != len(want) {
 		return false
@@ -198,12 +180,18 @@ func TestConcurrentSessions(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	snap := srv.Registry().Snapshot()
-	if got := snap.Counter("svc.sessionsTotal"); got != n {
+	if got := srv.Registry().Snapshot().Counter("svc.sessionsTotal"); got != n {
 		t.Errorf("svc.sessionsTotal = %d, want %d", got, n)
 	}
-	if got := snap.Gauge("svc.sessionsActive"); got != 0 {
-		t.Errorf("svc.sessionsActive = %d, want 0", got)
+	// A session finalizes after its CloseOK reply is sent, so the gauge
+	// reaches 0 shortly after the last Close returns, not before.
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.Registry().Snapshot().Gauge("svc.sessionsActive") != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("svc.sessionsActive = %d after every session closed, want 0",
+				srv.Registry().Snapshot().Gauge("svc.sessionsActive"))
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
@@ -662,7 +650,7 @@ func TestChaosConnectionReset(t *testing.T) {
 }
 
 // TestHandshakeRejections covers the refusal paths: unknown tool,
-// bad policy, conflicting shard configuration, session cap.
+// bad policy, session cap.
 func TestHandshakeRejections(t *testing.T) {
 	_, addr := startServer(t, Config{MaxSessions: 1})
 	if _, err := client.Dial(addr, client.WithTool("NoSuchTool")); err == nil ||
@@ -672,16 +660,6 @@ func TestHandshakeRejections(t *testing.T) {
 	if _, err := client.Dial(addr, client.WithValidation("bogus")); err == nil ||
 		!strings.Contains(err.Error(), client.ErrCodeBadRequest) {
 		t.Errorf("bad policy: err = %v", err)
-	}
-	if _, err := client.Dial(addr, client.WithShards(4), client.WithValidation("strict")); err == nil ||
-		!strings.Contains(err.Error(), client.ErrCodeBadRequest) {
-		t.Errorf("shards+validation: err = %v", err)
-	}
-	// A huge shard count must be refused before it drives any per-stripe
-	// allocation (a hostile handshake must not be able to OOM the daemon).
-	if _, err := client.Dial(addr, client.WithShards(1<<30)); err == nil ||
-		!strings.Contains(err.Error(), client.ErrCodeBadRequest) {
-		t.Errorf("oversized shards: err = %v", err)
 	}
 
 	sess, err := client.Dial(addr)
@@ -822,30 +800,79 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 }
 
-// TestShardedSession runs a session with server-side lock striping. The
-// reported (variable, kind) race set is exactly the serial one, but the
-// indices reflect a batch interleaving: each wire frame is ingested as
-// one stripe-partitioned Monitor.IngestBatch, which reorders accesses
-// across stripes within the frame.
-func TestShardedSession(t *testing.T) {
+// rawSessionRaces opens a session with a hand-written hello payload,
+// streams tr in 64-event frames, closes the session, and returns the
+// JSON encoding of its final race list.
+func rawSessionRaces(t *testing.T, addr, hello string, tr trace.Trace) []byte {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fw := trace.NewFrameWriter(conn)
+	fr := trace.NewFrameReader(conn, 0)
+	if err := fw.WriteFrame(client.FrameHello, []byte(hello)); err != nil {
+		t.Fatal(err)
+	}
+	if ft, pl, err := fr.ReadFrame(); err != nil || ft != client.FrameHelloOK {
+		t.Fatalf("hello %s: reply frame %d %s, err %v", hello, ft, pl, err)
+	}
+	for i := 0; i < len(tr); i += 64 {
+		var payload bytes.Buffer
+		w := trace.NewWriter(&payload, trace.Binary)
+		for _, e := range tr[i:min(i+64, len(tr))] {
+			if err := w.Write(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := fw.WriteFrame(client.FrameEvents, payload.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bye, _ := json.Marshal(client.Seq{Seq: 1})
+	if err := fw.WriteFrame(client.FrameClose, bye); err != nil {
+		t.Fatal(err)
+	}
+	ft, pl, err := fr.ReadFrame()
+	if err != nil || ft != client.FrameCloseOK {
+		t.Fatalf("close reply: frame %d %s, err %v", ft, pl, err)
+	}
+	var res client.Results
+	if err := json.Unmarshal(pl, &res); err != nil {
+		t.Fatal(err)
+	}
+	races, err := json.Marshal(res.Races)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return races
+}
+
+// TestHandshakeLegacyShardsField: clients that predate the single
+// ingestion path send a "shards" field in their hello. Unknown hello
+// fields are ignored, so such a session is admitted and runs on the
+// serial path, with a race list byte-identical to the same trace sent
+// without the field.
+func TestHandshakeLegacyShardsField(t *testing.T) {
 	_, addr := startServer(t, Config{})
 	tr := testTrace(9)
-	want := raceSet(serialRaces(t, tr))
-	sess, err := client.Dial(addr, client.WithShards(4), client.WithBatchSize(64))
+	plain := rawSessionRaces(t, addr, fmt.Sprintf(`{"version":%d}`, client.ProtocolVersion), tr)
+	legacy := rawSessionRaces(t, addr, fmt.Sprintf(`{"version":%d,"shards":8}`, client.ProtocolVersion), tr)
+	if !bytes.Equal(legacy, plain) {
+		t.Errorf("race list with \"shards\": 8 differs:\n got:  %s\n want: %s", legacy, plain)
+	}
+	want, err := json.Marshal(serialRaces(t, tr))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := streamAll(sess, tr); err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(plain, want) {
+		t.Errorf("session race list differs from local replay:\n got:  %s\n want: %s", plain, want)
 	}
-	res, err := sess.Results()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := raceSet(res.Races); !reflect.DeepEqual(got, want) {
-		t.Errorf("sharded race set = %v, want %v", got, want)
-	}
-	if err := sess.Close(); err != nil {
-		t.Fatal(err)
+	if bytes.Equal(plain, []byte("null")) || bytes.Equal(plain, []byte("[]")) {
+		t.Error("trace reported no races; the comparison needs a racy trace")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"fasttrack/client"
 	"fasttrack/internal/obs"
@@ -232,10 +233,17 @@ func TestEventLogStructured(t *testing.T) {
 		mu     sync.Mutex
 		events []Event
 	)
+	ended := make(chan struct{}, 1)
 	_, addr := startServer(t, Config{EventLog: func(e Event) {
 		mu.Lock()
 		events = append(events, e)
 		mu.Unlock()
+		if e.Kind == "end" {
+			select {
+			case ended <- struct{}{}:
+			default:
+			}
+		}
 	}})
 	sess, err := client.Dial(addr)
 	if err != nil {
@@ -247,6 +255,12 @@ func TestEventLogStructured(t *testing.T) {
 	}
 	if err := sess.Close(); err != nil {
 		t.Fatal(err)
+	}
+	// The session finalizes, and logs "end", after its CloseOK reply.
+	select {
+	case <-ended:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no end event within 10s of Close")
 	}
 
 	mu.Lock()

@@ -12,9 +12,8 @@ import "math/bits"
 // detector's VC population reaches a fixed point and the Go allocator
 // drops out of the per-event cost entirely.
 //
-// A Pool is not safe for concurrent use; each detector (and, in sharded
-// mode, each stripe-confined store) owns its own. The zero value is
-// ready to use.
+// A Pool is not safe for concurrent use; each detector owns its own.
+// The zero value is ready to use.
 type Pool struct {
 	// classes[c] holds retired arrays with capacity >= 1<<c (each array
 	// is filed under floor(log2(cap)), so popping from class c always

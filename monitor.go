@@ -26,13 +26,11 @@ var ErrMonitorClosed = errors.New("fasttrack: monitor is closed")
 // for concurrent use; events are serialized in arrival order, which is a
 // legal linearization of the program's own synchronization because every
 // happens-before edge the detector tracks is created by a method call
-// that the caller orders with the underlying operation.
-//
-// By default the serialization is a single lock. WithShards(n) replaces
-// it with a lock-striped path on which accesses to different variables
-// proceed in parallel; see shard.go for the architecture.
+// that the caller orders with the underlying operation. The
+// serialization is a single lock: the detector is one sequential
+// analysis over the event stream, as in the paper.
 type Monitor struct {
-	mu     sync.RWMutex
+	mu     sync.Mutex
 	disp   *rr.Dispatcher
 	reg    *obs.Registry
 	onRace func(Report)
@@ -42,23 +40,13 @@ type Monitor struct {
 	// cfg is the configuration the monitor was built with, kept so Reset
 	// can rebuild an identical pipeline. Immutable after NewMonitor.
 	cfg monitorConfig
-	// shardedMode mirrors cfg.shards > 1; immutable after NewMonitor so
-	// the lock-free routing check in event() never races with Close
-	// (which nils the mutable sharding state under the write lock).
-	shardedMode bool
 
-	// Lifecycle (see Close/Reset). closed is guarded by mu (write under
-	// Lock, read under RLock or Lock); final holds the terminal snapshot
-	// queries serve once the live pipeline is released.
+	// Lifecycle (see Close/Reset). closed is guarded by mu; final holds
+	// the terminal snapshot queries serve once the live pipeline is
+	// released.
 	closed   bool
 	final    *monitorFinal
 	rejected atomic.Int64 // events rejected after Close
-
-	// Sharded ingestion (WithShards > 1); all nil/zero in serial mode.
-	sharded rr.ShardedTool
-	stripes []stripeLock
-	ensured atomic.Int32 // threads-materialized watermark, see access()
-	sm      *shardMetrics
 }
 
 // monitorFinal is the snapshot captured by Close, after which the
@@ -85,7 +73,6 @@ type monitorConfig struct {
 	hints       Hints
 	onRace      func(Report)
 	policy      Policy
-	shards      int
 }
 
 // WithDetector selects the detector by name (default "FastTrack").
@@ -152,11 +139,7 @@ func NewMonitor(opts ...MonitorOption) *Monitor {
 	d.Policy = cfg.policy
 	reg := obs.NewRegistry()
 	d.Obs = reg
-	m := &Monitor{disp: d, reg: reg, onRace: cfg.onRace, cfg: cfg, shardedMode: cfg.shards > 1}
-	if cfg.shards > 1 {
-		m.enableSharding(tool, cfg)
-	}
-	return m
+	return &Monitor{disp: d, reg: reg, onRace: cfg.onRace, cfg: cfg}
 }
 
 // Close finalizes the monitor: it snapshots the warnings, statistics,
@@ -175,7 +158,6 @@ func (m *Monitor) Close() error {
 	}
 	st := m.tool().Stats()
 	m.disp.FillStats(&st)
-	m.publishShardMetricsLocked()
 	m.final = &monitorFinal{
 		races:  append([]Report(nil), m.tool().Races()...),
 		stats:  st,
@@ -188,15 +170,13 @@ func (m *Monitor) Close() error {
 	// Drop the pipeline so the shadow state is collectable. Every event
 	// and query path checks closed under the lock before touching these.
 	m.disp = nil
-	m.sharded = nil
-	m.stripes = nil
 	return nil
 }
 
 // Closed reports whether Close has been called.
 func (m *Monitor) Closed() bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	return m.closed
 }
 
@@ -229,28 +209,12 @@ func (m *Monitor) Reset() error {
 	m.closed = false
 	m.final = nil
 	m.rejected.Store(0)
-	if m.shardedMode {
-		st := tool.(rr.ShardedTool)
-		st.EnableSharding(m.cfg.shards)
-		d.SetConcurrent()
-		m.sharded = st
-		m.stripes = make([]stripeLock, m.cfg.shards)
-		m.ensured.Store(0)
-		m.resetShardMetricsLocked()
-	}
 	return nil
 }
 
-// event feeds one event under the appropriate lock and fires the race
-// callback for any new warnings. It returns ErrMonitorClosed after
-// Close.
+// event feeds one event under the lock and fires the race callback for
+// any new warnings. It returns ErrMonitorClosed after Close.
 func (m *Monitor) event(e trace.Event) error {
-	if m.shardedMode {
-		if e.Kind == trace.Read || e.Kind == trace.Write {
-			return m.access(e)
-		}
-		return m.syncEvent(e)
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
@@ -258,19 +222,26 @@ func (m *Monitor) event(e trace.Event) error {
 		return ErrMonitorClosed
 	}
 	m.disp.Event(e)
-	if m.onRace != nil {
-		races := m.tool().Races()
-		for ; m.seen < len(races); m.seen++ {
-			m.onRace(races[m.seen])
-		}
-	}
+	m.drainRacesLocked()
 	return nil
+}
+
+// drainRacesLocked fires the race callback for the warnings reported
+// since the last drain. Caller holds mu.
+func (m *Monitor) drainRacesLocked() {
+	if m.onRace == nil {
+		return
+	}
+	races := m.tool().Races()
+	for ; m.seen < len(races); m.seen++ {
+		m.onRace(races[m.seen])
+	}
 }
 
 // Ingest records one pre-encoded trace event, routing it exactly as the
 // corresponding typed method (Read, Acquire, ...) would. It is the entry
 // point for feeding recorded traces into a live monitor, e.g. from the
-// CLI, the scaling benchmarks, or the racedetectd ingestion service. It
+// CLI, the benchmarks, or the racedetectd ingestion service. It
 // returns ErrMonitorClosed once the monitor has been closed and nil
 // otherwise.
 func (m *Monitor) Ingest(e trace.Event) error { return m.event(e) }
@@ -279,24 +250,14 @@ func (m *Monitor) Ingest(e trace.Event) error { return m.event(e) }
 // returns how many were ingested. It is semantically identical to
 // calling Ingest once per element — same race set, same Stats, same
 // Health — but the per-event serialization cost is amortized: the
-// serial monitor takes its lock once per batch, and the sharded monitor
-// partitions each run of consecutive accesses by stripe so one read
-// lock and one stripe-lock acquisition cover a whole same-stripe run
-// (sync events inside the batch flush as full-exclusion barriers, in
-// order). Race callbacks are drained once per batch/stripe-run rather
-// than per event, still in report order.
+// monitor takes its lock once per batch. Race callbacks are drained
+// once per batch rather than per event, still in report order.
 //
-// After Close the returned count n may be short: events[:n] were
-// ingested, the rest were rejected (and counted in Rejected), and the
-// error is ErrMonitorClosed. A batch can only be cut at a lock
-// boundary, so the serial path ingests all of the batch or none of it;
-// the sharded path can be cut between an access run and a sync event.
+// The batch is all or nothing: after Close none of it is ingested, all
+// of it is counted in Rejected, and the error is ErrMonitorClosed.
 func (m *Monitor) IngestBatch(events []trace.Event) (int, error) {
 	if len(events) == 0 {
 		return 0, nil
-	}
-	if m.shardedMode {
-		return m.ingestBatchSharded(events)
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -305,12 +266,7 @@ func (m *Monitor) IngestBatch(events []trace.Event) (int, error) {
 		return 0, ErrMonitorClosed
 	}
 	m.disp.EventBatch(events)
-	if m.onRace != nil {
-		races := m.tool().Races()
-		for ; m.seen < len(races); m.seen++ {
-			m.onRace(races[m.seen])
-		}
-	}
+	m.drainRacesLocked()
 	return len(events), nil
 }
 
@@ -394,8 +350,8 @@ func (m *Monitor) TxEnd(tid int32) { m.event(trace.Event{Kind: trace.TxEnd, Tid:
 // fraction of the variable space analyzed at full fidelity (see the
 // Sampled interface for the exact contract: races found under sampling
 // are always genuine, rate 1 restores exact full-fidelity behavior).
-// The change is applied under full exclusion, so it is safe while
-// producers are streaming, in serial and sharded mode alike. It returns
+// The change is applied under the monitor's lock, so it is safe while
+// producers are streaming. It returns
 // false without effect when the monitor is closed or its current tool
 // does not support sampling — including a FastTrack pipeline the
 // dispatcher has downgraded after repeated panics, so callers (the
@@ -418,8 +374,8 @@ func (m *Monitor) SetSamplingRate(p float64) bool {
 // 1 (full fidelity) when the tool does not support sampling or the
 // monitor is closed.
 func (m *Monitor) SamplingRate() float64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	if m.closed {
 		return 1
 	}
@@ -429,9 +385,8 @@ func (m *Monitor) SamplingRate() float64 {
 	return 1
 }
 
-// Races returns a snapshot of the warnings reported so far. In sharded
-// mode the warnings are ordered by event index; per variable, at most
-// one warning is ever reported, exactly as in serial mode.
+// Races returns a snapshot of the warnings reported so far, in report
+// order; per variable, at most one warning is ever reported.
 func (m *Monitor) Races() []Report {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -547,7 +502,6 @@ func (m *Monitor) Metrics() MetricsSnapshot {
 		st = m.tool().Stats()
 		m.disp.FillStats(&st)
 		races = len(m.tool().Races())
-		m.publishShardMetricsLocked()
 	}
 	m.mu.Unlock()
 

@@ -100,85 +100,32 @@ func TestMonitorResetRejectsWithTool(t *testing.T) {
 	}
 }
 
-func TestMonitorCloseSharded(t *testing.T) {
-	m := NewMonitor(WithShards(4))
-	const feeders, perFeeder = 4, 500
-	for f := 0; f < feeders; f++ {
-		m.Fork(0, int32(f+1))
-	}
-	var wg sync.WaitGroup
-	for f := 0; f < feeders; f++ {
-		wg.Add(1)
-		go func(tid int32) {
-			defer wg.Done()
-			for i := 0; i < perFeeder; i++ {
-				// Per-feeder variables plus one shared unsynchronized one.
-				m.Write(tid, uint64(tid)*1000+uint64(i%50))
-				m.Write(tid, 424242)
-			}
-		}(int32(f + 1))
-	}
-	wg.Wait()
-	races := m.Races()
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if m.Shards() != 4 {
-		t.Errorf("Shards after Close = %d, want 4", m.Shards())
-	}
-	if got := m.Races(); len(got) != len(races) {
-		t.Errorf("Races after Close = %d, want %d", len(got), len(races))
-	}
-	if err := m.Ingest(trace.Wr(1, 1)); !errors.Is(err, ErrMonitorClosed) {
-		t.Errorf("sharded Ingest after Close: err = %v, want ErrMonitorClosed", err)
-	}
-	if err := m.Ingest(trace.Acq(1, 1)); !errors.Is(err, ErrMonitorClosed) {
-		t.Errorf("sharded sync Ingest after Close: err = %v, want ErrMonitorClosed", err)
-	}
-
-	if err := m.Reset(); err != nil {
-		t.Fatalf("sharded Reset: %v", err)
-	}
-	m.Fork(0, 1)
-	m.Write(0, 5)
-	m.Write(1, 5)
-	if got := m.Races(); len(got) != 1 {
-		t.Errorf("races after sharded Reset = %d, want 1", len(got))
-	}
-}
-
 // TestMonitorCloseConcurrentFeeders closes the monitor while producers
 // are mid-stream; everything must stay race-free (under -race) and each
 // producer must observe only nil or ErrMonitorClosed.
 func TestMonitorCloseConcurrentFeeders(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		var opts []MonitorOption
-		if shards > 1 {
-			opts = append(opts, WithShards(shards))
-		}
-		m := NewMonitor(opts...)
-		for f := 0; f < 4; f++ {
-			m.Fork(0, int32(f+1))
-		}
-		var wg sync.WaitGroup
-		for f := 0; f < 4; f++ {
-			wg.Add(1)
-			go func(tid int32) {
-				defer wg.Done()
-				for i := 0; i < 2000; i++ {
-					if err := m.Ingest(trace.Wr(tid, uint64(i%100))); err != nil {
-						if !errors.Is(err, ErrMonitorClosed) {
-							t.Errorf("unexpected ingest error: %v", err)
-						}
-						return
-					}
-				}
-			}(int32(f + 1))
-		}
-		if err := m.Close(); err != nil {
-			t.Fatal(err)
-		}
-		wg.Wait()
-		_ = m.Races() // must not panic on the released pipeline
+	m := NewMonitor()
+	for f := 0; f < 4; f++ {
+		m.Fork(0, int32(f+1))
 	}
+	var wg sync.WaitGroup
+	for f := 0; f < 4; f++ {
+		wg.Add(1)
+		go func(tid int32) {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				if err := m.Ingest(trace.Wr(tid, uint64(i%100))); err != nil {
+					if !errors.Is(err, ErrMonitorClosed) {
+						t.Errorf("unexpected ingest error: %v", err)
+					}
+					return
+				}
+			}
+		}(int32(f + 1))
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	_ = m.Races() // must not panic on the released pipeline
 }

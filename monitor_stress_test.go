@@ -2,6 +2,7 @@ package fasttrack
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"fasttrack/trace"
@@ -54,6 +55,81 @@ func TestMonitorConcurrentStress(t *testing.T) {
 	wantAccesses := int64(workers*iters*4 + 1)
 	if st.Reads+st.Writes != wantAccesses {
 		t.Errorf("accesses = %d, want %d", st.Reads+st.Writes, wantAccesses)
+	}
+}
+
+// TestMonitorConcurrentStressDisjoint: eight goroutines feeding
+// accesses to disjoint variables produce no warnings, exact access
+// accounting, and rule counters that sum to the access counts.
+func TestMonitorConcurrentStressDisjoint(t *testing.T) {
+	const feeders = 8
+	const perFeeder = 2000
+
+	m := NewMonitor()
+	for f := 1; f <= feeders; f++ {
+		m.Fork(0, int32(f))
+	}
+	var wg sync.WaitGroup
+	for f := 1; f <= feeders; f++ {
+		wg.Add(1)
+		go func(tid int32) {
+			defer wg.Done()
+			base := uint64(tid) * 1 << 20
+			for k := 0; k < perFeeder; k++ {
+				addr := base + uint64(k%64)
+				m.Write(tid, addr)
+				m.Read(tid, addr)
+			}
+		}(int32(f))
+	}
+	wg.Wait()
+	for f := 1; f <= feeders; f++ {
+		m.Join(0, int32(f))
+	}
+
+	if races := m.Races(); len(races) != 0 {
+		t.Errorf("false alarms on disjoint variables: %v", races)
+	}
+	st := m.Stats()
+	if want := int64(feeders * perFeeder); st.Reads != want || st.Writes != want {
+		t.Errorf("accounting: reads=%d writes=%d, want %d each", st.Reads, st.Writes, want)
+	}
+	if got := st.ReadSameEpoch + st.ReadShared + st.ReadExclusive + st.ReadShare; got != st.Reads {
+		t.Errorf("read rules sum to %d, Reads = %d", got, st.Reads)
+	}
+	if got := st.WriteSameEpoch + st.WriteExclusive + st.WriteShared; got != st.Writes {
+		t.Errorf("write rules sum to %d, Writes = %d", got, st.Writes)
+	}
+}
+
+// TestMonitorConcurrentStressRaceHandler: racing feeders reach the
+// WithRaceHandler callback exactly once per reported warning.
+func TestMonitorConcurrentStressRaceHandler(t *testing.T) {
+	var fired atomic.Int64
+	m := NewMonitor(WithRaceHandler(func(Report) { fired.Add(1) }))
+	m.Fork(0, 1)
+	m.Fork(0, 2)
+	var wg sync.WaitGroup
+	for _, tid := range []int32{1, 2} {
+		wg.Add(1)
+		go func(tid int32) {
+			defer wg.Done()
+			for k := 0; k < 500; k++ {
+				m.Write(tid, 42) // same variable, no synchronization
+				m.Write(tid, uint64(100+tid))
+			}
+		}(tid)
+	}
+	wg.Wait()
+	m.Join(0, 1)
+	m.Join(0, 2)
+
+	races := m.Races()
+	if len(races) == 0 {
+		t.Fatal("no race reported for unsynchronized writes to one variable")
+	}
+	if got := fired.Load(); got != int64(len(races)) {
+		t.Errorf("race handler fired %d times, %d races reported", got, len(races))
 	}
 }
 

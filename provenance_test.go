@@ -14,12 +14,8 @@ import (
 
 // replayProv feeds tr through a fresh FastTrack monitor and returns the
 // plain and detailed race snapshots.
-func replayProv(tr trace.Trace, shards int, provenance bool) ([]Report, []DetailedReport) {
-	opts := []MonitorOption{WithHints(Hints{Provenance: provenance})}
-	if shards > 1 {
-		opts = append(opts, WithShards(shards))
-	}
-	m := NewMonitor(opts...)
+func replayProv(tr trace.Trace, provenance bool) ([]Report, []DetailedReport) {
+	m := NewMonitor(WithHints(Hints{Provenance: provenance}))
 	for _, e := range tr {
 		m.Ingest(e)
 	}
@@ -29,12 +25,12 @@ func replayProv(tr trace.Trace, shards int, provenance bool) ([]Report, []Detail
 // assertProvenanceEquivalent is the enrichment soundness property: the
 // flight recorder must never change which races are reported — enabling
 // it yields the identical Report sequence (not just set) as a plain
-// run, on the serial and sharded paths alike — and every enriched
-// report must describe the race its embedded Report names.
-func assertProvenanceEquivalent(t *testing.T, label string, tr trace.Trace, shards int) {
+// run — and every enriched report must describe the race its embedded
+// Report names.
+func assertProvenanceEquivalent(t *testing.T, label string, tr trace.Trace) {
 	t.Helper()
-	plainRaces, plainDetails := replayProv(tr, shards, false)
-	provRaces, provDetails := replayProv(tr, shards, true)
+	plainRaces, plainDetails := replayProv(tr, false)
+	provRaces, provDetails := replayProv(tr, true)
 
 	// Provenance-off runs keep plain reports: no recorder, PrevIndex
 	// stays -1 (detailed reports are off by default).
@@ -76,19 +72,17 @@ func assertProvenanceEquivalent(t *testing.T, label string, tr trace.Trace, shar
 }
 
 // TestProvenanceEquivalenceSim: paper-shaped benchmark workloads and
-// random feasible traces, serial and sharded.
+// random feasible traces.
 func TestProvenanceEquivalenceSim(t *testing.T) {
-	for _, shards := range []int{1, 8} {
-		for _, b := range sim.Benchmarks()[:4] {
-			assertProvenanceEquivalent(t, fmt.Sprintf("%s/shards=%d", b.Name, shards), b.Trace(0.05), shards)
-		}
-		cfg := sim.DefaultRandomConfig()
-		cfg.Events = 600
-		cfg.Vars = 12
-		for seed := int64(1); seed <= 6; seed++ {
-			tr := sim.RandomTrace(rand.New(rand.NewSource(seed)), cfg)
-			assertProvenanceEquivalent(t, fmt.Sprintf("random/seed=%d/shards=%d", seed, shards), tr, shards)
-		}
+	for _, b := range sim.Benchmarks()[:4] {
+		assertProvenanceEquivalent(t, b.Name, b.Trace(0.05))
+	}
+	cfg := sim.DefaultRandomConfig()
+	cfg.Events = 600
+	cfg.Vars = 12
+	for seed := int64(1); seed <= 6; seed++ {
+		tr := sim.RandomTrace(rand.New(rand.NewSource(seed)), cfg)
+		assertProvenanceEquivalent(t, fmt.Sprintf("random/seed=%d", seed), tr)
 	}
 }
 
@@ -97,19 +91,17 @@ func TestProvenanceEquivalenceSim(t *testing.T) {
 // malformed events before they reach the detector.
 func TestProvenanceEquivalenceChaos(t *testing.T) {
 	base := sim.RandomTrace(rand.New(rand.NewSource(7)), sim.DefaultRandomConfig())
-	for _, shards := range []int{1, 8} {
-		for _, mode := range chaos.Modes() {
-			raw := chaos.Mutate(base, mode, rand.New(rand.NewSource(3)))
-			var tr trace.Trace
-			sc := trace.NewScanner(bytes.NewReader(raw))
-			for sc.Scan() {
-				tr = append(tr, sc.Event())
-			}
-			if len(tr) == 0 {
-				continue
-			}
-			assertProvenanceEquivalent(t, fmt.Sprintf("chaos/%s/shards=%d", mode, shards), tr, shards)
+	for _, mode := range chaos.Modes() {
+		raw := chaos.Mutate(base, mode, rand.New(rand.NewSource(3)))
+		var tr trace.Trace
+		sc := trace.NewScanner(bytes.NewReader(raw))
+		for sc.Scan() {
+			tr = append(tr, sc.Event())
 		}
+		if len(tr) == 0 {
+			continue
+		}
+		assertProvenanceEquivalent(t, "chaos/"+mode.String(), tr)
 	}
 }
 

@@ -25,12 +25,6 @@ import (
 // safe for concurrent use — wrap one in a Monitor for live programs.
 type Tool = rr.Tool
 
-// ShardedTool is a Tool whose access handlers are additionally safe
-// under the Monitor's stripe-locking discipline, enabling WithShards.
-// The FastTrack detector implements it; see the rr package for the
-// contract a custom implementation must meet.
-type ShardedTool = rr.ShardedTool
-
 // Prefilter is a Tool that can filter events for a downstream analysis
 // (Section 5.2 of the paper).
 type Prefilter = rr.Prefilter
