@@ -7,6 +7,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 
 	"fasttrack/instrument"
@@ -18,17 +19,25 @@ import (
 // event stream to a binary trace file via the runtime shim's trace
 // sink), then analyze that trace by re-invoking this binary — so the
 // run/test modes produce byte-identical reports to `racedetect
-// <trace>` on the same stream, locally and with -server. It returns the
-// process exit status instead of exiting, so the deferred removal of the
-// instrumented work directory runs on every path.
+// <trace>` on the same stream, locally and with -server. Arguments after
+// "--" go to the program (run) or to go test (test), and standard input
+// is passed through. It returns the process exit status instead of
+// exiting, so the deferred removal of the instrumented work directory
+// runs on every path.
 func runFrontend(mode string, args []string) int {
+	var targetArgs []string
+	if i := slices.Index(args, "--"); i >= 0 {
+		args, targetArgs = args[:i], args[i+1:]
+	}
 	fs := flag.NewFlagSet("racedetect "+mode, flag.ExitOnError)
 	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: racedetect %s [flags] [package-dir]\n\n"+
+		fmt.Fprintf(os.Stderr, "usage: racedetect %s [flags] [package-dir] [-- args...]\n\n"+
 			"Instruments the Go package in package-dir (default .), %s it, and\n"+
 			"analyzes the recorded execution for data races. The package must be\n"+
-			"self-contained and import only the standard library.\n\n", mode, map[string]string{
-			"run": "runs", "test": "tests"}[mode])
+			"self-contained and import only the standard library. Arguments after\n"+
+			"-- are passed to %s; standard input is passed through.\n\n", mode, map[string]string{
+			"run": "runs", "test": "tests"}[mode], map[string]string{
+			"run": "the program", "test": "go test"}[mode])
 		fs.PrintDefaults()
 	}
 	toolName := fs.String("tool", "FastTrack", "detector to analyze the recorded trace with")
@@ -77,8 +86,8 @@ func runFrontend(mode string, args []string) int {
 	}
 	if *stats {
 		s := res.Stats
-		fmt.Fprintf(os.Stderr, "instrumented %d file(s): %d reads, %d writes, %d forks, %d chan ops, %d sync ops, %d skipped\n",
-			s.Files, s.Reads, s.Writes, s.Forks, s.ChanOps, s.SyncOps, s.Skipped)
+		fmt.Fprintf(os.Stderr, "instrumented %d file(s): %d reads, %d writes, %d forks, %d chan ops, %d sync ops, %d skipped, %d handles, %d shared closures\n",
+			s.Files, s.Reads, s.Writes, s.Forks, s.ChanOps, s.SyncOps, s.Skipped, s.Handles, s.SharedClosures)
 	}
 	if mode == "run" && !res.Main {
 		return reportErr(fmt.Errorf("racedetect run: %s is package %s, not a main package (use racedetect test)", pkgDir, res.Package))
@@ -98,9 +107,9 @@ func runFrontend(mode string, args []string) int {
 		if out, err := build.CombinedOutput(); err != nil {
 			return reportErr(fmt.Errorf("building instrumented package:\n%s%w", out, err))
 		}
-		target = exec.Command(bin)
+		target = exec.Command(bin, targetArgs...)
 	} else {
-		target = exec.Command("go", "test", "-count=1", ".")
+		target = exec.Command("go", append([]string{"test", "-count=1", "."}, targetArgs...)...)
 	}
 	targetExit, err := runTarget(target, workDir, runEnv)
 	if err != nil {
@@ -159,12 +168,13 @@ func reportErr(err error) int {
 	return 2
 }
 
-// runTarget executes the instrumented target with its output passed
-// through, returning its exit status; err is set only when the target
+// runTarget executes the instrumented target with its input and output
+// passed through, returning its exit status; err is set only when the target
 // could not be run at all.
 func runTarget(cmd *exec.Cmd, dir string, env []string) (int, error) {
 	cmd.Dir = dir
 	cmd.Env = env
+	cmd.Stdin = os.Stdin
 	cmd.Stdout = os.Stdout
 	cmd.Stderr = os.Stderr
 	if err := cmd.Run(); err != nil {

@@ -4,22 +4,22 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
-// TestFrontendRemovesWorkDir: `racedetect run` instruments into an
-// ft-instrument-* directory under TMPDIR and must remove it whether the
-// run succeeds or the instrumented build fails; -keep leaves it in
-// place.
-func TestFrontendRemovesWorkDir(t *testing.T) {
+// buildRacedetect builds this command into a temporary directory and
+// returns the binary, that directory, and the fasttrack module root.
+func buildRacedetect(t *testing.T) (bin, base, module string) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("builds racedetect and the instrumented programs")
 	}
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("go tool not available")
 	}
-	base := t.TempDir()
-	bin := filepath.Join(base, "racedetect")
+	base = t.TempDir()
+	bin = filepath.Join(base, "racedetect")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
@@ -27,23 +27,35 @@ func TestFrontendRemovesWorkDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return bin, base, module
+}
+
+// writeProgram lays down a one-file main package under base/name.
+func writeProgram(t *testing.T, base, name, src string) string {
+	t.Helper()
+	dir := filepath.Join(base, name)
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "main.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestFrontendRemovesWorkDir: `racedetect run` instruments into an
+// ft-instrument-* directory under TMPDIR and must remove it whether the
+// run succeeds or the instrumented build fails; -keep leaves it in
+// place.
+func TestFrontendRemovesWorkDir(t *testing.T) {
+	bin, base, module := buildRacedetect(t)
 	tmp := filepath.Join(base, "tmp")
 	if err := os.Mkdir(tmp, 0o755); err != nil {
 		t.Fatal(err)
 	}
 	t.Setenv("TMPDIR", tmp)
 
-	program := func(name, src string) string {
-		dir := filepath.Join(base, name)
-		if err := os.Mkdir(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, "main.go"), []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return dir
-	}
-	clean := program("clean", `package main
+	clean := writeProgram(t, base, "clean", `package main
 
 import "sync"
 
@@ -66,7 +78,7 @@ func main() {
 `)
 	// A body-less function type-checks (the instrumenter accepts it) but
 	// does not link without assembly, so the instrumented build fails.
-	broken := program("broken", `package main
+	broken := writeProgram(t, base, "broken", `package main
 
 func missing()
 
@@ -115,5 +127,67 @@ func main() { missing() }
 	}
 	if left := workDirs(); len(left) != 1 {
 		t.Errorf("-keep run left %d work dirs, want 1: %v", len(left), left)
+	}
+}
+
+// TestFrontendForwardsArgsAndStdin: arguments after -- reach the
+// program, flag-like ones included, and so does standard input; without
+// -- the program gets no arguments.
+func TestFrontendForwardsArgsAndStdin(t *testing.T) {
+	bin, base, module := buildRacedetect(t)
+	echo := writeProgram(t, base, "echo", `package main
+
+import (
+	"fmt"
+	"io"
+	"os"
+)
+
+func main() {
+	in, _ := io.ReadAll(os.Stdin)
+	fmt.Printf("args=%q stdin=%q\n", os.Args[1:], in)
+}
+`)
+	for _, c := range []struct {
+		args  []string
+		stdin string
+		want  string
+	}{
+		{[]string{echo}, "", `args=[] stdin=""`},
+		{[]string{echo, "--", "a", "b c", "-v"}, "hello\n", `args=["a" "b c" "-v"] stdin="hello\n"`},
+		{[]string{"-stats", echo, "--"}, "x", `args=[] stdin="x"`},
+	} {
+		args := append([]string{"run", "-module", module}, c.args...)
+		cmd := exec.Command(bin, args...)
+		cmd.Stdin = strings.NewReader(c.stdin)
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("racedetect %v: %v\n%s", args, err, out)
+		}
+		if !strings.Contains(string(out), c.want) {
+			t.Errorf("racedetect %v: output lacks %s:\n%s", args, c.want, out)
+		}
+	}
+}
+
+// TestFrontendTestForwardsArgs: in test mode the arguments after -- go
+// to go test, so -run selects the passing test alone.
+func TestFrontendTestForwardsArgs(t *testing.T) {
+	bin, base, module := buildRacedetect(t)
+	pkg := writeProgram(t, base, "pkg", "package pkg\n")
+	test := "package pkg\n\nimport \"testing\"\n\nfunc TestPass(t *testing.T) {}\n\nfunc TestFail(t *testing.T) { t.Fatal(\"selected\") }\n"
+	if err := os.WriteFile(filepath.Join(pkg, "pkg_test.go"), []byte(test), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	run := func(args ...string) error {
+		out, err := exec.Command(bin, append([]string{"test", "-module", module, pkg}, args...)...).CombinedOutput()
+		t.Logf("racedetect test %v: %v\n%s", args, err, out)
+		return err
+	}
+	if err := run(); err == nil {
+		t.Fatal("racedetect test without -run passed; TestFail should fail it")
+	}
+	if err := run("--", "-run", "TestPass"); err != nil {
+		t.Fatalf("racedetect test -- -run TestPass: %v", err)
 	}
 }

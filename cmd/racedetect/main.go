@@ -137,7 +137,7 @@ func main() {
 	}
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: racedetect [flags] trace-file")
-		fmt.Fprintln(os.Stderr, "       racedetect run|test [flags] package-dir")
+		fmt.Fprintln(os.Stderr, "       racedetect run|test [flags] package-dir [-- args...]")
 		flag.PrintDefaults()
 		os.Exit(2)
 	}

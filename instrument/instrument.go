@@ -7,6 +7,14 @@
 // package down as a self-contained module that builds against this
 // repository via a replace directive.
 //
+// Records go through a per-invocation goroutine handle: every function
+// body that records declares `var __ft_g __ft.G` and emits
+// `__ft_g.W(&x)`, `__ft_g.Acquire(&mu)`, `__ft_g.Fork()` and so on, so
+// the shim looks the calling goroutine up once per invocation rather
+// than once per access. A function literal that always runs on the
+// enclosing invocation's goroutine shares its handle; every other
+// literal declares its own (handle.go has the rule).
+//
 // The rewriter is source-to-source (go/parser + go/types + go/printer)
 // rather than a compiler plugin, mirroring how the paper's RoadRunner
 // framework instruments JVM bytecode at load time: the program under
@@ -73,6 +81,11 @@ type Stats struct {
 	ChanOps int // channel send/recv/close records
 	SyncOps int // mutex/waitgroup/once records
 	Skipped int // accesses skipped (impure path, unaddressable, ...)
+	// Handles counts function bodies that declare a goroutine handle.
+	Handles int
+	// SharedClosures counts function literals that record through the
+	// handle of the function they appear in instead of their own.
+	SharedClosures int
 }
 
 // Result describes the instrumented copy.
@@ -127,6 +140,7 @@ func Instrument(srcDir, outDir string, opts Options) (*Result, error) {
 
 	rw := newRewriter(fset, info, pkg)
 	rw.findEscaped(files)
+	rw.classifyLits(files)
 
 	res := &Result{Dir: outDir, Package: pkgName, Main: pkgName == "main"}
 	hasTestMain := false
@@ -150,6 +164,8 @@ func Instrument(srcDir, outDir string, opts Options) (*Result, error) {
 	res.Stats.ChanOps = rw.stats.ChanOps
 	res.Stats.SyncOps = rw.stats.SyncOps
 	res.Stats.Skipped = rw.stats.Skipped
+	res.Stats.Handles = rw.stats.Handles
+	res.Stats.SharedClosures = rw.stats.SharedClosures
 
 	if opts.Test {
 		if hasTestMain {

@@ -119,15 +119,16 @@ func TestRewriteInjectsShimCalls(t *testing.T) {
 	for _, want := range []string{
 		`__ft "fasttrack/instrument/rt"`,
 		"defer __ft.Boot()()",
-		"__ft.Fork()",
+		"var __ft_g __ft.G",
+		"__ft_g.Fork()",
 		"__ft.Begin(__ft_parent)",
 		"defer __ft.End()",
-		"__ft.W(&x)",
-		"__ft.W(&y)",
-		"__ft.R(&y)",
-		"__ft.R(&x)",
-		"__ft.ChanSend(done)",
-		"__ft.ChanRecv(done)",
+		"__ft_g.W(&x)",
+		"__ft_g.W(&y)",
+		"__ft_g.R(&y)",
+		"__ft_g.R(&x)",
+		"__ft_g.ChanSend(done)",
+		"__ft_g.ChanRecv(done)",
 	} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("instrumented source missing %q:\n%s", want, got)
@@ -150,10 +151,10 @@ func TestRewriteSyncCalls(t *testing.T) {
 	}
 	got := string(data)
 	for _, want := range []string{
-		"__ft.Acquire(&mu)",
-		"__ft.Release(&mu)",
-		"__ft.WGDone(&wg)",
-		"__ft.WGWait(&wg)",
+		"__ft_g.Acquire(&mu)",
+		"__ft_g.Release(&mu)",
+		"__ft_g.WGDone(&wg)",
+		"__ft_g.WGWait(&wg)",
 	} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("instrumented source missing %q:\n%s", want, got)

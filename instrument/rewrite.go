@@ -12,7 +12,8 @@ type rewriter struct {
 	fset    *token.FileSet
 	info    *types.Info
 	pkg     *types.Package
-	escaped map[*types.Var]bool // locals whose address may be shared
+	escaped map[*types.Var]bool   // locals whose address may be shared
+	own     map[*ast.FuncLit]bool // literals that declare their own handle
 	visited map[*ast.BlockStmt]bool
 	used    bool // current file references the shim
 	stats   Stats
@@ -24,6 +25,7 @@ func newRewriter(fset *token.FileSet, info *types.Info, pkg *types.Package) *rew
 		info:    info,
 		pkg:     pkg,
 		escaped: map[*types.Var]bool{},
+		own:     map[*ast.FuncLit]bool{},
 		visited: map[*ast.BlockStmt]bool{},
 	}
 }
@@ -85,11 +87,20 @@ func (r *rewriter) rootVar(e ast.Expr) *types.Var {
 	}
 }
 
-// shimCall builds __ft.Name(args...).
-func (r *rewriter) shimCall(name string, args ...ast.Expr) *ast.CallExpr {
+// pkgCall builds __ft.Name(args...), a call of a shim package function.
+func (r *rewriter) pkgCall(name string, args ...ast.Expr) *ast.CallExpr {
 	r.used = true
 	return &ast.CallExpr{
 		Fun:  &ast.SelectorExpr{X: ast.NewIdent(shimName), Sel: ast.NewIdent(name)},
+		Args: args,
+	}
+}
+
+// shimCall builds __ft_g.Name(args...), a record through the goroutine
+// handle of the function the call lands in (see declareHandle).
+func (r *rewriter) shimCall(name string, args ...ast.Expr) *ast.CallExpr {
+	return &ast.CallExpr{
+		Fun:  &ast.SelectorExpr{X: ast.NewIdent(handleName), Sel: ast.NewIdent(name)},
 		Args: args,
 	}
 }
@@ -126,9 +137,14 @@ func (r *rewriter) rewriteFile(f *ast.File, isMain bool) {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
 			if ok && fd.Recv == nil && fd.Name.Name == "main" && fd.Body != nil {
-				boot := &ast.DeferStmt{Call: &ast.CallExpr{Fun: r.shimCall("Boot")}}
+				boot := &ast.DeferStmt{Call: &ast.CallExpr{Fun: r.pkgCall("Boot")}}
 				fd.Body.List = append([]ast.Stmt{boot}, fd.Body.List...)
 			}
+		}
+	}
+	for _, d := range f.Decls {
+		if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+			r.declareHandle(fd.Body)
 		}
 	}
 	if r.used {
@@ -426,7 +442,7 @@ func (r *rewriter) rewriteExprStmt(s *ast.ExprStmt, out *[]ast.Stmt) {
 // rewriteGo turns a go statement into a forked, registered goroutine.
 //
 //	go func(...){ body }(args)   becomes
-//	go func(__ft_parent int32, ...) { __ft.Begin(__ft_parent); defer __ft.End(); body }(__ft.Fork(), args)
+//	go func(__ft_parent int32, ...) { __ft.Begin(__ft_parent); defer __ft.End(); body }(__ft_g.Fork(), args)
 //
 // preserving the parent-side evaluation of the arguments. A named
 // callee is wrapped in a literal instead, moving its evaluation into
@@ -435,8 +451,8 @@ func (r *rewriter) rewriteGo(s *ast.GoStmt, out *[]ast.Stmt) {
 	r.stats.Forks++
 	parent := ast.NewIdent(shimName + "_parent")
 	prologue := []ast.Stmt{
-		r.shimStmt("Begin", ast.NewIdent(parent.Name)),
-		&ast.DeferStmt{Call: r.shimCall("End")},
+		&ast.ExprStmt{X: r.pkgCall("Begin", ast.NewIdent(parent.Name))},
+		&ast.DeferStmt{Call: r.pkgCall("End")},
 	}
 	if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
 		r.rewriteBlock(lit.Body)
@@ -455,6 +471,7 @@ func (r *rewriter) rewriteGo(s *ast.GoStmt, out *[]ast.Stmt) {
 		Body: &ast.BlockStmt{List: append(prologue, &ast.ExprStmt{X: s.Call})},
 	}
 	r.visited[wrapper.Body] = true
+	r.own[wrapper] = true // runs on the child
 	s.Call = &ast.CallExpr{Fun: wrapper, Args: []ast.Expr{r.shimCall("Fork")}}
 	*out = append(*out, s)
 }
