@@ -801,8 +801,11 @@ func (s *Session) readerLoop(conn net.Conn, gen int64, replies chan inFrame) {
 			return
 		}
 		if t == FrameErrorMsg {
-			conn.Close()
+			// Record the server's error before closing: the sender's
+			// next write then fails on the closed connection, and its
+			// report must not win the sticky error.
 			s.fail(wireErr(payload))
+			conn.Close()
 			return
 		}
 		select {
@@ -925,8 +928,12 @@ func (s *Session) enqueueControl(t trace.FrameType, v any, gen int64) error {
 // since the request was issued, the reply will never arrive; await
 // returns ErrResumed instead of waiting for the timeout.
 func (s *Session) await(want trace.FrameType, seq, gen0 int64) (inFrame, error) {
-	conn, gen, replies, gd := s.snapshot()
-	if gen != gen0 || conn == nil {
+	// A failed session (conn == nil) still waits below on the same
+	// generation: the server may have replied and closed before this
+	// call, and the reader queues the reply before it reports the end
+	// of the connection.
+	_, gen, replies, gd := s.snapshot()
+	if gen != gen0 {
 		if err := s.Err(); err != nil {
 			return inFrame{}, err
 		}
@@ -940,26 +947,36 @@ func (s *Session) await(want trace.FrameType, seq, gen0 int64) (inFrame, error) 
 	}
 	// An already-delivered reply wins over a concurrent connection
 	// teardown: the server may legally close right after replying (a
-	// CloseOK followed by its end of stream).
+	// CloseOK followed by its end of stream). The reader queues a reply
+	// before it reports its connection's end, so when a teardown wins
+	// the select, one more look finds a reply that raced it.
 	var r inFrame
-	select {
-	case r = <-replies:
-	default:
+	queued := func() bool {
 		select {
 		case r = <-replies:
-		case <-gd:
+			return true
+		default:
+			return false
+		}
+	}
+	select {
+	case r = <-replies:
+	case <-gd:
+		if !queued() {
 			if err := s.Err(); err != nil {
 				return inFrame{}, err
 			}
 			return inFrame{}, ErrResumed
-		case <-s.dead:
-			return inFrame{}, s.Err()
-		case <-timeout:
-			err := fmt.Errorf("client: timed out after %v waiting for frame %d", s.cfg.readTimeout, want)
-			s.fail(err)
-			s.closeConn()
-			return inFrame{}, err
 		}
+	case <-s.dead:
+		if !queued() {
+			return inFrame{}, s.Err()
+		}
+	case <-timeout:
+		err := fmt.Errorf("client: timed out after %v waiting for frame %d", s.cfg.readTimeout, want)
+		s.fail(err)
+		s.closeConn()
+		return inFrame{}, err
 	}
 	if r.t != want {
 		err := fmt.Errorf("client: protocol error: got frame %d, want %d", r.t, want)

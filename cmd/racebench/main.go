@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	racebench [-table all|1|2|3|rules|compose|eclipse|ops|batch] [-scale N] [-runs N]
+//	racebench [-table NAME] [-scale N] [-runs N] [-csv] [-out FILE]
 //
 // Table 1: slowdown and warnings for seven tools on sixteen benchmarks.
 // Table 2: vector clocks allocated / O(n) VC operations, DJIT+ vs
@@ -11,28 +11,22 @@
 // granularity. "rules": the Figure 2 rule-frequency percentages.
 // "compose": the Section 5.2 prefilter experiment. "eclipse": the
 // Section 5.3 Eclipse-shaped experiment. "ops": per-detector analysis
-// cost (ns/event) and constant-time path shares; with -out FILE it
-// writes the machine-readable fasttrack/bench-ops/v1 JSON artifact
-// (BENCH_ops.json in CI). "batch": Monitor.IngestBatch throughput
-// across batch sizes vs per-event Ingest; with -out FILE it writes the
-// fasttrack/bench-batch/v2 artifact
-// (BENCH_batch.json in CI). "provenance": FastTrack throughput with
-// the provenance flight recorder off vs on across workload mixes; with
-// -out FILE it writes the fasttrack/bench-provenance/v1 artifact
-// (BENCH_provenance.json in CI). "speed": serial per-event throughput
-// of the struct-of-arrays shadow layout against the frozen pre-refactor
-// baseline (DESIGN.md §13); with -out FILE it writes the
-// fasttrack/bench-speed/v1 artifact (BENCH_speed.json in CI, gated at
-// geomean >= 2x). "chan": channel happens-before cost and precision
-// against the legacy volatile encoding on channel-heavy workloads
-// (DESIGN.md §14); with -out FILE it writes the fasttrack/bench-chan/v1
-// artifact (BENCH_chan.json in CI). "fleet": routed session throughput
-// against 1/2/4 in-process racedetectd nodes — fixed worker population,
-// capped session slots per node, client.Fleet steering refused dials to
-// free capacity (DESIGN.md §15); with -out FILE it writes the
-// fasttrack/bench-fleet/v1 artifact (BENCH_fleet.json in CI, gated at
-// 2-node speedup >= 1.8x). Fleet spins real TCP servers, so it is not
+// cost (ns/event) and constant-time path shares. "batch":
+// Monitor.IngestBatch throughput across batch sizes vs per-event
+// Ingest. "fidelity": the sampling tier's cost/coverage curve.
+// "provenance": FastTrack throughput with the provenance flight
+// recorder off vs on across workload mixes. "speed": serial per-event
+// throughput of FastTrack against in-run DJIT+ on memory-bound streams
+// (DESIGN.md §13). "fleet": routed session throughput against 1/2/4
+// in-process racedetectd nodes — fixed worker population, capped
+// session slots per node, client.Fleet steering refused dials to free
+// capacity (DESIGN.md §15). Fleet spins real TCP servers, so it is not
 // part of -table all.
+//
+// For those six tables, -out FILE writes the JSON artifact in the
+// fasttrack/bench/v2 envelope (BENCH_<table>.json in CI), then runs
+// the table's gates: racebench exits 1 when one fails, so the exit
+// status of `racebench -table X -out F` is the CI gate.
 package main
 
 import (
@@ -44,11 +38,11 @@ import (
 )
 
 func main() {
-	table := flag.String("table", "all", "which table to regenerate: all, 1, 2, 3, rules, compose, eclipse, scaling, accordion, ops, batch, fidelity, provenance, speed, chan, fleet")
+	table := flag.String("table", "all", "which table to regenerate: all, 1, 2, 3, rules, compose, eclipse, scaling, accordion, ops, batch, fidelity, provenance, speed, fleet")
 	scale := flag.Float64("scale", 1, "workload scale factor")
 	runs := flag.Int("runs", 3, "timed repetitions per cell (fastest kept)")
 	asCSV := flag.Bool("csv", false, "emit machine-readable CSV instead of formatted tables (tables 1, 2, 3, compose, scaling, accordion)")
-	out := flag.String("out", "", "for -table ops/batch/fidelity/provenance/speed/chan/fleet: also write the JSON artifact to this file")
+	out := flag.String("out", "", "for -table ops/batch/fidelity/provenance/speed/fleet: also write the JSON artifact to this file and fail if its gates do")
 	flag.Parse()
 
 	cfg := bench.DefaultConfig()
@@ -61,7 +55,9 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	run := func(name string) {
+	// run renders one table and returns its artifact, or nil for the
+	// tables that have none.
+	run := func(name string) bench.Report {
 		if *asCSV {
 			switch name {
 			case "1":
@@ -80,8 +76,9 @@ func main() {
 				fmt.Fprintf(os.Stderr, "racebench: no CSV renderer for table %q\n", name)
 				os.Exit(2)
 			}
-			return
+			return nil
 		}
+		defer fmt.Println()
 		switch name {
 		case "1":
 			fmt.Println("=== Table 1: slowdowns and warnings ===")
@@ -111,93 +108,66 @@ func main() {
 			fmt.Println("=== Per-detector cost and operation mix ===")
 			rep := bench.Ops(cfg, nil, nil)
 			bench.FprintOps(os.Stdout, rep)
-			if *out != "" {
-				f, err := os.Create(*out)
-				check(err)
-				check(bench.WriteOpsJSON(f, rep))
-				check(f.Close())
-				fmt.Fprintf(os.Stderr, "racebench: wrote %s\n", *out)
-			}
+			return rep
 		case "batch":
 			fmt.Println("=== Extension: batched Monitor ingestion throughput ===")
 			rep := bench.Batch(cfg, nil, 0)
 			bench.FprintBatch(os.Stdout, rep)
-			if *out != "" {
-				f, err := os.Create(*out)
-				check(err)
-				check(bench.WriteBatchJSON(f, rep))
-				check(f.Close())
-				fmt.Fprintf(os.Stderr, "racebench: wrote %s\n", *out)
-			}
+			return rep
 		case "fidelity":
 			fmt.Println("=== Extension: sampling-tier cost/coverage curve ===")
 			rep := bench.Fidelity(cfg, nil, 0, 0)
 			bench.FprintFidelity(os.Stdout, rep)
-			if *out != "" {
-				f, err := os.Create(*out)
-				check(err)
-				check(bench.WriteFidelityJSON(f, rep))
-				check(f.Close())
-				fmt.Fprintf(os.Stderr, "racebench: wrote %s\n", *out)
-			}
+			return rep
 		case "provenance":
 			fmt.Println("=== Extension: provenance flight-recorder overhead ===")
 			rep := bench.Provenance(cfg, 0)
 			bench.FprintProvenance(os.Stdout, rep)
-			if *out != "" {
-				f, err := os.Create(*out)
-				check(err)
-				check(bench.WriteProvenanceJSON(f, rep))
-				check(f.Close())
-				fmt.Fprintf(os.Stderr, "racebench: wrote %s\n", *out)
-			}
+			return rep
 		case "speed":
-			fmt.Println("=== Refactor gate: raw shadow-layout speed vs frozen baseline ===")
-			rep, err := bench.Speed(cfg)
-			check(err)
+			fmt.Println("=== Raw speed: FastTrack vs in-run DJIT+ ===")
+			rep := bench.Speed(cfg)
 			bench.FprintSpeed(os.Stdout, rep)
-			if *out != "" {
-				f, err := os.Create(*out)
-				check(err)
-				check(bench.WriteSpeedJSON(f, rep))
-				check(f.Close())
-				fmt.Fprintf(os.Stderr, "racebench: wrote %s\n", *out)
-			}
-		case "chan":
-			fmt.Println("=== Extension: channel happens-before vs volatile encoding ===")
-			rep := bench.Chan(cfg, 0)
-			bench.FprintChan(os.Stdout, rep)
-			if *out != "" {
-				f, err := os.Create(*out)
-				check(err)
-				check(bench.WriteChanJSON(f, rep))
-				check(f.Close())
-				fmt.Fprintf(os.Stderr, "racebench: wrote %s\n", *out)
-			}
+			return rep
 		case "fleet":
 			fmt.Println("=== Extension: fleet-routed session throughput ===")
 			rep, err := bench.Fleet(cfg, 0)
 			check(err)
 			bench.FprintFleet(os.Stdout, rep)
-			if *out != "" {
-				f, err := os.Create(*out)
-				check(err)
-				check(bench.WriteFleetJSON(f, rep))
-				check(f.Close())
-				fmt.Fprintf(os.Stderr, "racebench: wrote %s\n", *out)
-			}
+			return rep
 		default:
 			fmt.Fprintf(os.Stderr, "racebench: unknown table %q\n", name)
 			os.Exit(2)
 		}
-		fmt.Println()
+		return nil
 	}
 
 	if *table == "all" {
-		for _, name := range []string{"1", "2", "3", "rules", "compose", "eclipse", "scaling", "accordion", "ops", "batch", "fidelity", "provenance", "speed", "chan"} {
+		if *out != "" {
+			fmt.Fprintln(os.Stderr, "racebench: -out needs a single artifact table")
+			os.Exit(2)
+		}
+		for _, name := range []string{"1", "2", "3", "rules", "compose", "eclipse", "scaling", "accordion", "ops", "batch", "fidelity", "provenance", "speed"} {
 			run(name)
 		}
 		return
 	}
-	run(*table)
+	rep := run(*table)
+	if *out == "" {
+		return
+	}
+	if rep == nil {
+		fmt.Fprintf(os.Stderr, "racebench: table %q writes no artifact\n", *table)
+		os.Exit(2)
+	}
+	f, err := os.Create(*out)
+	check(err)
+	check(bench.WriteJSON(f, rep))
+	check(f.Close())
+	fmt.Fprintf(os.Stderr, "racebench: wrote %s\n", *out)
+	if err := rep.Check(); err != nil {
+		fmt.Fprintf(os.Stderr, "racebench: %s gate failed:\n%v\n", *table, err)
+		os.Exit(1)
+	}
+	fmt.Fprintf(os.Stderr, "racebench: %s gates hold\n", *table)
 }

@@ -9,9 +9,7 @@
 //
 // Besides the paper's named benchmarks, "chan" generates the
 // channel-heavy workload (ping-pong, bounded buffer, seeded
-// buffered-slack races; DESIGN.md §14) on first-class channel events,
-// and "chan-volatile" the same workload on the legacy volatile
-// encoding — the pair racebench -table chan compares.
+// buffered-slack races; DESIGN.md §14) on first-class channel events.
 package main
 
 import (
@@ -42,8 +40,7 @@ func main() {
 			fmt.Printf("%s (%d threads, %d seeded races)\n", b.Name, b.Threads, b.KnownRaces())
 		}
 		c := sim.ChanMix()
-		fmt.Printf("%s (%d threads, %d seeded races; chan-volatile re-encodes it on volatiles)\n",
-			c.Name, c.Threads(), c.KnownRaces())
+		fmt.Printf("%s (%d threads, %d seeded races)\n", c.Name, c.Threads(), c.KnownRaces())
 		return
 	}
 
@@ -55,9 +52,7 @@ func main() {
 		cfg.Threads = *threads
 		tr = sim.RandomTrace(rand.New(rand.NewSource(*seed)), cfg)
 	case *workload == "chan":
-		tr = sim.ChanMix().Generate(*scale, sim.ChanNative)
-	case *workload == "chan-volatile":
-		tr = sim.ChanMix().Generate(*scale, sim.ChanVolatile)
+		tr = sim.ChanMix().Generate(*scale)
 	case *workload != "":
 		b, ok := sim.ByName(*workload)
 		if !ok {

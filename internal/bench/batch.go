@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
 	"text/tabwriter"
 	"time"
 
@@ -12,20 +10,14 @@ import (
 	"fasttrack/trace"
 )
 
-// BatchSchema versions the BENCH_batch.json artifact. v2 dropped the
-// per-row mode and shards fields along with the sharded sweep.
-const BatchSchema = "fasttrack/bench-batch/v2"
-
 // BatchReport is the machine-readable batched-ingestion artifact: the
 // throughput of Monitor.IngestBatch across batch sizes against the
 // per-event Monitor.Ingest baseline on the same event stream. One
 // producer feeds the monitor, so the table isolates the per-event
 // lock/dispatch toll that batching amortizes.
 type BatchReport struct {
-	Schema string     `json:"schema"`
-	CPUs   int        `json:"cpus"`
+	Header
 	Events int        `json:"events"`
-	Runs   int        `json:"runs"`
 	Rows   []BatchRow `json:"rows"`
 }
 
@@ -86,12 +78,7 @@ func Batch(cfg Config, batchSizes []int, totalEvents int) BatchReport {
 		}
 	}
 	events := batchWorkload(totalEvents)
-	rep := BatchReport{
-		Schema: BatchSchema,
-		CPUs:   runtime.GOMAXPROCS(0),
-		Events: len(events),
-		Runs:   cfg.runs(),
-	}
+	rep := BatchReport{Header: newHeader("batch", cfg), Events: len(events)}
 	var baseline float64
 	for _, batch := range append([]int{0}, batchSizes...) {
 		best := time.Duration(0)
@@ -117,11 +104,25 @@ func Batch(cfg Config, batchSizes []int, totalEvents int) BatchReport {
 	return rep
 }
 
-// WriteBatchJSON writes the artifact as indented JSON.
-func WriteBatchJSON(w io.Writer, rep BatchReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
+// Check gates the artifact: every default batch size present with
+// positive timings, and batch 64 (the service's typical frame) at least
+// as fast as per-event Ingest, which is the point of the batch path.
+// One producer feeds the monitor, so the gate holds on any core count.
+func (rep BatchReport) Check() error {
+	var g gates
+	g.header(rep.Header, "batch")
+	g.need(rep.Events > 0, "no events")
+	rows := map[int]BatchRow{}
+	for _, r := range rep.Rows {
+		rows[r.Batch] = r
+		g.need(r.ElapsedNs > 0 && r.EventsPerSec > 0, "batch %d: non-positive timing %+v", r.Batch, r)
+	}
+	for _, b := range []int{0, 1, 8, 64, 512, 4096} {
+		_, ok := rows[b]
+		g.need(ok, "no batch-%d row", b)
+	}
+	g.need(rows[64].Speedup >= 1.0, "batch 64 speedup %.2fx, want >= 1.0x", rows[64].Speedup)
+	return g.err()
 }
 
 // FprintBatch renders the batched-ingestion throughput table.

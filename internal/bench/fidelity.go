@@ -1,19 +1,15 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
+	"math"
 	"text/tabwriter"
 	"time"
 
 	"fasttrack/internal/core"
 	"fasttrack/trace"
 )
-
-// FidelitySchema versions the BENCH_fidelity.json artifact.
-const FidelitySchema = "fasttrack/bench-fidelity/v1"
 
 // FidelityReport is the machine-readable sampling-tier artifact: the
 // per-event throughput of the FastTrack detector across sampling rates
@@ -23,12 +19,10 @@ const FidelitySchema = "fasttrack/bench-fidelity/v1"
 // it is what keeps "degrade under pressure" a real throughput lever
 // rather than an aspiration.
 type FidelityReport struct {
-	Schema  string        `json:"schema"`
-	CPUs    int           `json:"cpus"`
+	Header
 	Threads int           `json:"threads"`
 	Vars    int           `json:"vars"`
 	Events  int           `json:"events"`
-	Runs    int           `json:"runs"`
 	Rows    []FidelityRow `json:"rows"`
 }
 
@@ -113,12 +107,10 @@ func Fidelity(cfg Config, rates []float64, threads, totalEvents int) FidelityRep
 	const vars = 8192
 	events := fidelityWorkload(threads, vars, totalEvents)
 	rep := FidelityReport{
-		Schema:  FidelitySchema,
-		CPUs:    runtime.GOMAXPROCS(0),
+		Header:  newHeader("fidelity", cfg),
 		Threads: threads,
 		Vars:    vars,
 		Events:  len(events),
-		Runs:    cfg.runs(),
 	}
 	var baseline float64
 	for _, rate := range rates {
@@ -152,11 +144,28 @@ func Fidelity(cfg Config, rates []float64, threads, totalEvents int) FidelityRep
 	return rep
 }
 
-// WriteFidelityJSON writes the artifact as indented JSON.
-func WriteFidelityJSON(w io.Writer, rep FidelityReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
+// Check gates the artifact: every default rate present with positive
+// timings, each row's detection probability within 0.05 of its rate,
+// and sampled(0.1) at least 5x full-fidelity throughput, so the sampled
+// rung keeps paying for itself. The gate is single-session, so it holds
+// on any core count.
+func (rep FidelityReport) Check() error {
+	var g gates
+	g.header(rep.Header, "fidelity")
+	g.need(rep.Events > 0, "no events")
+	rows := map[float64]FidelityRow{}
+	for _, r := range rep.Rows {
+		rows[r.Rate] = r
+		g.need(r.ElapsedNs > 0 && r.EventsPerSec > 0, "rate %g: non-positive timing %+v", r.Rate, r)
+		g.need(math.Abs(r.DetectionProbability-r.Rate) < 0.05,
+			"rate %g: detection probability %.3f, want within 0.05 of the rate", r.Rate, r.DetectionProbability)
+	}
+	for _, rate := range []float64{1, 0.5, 0.25, 0.1, 0.01, 0} {
+		_, ok := rows[rate]
+		g.need(ok, "no rate-%g row", rate)
+	}
+	g.need(rows[0.1].Speedup >= 5.0, "sampled(0.1) speedup %.2fx, want >= 5x", rows[0.1].Speedup)
+	return g.err()
 }
 
 // FprintFidelity renders the sampling-rate throughput table.

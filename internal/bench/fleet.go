@@ -2,12 +2,10 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
 	"net"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -18,9 +16,6 @@ import (
 	"fasttrack/internal/fleet"
 	"fasttrack/internal/svc"
 )
-
-// FleetSchema versions the BENCH_fleet.json artifact.
-const FleetSchema = "fasttrack/bench-fleet/v1"
 
 // FleetReport is the machine-readable fleet-routing artifact: the
 // session-completion throughput of a fixed client population against
@@ -37,14 +32,12 @@ const FleetSchema = "fasttrack/bench-fleet/v1"
 // routing layer actually reaches. This stays meaningful on a 1-CPU
 // host, where raw analysis throughput could never scale with nodes.
 type FleetReport struct {
-	Schema       string     `json:"schema"`
-	CPUs         int        `json:"cpus"`
+	Header
 	Workers      int        `json:"workers"`
 	SlotsPerNode int        `json:"slotsPerNode"`
 	HoldMs       float64    `json:"sessionHoldMs"`
 	Events       int        `json:"eventsPerSession"`
 	Sessions     int        `json:"sessionsPerRow"`
-	Runs         int        `json:"runs"`
 	Rows         []FleetRow `json:"rows"`
 }
 
@@ -207,14 +200,12 @@ func Fleet(cfg Config, sessions int) (FleetReport, error) {
 		}
 	}
 	rep := FleetReport{
-		Schema:       FleetSchema,
-		CPUs:         runtime.GOMAXPROCS(0),
+		Header:       newHeader("fleet", cfg),
 		Workers:      workers,
 		SlotsPerNode: slots,
 		HoldMs:       float64(hold) / float64(time.Millisecond),
 		Events:       perEvents,
 		Sessions:     sessions,
-		Runs:         cfg.runs(),
 	}
 	var base float64
 	for _, n := range []int{1, 2, 4} {
@@ -241,11 +232,28 @@ func Fleet(cfg Config, sessions int) (FleetReport, error) {
 	return rep, nil
 }
 
-// WriteFleetJSON writes the artifact as indented JSON.
-func WriteFleetJSON(w io.Writer, rep FleetReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
+// Check gates the artifact: exactly the 1-, 2- and 4-node rows, every
+// session completed on as many nodes as the row has, and scale-out of
+// at least 1.8x at 2 nodes and 2.5x at 4. The table is slot-bound, not
+// CPU-bound, so the gate holds on any core count.
+func (rep FleetReport) Check() error {
+	var g gates
+	g.header(rep.Header, "fleet")
+	g.need(rep.SlotsPerNode > 0, "slotsPerNode %d, want > 0", rep.SlotsPerNode)
+	rows := map[int]FleetRow{}
+	for _, r := range rep.Rows {
+		rows[r.Nodes] = r
+		g.need(r.Failed == 0, "%d nodes: %d failed sessions, want 0", r.Nodes, r.Failed)
+		g.need(r.Completed == rep.Sessions, "%d nodes: %d sessions completed, want %d", r.Nodes, r.Completed, rep.Sessions)
+		g.need(len(r.PerNode) == r.Nodes, "%d nodes: sessions landed on %d", r.Nodes, len(r.PerNode))
+	}
+	_, n1 := rows[1]
+	_, n2 := rows[2]
+	_, n4 := rows[4]
+	g.need(len(rows) == 3 && n1 && n2 && n4, "rows for %d node counts, want exactly 1, 2 and 4", len(rows))
+	g.need(rows[2].Speedup >= 1.8, "2-node speedup %.2fx, want >= 1.8x", rows[2].Speedup)
+	g.need(rows[4].Speedup >= 2.5, "4-node speedup %.2fx, want >= 2.5x", rows[4].Speedup)
+	return g.err()
 }
 
 // FprintFleet renders the fleet-routing throughput table.

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -9,20 +8,15 @@ import (
 	"fasttrack/internal/sim"
 )
 
-// OpsSchema versions the BENCH_ops.json artifact. Fields are only ever
-// added within a schema version.
-const OpsSchema = "fasttrack/bench-ops/v1"
-
 // OpsReport is the machine-readable per-detector cost/operation-mix
 // artifact: for every simulated workload and every tool, the analysis
 // cost per event and the share of accesses handled by constant-time
 // instrumentation paths. It is the benchmark-side counterpart of
 // `racedetect -stats` and is written by `racebench -table ops -out`.
 type OpsReport struct {
-	Schema     string     `json:"schema"`
-	Scale      float64    `json:"scale"`
-	Runs       int        `json:"runs"`
-	Benchmarks []OpsBench `json:"benchmarks"`
+	Header
+	Scale float64    `json:"scale"`
+	Rows  []OpsBench `json:"rows"`
 }
 
 // OpsBench is one workload's measurements across the tool set.
@@ -117,7 +111,7 @@ func Ops(cfg Config, tools []string, benchs []sim.Benchmark) OpsReport {
 	if benchs == nil {
 		benchs = sim.Benchmarks()
 	}
-	rep := OpsReport{Schema: OpsSchema, Scale: cfg.Scale, Runs: cfg.runs()}
+	rep := OpsReport{Header: newHeader("ops", cfg), Scale: cfg.Scale}
 	for _, b := range benchs {
 		tr := b.Trace(cfg.Scale)
 		base := BaseTime(tr, cfg.runs())
@@ -126,16 +120,35 @@ func Ops(cfg Config, tools []string, benchs []sim.Benchmark) OpsReport {
 			m := MeasureTool(tr, maker(name, b.Threads), cfg, base)
 			ob.Tools = append(ob.Tools, opsCell(name, len(tr), m))
 		}
-		rep.Benchmarks = append(rep.Benchmarks, ob)
+		rep.Rows = append(rep.Rows, ob)
 	}
 	return rep
 }
 
-// WriteOpsJSON writes the artifact as indented JSON.
-func WriteOpsJSON(w io.Writer, rep OpsReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
+// Check gates the artifact: the full Table 1 workload set, and on every
+// workload a positive FastTrack cost with more than half (and at most
+// all) of its accesses on constant-time paths.
+func (rep OpsReport) Check() error {
+	var g gates
+	g.header(rep.Header, "ops")
+	g.need(len(rep.Rows) >= 16, "%d benchmarks, want >= 16", len(rep.Rows))
+	for _, b := range rep.Rows {
+		g.need(b.Events > 0, "%s: no events", b.Bench)
+		var ft *OpsTool
+		for i := range b.Tools {
+			if b.Tools[i].Tool == "FastTrack" {
+				ft = &b.Tools[i]
+			}
+		}
+		if ft == nil {
+			g.need(false, "%s: no FastTrack cell", b.Bench)
+			continue
+		}
+		g.need(ft.NsPerEvent > 0, "%s: FastTrack nsPerEvent %.2f, want > 0", b.Bench, ft.NsPerEvent)
+		g.need(ft.FastPathPct != nil && *ft.FastPathPct > 50 && *ft.FastPathPct <= 100,
+			"%s: FastTrack fastPathPct %s, want in (50, 100]", b.Bench, fmtPct(ft.FastPathPct))
+	}
+	return g.err()
 }
 
 // FprintOps renders the artifact as a human-readable table: one row per
@@ -144,7 +157,7 @@ func FprintOps(w io.Writer, rep OpsReport) {
 	fmt.Fprintf(w, "Per-detector analysis cost and operation mix (scale %g, best of %d)\n\n", rep.Scale, rep.Runs)
 	fmt.Fprintf(w, "%-12s %8s  %-16s %10s %8s %9s %9s\n",
 		"bench", "events", "tool", "ns/event", "slowdn", "fast%", "sameEp%")
-	for _, b := range rep.Benchmarks {
+	for _, b := range rep.Rows {
 		for i, c := range b.Tools {
 			name, events := "", ""
 			if i == 0 {

@@ -1,19 +1,14 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
 	"text/tabwriter"
 	"time"
 
 	"fasttrack/internal/core"
 	"fasttrack/trace"
 )
-
-// ProvenanceSchema versions the BENCH_provenance.json artifact.
-const ProvenanceSchema = "fasttrack/bench-provenance/v1"
 
 // ProvenanceReport is the machine-readable flight-recorder artifact:
 // FastTrack's per-event throughput with provenance recording off and on,
@@ -22,10 +17,8 @@ const ProvenanceSchema = "fasttrack/bench-provenance/v1"
 // table). The CI gate on Overhead is what keeps "explainable races" an
 // always-affordable opt-in rather than a debugging-build luxury.
 type ProvenanceReport struct {
-	Schema string          `json:"schema"`
-	CPUs   int             `json:"cpus"`
-	Runs   int             `json:"runs"`
-	Rows   []ProvenanceRow `json:"rows"`
+	Header
+	Rows []ProvenanceRow `json:"rows"`
 }
 
 // ProvenanceRow compares one workload's throughput with the recorder off
@@ -104,11 +97,7 @@ func Provenance(cfg Config, totalEvents int) ProvenanceReport {
 			totalEvents = 50_000
 		}
 	}
-	rep := ProvenanceReport{
-		Schema: ProvenanceSchema,
-		CPUs:   runtime.GOMAXPROCS(0),
-		Runs:   cfg.runs(),
-	}
+	rep := ProvenanceReport{Header: newHeader("provenance", cfg)}
 	for _, w := range provenanceWorkloads(totalEvents) {
 		var base, prov time.Duration
 		// Alternate the two modes within each repetition so cache and
@@ -134,11 +123,24 @@ func Provenance(cfg Config, totalEvents int) ProvenanceReport {
 	return rep
 }
 
-// WriteProvenanceJSON writes the artifact as indented JSON.
-func WriteProvenanceJSON(w io.Writer, rep ProvenanceReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
+// Check gates the artifact: all three mixes present with positive
+// timings and an overhead of at most 2.0x on each. The budget is 1.5x;
+// the gate allows 2.0x to absorb shared-runner noise, which still
+// catches the accidental-copy regressions the table guards against.
+func (rep ProvenanceReport) Check() error {
+	var g gates
+	g.header(rep.Header, "provenance")
+	seen := map[string]bool{}
+	for _, r := range rep.Rows {
+		seen[r.Workload] = true
+		g.need(r.Events > 0 && r.BaseNs > 0 && r.ProvNs > 0 && r.Overhead > 0,
+			"%s: non-positive measurement %+v", r.Workload, r)
+		g.need(r.Overhead <= 2.0, "%s: overhead %.2fx, want <= 2.0x", r.Workload, r.Overhead)
+	}
+	for _, w := range []string{"epoch-heavy", "sync-heavy", "shared-heavy"} {
+		g.need(seen[w], "no %s row", w)
+	}
+	return g.err()
 }
 
 // FprintProvenance renders the recorder-overhead table.

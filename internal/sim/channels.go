@@ -2,32 +2,15 @@ package sim
 
 import "fasttrack/trace"
 
-// ChanEncoding selects how a channel workload's operations appear in
-// the generated trace.
-type ChanEncoding int
-
-const (
-	// ChanNative emits first-class chsend/chrecv/chclose events, the
-	// capacity-aware happens-before of DESIGN.md §14.
-	ChanNative ChanEncoding = iota
-	// ChanVolatile emits the legacy encoding that predates the channel
-	// kinds: each channel is a single volatile, a send is a volatile
-	// write (release) and a receive a volatile read (acquire). Every
-	// receive is thereby ordered after every preceding send regardless
-	// of capacity — the over-ordering that suppresses buffered-slack
-	// races — and no receive ever orders a later send, so the back
-	// edges a full buffer creates are lost entirely.
-	ChanVolatile
-)
-
-// ChanProfile describes a channel-heavy workload: Pairs independent
-// producer/consumer goroutine pairs, each mixing the three channel
-// idioms the detector's rules exist for. Per pair and iteration:
+// ChanProfile describes a channel-heavy workload on first-class
+// chsend/chrecv events, the capacity-aware happens-before of DESIGN.md
+// §14: Pairs independent producer/consumer goroutine pairs, each mixing
+// the three channel idioms the detector's rules exist for. Per pair and
+// iteration:
 //
 //   - Handoffs ping-pong rounds through two unbuffered channels (data
 //     forward, ack back): the producer writes a shared cell, sends,
-//     and waits for the ack before reusing the cell. Race-free under
-//     both encodings.
+//     and waits for the ack before reusing the cell. Race-free.
 //   - RingOps items through a classic bounded buffer: a data channel
 //     of capacity RingCap plus a free-token channel of the same
 //     capacity, RingCap shared slots reused in rotation. Slot reuse
@@ -38,9 +21,7 @@ const (
 //     buffer never fills, so neither send waits), and the consumer
 //     reads the cell after receiving only the first item. Only the
 //     first send happens before that receive, so the write and the
-//     read race. ChanNative reports each; ChanVolatile orders the
-//     write's trailing send before the receive and suppresses them
-//     all — the precision gap racebench -table chan measures.
+//     read race, and the detector reports each.
 type ChanProfile struct {
 	Name       string
 	Pairs      int
@@ -50,8 +31,7 @@ type ChanProfile struct {
 	SlackRaces int
 }
 
-// KnownRaces returns the number of real races seeded in the profile
-// (what ChanNative reports; ChanVolatile reports none of them).
+// KnownRaces returns the number of real races seeded in the profile.
 func (p ChanProfile) KnownRaces() int {
 	return p.Pairs * p.SlackRaces
 }
@@ -60,7 +40,7 @@ func (p ChanProfile) KnownRaces() int {
 func (p ChanProfile) Threads() int { return 1 + 2*p.Pairs }
 
 // ChanMix is the default channel-heavy profile (tracegen -workload
-// chan; racebench -table chan scales its repetition counts).
+// chan).
 func ChanMix() ChanProfile {
 	return ChanProfile{
 		Name:       "chan",
@@ -75,11 +55,9 @@ func ChanMix() ChanProfile {
 // Generate expands the profile into a feasible trace. scale multiplies
 // the repetition counts (Handoffs, RingOps), not the pair or race
 // counts, so scale=2 roughly doubles the event count with the same
-// shape. The trace is deterministic (the interleaving is the fixed
-// lockstep schedule that keeps every channel operation feasible), and
-// identical between encodings except for the channel events
-// themselves, so a timing comparison measures only the encoding.
-func (p ChanProfile) Generate(scale float64, enc ChanEncoding) trace.Trace {
+// shape. The trace is deterministic: the interleaving is the fixed
+// lockstep schedule that keeps every channel operation feasible.
+func (p ChanProfile) Generate(scale float64) trace.Trace {
 	if scale <= 0 {
 		scale = 1
 	}
@@ -97,22 +75,14 @@ func (p ChanProfile) Generate(scale float64, enc ChanEncoding) trace.Trace {
 	var tr trace.Trace
 	emit := func(e trace.Event) { tr = append(tr, e) }
 
-	// Channel ids: 4 per pair (data, ack, ring data, ring tokens, slack
-	// shares the 5th). Ids live in the channel namespace for ChanNative
-	// and the volatile namespace for ChanVolatile; either way they only
-	// need to be distinct among themselves.
+	// Channel ids: 5 per pair (data, ack, ring data, ring tokens,
+	// slack), distinct among themselves in the channel namespace.
 	const chansPerPair = 5
 	chanID := func(pair, which int) uint64 { return uint64(pair*chansPerPair + which) }
 	send := func(t int32, pair, which int, capacity int32) trace.Event {
-		if enc == ChanVolatile {
-			return trace.VWr(t, chanID(pair, which))
-		}
 		return trace.ChSend(t, chanID(pair, which), capacity)
 	}
 	recv := func(t int32, pair, which int, capacity int32) trace.Event {
-		if enc == ChanVolatile {
-			return trace.VRd(t, chanID(pair, which))
-		}
 		return trace.ChRecv(t, chanID(pair, which), capacity)
 	}
 

@@ -45,7 +45,7 @@ func TestStatsWhileMonitorWedged(t *testing.T) {
 		}
 	}
 	vs := srv.lookup(sess.ID())
-	waitUntil(t, "worker to wedge inside the monitor", func() bool { return vs.working.Load() })
+	waitUntil(t, "worker to wedge inside the monitor", func() bool { return vs.busySince.Load() != 0 })
 
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()

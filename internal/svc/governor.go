@@ -25,7 +25,7 @@ import (
 // later upgrade resumes sound analysis immediately.
 //
 // The governor goroutine ticks on every live session and consumes ONLY
-// lock-free signals: the worker's progress counter, the queue depth,
+// lock-free signals: the worker's busy stamp, the queue depth,
 // and the shadow-byte / health snapshot the worker refreshes at frame
 // boundaries on request. It never takes a session's monitor lock, and
 // rate changes are applied by the session worker itself between
@@ -131,22 +131,17 @@ func (s *Server) governorTick() {
 // session's own goroutines. soft reports whether the admission soft
 // limit is currently engaged.
 func (s *Server) governSession(sess *session, soft bool) {
-	// Watchdog: a worker that is busy on an item yet has completed
-	// nothing since the last tick is wedged (a poisoned detector
-	// spinning, a hostile payload, a deadlocked tool). Quarantine after
-	// StuckTimeout's worth of ticks: sever the connection and release
-	// the worker's drain obligations, but kill no neighbor.
-	progress := sess.progress.Load()
-	if sess.working.Load() && progress == sess.gov.lastProgress {
-		sess.gov.stuckTicks++
-		if s.stuckTicksN > 0 && sess.gov.stuckTicks >= s.stuckTicksN {
-			s.quarantine(sess, fmt.Sprintf("no worker progress in %v with input pending", s.cfg.StuckTimeout))
-			return
-		}
-	} else {
-		sess.gov.stuckTicks = 0
+	// Watchdog: a worker that has sat on one item for StuckTimeout is
+	// wedged (a poisoned detector spinning, a hostile payload, a
+	// deadlocked tool). Quarantine it: sever the connection and release
+	// the worker's drain obligations, but kill no neighbor. The age is
+	// measured, not counted in ticks, so a worker that a starved CPU
+	// merely preempted mid-item across ticks is never taken for wedged.
+	if start := sess.busySince.Load(); start != 0 && s.cfg.StuckTimeout > 0 &&
+		time.Duration(s.now()-start) >= s.cfg.StuckTimeout {
+		s.quarantine(sess, fmt.Sprintf("no worker progress in %v with input pending", s.cfg.StuckTimeout))
+		return
 	}
-	sess.gov.lastProgress = progress
 
 	if !sess.adaptive {
 		return

@@ -316,6 +316,21 @@ func TestAdmissionControl(t *testing.T) {
 	}
 }
 
+// fakeClock is the watchdog's injectable clock: it stands still until
+// the test advances it, so a worker's age is exactly what the test says
+// however loaded the host is.
+type fakeClock struct{ ns atomic.Int64 }
+
+// withFakeClock installs a fake clock on srv; call it before serve.
+func withFakeClock(srv *Server) *fakeClock {
+	c := &fakeClock{}
+	c.ns.Store(1) // 0 is the idle stamp
+	srv.now = c.ns.Load
+	return c
+}
+
+func (c *fakeClock) advance(d time.Duration) { c.ns.Add(int64(d)) }
+
 // TestWatchdogQuarantine wedges one session's analysis forever: the
 // watchdog must quarantine exactly that session — severing its
 // connection, keeping its monitor untouched, and keeping every HTTP
@@ -324,8 +339,8 @@ func TestAdmissionControl(t *testing.T) {
 func TestWatchdogQuarantine(t *testing.T) {
 	wedged := make(chan struct{})
 	// Released only after the server has fully drained (cleanup order:
-	// this runs after startServer's Shutdown), proving drain never waits
-	// for a quarantined worker.
+	// this runs after serve's Shutdown), proving drain never waits for a
+	// quarantined worker.
 	t.Cleanup(func() { close(wedged) })
 
 	flowing := make(chan struct{})
@@ -333,20 +348,17 @@ func TestWatchdogQuarantine(t *testing.T) {
 	var monitors atomic.Int32
 	cfg := Config{
 		GovernorInterval: -1,
-		StuckTimeout:     250 * time.Millisecond, // one manual tick of patience
-		NewMonitor: func(client.Handshake) (*fasttrack.Monitor, string, error) {
-			inner, err := fasttrack.NewTool("FastTrack", fasttrack.Hints{})
-			if err != nil {
-				return nil, "", err
-			}
-			gate := flowing
+		StuckTimeout:     time.Minute, // of fake-clock time
+		NewMonitor: func(h client.Handshake) (*fasttrack.Monitor, string, error) {
 			if monitors.Add(1) == 1 {
-				gate = wedged // first session blocks forever
+				return gatedMonitor(wedged)(h) // first session blocks forever
 			}
-			return fasttrack.NewMonitor(fasttrack.WithTool(&gatedTool{Tool: inner, gate: gate})), "FastTrack", nil
+			return gatedMonitor(flowing)(h)
 		},
 	}
-	srv, addr := startServer(t, cfg)
+	srv := New(cfg)
+	clock := withFakeClock(srv)
+	addr := serve(t, srv)
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
 
@@ -360,7 +372,12 @@ func TestWatchdogQuarantine(t *testing.T) {
 		}
 	}
 	vs := srv.lookup(victim.ID())
-	waitUntil(t, "victim worker to wedge", func() bool { return vs.working.Load() })
+	waitUntil(t, "victim worker to wedge", func() bool { return vs.busySince.Load() != 0 })
+
+	// The victim has now been busy for StuckTimeout. Every item the
+	// neighbor ever starts is stamped after this, so no tick below can
+	// find it that old.
+	clock.advance(cfg.StuckTimeout)
 
 	neighbor, err := client.Dial(addr, client.WithBatchSize(16))
 	if err != nil {
@@ -401,9 +418,11 @@ func TestWatchdogQuarantine(t *testing.T) {
 	if !sameRaces(res.Races, want) {
 		t.Errorf("neighbor races diverged after quarantine: got %v want %v", res.Races, want)
 	}
-	// More ticks must not quarantine the healthy idle neighbor.
-	srv.governorTick()
-	srv.governorTick()
+	// More ticks must not quarantine the healthy neighbor, idle or
+	// still finishing its last item.
+	for i := 0; i < 10; i++ {
+		srv.governorTick()
+	}
 	if got := srv.lookup(neighbor.ID()).stateName(); got != "streaming" {
 		t.Errorf("neighbor state %q after extra ticks, want streaming", got)
 	}
@@ -425,6 +444,53 @@ func TestWatchdogQuarantine(t *testing.T) {
 	// The victim's client fails closed.
 	if err := victim.Flush(); err == nil {
 		t.Error("Flush on quarantined session succeeded")
+	}
+}
+
+// TestWatchdogSparesYoungBusyWorker pins that the watchdog acts on
+// elapsed time, not on ticks: a worker busy on one item for less than
+// StuckTimeout survives any number of ticks, however many land while
+// it works, and is quarantined on the first tick once it reaches the
+// timeout.
+func TestWatchdogSparesYoungBusyWorker(t *testing.T) {
+	gate := make(chan struct{})
+	t.Cleanup(func() { close(gate) }) // after the drain, as above
+	cfg := Config{
+		GovernorInterval: -1,
+		StuckTimeout:     30 * time.Second, // of fake-clock time
+		NewMonitor:       gatedMonitor(gate),
+	}
+	srv := New(cfg)
+	clock := withFakeClock(srv)
+	addr := serve(t, srv)
+
+	sess, err := client.Dial(addr, client.WithBatchSize(8), client.WithReadTimeout(2*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 16; i++ {
+		if err := sess.Write(trace.Wr(0, uint64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	vs := srv.lookup(sess.ID())
+	waitUntil(t, "worker to start its wedged item", func() bool { return vs.busySince.Load() != 0 })
+
+	// Far more ticks than StuckTimeout holds at the default interval,
+	// spread over just under StuckTimeout of clock.
+	const ticks = 1000
+	for i := 0; i < ticks; i++ {
+		clock.advance((cfg.StuckTimeout - time.Nanosecond) / ticks)
+		srv.governorTick()
+		if got := vs.stateName(); got != "streaming" {
+			t.Fatalf("tick %d: busy worker younger than StuckTimeout is %s, want streaming", i+1, got)
+		}
+	}
+
+	clock.advance(cfg.StuckTimeout)
+	srv.governorTick()
+	if got := vs.stateName(); got != "quarantined" {
+		t.Fatalf("worker busy past StuckTimeout is %s, want quarantined", got)
 	}
 }
 
@@ -592,11 +658,13 @@ func TestFaultConnStallEvicted(t *testing.T) {
 	}
 	sess.Flush() // outcome irrelevant; the reply may be lost to the eviction
 
+	// The worker counts the eviction before it finalizes the session,
+	// so wait for the state and then check the counter.
 	waitUntil(t, "stalled session to be evicted", func() bool {
-		return srv.Registry().Snapshot().Counter("svc.sessionsEvicted") == 1
+		return srv.lookup(id).stateName() == "evicted"
 	})
-	if got := srv.lookup(id).stateName(); got != "evicted" {
-		t.Errorf("stalled session state %q, want evicted", got)
+	if n := srv.Registry().Snapshot().Counter("svc.sessionsEvicted"); n != 1 {
+		t.Errorf("svc.sessionsEvicted = %d, want 1", n)
 	}
 }
 

@@ -298,8 +298,16 @@ type Server struct {
 	govStop     chan struct{}
 	govStopOnce sync.Once
 	govOnce     sync.Once
-	stuckTicksN int // governor ticks of zero progress before quarantine
+	now         func() int64 // the watchdog's clock: monotonic ns, never 0; tests inject a fake
 }
+
+// clockBase anchors monotonicNow. time.Since reads the monotonic clock,
+// so the watchdog's ages ignore wall-clock steps.
+var clockBase = time.Now()
+
+// monotonicNow returns monotonic nanoseconds offset to never be 0, the
+// busy stamp's idle value.
+func monotonicNow() int64 { return int64(time.Since(clockBase)) + 1 }
 
 // New returns a Server with the given configuration.
 func New(cfg Config) *Server {
@@ -311,6 +319,7 @@ func New(cfg Config) *Server {
 		sessions: map[string]*session{},
 		epochs:   map[string]int64{},
 		govStop:  make(chan struct{}),
+		now:      monotonicNow,
 		sm: serverMetrics{
 			sessionsActive:  reg.Gauge("svc.sessionsActive"),
 			sessionsTotal:   reg.Counter("svc.sessionsTotal"),
@@ -341,19 +350,6 @@ func New(cfg Config) *Server {
 			decode:   reg.Histogram("svc.stage.decode.ns"),
 			detect:   reg.Histogram("svc.stage.detect.ns"),
 			callback: reg.Histogram("svc.stage.callback.ns"),
-		}
-	}
-	// The watchdog's patience in ticks. With a manually ticked governor
-	// (GovernorInterval < 0, tests) the default interval still scales the
-	// timeout into a tick count.
-	if cfg.StuckTimeout > 0 {
-		interval := cfg.GovernorInterval
-		if interval <= 0 {
-			interval = 250 * time.Millisecond
-		}
-		s.stuckTicksN = int(cfg.StuckTimeout / interval)
-		if s.stuckTicksN < 1 {
-			s.stuckTicksN = 1
 		}
 	}
 	return s
@@ -650,8 +646,10 @@ func (s *Server) finalized(sess *session) {
 		s.finished = s.finished[1:]
 	}
 	s.mu.Unlock()
-	s.sm.sessionsActive.Add(-1)
+	// Metrics first: whoever sees the active gauge drop must no longer
+	// see the session's own metrics.
 	s.reg.DeleteByPrefix("svc.session." + sess.id + ".")
+	s.sm.sessionsActive.Add(-1)
 	if dir := s.cfg.ReportDir; dir != "" {
 		if err := sess.writeReport(dir); err != nil {
 			s.cfg.Logf("svc: session %s report: %v", sess.id, err)

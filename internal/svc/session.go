@@ -110,8 +110,7 @@ type session struct {
 	statsReq     atomic.Bool
 	shadowBytes  atomic.Int64
 	toolDisabled atomic.Bool
-	working      atomic.Bool  // worker is between dequeue and completion of an item
-	progress     atomic.Int64 // items the worker has fully processed
+	busySince    atomic.Int64 // srv.now() when the worker dequeued its current item; 0 while idle
 	raceN        atomic.Int64 // last race count successfully read off the monitor
 	fidGauge     *obs.Gauge
 
@@ -120,8 +119,6 @@ type session struct {
 
 	// gov is governor-tick-local state; only governor ticks touch it.
 	gov struct {
-		lastProgress          int64
-		stuckTicks            int
 		overTicks, clearTicks int
 		cooldown              int
 		ceiling               int32
@@ -268,7 +265,7 @@ func (sess *session) workerLoop() {
 		failureCause error
 	)
 	for it := range sess.queue {
-		sess.working.Store(true)
+		sess.busySince.Store(sess.srv.now())
 		sess.queueD.Set(int64(len(sess.queue)))
 		if it.terminal {
 			terminalErr = it.err
@@ -282,8 +279,7 @@ func (sess *session) workerLoop() {
 			sawClose = true
 			sess.conn.Close()
 		}
-		sess.progress.Add(1)
-		sess.working.Store(false)
+		sess.busySince.Store(0)
 	}
 
 	switch {

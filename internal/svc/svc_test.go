@@ -29,6 +29,13 @@ import (
 func startServer(t *testing.T, cfg Config) (*Server, string) {
 	t.Helper()
 	srv := New(cfg)
+	return srv, serve(t, srv)
+}
+
+// serve is startServer for a server the test has adjusted after New
+// (a fake watchdog clock, say): it serves srv and returns its address.
+func serve(t *testing.T, srv *Server) string {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +52,7 @@ func startServer(t *testing.T, cfg Config) (*Server, string) {
 			t.Errorf("Serve: %v", err)
 		}
 	})
-	return srv, ln.Addr().String()
+	return ln.Addr().String()
 }
 
 // serialRaces is the ground truth: the race set of the in-process
@@ -282,15 +289,21 @@ func (g *gatedTool) HandleEvent(i int, e trace.Event) {
 func gatedServer(t *testing.T, cfg Config) (*Server, string, chan struct{}) {
 	t.Helper()
 	gate := make(chan struct{})
-	cfg.NewMonitor = func(client.Handshake) (*fasttrack.Monitor, string, error) {
+	cfg.NewMonitor = gatedMonitor(gate)
+	srv, addr := startServer(t, cfg)
+	return srv, addr, gate
+}
+
+// gatedMonitor is a Config.NewMonitor hook whose FastTrack tools block
+// on gate.
+func gatedMonitor(gate chan struct{}) func(client.Handshake) (*fasttrack.Monitor, string, error) {
+	return func(client.Handshake) (*fasttrack.Monitor, string, error) {
 		inner, err := fasttrack.NewTool("FastTrack", fasttrack.Hints{})
 		if err != nil {
 			return nil, "", err
 		}
 		return fasttrack.NewMonitor(fasttrack.WithTool(&gatedTool{Tool: inner, gate: gate})), "FastTrack", nil
 	}
-	srv, addr := startServer(t, cfg)
-	return srv, addr, gate
 }
 
 // TestBackpressure stalls the analysis and keeps streaming: the
@@ -449,18 +462,20 @@ func TestIdleEviction(t *testing.T) {
 	if err := sess.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	id := sess.ID()
+	ss := srv.lookup(sess.ID())
 
-	deadline := time.Now().Add(10 * time.Second)
-	for srv.Registry().Snapshot().Counter("svc.sessionsEvicted") == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("session was never evicted")
-		}
-		time.Sleep(20 * time.Millisecond)
+	// The worker counts the eviction, then finalizes: state, monitor
+	// close, doneCh. Wait for the last of those.
+	select {
+	case <-ss.doneCh:
+	case <-time.After(10 * time.Second):
+		t.Fatal("session was never evicted")
 	}
-	ss := srv.lookup(id)
-	if ss == nil {
-		t.Fatal("evicted session not retained")
+	if n := srv.Registry().Snapshot().Counter("svc.sessionsEvicted"); n != 1 {
+		t.Errorf("svc.sessionsEvicted = %d, want 1", n)
+	}
+	if srv.lookup(sess.ID()) != ss {
+		t.Error("evicted session not retained")
 	}
 	if got := ss.stateName(); got != "evicted" {
 		t.Errorf("state = %q, want evicted", got)
@@ -785,8 +800,12 @@ func TestHTTPEndpoints(t *testing.T) {
 	if err := sess.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// After Close the finalized session stays queryable with its final
-	// state, and its per-session metrics are deleted.
+	// A session finalizes after its CloseOK reply is sent. Once it has,
+	// it stays queryable with its final state, and its per-session
+	// metrics are deleted.
+	waitUntil(t, "session to finalize", func() bool {
+		return srv.Registry().Snapshot().Gauge("svc.sessionsActive") == 0
+	})
 	if code := get("/sessions", &infos); code != http.StatusOK || len(infos) != 1 {
 		t.Fatalf("/sessions after close: %d, %+v", code, infos)
 	}
