@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -10,20 +12,22 @@ import (
 	"slices"
 	"strings"
 
+	"fasttrack"
 	"fasttrack/instrument"
 )
 
 // runFrontend implements `racedetect run <pkg-dir>` and `racedetect
 // test <pkg-dir>`: instrument the package's source with the
-// fasttrack/instrument rewriter, build and execute it (capturing the
-// event stream to a binary trace file via the runtime shim's trace
-// sink), then analyze that trace by re-invoking this binary — so the
-// run/test modes produce byte-identical reports to `racedetect
-// <trace>` on the same stream, locally and with -server. Arguments after
-// "--" go to the program (run) or to go test (test), and standard input
-// is passed through. It returns the process exit status instead of
-// exiting, so the deferred removal of the instrumented work directory
-// runs on every path.
+// fasttrack/instrument rewriter, build and execute it, and analyze its
+// event stream with FastTrack while it runs. The runtime shim writes
+// the binary trace to a pipe the target inherits as file descriptor 3;
+// this process decodes it with the -stream analysis, or forwards it to
+// a daemon with -server, so the reports match `racedetect <trace>` on
+// the same stream (-o keeps a copy). Arguments after "--" go to the
+// program (run) or to go test (test), and standard input is passed
+// through. It returns the process exit status instead of exiting, so
+// the deferred removal of the instrumented work directory runs on
+// every path.
 func runFrontend(mode string, args []string) int {
 	var targetArgs []string
 	if i := slices.Index(args, "--"); i >= 0 {
@@ -33,19 +37,19 @@ func runFrontend(mode string, args []string) int {
 	fs.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: racedetect %s [flags] [package-dir] [-- args...]\n\n"+
 			"Instruments the Go package in package-dir (default .), %s it, and\n"+
-			"analyzes the recorded execution for data races. The package must be\n"+
-			"self-contained and import only the standard library. Arguments after\n"+
-			"-- are passed to %s; standard input is passed through.\n\n", mode, map[string]string{
+			"analyzes its execution for data races with FastTrack while it runs.\n"+
+			"The package must be self-contained and import only the standard\n"+
+			"library. Arguments after -- are passed to %s; standard input is\n"+
+			"passed through.\n\n", mode, map[string]string{
 			"run": "runs", "test": "tests"}[mode], map[string]string{
 			"run": "the program", "test": "go test"}[mode])
 		fs.PrintDefaults()
 	}
-	toolName := fs.String("tool", "FastTrack", "detector to analyze the recorded trace with")
 	serverAddr := fs.String("server", "", "analyze on a racedetectd daemon at this address instead of locally")
 	jsonOut := fs.Bool("json", false, "write a machine-readable run report to stdout")
 	jsonFile := fs.String("json.file", "", "write the run report to this file instead of stdout")
 	stats := fs.Bool("stats", false, "print instrumentation statistics with the analysis")
-	traceOut := fs.String("o", "", "also save the captured trace to this path")
+	traceOut := fs.String("o", "", "also save the event stream as a binary trace at this path")
 	keep := fs.Bool("keep", false, "keep (and print) the instrumented module directory")
 	moduleDir := fs.String("module", "", "fasttrack module root for the generated replace directive (default: the module of the current directory)")
 	fs.Parse(args)
@@ -93,17 +97,13 @@ func runFrontend(mode string, args []string) int {
 		return reportErr(fmt.Errorf("racedetect run: %s is package %s, not a main package (use racedetect test)", pkgDir, res.Package))
 	}
 
-	tracePath := filepath.Join(workDir, "ft.trace")
-	runEnv := append(os.Environ(),
-		"GOFLAGS=-mod=mod", "GOWORK=off",
-		"FASTTRACK_MODE=trace", "FASTTRACK_TRACE="+tracePath)
-
+	goEnv := append(os.Environ(), "GOFLAGS=-mod=mod", "GOWORK=off")
 	var target *exec.Cmd
 	if mode == "run" {
 		bin := filepath.Join(workDir, "ft.bin")
 		build := exec.Command("go", "build", "-o", bin, ".")
 		build.Dir = workDir
-		build.Env = runEnv
+		build.Env = goEnv
 		if out, err := build.CombinedOutput(); err != nil {
 			return reportErr(fmt.Errorf("building instrumented package:\n%s%w", out, err))
 		}
@@ -111,53 +111,92 @@ func runFrontend(mode string, args []string) int {
 	} else {
 		target = exec.Command("go", append([]string{"test", "-count=1", "."}, targetArgs...)...)
 	}
-	targetExit, err := runTarget(target, workDir, runEnv)
+
+	var saved *os.File
+	if *traceOut != "" {
+		if saved, err = os.Create(*traceOut); err != nil {
+			return reportErr(err)
+		}
+		defer saved.Close()
+	}
+	pr, pw, err := os.Pipe()
 	if err != nil {
 		return reportErr(err)
 	}
-	if _, err := os.Stat(tracePath); err != nil {
-		return reportErr(fmt.Errorf("the instrumented target produced no trace (it exited %d before the shim ran)", targetExit))
-	}
-	if *traceOut != "" {
-		if err := copyFile(tracePath, *traceOut); err != nil {
-			return reportErr(err)
-		}
+	defer pr.Close()
+	var in io.Reader = pr
+	if saved != nil {
+		in = io.TeeReader(pr, saved)
 	}
 
-	// Analyze by re-invoking racedetect on the captured trace: same
-	// reporting machinery, same JSON, locally or against the daemon.
-	analyzeArgs := []string{"-tool", *toolName}
-	if *serverAddr != "" {
-		analyzeArgs = append(analyzeArgs, "-server", *serverAddr)
+	// The target inherits the pipe's write end as descriptor 3 (also
+	// through go test, which passes it on to the test binary), and the
+	// shim opens it by name. Once the target holds it, this process
+	// drops its own copy, so the stream ends when the target exits.
+	target.Dir = workDir
+	target.Env = append(goEnv, "FASTTRACK_MODE=trace", "FASTTRACK_TRACE=/dev/fd/3")
+	target.Stdin, target.Stdout, target.Stderr = os.Stdin, os.Stdout, os.Stderr
+	target.ExtraFiles = []*os.File{pw}
+	err = target.Start()
+	pw.Close()
+	if err != nil {
+		return reportErr(err)
 	}
-	if *jsonOut {
-		analyzeArgs = append(analyzeArgs, "-json")
+
+	br := bufio.NewReader(in)
+	_, peekErr := br.Peek(1)
+	var exit int
+	if peekErr == nil {
+		exit = analyzeStream(br, *traceOut, *serverAddr, *stats, *jsonOut, *jsonFile)
 	}
-	if *jsonFile != "" {
-		analyzeArgs = append(analyzeArgs, "-json.file", *jsonFile)
+	// Drain what the analysis left unread: the shim writes under its
+	// stream mutex, so a stalled reader would hang the target.
+	if _, err := io.Copy(io.Discard, br); err != nil {
+		io.Copy(io.Discard, pr)
 	}
-	if *stats {
-		analyzeArgs = append(analyzeArgs, "-stats")
-	}
-	analyzeArgs = append(analyzeArgs, tracePath)
-	analyze := exec.Command(os.Args[0], analyzeArgs...)
-	analyze.Stdout = os.Stdout
-	analyze.Stderr = os.Stderr
-	analyzeExit := 0
-	if err := analyze.Run(); err != nil {
-		if ee, ok := err.(*exec.ExitError); ok {
-			analyzeExit = ee.ExitCode()
-		} else {
+	targetExit := 0
+	if err := target.Wait(); err != nil {
+		ee, ok := err.(*exec.ExitError)
+		if !ok {
 			return reportErr(err)
 		}
+		targetExit = ee.ExitCode()
+	}
+	if saved != nil {
+		if err := saved.Close(); err != nil {
+			return reportErr(err)
+		}
+	}
+	if peekErr == io.EOF {
+		if saved != nil {
+			os.Remove(*traceOut)
+		}
+		return reportErr(fmt.Errorf("the instrumented target produced no trace (it exited %d before the shim ran)", targetExit))
+	}
+	if peekErr != nil {
+		return reportErr(peekErr)
 	}
 	if targetExit != 0 {
 		fmt.Fprintf(os.Stderr, "racedetect %s: target exited with status %d\n", mode, targetExit)
-		if analyzeExit == 0 {
-			analyzeExit = targetExit
+		if exit == 0 {
+			exit = targetExit
 		}
 	}
-	return analyzeExit
+	return exit
+}
+
+// analyzeStream runs FastTrack over the target's event stream as it
+// arrives: in-process through the -stream path, or on the daemon at
+// serverAddr through the -server path. name is the saved trace's path
+// ("" when none), for the JSON report.
+func analyzeStream(in io.Reader, name, serverAddr string, stats, jsonOut bool, jsonFile string) int {
+	if serverAddr != "" {
+		return runRemote(in, name, serverAddr, "", "FastTrack", "fine", "off", "", true, false, false, jsonOut, jsonFile)
+	}
+	jsonWanted := jsonOut || jsonFile != ""
+	rep := &runReport{Schema: runReportSchema, Trace: name, Stream: true}
+	return runStream(in, "FastTrack", fasttrack.Fine, fasttrack.PolicyOff, 0, true, stats,
+		jsonWanted, false, jsonFile, nil, rep, humanOutput(jsonWanted, jsonFile))
 }
 
 // reportErr prints err and returns the error exit status, for paths
@@ -166,24 +205,6 @@ func runFrontend(mode string, args []string) int {
 func reportErr(err error) int {
 	fmt.Fprintln(os.Stderr, "racedetect:", err)
 	return 2
-}
-
-// runTarget executes the instrumented target with its input and output
-// passed through, returning its exit status; err is set only when the target
-// could not be run at all.
-func runTarget(cmd *exec.Cmd, dir string, env []string) (int, error) {
-	cmd.Dir = dir
-	cmd.Env = env
-	cmd.Stdin = os.Stdin
-	cmd.Stdout = os.Stdout
-	cmd.Stderr = os.Stderr
-	if err := cmd.Run(); err != nil {
-		if ee, ok := err.(*exec.ExitError); ok {
-			return ee.ExitCode(), nil
-		}
-		return 0, err
-	}
-	return 0, nil
 }
 
 var moduleLineRE = regexp.MustCompile(`(?m)^module\s+fasttrack\s*$`)
@@ -207,12 +228,4 @@ func findFasttrackModule() (string, error) {
 		return "", fmt.Errorf("%s is not the fasttrack module", gomod)
 	}
 	return filepath.Dir(gomod), nil
-}
-
-func copyFile(src, dst string) error {
-	data, err := os.ReadFile(src)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(dst, data, 0o644)
 }

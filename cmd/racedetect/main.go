@@ -67,8 +67,8 @@ import (
 
 func main() {
 	// Subcommand dispatch must precede flag.Parse: `racedetect run` and
-	// `racedetect test` instrument and execute a real Go package, then
-	// feed the captured trace back through the flag-based analysis path.
+	// `racedetect test` instrument and execute a real Go package and
+	// analyze its event stream as it runs, with their own flags.
 	if len(os.Args) > 1 && (os.Args[1] == "run" || os.Args[1] == "test") {
 		os.Exit(runFrontend(os.Args[1], os.Args[2:]))
 	}
@@ -158,7 +158,11 @@ func main() {
 		if *all || *stream || *explain {
 			fatal(fmt.Errorf("-server streams a single tool's batch run; drop -all/-stream/-explain"))
 		}
-		os.Exit(runRemote(flag.Arg(0), *serverAddr, *servers, *toolName, *gran, *policyName, *fidelity, *validate, *provenance, *traceWire, *jsonOut, *jsonFile))
+		in, err := openInput(flag.Arg(0))
+		if err != nil {
+			fatal(err)
+		}
+		os.Exit(runRemote(in, flag.Arg(0), *serverAddr, *servers, *toolName, *gran, *policyName, *fidelity, *validate, *provenance, *traceWire, *jsonOut, *jsonFile))
 	}
 
 	ms, err := startMetrics(*metricsAddr)
@@ -167,12 +171,7 @@ func main() {
 	}
 
 	jsonWanted := *jsonOut || *jsonFile != ""
-	// With the report on stdout, the human-readable output moves to
-	// stderr so stdout stays pure JSON.
-	var humanOut io.Writer = os.Stdout
-	if jsonWanted && *jsonFile == "" {
-		humanOut = os.Stderr
-	}
+	humanOut := humanOutput(jsonWanted, *jsonFile)
 	rep := &runReport{Schema: runReportSchema, Trace: flag.Arg(0), Stream: *stream}
 
 	if sampleRate > 0 && *all {
@@ -183,9 +182,11 @@ func main() {
 		if *all {
 			fatal(fmt.Errorf("-stream runs a single tool; drop -all"))
 		}
-		exit := runStream(flag.Arg(0), *toolName, g, policy, sampleRate, *validate, *stats, jsonWanted, *provenance, *jsonFile, ms, rep, humanOut)
-		finishJSON(jsonWanted, rep, *jsonFile)
-		os.Exit(exit)
+		in, err := openInput(flag.Arg(0))
+		if err != nil {
+			fatal(err)
+		}
+		os.Exit(runStream(in, *toolName, g, policy, sampleRate, *validate, *stats, jsonWanted, *provenance, *jsonFile, ms, rep, humanOut))
 	}
 
 	tr, err := readTrace(flag.Arg(0))
@@ -214,8 +215,7 @@ func main() {
 			fatal(fmt.Errorf("-batch is incompatible with -membudget"))
 		}
 		exit := runMonitor(tr, *toolName, g, *batch, sampleRate, *stats, jsonWanted, *provenance, ms, rep, humanOut)
-		finishJSON(jsonWanted, rep, *jsonFile)
-		os.Exit(exit)
+		os.Exit(finishJSON(jsonWanted, rep, *jsonFile, exit))
 	}
 
 	names := []string{*toolName}
@@ -236,7 +236,9 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		applySampleRate(tool, sampleRate)
+		if err := applySampleRate(tool, sampleRate); err != nil {
+			fatal(err)
+		}
 
 		reg := obs.NewRegistry()
 		ms.attach(reg)
@@ -269,36 +271,36 @@ func main() {
 			rep.Tools = append(rep.Tools, toolReport{
 				Tool:    tool.Name(),
 				Events:  d.Fed,
-				Races:   raceReportsDetailed(races, tr, details),
+				Races:   raceReportsDetailed(races, g == fasttrack.Fine, details),
 				Stats:   st,
 				Health:  healthJSON(health),
 				Metrics: reg.Snapshot(),
 			})
 		}
 		if health.Err != nil {
-			finishJSON(jsonWanted, rep, *jsonFile)
+			finishJSON(jsonWanted, rep, *jsonFile, 2)
 			fatal(fmt.Errorf("strict validation: %w", health.Err))
 		}
 		if len(races) > 0 {
 			exit = 1
 		}
 	}
-	finishJSON(jsonWanted, rep, *jsonFile)
-	os.Exit(exit)
+	os.Exit(finishJSON(jsonWanted, rep, *jsonFile, exit))
 }
 
 // applySampleRate starts a tool's sampling tier at the -fidelity rate
 // (no-op at 0, i.e. full fidelity); a tool that cannot sample is a
 // configuration error, not a silent full-fidelity run.
-func applySampleRate(tool fasttrack.Tool, rate float64) {
+func applySampleRate(tool fasttrack.Tool, rate float64) error {
 	if rate <= 0 {
-		return
+		return nil
 	}
 	s, ok := tool.(fasttrack.Sampled)
 	if !ok {
-		fatal(fmt.Errorf("-fidelity: tool %q does not support sampled analysis", tool.Name()))
+		return fmt.Errorf("-fidelity: tool %q does not support sampled analysis", tool.Name())
 	}
 	s.SetSamplingRate(rate)
+	return nil
 }
 
 // runMonitor replays the trace through the Monitor instead of the raw
@@ -315,7 +317,9 @@ func runMonitor(tr trace.Trace, toolName string, g fasttrack.Granularity, batch 
 	if err != nil {
 		fatal(err)
 	}
-	applySampleRate(tool, sampleRate)
+	if err := applySampleRate(tool, sampleRate); err != nil {
+		fatal(err)
+	}
 	mon := fasttrack.NewMonitor(fasttrack.WithTool(tool), fasttrack.WithGranularity(g))
 	ms.attach(mon.MetricsRegistry())
 	for i := 0; i < len(tr); i += batch {
@@ -338,7 +342,7 @@ func runMonitor(tr trace.Trace, toolName string, g fasttrack.Granularity, batch 
 		rep.Tools = append(rep.Tools, toolReport{
 			Tool:    tool.Name(),
 			Events:  int64(len(tr)),
-			Races:   raceReportsDetailed(races, tr, details),
+			Races:   raceReportsDetailed(races, g == fasttrack.Fine, details),
 			Stats:   st,
 			Health:  healthJSON(health),
 			Metrics: snap,
@@ -350,22 +354,24 @@ func runMonitor(tr trace.Trace, toolName string, g fasttrack.Granularity, batch 
 	return 0
 }
 
-// runStream analyzes the trace incrementally with the full pipeline
-// attached (validation policy, live metrics, progress reporting) and
-// returns the process exit code.
-func runStream(path, toolName string, g fasttrack.Granularity, policy fasttrack.Policy,
+// runStream analyzes the trace read from in incrementally, with the
+// full pipeline attached (validation policy, live metrics, progress
+// reporting), writes the JSON report when asked, and returns the
+// process exit code. racedetect run and test feed it the instrumented
+// target's stream while the target runs.
+func runStream(in io.Reader, toolName string, g fasttrack.Granularity, policy fasttrack.Policy,
 	sampleRate float64, validate, stats, jsonWanted, provenance bool, jsonPath string, ms *metricsServer, rep *runReport, humanOut io.Writer) int {
 
-	tool, err := fasttrack.NewTool(toolName, fasttrack.Hints{Provenance: provenance})
+	// The JSON report names both accesses of each race, which needs
+	// FastTrack's access history, as in the batch and remote paths.
+	hints := fasttrack.Hints{Provenance: provenance, DetailedReports: jsonWanted && toolName == "FastTrack"}
+	tool, err := fasttrack.NewTool(toolName, hints)
 	if err != nil {
-		fatal(err)
+		return reportErr(err)
 	}
-	applySampleRate(tool, sampleRate)
-	r, closeFn, err := openInput(path)
-	if err != nil {
-		fatal(err)
+	if err := applySampleRate(tool, sampleRate); err != nil {
+		return reportErr(err)
 	}
-	defer closeFn()
 
 	reg := obs.NewRegistry()
 	ms.attach(reg)
@@ -381,7 +387,7 @@ func runStream(path, toolName string, g fasttrack.Granularity, policy fasttrack.
 		feas = trace.NewValidator()
 	}
 
-	sc := trace.NewScanner(r)
+	sc := trace.NewScanner(in)
 	prog := newProgress(reg)
 	var feasErr error
 	for sc.Scan() {
@@ -403,10 +409,10 @@ func runStream(path, toolName string, g fasttrack.Granularity, policy fasttrack.
 		// Historical batch-equivalent behavior: feasibility or decode
 		// errors abort before any report is printed.
 		if feasErr != nil {
-			fatal(feasErr)
+			return reportErr(feasErr)
 		}
 		if sc.Err() != nil {
-			fatal(sc.Err())
+			return reportErr(sc.Err())
 		}
 	}
 
@@ -436,25 +442,24 @@ func runStream(path, toolName string, g fasttrack.Granularity, policy fasttrack.
 		rep.Tools = append(rep.Tools, toolReport{
 			Tool:    tool.Name(),
 			Events:  d.Fed,
-			Races:   raceReportsDetailed(races, nil, details),
+			Races:   raceReportsDetailed(races, g == fasttrack.Fine, details),
 			Stats:   st,
 			Health:  healthJSON(health),
 			Metrics: reg.Snapshot(),
 		})
 	}
 
-	if sc.Err() != nil {
-		finishJSON(jsonWanted, rep, jsonPath)
-		fatal(sc.Err())
+	switch {
+	case sc.Err() != nil:
+		finishJSON(jsonWanted, rep, jsonPath, 2)
+		return reportErr(sc.Err())
+	case health.Err != nil:
+		finishJSON(jsonWanted, rep, jsonPath, 2)
+		return reportErr(fmt.Errorf("strict validation: %w", health.Err))
+	case len(races) > 0:
+		return finishJSON(jsonWanted, rep, jsonPath, 1)
 	}
-	if health.Err != nil {
-		finishJSON(jsonWanted, rep, jsonPath)
-		fatal(fmt.Errorf("strict validation: %w", health.Err))
-	}
-	if len(races) > 0 {
-		return 1
-	}
-	return 0
+	return finishJSON(jsonWanted, rep, jsonPath, 0)
 }
 
 // progress emits periodic one-line status reports on stderr during
@@ -508,15 +513,25 @@ func (p *progress) final(events int64, races int, shadowBytes int64) {
 		events, rate, races, shadowBytes)
 }
 
-// finishJSON emits the run report when requested.
-func finishJSON(wanted bool, rep *runReport, path string) {
+// humanOutput is where the human-readable report goes: stdout, or
+// stderr when the JSON report takes stdout, so stdout stays pure JSON.
+func humanOutput(jsonWanted bool, jsonFile string) io.Writer {
+	if jsonWanted && jsonFile == "" {
+		return os.Stderr
+	}
+	return os.Stdout
+}
+
+// finishJSON emits the run report when requested and returns exit, or
+// the error status if the report cannot be written.
+func finishJSON(wanted bool, rep *runReport, path string, exit int) int {
 	if !wanted {
-		return
+		return exit
 	}
 	if err := emitJSON(rep, path); err != nil {
-		fmt.Fprintln(os.Stderr, "racedetect: writing report:", err)
-		os.Exit(2)
+		return reportErr(fmt.Errorf("writing report: %w", err))
 	}
+	return exit
 }
 
 // printHealth renders the pipeline's degradation snapshot.
@@ -653,16 +668,13 @@ func printDetails(w io.Writer, details []fasttrack.DetailedReport) {
 	}
 }
 
-// openInput opens the trace source ("-" = stdin).
-func openInput(path string) (io.Reader, func(), error) {
+// openInput opens the trace source ("-" = stdin). The process exits
+// after the analysis, which closes the file.
+func openInput(path string) (io.Reader, error) {
 	if path == "-" {
-		return os.Stdin, func() {}, nil
+		return os.Stdin, nil
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	return f, func() { f.Close() }, nil
+	return os.Open(path)
 }
 
 func readTrace(path string) (trace.Trace, error) {

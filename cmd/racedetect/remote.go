@@ -6,26 +6,19 @@ import (
 	"os"
 
 	"fasttrack/client"
+	"fasttrack/trace"
 )
 
-// runRemote streams the trace to a racedetectd daemon instead of
-// analyzing it in-process, and renders the session's final report in
-// exactly the local batch format (so local and remote runs diff clean);
-// the transport note goes to stderr. With a non-empty servers spec the
-// session is fleet-routed (client.DialFleet): it lands on the key's
-// owning node, steers around capped/draining/dead nodes, and fails over
-// mid-stream if its node dies. Returns the process exit code.
-func runRemote(path, addr, servers, toolName, gran, policyName, fidelity string, validate, provenance, traceWire, jsonOut bool, jsonFile string) int {
-	tr, err := readTrace(path)
-	if err != nil {
-		fatal(err)
-	}
-	if validate {
-		if err := tr.Validate(); err != nil {
-			fatal(fmt.Errorf("infeasible trace: %w", err))
-		}
-	}
-
+// runRemote streams the trace read from in to a racedetectd daemon
+// instead of analyzing it in-process, event by event as it decodes, and
+// renders the session's final report in exactly the local batch format
+// (so local and remote runs diff clean); the transport note goes to
+// stderr. name is the trace's name in the JSON report. With a non-empty
+// servers spec the session is fleet-routed (client.DialFleet): it lands
+// on the key's owning node, steers around capped/draining/dead nodes,
+// and fails over mid-stream if its node dies. Returns the process exit
+// code.
+func runRemote(in io.Reader, name, addr, servers, toolName, gran, policyName, fidelity string, validate, provenance, traceWire, jsonOut bool, jsonFile string) int {
 	jsonWanted := jsonOut || jsonFile != ""
 
 	opts := []client.Option{
@@ -51,6 +44,7 @@ func runRemote(path, addr, servers, toolName, gran, policyName, fidelity string,
 		opts = append(opts, client.WithTracing())
 	}
 	var sess *client.Session
+	var err error
 	if servers != "" {
 		// Fleet mode: reconnect budget covers mid-stream node failover
 		// (a one-shot CLI run otherwise fails closed on its node dying).
@@ -60,28 +54,21 @@ func runRemote(path, addr, servers, toolName, gran, policyName, fidelity string,
 		sess, err = client.Dial(addr, opts...)
 	}
 	if err != nil {
-		fatal(err)
+		return reportErr(err)
 	}
-	addr = sess.Addr()
-	for _, e := range tr {
-		if err := sess.Write(e); err != nil {
-			fatal(fmt.Errorf("streaming to %s: %w", addr, err))
-		}
+	if err := streamTo(sess, in, validate); err != nil {
+		sess.Close()
+		return reportErr(err)
 	}
 	if err := sess.Close(); err != nil {
-		fatal(fmt.Errorf("closing session: %w", err))
+		return reportErr(fmt.Errorf("closing session: %w", err))
 	}
 	res, err := sess.Results()
 	if err != nil {
-		fatal(err)
+		return reportErr(err)
 	}
 
-	// With the JSON report on stdout, the human-readable output moves to
-	// stderr so stdout stays pure JSON (same convention as local runs).
-	var humanOut io.Writer = os.Stdout
-	if jsonWanted && jsonFile == "" {
-		humanOut = os.Stderr
-	}
+	humanOut := humanOutput(jsonWanted, jsonFile)
 
 	fmt.Fprintf(humanOut, "%s: %d warning(s)\n", res.Tool, len(res.Races))
 	for _, r := range res.Races {
@@ -95,10 +82,10 @@ func runRemote(path, addr, servers, toolName, gran, policyName, fidelity string,
 		fmt.Fprintf(humanOut, "  sampled analysis: detection probability %.3f\n", res.DetectionProbability)
 	}
 	if jsonWanted {
-		rep := &runReport{Schema: runReportSchema, Trace: path, Tools: []toolReport{{
+		rep := &runReport{Schema: runReportSchema, Trace: name, Tools: []toolReport{{
 			Tool:   res.Tool,
 			Events: res.Events,
-			Races:  raceReportsDetailed(res.Races, tr, res.Detailed),
+			Races:  raceReportsDetailed(res.Races, gran == "fine", res.Detailed),
 			Stats:  res.Stats,
 			Health: healthReport{
 				Healthy:              res.Health.Healthy,
@@ -115,7 +102,7 @@ func runRemote(path, addr, servers, toolName, gran, policyName, fidelity string,
 			},
 		}}}
 		if err := emitJSON(rep, jsonFile); err != nil {
-			fatal(err)
+			return reportErr(err)
 		}
 	}
 	where := sess.Addr()
@@ -128,4 +115,26 @@ func runRemote(path, addr, servers, toolName, gran, policyName, fidelity string,
 		return 1
 	}
 	return 0
+}
+
+// streamTo decodes the trace from in and writes it to the session,
+// checking feasibility event by event when validate is set.
+func streamTo(sess *client.Session, in io.Reader, validate bool) error {
+	var feas *trace.Validator
+	if validate {
+		feas = trace.NewValidator()
+	}
+	sc := trace.NewScanner(in)
+	for sc.Scan() {
+		e := sc.Event()
+		if feas != nil {
+			if err := feas.Event(e); err != nil {
+				return fmt.Errorf("infeasible trace: %w", err)
+			}
+		}
+		if err := sess.Write(e); err != nil {
+			return fmt.Errorf("streaming to %s: %w", sess.Addr(), err)
+		}
+	}
+	return sc.Err()
 }

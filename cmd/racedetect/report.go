@@ -44,8 +44,9 @@ type raceReport struct {
 	Index   int    `json:"index"`
 	// PrevIndex is -1 when the tool does not track access history.
 	PrevIndex int `json:"prevIndex"`
-	// Access/PrevAccess render both racing events when the trace is
-	// memory-resident and the indices are known (batch mode).
+	// Access/PrevAccess render both racing events of a read/write race
+	// in trace text form, at fine granularity (PrevAccess needs
+	// PrevIndex).
 	Access     string `json:"access,omitempty"`
 	PrevAccess string `json:"prevAccess,omitempty"`
 	// The remaining fields are the provenance evidence (-provenance
@@ -74,9 +75,11 @@ type healthReport struct {
 	Error                string `json:"error,omitempty"`
 }
 
-// raceReports converts warnings, rendering both access sites from tr
-// when available (tr may be nil in streaming mode).
-func raceReports(races []fasttrack.Report, tr trace.Trace) []raceReport {
+// raceReports converts warnings. At fine granularity a read/write
+// race's variable is the trace's own, so both accesses render from the
+// report alone: a streamed, resident or remote analysis of one trace
+// gives the same strings.
+func raceReports(races []fasttrack.Report, fine bool) []raceReport {
 	out := make([]raceReport, 0, len(races))
 	for _, r := range races {
 		rr := raceReport{
@@ -87,25 +90,41 @@ func raceReports(races []fasttrack.Report, tr trace.Trace) []raceReport {
 			Index:     r.Index,
 			PrevIndex: r.PrevIndex,
 		}
-		if tr != nil {
-			if r.Index >= 0 && r.Index < len(tr) {
-				rr.Access = tr[r.Index].String()
-			}
-			if r.PrevIndex >= 0 && r.PrevIndex < len(tr) {
-				rr.PrevAccess = tr[r.PrevIndex].String()
-			}
+		if fine {
+			rr.Access, rr.PrevAccess = accessStrings(r)
 		}
 		out = append(out, rr)
 	}
 	return out
 }
 
+// accessStrings renders the racing access and, when the tool recorded
+// it, the prior one of a read/write race, as trace events.
+func accessStrings(r fasttrack.Report) (access, prev string) {
+	var cur, before trace.Kind
+	switch r.Kind {
+	case fasttrack.WriteWrite:
+		cur, before = trace.Write, trace.Write
+	case fasttrack.WriteRead:
+		cur, before = trace.Read, trace.Write
+	case fasttrack.ReadWrite:
+		cur, before = trace.Write, trace.Read
+	default:
+		return "", ""
+	}
+	access = trace.Event{Kind: cur, Tid: r.Tid, Target: r.Var}.String()
+	if r.PrevIndex >= 0 {
+		prev = trace.Event{Kind: before, Tid: r.PrevTid, Target: r.Var}.String()
+	}
+	return access, prev
+}
+
 // raceReportsDetailed is raceReports plus the provenance evidence when
 // the flight recorder produced it. DetailedTool guarantees details
 // mirrors races one-to-one; a length mismatch (details nil, or a
 // non-detailed tool) degrades to the plain reports.
-func raceReportsDetailed(races []fasttrack.Report, tr trace.Trace, details []fasttrack.DetailedReport) []raceReport {
-	out := raceReports(races, tr)
+func raceReportsDetailed(races []fasttrack.Report, fine bool, details []fasttrack.DetailedReport) []raceReport {
+	out := raceReports(races, fine)
 	if len(details) != len(out) {
 		return out
 	}

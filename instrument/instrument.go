@@ -35,6 +35,11 @@
 //   - sends inside select are recorded after the operation commits,
 //     so a matching receive can appear first in the stream; the
 //     detector's accumulator fallback keeps that sound;
+//   - sync/atomic is not modeled: atomic operations are plain calls,
+//     so publishing data through an atomic flag (a Store in one
+//     goroutine, a spinning Load in another) creates no
+//     happens-before edge, and the data accesses it orders are
+//     reported as a race (a false positive);
 //   - comments (including //go:* directives) are dropped from the
 //     instrumented copy.
 package instrument

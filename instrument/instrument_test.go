@@ -1,12 +1,14 @@
 package instrument
 
 import (
-	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"fasttrack"
+	"fasttrack/trace"
 )
 
 // racyProgram has one race (the read of y concurrent with the child's
@@ -166,7 +168,8 @@ func TestRewriteSyncCalls(t *testing.T) {
 }
 
 // runInstrumented builds and executes an instrumented module with the
-// in-process monitor sink and returns the parsed report.
+// shim's trace sink, replays the trace through a fasttrack.Monitor and
+// returns the number of races.
 func runInstrumented(t *testing.T, src string) (races int) {
 	t.Helper()
 	if _, err := exec.LookPath("go"); err != nil {
@@ -180,31 +183,32 @@ func runInstrumented(t *testing.T, src string) (races int) {
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	report := filepath.Join(outDir, "report.json")
+	tracePath := filepath.Join(outDir, "prog.trace")
 	run := exec.Command(bin)
-	run.Env = append(os.Environ(), "FASTTRACK_MODE=local", "FASTTRACK_REPORT="+report)
+	run.Env = append(os.Environ(), "FASTTRACK_MODE=trace", "FASTTRACK_TRACE="+tracePath)
 	if out, err := run.CombinedOutput(); err != nil {
 		t.Fatalf("instrumented run: %v\n%s", err, out)
 	}
-	data, err := os.ReadFile(report)
+	f, err := os.Open(tracePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rep struct {
-		Tool   string `json:"tool"`
-		Events int64  `json:"events"`
-		Races  []struct {
-			Var  uint64 `json:"var"`
-			Kind string `json:"kind"`
-		} `json:"races"`
+	defer f.Close()
+	tr, err := trace.ReadBinary(f)
+	if err != nil {
+		t.Fatalf("trace: %v", err)
 	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("report: %v\n%s", err, data)
+	if len(tr) == 0 {
+		t.Fatal("the instrumented run recorded zero events")
 	}
-	if rep.Events == 0 {
-		t.Fatalf("report claims zero events:\n%s", data)
+	m := fasttrack.NewMonitor()
+	if _, err := m.IngestBatch(tr); err != nil {
+		t.Fatalf("replay: %v", err)
 	}
-	return len(rep.Races)
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return len(m.Races())
 }
 
 func TestInstrumentedRacyProgram(t *testing.T) {

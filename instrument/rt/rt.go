@@ -25,13 +25,11 @@
 //     dense per-namespace ids under the one mutex that serializes the
 //     stream, at the moment their event enters it, so ids are assigned
 //     in stream order;
-//   - delivery: events go to one of three sinks selected by
-//     FASTTRACK_MODE — "trace" (default; append to the binary trace
-//     file named by FASTTRACK_TRACE for offline analysis — what
-//     racedetect run drives), "local" (in-process fasttrack.Monitor;
-//     report written at exit to FASTTRACK_REPORT or stderr), or
-//     "server" (stream to the racedetectd daemon at FASTTRACK_SERVER
-//     via the client package).
+//   - delivery: events are encoded as a binary trace and written to
+//     FASTTRACK_TRACE, a file or a pipe. racedetect run hands the
+//     program a pipe and analyzes the stream as it arrives; the shim
+//     itself links no detector, so the only repository package it
+//     imports is fasttrack/trace.
 package rt
 
 import (
@@ -136,9 +134,8 @@ func start(s eventSink) {
 }
 
 // Boot initializes the shim and returns the finalizer the instrumented
-// main defers: it flushes every goroutine's buffer, closes the sink,
-// and emits the report (mode-dependent). Boot is also called by the
-// generated TestMain.
+// main defers: it flushes every goroutine's buffer and closes the
+// sink. Boot is also called by the generated TestMain.
 func Boot() func() {
 	initShim()
 	return Shutdown

@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -234,6 +235,35 @@ func TestConcurrentGoroutines(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("thread %d's events differ from the program (%d events, want %d)", tid, len(got), len(want))
+		}
+	}
+}
+
+// TestNewSinkModes: the trace sink is the only one. FASTTRACK_MODE may be
+// unset or "trace"; any other value is an error, and so is a missing
+// FASTTRACK_TRACE.
+func TestNewSinkModes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.trace")
+	for _, c := range []struct {
+		mode, path string
+		ok         bool
+	}{
+		{"", path, true},
+		{"trace", path, true},
+		{"trace", "", false},
+		{"local", path, false},
+		{"server", path, false},
+	} {
+		t.Setenv("FASTTRACK_MODE", c.mode)
+		t.Setenv("FASTTRACK_TRACE", c.path)
+		s, err := newSink()
+		if (err == nil) != c.ok {
+			t.Errorf("FASTTRACK_MODE=%q FASTTRACK_TRACE=%q: err %v, want ok=%v", c.mode, c.path, err, c.ok)
+		}
+		if s != nil {
+			if err := s.finish(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }

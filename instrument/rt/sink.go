@@ -1,12 +1,9 @@
 package rt
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 
-	"fasttrack"
-	"fasttrack/client"
 	"fasttrack/trace"
 )
 
@@ -18,84 +15,29 @@ type eventSink interface {
 	finish() error
 }
 
-// newSink picks the sink from the environment. FASTTRACK_MODE:
-//
-//	trace  (default) — append the binary trace to FASTTRACK_TRACE
-//	local            — analyze in-process with a fasttrack.Monitor
-//	server           — stream to the racedetectd at FASTTRACK_SERVER
+// newSink opens the binary trace named by FASTTRACK_TRACE. The path may
+// be a file or an inherited pipe (racedetect run passes /dev/fd/3 and
+// analyzes the stream while the program runs). FASTTRACK_MODE, when
+// set, must be "trace", the only mode.
 func newSink() (eventSink, error) {
-	mode := os.Getenv("FASTTRACK_MODE")
-	if mode == "" {
-		mode = "trace"
+	if mode := os.Getenv("FASTTRACK_MODE"); mode != "" && mode != "trace" {
+		return nil, fmt.Errorf("unknown FASTTRACK_MODE %q (the shim only writes traces)", mode)
 	}
-	switch mode {
-	case "trace":
-		path := os.Getenv("FASTTRACK_TRACE")
-		if path == "" {
-			return nil, fmt.Errorf("FASTTRACK_MODE=trace needs FASTTRACK_TRACE=<path>")
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return nil, err
-		}
-		return &traceSink{f: f, w: trace.NewWriter(f, trace.Binary)}, nil
-	case "local":
-		m := fasttrack.NewMonitor()
-		return &localSink{m: m}, nil
-	case "server":
-		addr := os.Getenv("FASTTRACK_SERVER")
-		if addr == "" {
-			return nil, fmt.Errorf("FASTTRACK_MODE=server needs FASTTRACK_SERVER=<addr>")
-		}
-		s, err := client.Dial(addr, client.WithTool("FastTrack"))
-		if err != nil {
-			return nil, err
-		}
-		return &serverSink{s: s}, nil
-	default:
-		return nil, fmt.Errorf("unknown FASTTRACK_MODE %q", mode)
+	path := os.Getenv("FASTTRACK_TRACE")
+	if path == "" {
+		return nil, fmt.Errorf("FASTTRACK_MODE=trace needs FASTTRACK_TRACE=<path>")
 	}
-}
-
-// jsonReport is the race list the local and server sinks emit at exit,
-// to FASTTRACK_REPORT (a path) or stderr.
-type jsonReport struct {
-	Tool   string     `json:"tool"`
-	Events int64      `json:"events"`
-	Races  []jsonRace `json:"races"`
-}
-
-type jsonRace struct {
-	Var       uint64 `json:"var"`
-	Kind      string `json:"kind"`
-	Tid       int32  `json:"tid"`
-	PrevTid   int32  `json:"prevTid"`
-	Index     int    `json:"index"`
-	PrevIndex int    `json:"prevIndex"`
-}
-
-func emitReport(tool string, events int64, races []fasttrack.Report) error {
-	rep := jsonReport{Tool: tool, Events: events, Races: []jsonRace{}}
-	for _, r := range races {
-		rep.Races = append(rep.Races, jsonRace{
-			Var: r.Var, Kind: r.Kind.String(), Tid: r.Tid, PrevTid: r.PrevTid,
-			Index: r.Index, PrevIndex: r.PrevIndex,
-		})
-	}
-	out, err := json.MarshalIndent(rep, "", "  ")
+	// Write-only: opening a pipe read-write would make the shim one of
+	// its readers, so a write would block forever, not fail, if the
+	// analyzing process died.
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o666)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	out = append(out, '\n')
-	if path := os.Getenv("FASTTRACK_REPORT"); path != "" {
-		return os.WriteFile(path, out, 0o644)
-	}
-	_, err = os.Stderr.Write(out)
-	return err
+	return &traceSink{f: f, w: trace.NewWriter(f, trace.Binary)}, nil
 }
 
-// traceSink appends the serialized stream to a binary trace file; the
-// analysis happens offline (racedetect <file>, locally or -server).
+// traceSink appends the serialized stream to a binary trace.
 type traceSink struct {
 	f *os.File
 	w *trace.Writer
@@ -115,54 +57,4 @@ func (s *traceSink) finish() error {
 		return err
 	}
 	return s.f.Close()
-}
-
-// localSink feeds an in-process Monitor and reports at exit.
-type localSink struct {
-	m *fasttrack.Monitor
-	n int64
-}
-
-func (s *localSink) events(evs []trace.Event) {
-	s.n += int64(len(evs))
-	if _, err := s.m.IngestBatch(evs); err != nil {
-		fmt.Fprintln(os.Stderr, "fasttrack/rt: monitor:", err)
-		os.Exit(2)
-	}
-}
-
-func (s *localSink) finish() error {
-	if err := s.m.Close(); err != nil {
-		return err
-	}
-	return emitReport("FastTrack", s.n, s.m.Races())
-}
-
-// serverSink streams to racedetectd via the client package and reports
-// the daemon's race list at exit.
-type serverSink struct {
-	s *client.Session
-}
-
-func (s *serverSink) events(evs []trace.Event) {
-	for _, e := range evs {
-		if err := s.s.Write(e); err != nil {
-			fmt.Fprintln(os.Stderr, "fasttrack/rt: server:", err)
-			os.Exit(2)
-		}
-	}
-}
-
-func (s *serverSink) finish() error {
-	if err := s.s.Flush(); err != nil {
-		return err
-	}
-	res, err := s.s.Results()
-	if err != nil {
-		return err
-	}
-	if err := s.s.Close(); err != nil {
-		return err
-	}
-	return emitReport(res.Tool, res.Events, res.Races)
 }

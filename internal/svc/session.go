@@ -296,7 +296,8 @@ func (sess *session) workerLoop() {
 	case terminalErr != nil && !isDisconnect(terminalErr):
 		// The stream itself was bad (CRC mismatch, oversized frame, torn
 		// mid-frame): tell the client before finalizing as failed.
-		sess.fail(fmt.Errorf("%s: %v", client.ErrCodeBadFrame, terminalErr))
+		sess.sendError(fmt.Errorf("%s: %v", client.ErrCodeBadFrame, terminalErr))
+		sess.linger()
 		sess.finalize(stateFailed, terminalErr)
 	default:
 		sess.finalize(stateLost, terminalErr)
@@ -534,12 +535,35 @@ func (sess *session) reply(t trace.FrameType, v any) error {
 // fail sends a best-effort error frame and severs the connection; the
 // worker keeps draining and finalize records the cause.
 func (sess *session) fail(cause error) {
+	sess.sendError(cause)
+	sess.conn.Close()
+}
+
+// sendError counts the failure and sends a best-effort error frame.
+func (sess *session) sendError(cause error) {
 	sess.srv.sm.errorsTotal.Inc()
 	code, msg := client.ErrCodeProtocol, cause.Error()
 	if c, m, ok := cutCode(msg); ok {
 		code, msg = c, m
 	}
 	sess.reply(client.FrameErrorMsg, client.WireError{Code: code, Msg: msg})
+}
+
+// lingerTimeout bounds how long linger drains a failed connection.
+const lingerTimeout = time.Second
+
+// linger closes the connection after an error frame without resetting
+// it. Closing a socket with unread input sends RST, and a client still
+// writing then fails with "broken pipe" or "connection reset" before it
+// reads the error frame. So linger half-closes (FIN follows the error
+// frame) and discards the client's input until the client closes or
+// lingerTimeout passes, then closes. Only for a connection whose reader
+// has exited.
+func (sess *session) linger() {
+	if cw, ok := sess.conn.(interface{ CloseWrite() error }); ok && cw.CloseWrite() == nil {
+		sess.conn.SetReadDeadline(time.Now().Add(lingerTimeout))
+		io.Copy(io.Discard, sess.conn)
+	}
 	sess.conn.Close()
 }
 
