@@ -73,7 +73,8 @@ func assertBatchEquivalent(t *testing.T, label string, tr trace.Trace) {
 // random feasible traces report identical results through IngestBatch
 // and per-event Ingest at every batch size.
 func TestIngestBatchEquivalenceSim(t *testing.T) {
-	for _, b := range sim.Benchmarks()[:4] {
+	tsp, _ := sim.ByName("tsp") // racy: the equivalence covers reported races
+	for _, b := range append(sim.Benchmarks()[:4:4], tsp) {
 		assertBatchEquivalent(t, b.Name, b.Trace(0.05))
 	}
 	cfg := sim.DefaultRandomConfig()

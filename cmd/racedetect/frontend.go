@@ -21,7 +21,7 @@ import (
 // fasttrack/instrument rewriter, build and execute it, and analyze its
 // event stream with FastTrack while it runs. The runtime shim writes
 // the binary trace to a pipe the target inherits as file descriptor 3;
-// this process decodes it with the -stream analysis, or forwards it to
+// this process analyzes it as it arrives (runStream), or forwards it to
 // a daemon with -server, so the reports match `racedetect <trace>` on
 // the same stream (-o keeps a copy). Arguments after "--" go to the
 // program (run) or to go test (test), and standard input is passed
@@ -186,17 +186,15 @@ func runFrontend(mode string, args []string) int {
 }
 
 // analyzeStream runs FastTrack over the target's event stream as it
-// arrives: in-process through the -stream path, or on the daemon at
+// arrives: in-process through runStream, or on the daemon at
 // serverAddr through the -server path. name is the saved trace's path
 // ("" when none), for the JSON report.
 func analyzeStream(in io.Reader, name, serverAddr string, stats, jsonOut bool, jsonFile string) int {
 	if serverAddr != "" {
 		return runRemote(in, name, serverAddr, "", "FastTrack", "fine", "off", "", true, false, false, jsonOut, jsonFile)
 	}
-	jsonWanted := jsonOut || jsonFile != ""
-	rep := &runReport{Schema: runReportSchema, Trace: name, Stream: true}
-	return runStream(in, "FastTrack", fasttrack.Fine, fasttrack.PolicyOff, 0, true, stats,
-		jsonWanted, false, jsonFile, nil, rep, humanOutput(jsonWanted, jsonFile))
+	return runStream(in, name, []string{"FastTrack"}, fasttrack.Fine, fasttrack.PolicyOff, 0, 0, true, stats,
+		false, jsonOut, jsonFile, nil)
 }
 
 // reportErr prints err and returns the error exit status, for paths

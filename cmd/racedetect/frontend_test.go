@@ -12,9 +12,7 @@ import (
 	"testing"
 	"time"
 
-	"fasttrack/internal/sim"
 	"fasttrack/internal/svc"
-	"fasttrack/trace"
 )
 
 // buildRacedetect builds this command into a temporary directory and
@@ -471,55 +469,5 @@ func TestRace(t *testing.T) {
 	}
 	if len(races) != 1 {
 		t.Fatalf("racedetect test found %d races, want 1:\n%s", len(races), out)
-	}
-}
-
-// TestStreamJSONMatchesBatch: -stream -json reports each race exactly as
-// the batch analysis does, prior access and access strings included.
-func TestStreamJSONMatchesBatch(t *testing.T) {
-	bin, base, _ := buildRacedetect(t)
-	b, ok := sim.ByName("hedc")
-	if !ok {
-		t.Fatal("no hedc workload")
-	}
-	path := filepath.Join(base, "hedc.trace")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := trace.WriteBinary(f, b.Trace(0.3)); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	batch, stream := filepath.Join(base, "batch.json"), filepath.Join(base, "stream.json")
-	for _, args := range [][]string{
-		{"-json.file", batch, path},
-		{"-stream", "-json.file", stream, path},
-	} {
-		if code, out := racedetect(t, bin, args...); code != 1 {
-			t.Fatalf("racedetect %v: exit %d, want 1:\n%s", args, code, out)
-		}
-	}
-	want := raceList(t, batch)
-	if got := raceList(t, stream); !bytes.Equal(got, want) {
-		t.Errorf("-stream race list:\n%s\nbatch:\n%s", got, want)
-	}
-	var races []struct {
-		PrevIndex  int    `json:"prevIndex"`
-		Access     string `json:"access"`
-		PrevAccess string `json:"prevAccess"`
-	}
-	if err := json.Unmarshal(want, &races); err != nil {
-		t.Fatal(err)
-	}
-	if len(races) == 0 {
-		t.Fatal("hedc produced no races")
-	}
-	for _, r := range races {
-		if r.PrevIndex < 0 || r.Access == "" || r.PrevAccess == "" {
-			t.Errorf("race %+v lacks its prior access or access strings", r)
-		}
 	}
 }

@@ -1,12 +1,14 @@
 // Command racedetect runs one or more dynamic race detectors over a
 // recorded trace file (text or binary; the format is auto-detected) and
-// prints each tool's warnings and statistics.
+// prints each tool's warnings and statistics. The trace is analyzed in
+// one streaming pass, without loading it into memory; with -all every
+// detector sees each event as it is decoded.
 //
 // Usage:
 //
 //	racedetect [-tool FastTrack] [-all] [-granularity fine|coarse]
 //	           [-validate] [-stats] [-policy off|strict|repair|drop]
-//	           [-membudget bytes] [-batch N] [-json]
+//	           [-membudget bytes] [-json]
 //	           [-fidelity full|sampled(p)|adaptive] [-provenance]
 //	           [-json.file out.json] [-metrics.addr :6060] trace-file
 //	racedetect -chaos [trace-file]
@@ -40,13 +42,14 @@
 //	               human-readable output moves to stderr); -json.file
 //	               writes the report to a file instead
 //	-metrics.addr  serves live metrics (JSON at /metrics) and
-//	               net/http/pprof while the run is in flight
-//	-stream        additionally emits periodic progress lines on stderr
-//	               (events processed, rate, races so far, shadow bytes)
+//	               net/http/pprof while the run is in flight (under
+//	               -all, FastTrack's metrics)
+//
+// A run longer than a second prints progress lines on stderr (events
+// processed, rate, races so far, shadow bytes; FastTrack's under -all).
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -79,10 +82,8 @@ func main() {
 	validate := flag.Bool("validate", true, "check trace feasibility")
 	stats := flag.Bool("stats", false, "print instrumentation statistics and the operation-mix table")
 	explain := flag.Bool("explain", false, "for each FastTrack warning, show both racing accesses and why nothing orders them (implies -tool FastTrack)")
-	stream := flag.Bool("stream", false, "process the trace incrementally without loading it into memory (single tool only)")
 	policyName := flag.String("policy", "off", "stream-validation policy: off, strict, repair, or drop")
 	memBudget := flag.Int64("membudget", 0, "FastTrack shadow-memory budget in bytes (0 = unbounded)")
-	batch := flag.Int("batch", 0, "replay through the Monitor in IngestBatch chunks of this many events (0 = off; single tool, -policy off, no -membudget or -stream)")
 	chaosMode := flag.Bool("chaos", false, "run the fault-injection smoke suite over every detector")
 	jsonOut := flag.Bool("json", false, "write a machine-readable run report to stdout")
 	jsonFile := flag.String("json.file", "", "write the run report to this file instead of stdout")
@@ -155,8 +156,8 @@ func main() {
 		fatal(fmt.Errorf("-trace spans the client/daemon pipeline; add -server"))
 	}
 	if remote {
-		if *all || *stream || *explain {
-			fatal(fmt.Errorf("-server streams a single tool's batch run; drop -all/-stream/-explain"))
+		if *all || *explain {
+			fatal(fmt.Errorf("-server streams a single tool's run; drop -all/-explain"))
 		}
 		in, err := openInput(flag.Arg(0))
 		if err != nil {
@@ -165,127 +166,37 @@ func main() {
 		os.Exit(runRemote(in, flag.Arg(0), *serverAddr, *servers, *toolName, *gran, *policyName, *fidelity, *validate, *provenance, *traceWire, *jsonOut, *jsonFile))
 	}
 
-	ms, err := startMetrics(*metricsAddr)
-	if err != nil {
-		fatal(err)
-	}
-
-	jsonWanted := *jsonOut || *jsonFile != ""
-	humanOut := humanOutput(jsonWanted, *jsonFile)
-	rep := &runReport{Schema: runReportSchema, Trace: flag.Arg(0), Stream: *stream}
-
 	if sampleRate > 0 && *all {
 		fatal(fmt.Errorf("-fidelity samples a single tool's run; drop -all"))
 	}
 
-	if *stream {
-		if *all {
-			fatal(fmt.Errorf("-stream runs a single tool; drop -all"))
-		}
-		in, err := openInput(flag.Arg(0))
+	if *explain {
+		tr, err := readTrace(flag.Arg(0))
 		if err != nil {
 			fatal(err)
 		}
-		os.Exit(runStream(in, *toolName, g, policy, sampleRate, *validate, *stats, jsonWanted, *provenance, *jsonFile, ms, rep, humanOut))
-	}
-
-	tr, err := readTrace(flag.Arg(0))
-	if err != nil {
-		fatal(err)
-	}
-	if *validate {
-		if err := tr.Validate(); err != nil {
-			fatal(fmt.Errorf("infeasible trace: %w", err))
+		if *validate {
+			if err := tr.Validate(); err != nil {
+				fatal(fmt.Errorf("infeasible trace: %w", err))
+			}
 		}
-	}
-
-	if *explain {
 		explainRaces(tr, g)
 		return
 	}
 
-	if *batch > 0 {
-		if *all {
-			fatal(fmt.Errorf("-batch runs a single tool; drop -all"))
-		}
-		if policy != fasttrack.PolicyOff {
-			fatal(fmt.Errorf("-batch is incompatible with -policy %s", *policyName))
-		}
-		if *memBudget != 0 {
-			fatal(fmt.Errorf("-batch is incompatible with -membudget"))
-		}
-		exit := runMonitor(tr, *toolName, g, *batch, sampleRate, *stats, jsonWanted, *provenance, ms, rep, humanOut)
-		os.Exit(finishJSON(jsonWanted, rep, *jsonFile, exit))
+	ms, err := startMetrics(*metricsAddr)
+	if err != nil {
+		fatal(err)
 	}
-
 	names := []string{*toolName}
 	if *all {
 		names = []string{"Eraser", "MultiRace", "Goldilocks", "BasicVC", "DJIT+", "FastTrack"}
 	}
-
-	exit := 0
-	for _, name := range names {
-		hints := fasttrack.Hints{Threads: tr.Threads(), MemoryBudget: *memBudget}
-		// The JSON report renders both access sites of each race, which
-		// needs FastTrack's access-history tracking.
-		if jsonWanted && name == "FastTrack" {
-			hints.DetailedReports = true
-		}
-		hints.Provenance = *provenance
-		tool, err := fasttrack.NewTool(name, hints)
-		if err != nil {
-			fatal(err)
-		}
-		if err := applySampleRate(tool, sampleRate); err != nil {
-			fatal(err)
-		}
-
-		reg := obs.NewRegistry()
-		ms.attach(reg)
-		d := rr.NewDispatcher(tool)
-		d.Granularity = g
-		d.Policy = policy
-		d.Obs = reg
-		d.Feed(tr)
-
-		races := tool.Races()
-		health := d.Health()
-		st := tool.Stats()
-		d.FillStats(&st)
-		rr.PublishStats(reg, "tool", st)
-		reg.Gauge("tool.races").Set(int64(len(races)))
-
-		var details []fasttrack.DetailedReport
-		if *provenance {
-			if dt, ok := tool.(rr.DetailedTool); ok {
-				details = dt.DetailedRaces()
-			}
-		}
-
-		printReport(humanOut, tool, races, st, *stats)
-		printDetails(humanOut, details)
-		if policy != fasttrack.PolicyOff {
-			printHealth(humanOut, health)
-		}
-		if jsonWanted {
-			rep.Tools = append(rep.Tools, toolReport{
-				Tool:    tool.Name(),
-				Events:  d.Fed,
-				Races:   raceReportsDetailed(races, g == fasttrack.Fine, details),
-				Stats:   st,
-				Health:  healthJSON(health),
-				Metrics: reg.Snapshot(),
-			})
-		}
-		if health.Err != nil {
-			finishJSON(jsonWanted, rep, *jsonFile, 2)
-			fatal(fmt.Errorf("strict validation: %w", health.Err))
-		}
-		if len(races) > 0 {
-			exit = 1
-		}
+	in, err := openInput(flag.Arg(0))
+	if err != nil {
+		fatal(err)
 	}
-	os.Exit(finishJSON(jsonWanted, rep, *jsonFile, exit))
+	os.Exit(runStream(in, flag.Arg(0), names, g, policy, sampleRate, *memBudget, *validate, *stats, *provenance, *jsonOut, *jsonFile, ms))
 }
 
 // applySampleRate starts a tool's sampling tier at the -fidelity rate
@@ -303,163 +214,130 @@ func applySampleRate(tool fasttrack.Tool, rate float64) error {
 	return nil
 }
 
-// runMonitor replays the trace through the Monitor instead of the raw
-// dispatcher, in IngestBatch chunks of batch events: the amortized
-// batch ingestion the racedetectd service uses per wire frame.
-func runMonitor(tr trace.Trace, toolName string, g fasttrack.Granularity, batch int,
-	sampleRate float64, stats, jsonWanted, provenance bool, ms *metricsServer, rep *runReport, humanOut io.Writer) int {
+// runStream analyzes the trace read from in in one pass, fanning each
+// event out to one dispatcher per named tool, with the full pipeline
+// attached (validation policy, live metrics, progress reporting). It
+// prints every tool's report in order once the stream ends, writes the
+// JSON report when asked (name is the trace's name there), and returns
+// the process exit code. racedetect run and test feed it the
+// instrumented target's stream while the target runs.
+func runStream(in io.Reader, name string, names []string, g fasttrack.Granularity, policy fasttrack.Policy,
+	sampleRate float64, memBudget int64, validate, stats, provenance, jsonOut bool, jsonFile string, ms *metricsServer) int {
 
-	hints := fasttrack.Hints{Threads: tr.Threads(), Provenance: provenance}
-	if jsonWanted && toolName == "FastTrack" {
-		hints.DetailedReports = true
+	var rep *runReport
+	if jsonOut || jsonFile != "" {
+		rep = &runReport{Schema: runReportSchema, Trace: name, Stream: true}
 	}
-	tool, err := fasttrack.NewTool(toolName, hints)
-	if err != nil {
-		fatal(err)
+	tools := make([]fasttrack.Tool, len(names))
+	ds := make([]*rr.Dispatcher, len(names))
+	for i, toolName := range names {
+		// The JSON report names both accesses of each race, which needs
+		// FastTrack's access history, as in the remote path.
+		hints := fasttrack.Hints{MemoryBudget: memBudget, Provenance: provenance,
+			DetailedReports: rep != nil && toolName == "FastTrack"}
+		tool, err := fasttrack.NewTool(toolName, hints)
+		if err != nil {
+			return reportErr(err)
+		}
+		if err := applySampleRate(tool, sampleRate); err != nil {
+			return reportErr(err)
+		}
+		d := rr.NewDispatcher(tool)
+		d.Granularity = g
+		d.Policy = policy
+		d.Obs = obs.NewRegistry()
+		tools[i], ds[i] = tool, d
 	}
-	if err := applySampleRate(tool, sampleRate); err != nil {
-		fatal(err)
-	}
-	mon := fasttrack.NewMonitor(fasttrack.WithTool(tool), fasttrack.WithGranularity(g))
-	ms.attach(mon.MetricsRegistry())
-	for i := 0; i < len(tr); i += batch {
-		mon.IngestBatch(tr[i:min(i+batch, len(tr))])
-	}
+	// Live metrics and progress follow the last tool: FastTrack under -all.
+	last, lastTool := ds[len(ds)-1], tools[len(tools)-1]
+	ms.attach(last.Obs)
 
-	races := mon.Races()
-	st := mon.Stats()
-	health := mon.Health()
-	snap := mon.Metrics() // also publishes tool.*
-	var details []fasttrack.DetailedReport
-	if provenance {
-		details = mon.DetailedRaces()
-	}
-
-	printReport(humanOut, tool, races, st, stats)
-	printDetails(humanOut, details)
-	fmt.Fprintf(humanOut, "(%d events via serial monitor, batch %d)\n", len(tr), batch)
-	if jsonWanted {
-		rep.Tools = append(rep.Tools, toolReport{
-			Tool:    tool.Name(),
-			Events:  int64(len(tr)),
-			Races:   raceReportsDetailed(races, g == fasttrack.Fine, details),
-			Stats:   st,
-			Health:  healthJSON(health),
-			Metrics: snap,
-		})
-	}
-	if len(races) > 0 {
-		return 1
-	}
-	return 0
-}
-
-// runStream analyzes the trace read from in incrementally, with the
-// full pipeline attached (validation policy, live metrics, progress
-// reporting), writes the JSON report when asked, and returns the
-// process exit code. racedetect run and test feed it the instrumented
-// target's stream while the target runs.
-func runStream(in io.Reader, toolName string, g fasttrack.Granularity, policy fasttrack.Policy,
-	sampleRate float64, validate, stats, jsonWanted, provenance bool, jsonPath string, ms *metricsServer, rep *runReport, humanOut io.Writer) int {
-
-	// The JSON report names both accesses of each race, which needs
-	// FastTrack's access history, as in the batch and remote paths.
-	hints := fasttrack.Hints{Provenance: provenance, DetailedReports: jsonWanted && toolName == "FastTrack"}
-	tool, err := fasttrack.NewTool(toolName, hints)
-	if err != nil {
-		return reportErr(err)
-	}
-	if err := applySampleRate(tool, sampleRate); err != nil {
-		return reportErr(err)
-	}
-
-	reg := obs.NewRegistry()
-	ms.attach(reg)
-	d := rr.NewDispatcher(tool)
-	d.Granularity = g
-	d.Policy = policy
-	d.Obs = reg
-
-	// Feasibility checking (the batch -validate semantics) applies only
-	// under PolicyOff; a validating policy performs its own online checks.
+	// Feasibility checking (-validate) applies only under PolicyOff; a
+	// validating policy performs its own online checks.
 	var feas *trace.Validator
 	if policy == fasttrack.PolicyOff && validate {
 		feas = trace.NewValidator()
 	}
 
 	sc := trace.NewScanner(in)
-	prog := newProgress(reg)
-	var feasErr error
+	prog := newProgress(last.Obs)
 	for sc.Scan() {
 		e := sc.Event()
 		if feas != nil {
 			if err := feas.Event(e); err != nil {
-				feasErr = err
-				break
+				return reportErr(fmt.Errorf("infeasible trace: %w", err))
 			}
 		}
-		d.Event(e)
+		for _, d := range ds {
+			d.Event(e)
+		}
 		// Progress/metrics refresh on a coarse event-count grid so the
 		// hot loop stays cheap between ticks.
-		if d.Fed&8191 == 0 {
-			prog.maybeTick(d.Fed, tool)
+		if last.Fed&8191 == 0 {
+			prog.maybeTick(last.Fed, lastTool)
 		}
 	}
-	if policy == fasttrack.PolicyOff {
-		// Historical batch-equivalent behavior: feasibility or decode
-		// errors abort before any report is printed.
-		if feasErr != nil {
-			return reportErr(feasErr)
+	// Under PolicyOff a decode error aborts before any report is printed.
+	if policy == fasttrack.PolicyOff && sc.Err() != nil {
+		return reportErr(sc.Err())
+	}
+	prog.final(last.Fed, lastTool)
+
+	humanOut := humanOutput(rep != nil, jsonFile)
+	exit := 0
+	var strictErr error
+	for i, tool := range tools {
+		d := ds[i]
+		races := tool.Races()
+		health := d.Health()
+		st := tool.Stats()
+		d.FillStats(&st)
+		rr.PublishStats(d.Obs, "tool", st)
+		d.Obs.Gauge("tool.races").Set(int64(len(races)))
+
+		var details []fasttrack.DetailedReport
+		if provenance {
+			if dt, ok := tool.(rr.DetailedTool); ok {
+				details = dt.DetailedRaces()
+			}
 		}
-		if sc.Err() != nil {
-			return reportErr(sc.Err())
+
+		printReport(humanOut, tool, races, st, stats)
+		printDetails(humanOut, details)
+		if policy != fasttrack.PolicyOff {
+			printHealth(humanOut, health)
+		}
+		if rep != nil {
+			rep.Tools = append(rep.Tools, toolReport{
+				Tool:    tool.Name(),
+				Events:  d.Fed,
+				Races:   raceReportsDetailed(races, g == fasttrack.Fine, details),
+				Stats:   st,
+				Health:  healthReport(client.HealthFrom(health)),
+				Metrics: d.Obs.Snapshot(),
+			})
+		}
+		// Every dispatcher validates the same stream, so a strict
+		// violation stops the report at the first tool.
+		if health.Err != nil {
+			strictErr = fmt.Errorf("strict validation: %w", health.Err)
+			break
+		}
+		if len(races) > 0 {
+			exit = 1
 		}
 	}
-
-	races := tool.Races()
-	health := d.Health()
-	st := tool.Stats()
-	d.FillStats(&st)
-	rr.PublishStats(reg, "tool", st)
-	reg.Gauge("tool.races").Set(int64(len(races)))
-	prog.final(d.Fed, len(races), st.ShadowBytes)
-
-	var details []fasttrack.DetailedReport
-	if provenance {
-		if dt, ok := tool.(rr.DetailedTool); ok {
-			details = dt.DetailedRaces()
-		}
-	}
-
-	printReport(humanOut, tool, races, st, stats)
-	printDetails(humanOut, details)
-	if policy != fasttrack.PolicyOff {
-		printHealth(humanOut, health)
-	}
-	fmt.Fprintf(humanOut, "(%d events, streamed)\n", sc.Index())
-
-	if jsonWanted {
-		rep.Tools = append(rep.Tools, toolReport{
-			Tool:    tool.Name(),
-			Events:  d.Fed,
-			Races:   raceReportsDetailed(races, g == fasttrack.Fine, details),
-			Stats:   st,
-			Health:  healthJSON(health),
-			Metrics: reg.Snapshot(),
-		})
-	}
+	fmt.Fprintf(os.Stderr, "racedetect: %d events analyzed\n", sc.Index())
 
 	switch {
 	case sc.Err() != nil:
-		finishJSON(jsonWanted, rep, jsonPath, 2)
+		finishJSON(rep, jsonFile, 2)
 		return reportErr(sc.Err())
-	case health.Err != nil:
-		finishJSON(jsonWanted, rep, jsonPath, 2)
-		return reportErr(fmt.Errorf("strict validation: %w", health.Err))
-	case len(races) > 0:
-		return finishJSON(jsonWanted, rep, jsonPath, 1)
+	case strictErr != nil:
+		finishJSON(rep, jsonFile, 2)
+		return reportErr(strictErr)
 	}
-	return finishJSON(jsonWanted, rep, jsonPath, 0)
+	return finishJSON(rep, jsonFile, exit)
 }
 
 // progress emits periodic one-line status reports on stderr during
@@ -500,10 +378,11 @@ func (p *progress) maybeTick(events int64, tool fasttrack.Tool) {
 
 // final prints a closing progress line (only if any were printed, so
 // short runs stay quiet) with the whole-run average rate.
-func (p *progress) final(events int64, races int, shadowBytes int64) {
+func (p *progress) final(events int64, tool fasttrack.Tool) {
 	if !p.ticked {
 		return
 	}
+	races, shadowBytes := len(tool.Races()), tool.Stats().ShadowBytes
 	el := time.Since(p.start).Seconds()
 	rate := float64(events)
 	if el > 0 {
@@ -522,10 +401,10 @@ func humanOutput(jsonWanted bool, jsonFile string) io.Writer {
 	return os.Stdout
 }
 
-// finishJSON emits the run report when requested and returns exit, or
-// the error status if the report cannot be written.
-func finishJSON(wanted bool, rep *runReport, path string, exit int) int {
-	if !wanted {
+// finishJSON emits the run report, if any, and returns exit, or the
+// error status if the report cannot be written.
+func finishJSON(rep *runReport, path string, exit int) int {
+	if rep == nil {
 		return exit
 	}
 	if err := emitJSON(rep, path); err != nil {
@@ -677,25 +556,19 @@ func openInput(path string) (io.Reader, error) {
 	return os.Open(path)
 }
 
+// readTrace loads the whole trace, for the modes that need random
+// access to it (-explain, -chaos).
 func readTrace(path string) (trace.Trace, error) {
-	var r io.Reader = os.Stdin
-	if path != "-" {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		r = f
-	}
-	br := bufio.NewReader(r)
-	isBinary, err := trace.Sniff(br)
+	in, err := openInput(path)
 	if err != nil {
 		return nil, err
 	}
-	if isBinary {
-		return trace.ReadBinary(br)
+	var tr trace.Trace
+	sc := trace.NewScanner(in)
+	for sc.Scan() {
+		tr = append(tr, sc.Event())
 	}
-	return trace.ReadText(br)
+	return tr, sc.Err()
 }
 
 func fatal(err error) { os.Exit(reportErr(err)) }

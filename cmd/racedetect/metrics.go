@@ -13,9 +13,9 @@ import (
 
 // metricsServer serves the live metrics registry at /metrics (expvar-
 // style JSON) and the standard net/http/pprof endpoints under
-// /debug/pprof/, for profiling a long analysis run in flight. The
-// registry pointer is swapped atomically as runs start (one registry
-// per tool run), so a scrape always sees the active pipeline.
+// /debug/pprof/, for profiling a long analysis run in flight. Each
+// tool of a run has its own registry; the one served is the last
+// tool's, FastTrack's under -all.
 type metricsServer struct {
 	cur atomic.Pointer[obs.Registry]
 	ln  net.Listener

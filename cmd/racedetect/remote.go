@@ -11,7 +11,7 @@ import (
 
 // runRemote streams the trace read from in to a racedetectd daemon
 // instead of analyzing it in-process, event by event as it decodes, and
-// renders the session's final report in exactly the local batch format
+// renders the session's final report in exactly the local format
 // (so local and remote runs diff clean); the transport note goes to
 // stderr. name is the trace's name in the JSON report. With a non-empty
 // servers spec the session is fleet-routed (client.DialFleet): it lands
@@ -87,19 +87,7 @@ func runRemote(in io.Reader, name, addr, servers, toolName, gran, policyName, fi
 			Events: res.Events,
 			Races:  raceReportsDetailed(res.Races, gran == "fine", res.Detailed),
 			Stats:  res.Stats,
-			Health: healthReport{
-				Healthy:              res.Health.Healthy,
-				ToolDisabled:         res.Health.ToolDisabled,
-				Panics:               res.Health.Panics,
-				QuarantinedLocations: res.Health.QuarantinedLocations,
-				QuarantinedAccesses:  res.Health.QuarantinedAccesses,
-				Violations:           res.Health.Violations,
-				Repaired:             res.Health.Repaired,
-				Dropped:              res.Health.Dropped,
-				Synthesized:          res.Health.Synthesized,
-				UnheldReleases:       res.Health.UnheldReleases,
-				Error:                res.Health.Err,
-			},
+			Health: healthReport(res.Health),
 		}}}
 		if err := emitJSON(rep, jsonFile); err != nil {
 			return reportErr(err)

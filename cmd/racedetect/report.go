@@ -61,6 +61,10 @@ type raceReport struct {
 	Explanation string                 `json:"explanation,omitempty"`
 }
 
+// healthReport is client.Health, the wire form of the pipeline health
+// (the daemon's results carry it; client.HealthFrom renders a local
+// one), under the run report's key for the error: "error", not "err".
+// Both convert with healthReport(h).
 type healthReport struct {
 	Healthy              bool   `json:"healthy"`
 	ToolDisabled         bool   `json:"toolDisabled,omitempty"`
@@ -72,13 +76,13 @@ type healthReport struct {
 	Dropped              int64  `json:"dropped,omitempty"`
 	Synthesized          int64  `json:"synthesized,omitempty"`
 	UnheldReleases       int64  `json:"unheldReleases,omitempty"`
-	Error                string `json:"error,omitempty"`
+	Err                  string `json:"error,omitempty"`
 }
 
 // raceReports converts warnings. At fine granularity a read/write
 // race's variable is the trace's own, so both accesses render from the
-// report alone: a streamed, resident or remote analysis of one trace
-// gives the same strings.
+// report alone: a local or remote analysis of one trace gives the same
+// strings.
 func raceReports(races []fasttrack.Report, fine bool) []raceReport {
 	out := make([]raceReport, 0, len(races))
 	for _, r := range races {
@@ -137,25 +141,6 @@ func raceReportsDetailed(races []fasttrack.Report, fine bool, details []fasttrac
 		out[i].Explanation = d.Explanation
 	}
 	return out
-}
-
-func healthJSON(h fasttrack.Health) healthReport {
-	hr := healthReport{
-		Healthy:              h.Healthy,
-		ToolDisabled:         h.ToolDisabled,
-		Panics:               h.Panics,
-		QuarantinedLocations: h.QuarantinedLocations,
-		QuarantinedAccesses:  h.QuarantinedAccesses,
-		Violations:           h.Violations,
-		Repaired:             h.Repaired,
-		Dropped:              h.Dropped,
-		Synthesized:          h.Synthesized,
-		UnheldReleases:       h.UnheldReleases,
-	}
-	if h.Err != nil {
-		hr.Error = h.Err.Error()
-	}
-	return hr
 }
 
 // emitJSON writes the report to path ("" or "-" = stdout), indented and

@@ -93,10 +93,10 @@ func TestEndToEndPipeline(t *testing.T) {
 		}
 	}
 
-	// Streaming mode agrees.
-	out, code = run(t, "racedetect", "-stream", "-tool", "FastTrack", tracePath)
+	// A single-tool run agrees with -all.
+	out, code = run(t, "racedetect", "-tool", "FastTrack", tracePath)
 	if code != 1 || !strings.Contains(out, "FastTrack: 3 warning(s)") {
-		t.Errorf("streaming run (%d):\n%s", code, out)
+		t.Errorf("single-tool run (%d):\n%s", code, out)
 	}
 
 	// Shrink to a minimal witness.

@@ -77,8 +77,8 @@ type obsMetrics struct {
 
 // dispatcher metric names, all under the rr.* namespace. The canonical
 // live event total is rr.events.fed: it counts every event offered to
-// the pipeline and therefore matches the "(N events, streamed)" line of
-// the final run report.
+// the pipeline and therefore matches racedetect's closing "N events
+// analyzed" note.
 const (
 	metricFed          = "rr.events.fed"
 	metricReads        = "rr.delivered.reads"
