@@ -13,7 +13,6 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -102,15 +101,12 @@ func readTrace(path string) (trace.Trace, error) {
 		return nil, err
 	}
 	defer f.Close()
-	br := bufio.NewReader(f)
-	isBinary, err := trace.Sniff(br)
-	if err != nil {
-		return nil, err
+	var tr trace.Trace
+	sc := trace.NewScanner(f)
+	for sc.Scan() {
+		tr = append(tr, sc.Event())
 	}
-	if isBinary {
-		return trace.ReadBinary(br)
-	}
-	return trace.ReadText(br)
+	return tr, sc.Err()
 }
 
 func fatal(err error) {

@@ -3,15 +3,7 @@ package bench
 import (
 	"time"
 
-	"fasttrack/internal/atomicity"
-	"fasttrack/internal/core"
-	"fasttrack/internal/detectors/basicvc"
-	"fasttrack/internal/detectors/djit"
-	"fasttrack/internal/detectors/empty"
-	"fasttrack/internal/detectors/epochwr"
-	"fasttrack/internal/detectors/eraser"
-	"fasttrack/internal/detectors/goldilocks"
-	"fasttrack/internal/detectors/multirace"
+	"fasttrack"
 	"fasttrack/internal/rr"
 	"fasttrack/internal/sim"
 	"fasttrack/trace"
@@ -20,28 +12,16 @@ import (
 // Table1Tools is the tool order of the paper's Table 1.
 var Table1Tools = []string{"Empty", "Eraser", "MultiRace", "Goldilocks", "BasicVC", "DJIT+", "FastTrack"}
 
-// maker returns a fresh-tool constructor for a canonical tool name,
-// hinted with the benchmark's thread count.
+// maker returns a fresh-tool constructor for a canonical tool name (see
+// fasttrack.ToolNames), hinted with the benchmark's thread count.
 func maker(name string, threads int) func() rr.Tool {
-	switch name {
-	case "Empty":
-		return func() rr.Tool { return empty.New() }
-	case "Eraser":
-		return func() rr.Tool { return eraser.New(threads, 0) }
-	case "MultiRace":
-		return func() rr.Tool { return multirace.New(threads, 0) }
-	case "Goldilocks":
-		return func() rr.Tool { return goldilocks.New(threads, 0) }
-	case "BasicVC":
-		return func() rr.Tool { return basicvc.New(threads, 0) }
-	case "DJIT+":
-		return func() rr.Tool { return djit.New(threads, 0) }
-	case "FastTrack":
-		return func() rr.Tool { return core.New(threads, 0) }
-	case "WriteEpochsOnly":
-		return func() rr.Tool { return epochwr.New(threads, 0) }
+	return func() rr.Tool {
+		tool, err := fasttrack.NewTool(name, fasttrack.Hints{Threads: threads})
+		if err != nil {
+			panic("bench: " + err.Error())
+		}
+		return tool
 	}
-	panic("bench: unknown tool " + name)
 }
 
 // BenchRow is one benchmark's measurements across a set of tools.
@@ -292,30 +272,10 @@ func (c *forwardCounter) HandleEvent(i int, e trace.Event) {
 	c.Tool.HandleEvent(i, e)
 }
 
-func checkerMaker(name string) func() rr.Tool {
-	switch name {
-	case "Atomizer":
-		return func() rr.Tool { return atomicity.NewAtomizer() }
-	case "Velodrome":
-		return func() rr.Tool { return atomicity.NewVelodrome() }
-	case "SingleTrack":
-		return func() rr.Tool { return atomicity.NewSingleTrack() }
-	}
-	panic("bench: unknown checker " + name)
-}
-
-func filterMaker(name string, threads int) func() rr.Prefilter {
-	switch name {
-	case "TL":
-		return func() rr.Prefilter { return empty.NewTL(0) }
-	case "ERASER":
-		return func() rr.Prefilter { return eraser.New(threads, 0) }
-	case "DJIT+":
-		return func() rr.Prefilter { return djit.New(threads, 0) }
-	case "FASTTRACK":
-		return func() rr.Prefilter { return core.New(threads, 0) }
-	}
-	panic("bench: unknown filter " + name)
+// composeFilterTools maps the compose table's prefilter labels to
+// canonical tool names.
+var composeFilterTools = map[string]string{
+	"TL": "TL", "ERASER": "Eraser", "DJIT+": "DJIT+", "FASTTRACK": "FastTrack",
 }
 
 // Compose reproduces the Section 5.2 composition table: the average
@@ -354,11 +314,12 @@ func Compose(cfg Config) []ComposeRow {
 				// count is the count.
 				var back *forwardCounter
 				mk := func() rr.Tool {
-					back = &forwardCounter{Tool: checkerMaker(checker)()}
+					back = &forwardCounter{Tool: maker(checker, w.threads)()}
 					if filter == "NONE" {
 						return back
 					}
-					return &rr.Pipeline{Pre: filterMaker(filter, w.threads)(), Back: back}
+					pre := maker(composeFilterTools[filter], w.threads)().(rr.Prefilter)
+					return &rr.Pipeline{Pre: pre, Back: back}
 				}
 				m := MeasureTool(w.tr, mk, cfg, w.base)
 				slow += m.Slowdown

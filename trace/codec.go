@@ -1,15 +1,13 @@
 package trace
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 )
 
-// This file implements two interchangeable on-disk encodings for traces.
+// This file defines the two on-disk encodings for traces and the
+// whole-trace helpers over them. Both formats have one implementation,
+// in stream.go: Scanner is the only decoder and Writer the only encoder.
 //
 // The text format is line-oriented and human-editable: one event per line,
 // "<kind> <tid> <target>" with sigils on targets (x=variable, m=lock,
@@ -20,7 +18,8 @@ import (
 //	rel 1 m0
 //	barrier b0 0 1
 //
-// Blank lines and lines starting with '#' are ignored.
+// Blank lines and lines starting with '#' are ignored. A line may be at
+// most maxLine bytes long.
 //
 // The binary format is a compact varint stream for large generated traces:
 // the magic "FTRK1\n", then per event: kind byte, tid uvarint, target
@@ -36,10 +35,11 @@ const binaryMagic = "FTRK1\n"
 // Both directions reject out-of-range tids with a positional error.
 const maxWireTid = uint64(1<<31 - 1)
 
-// checkWireTids rejects events whose thread ids or channel capacities
-// cannot round-trip through the codecs: negative tids, fork/join targets
-// or barrier participants outside the int32 range, and chan capacities
-// outside [0, MaxChanCap]. The index i positions the error in the stream.
+// checkWireTids rejects events that cannot round-trip through both
+// formats: negative tids, fork/join targets or barrier participants
+// outside the int32 range, barriers with no participants (the text
+// grammar needs at least one), and chan capacities outside
+// [0, MaxChanCap]. The index i positions the error in the stream.
 func checkWireTids(i int, e Event) error {
 	if e.Kind != BarrierRelease && e.Tid < 0 {
 		return fmt.Errorf("trace: event %d: negative thread id %d", i, e.Tid)
@@ -50,6 +50,9 @@ func checkWireTids(i int, e Event) error {
 			return fmt.Errorf("trace: event %d: thread id %d out of range [0, %d]", i, e.Target, maxWireTid)
 		}
 	case BarrierRelease:
+		if len(e.Tids) == 0 {
+			return fmt.Errorf("trace: event %d: barrier with no participants", i)
+		}
 		for _, t := range e.Tids {
 			if t < 0 {
 				return fmt.Errorf("trace: event %d: negative thread id %d", i, t)
@@ -64,272 +67,46 @@ func checkWireTids(i int, e Event) error {
 }
 
 // WriteText encodes the trace in the text format.
-func WriteText(w io.Writer, tr Trace) error {
-	bw := bufio.NewWriter(w)
-	for i, e := range tr {
-		if err := checkWireTids(i, e); err != nil {
-			return err
-		}
-		if _, err := bw.WriteString(e.String()); err != nil {
-			return err
-		}
-		if err := bw.WriteByte('\n'); err != nil {
+func WriteText(w io.Writer, tr Trace) error { return writeAll(w, tr, Text) }
+
+// WriteBinary encodes the trace in the binary format.
+func WriteBinary(w io.Writer, tr Trace) error { return writeAll(w, tr, Binary) }
+
+// ReadText decodes a text-format trace. Binary input is rejected.
+func ReadText(r io.Reader) (Trace, error) { return readAll(r, Text) }
+
+// ReadBinary decodes a binary-format trace. Input that does not start
+// with the binary magic, empty input included, is rejected.
+func ReadBinary(r io.Reader) (Trace, error) { return readAll(r, Binary) }
+
+func writeAll(w io.Writer, tr Trace, f Format) error {
+	tw := NewWriter(w, f)
+	for _, e := range tr {
+		if err := tw.Write(e); err != nil {
 			return err
 		}
 	}
-	return bw.Flush()
+	return tw.Flush()
 }
 
-// ReadText decodes a text-format trace.
-func ReadText(r io.Reader) (Trace, error) {
+func readAll(r io.Reader, f Format) (Trace, error) {
+	sc := NewScanner(r)
+	if err := sc.start(); err != nil {
+		return nil, err
+	}
+	switch {
+	case sc.format == f:
+	case f == Binary:
+		return nil, fmt.Errorf("trace: missing binary magic %q", binaryMagic)
+	default:
+		return nil, fmt.Errorf("trace: binary input to the text decoder")
+	}
 	var tr Trace
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	lineno := 0
 	for sc.Scan() {
-		lineno++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		e, err := parseLine(line)
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", lineno, err)
-		}
-		tr = append(tr, e)
+		tr = append(tr, sc.Event())
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
 	return tr, nil
-}
-
-func parseLine(line string) (Event, error) {
-	fields := strings.Fields(line)
-	kind, ok := KindFromString(fields[0])
-	if !ok {
-		return Event{}, fmt.Errorf("unknown operation %q", fields[0])
-	}
-	var e Event
-	e.Kind = kind
-
-	parseTarget := func(s, sigil string) (uint64, error) {
-		if !strings.HasPrefix(s, sigil) {
-			return 0, fmt.Errorf("target %q must start with %q", s, sigil)
-		}
-		return strconv.ParseUint(s[len(sigil):], 10, 64)
-	}
-	parseTid := func(s string) (int32, error) {
-		n, err := strconv.ParseInt(s, 10, 32)
-		if err != nil || n < 0 {
-			return 0, fmt.Errorf("bad thread id %q", s)
-		}
-		return int32(n), nil
-	}
-
-	switch kind {
-	case Read, Write, VolatileRead, VolatileWrite, Acquire, Release, Wait, Notify:
-		if len(fields) != 3 {
-			return Event{}, fmt.Errorf("%s needs 2 operands", kind)
-		}
-		tid, err := parseTid(fields[1])
-		if err != nil {
-			return Event{}, err
-		}
-		sigil := "x"
-		switch kind {
-		case VolatileRead, VolatileWrite:
-			sigil = "v"
-		case Acquire, Release, Wait, Notify:
-			sigil = "m"
-		}
-		target, err := parseTarget(fields[2], sigil)
-		if err != nil {
-			return Event{}, err
-		}
-		e.Tid, e.Target = tid, target
-	case Fork, Join:
-		if len(fields) != 3 {
-			return Event{}, fmt.Errorf("%s needs 2 operands", kind)
-		}
-		tid, err := parseTid(fields[1])
-		if err != nil {
-			return Event{}, err
-		}
-		u, err := parseTid(fields[2])
-		if err != nil {
-			return Event{}, err
-		}
-		e.Tid, e.Target = tid, uint64(u)
-	case TxBegin, TxEnd:
-		if len(fields) != 2 {
-			return Event{}, fmt.Errorf("%s needs 1 operand", kind)
-		}
-		tid, err := parseTid(fields[1])
-		if err != nil {
-			return Event{}, err
-		}
-		e.Tid = tid
-	case ChanSend, ChanRecv, ChanClose:
-		if len(fields) != 4 {
-			return Event{}, fmt.Errorf("%s needs 3 operands", kind)
-		}
-		tid, err := parseTid(fields[1])
-		if err != nil {
-			return Event{}, err
-		}
-		target, err := parseTarget(fields[2], "c")
-		if err != nil {
-			return Event{}, err
-		}
-		capv, err := strconv.ParseInt(fields[3], 10, 32)
-		if err != nil || capv < 0 || int32(capv) > MaxChanCap {
-			return Event{}, fmt.Errorf("bad channel capacity %q", fields[3])
-		}
-		e.Tid, e.Target, e.Cap = tid, target, int32(capv)
-	case BarrierRelease:
-		if len(fields) < 3 {
-			return Event{}, fmt.Errorf("barrier needs an id and at least one thread")
-		}
-		target, err := parseTarget(fields[1], "b")
-		if err != nil {
-			return Event{}, err
-		}
-		e.Target = target
-		for _, f := range fields[2:] {
-			t, err := parseTid(f)
-			if err != nil {
-				return Event{}, err
-			}
-			e.Tids = append(e.Tids, t)
-		}
-	default:
-		return Event{}, fmt.Errorf("unhandled operation %q", fields[0])
-	}
-	return e, nil
-}
-
-// WriteBinary encodes the trace in the binary format.
-func WriteBinary(w io.Writer, tr Trace) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
-		return err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	putUvarint := func(x uint64) error {
-		n := binary.PutUvarint(buf[:], x)
-		_, err := bw.Write(buf[:n])
-		return err
-	}
-	for i, e := range tr {
-		if err := checkWireTids(i, e); err != nil {
-			return err
-		}
-		if err := bw.WriteByte(byte(e.Kind)); err != nil {
-			return err
-		}
-		if err := putUvarint(uint64(e.Tid)); err != nil {
-			return err
-		}
-		if err := putUvarint(e.Target); err != nil {
-			return err
-		}
-		if e.Kind == BarrierRelease {
-			if err := putUvarint(uint64(len(e.Tids))); err != nil {
-				return err
-			}
-			for _, t := range e.Tids {
-				if err := putUvarint(uint64(t)); err != nil {
-					return err
-				}
-			}
-		}
-		if e.Kind == ChanSend || e.Kind == ChanRecv || e.Kind == ChanClose {
-			if err := putUvarint(uint64(e.Cap)); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadBinary decodes a binary-format trace.
-func ReadBinary(r io.Reader) (Trace, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(binaryMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("trace: reading magic: %w", err)
-	}
-	if string(magic) != binaryMagic {
-		return nil, fmt.Errorf("trace: bad magic %q", magic)
-	}
-	var tr Trace
-	for {
-		kb, err := br.ReadByte()
-		if err == io.EOF {
-			return tr, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		if Kind(kb) >= numKinds {
-			return nil, fmt.Errorf("trace: event %d: bad kind %d", len(tr), kb)
-		}
-		tid, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: event %d: %w", len(tr), err)
-		}
-		if tid > maxWireTid {
-			return nil, fmt.Errorf("trace: event %d: thread id %d out of range [0, %d]", len(tr), tid, maxWireTid)
-		}
-		target, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: event %d: %w", len(tr), err)
-		}
-		e := Event{Kind: Kind(kb), Tid: int32(tid), Target: target}
-		if (e.Kind == Fork || e.Kind == Join) && target > maxWireTid {
-			return nil, fmt.Errorf("trace: event %d: thread id %d out of range [0, %d]", len(tr), target, maxWireTid)
-		}
-		if e.Kind == BarrierRelease {
-			n, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("trace: event %d: %w", len(tr), err)
-			}
-			if n > 1<<20 {
-				return nil, fmt.Errorf("trace: event %d: absurd barrier size %d", len(tr), n)
-			}
-			e.Tids = make([]int32, n)
-			for i := range e.Tids {
-				t, err := binary.ReadUvarint(br)
-				if err != nil {
-					return nil, fmt.Errorf("trace: event %d: %w", len(tr), err)
-				}
-				if t > maxWireTid {
-					return nil, fmt.Errorf("trace: event %d: thread id %d out of range [0, %d]", len(tr), t, maxWireTid)
-				}
-				e.Tids[i] = int32(t)
-			}
-		}
-		if e.Kind == ChanSend || e.Kind == ChanRecv || e.Kind == ChanClose {
-			c, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("trace: event %d: %w", len(tr), err)
-			}
-			if c > uint64(MaxChanCap) {
-				return nil, fmt.Errorf("trace: event %d: channel capacity %d out of range [0, %d]", len(tr), c, MaxChanCap)
-			}
-			e.Cap = int32(c)
-		}
-		tr = append(tr, e)
-	}
-}
-
-// Sniff reports whether the reader starts with the binary magic, without
-// consuming input. It is used by cmd/racedetect to auto-detect the format.
-func Sniff(r *bufio.Reader) (binaryFormat bool, err error) {
-	head, err := r.Peek(len(binaryMagic))
-	if err != nil && err != io.EOF {
-		return false, err
-	}
-	return string(head) == binaryMagic, nil
 }

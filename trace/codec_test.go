@@ -3,6 +3,7 @@ package trace
 import (
 	"bufio"
 	"bytes"
+	"encoding/hex"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -77,20 +78,21 @@ func TestReadTextCommentsAndBlanks(t *testing.T) {
 
 func TestReadTextErrors(t *testing.T) {
 	cases := []string{
-		"frobnicate 0 x1",  // unknown op
-		"rd 0",             // missing operand
-		"rd 0 m1",          // wrong sigil
-		"rd zero x1",       // bad tid
-		"rd -1 x1",         // negative tid
-		"fork 0 x1",        // fork target is a tid, not a var
-		"barrier b0",       // no participants
-		"barrier x0 1",     // wrong sigil
-		"txbegin 0 extra",  // too many operands
-		"acq 0 m1 garbage", // too many operands
-		"chsend 0 c1",      // missing capacity
-		"chrecv 0 x1 0",    // wrong sigil
-		"chclose 0 c1 -1",  // negative capacity
-		"chsend 0 c1 9999999", // capacity above MaxChanCap
+		"frobnicate 0 x1",            // unknown op
+		"rd 0",                       // missing operand
+		"rd 0 m1",                    // wrong sigil
+		"rd zero x1",                 // bad tid
+		"rd -1 x1",                   // negative tid
+		"fork 0 x1",                  // fork target is a tid, not a var
+		"barrier b0",                 // no participants
+		"barrier x0 1",               // wrong sigil
+		"txbegin 0 extra",            // too many operands
+		"acq 0 m1 garbage",           // too many operands
+		"chsend 0 c1",                // missing capacity
+		"chrecv 0 x1 0",              // wrong sigil
+		"chclose 0 c1 -1",            // negative capacity
+		"chsend 0 c1 9999999",        // capacity above MaxChanCap
+		binaryMagic + "\x00\x01\x03", // binary input
 	}
 	for _, in := range cases {
 		if _, err := ReadText(strings.NewReader(in)); err == nil {
@@ -100,8 +102,10 @@ func TestReadTextErrors(t *testing.T) {
 }
 
 func TestReadBinaryErrors(t *testing.T) {
-	if _, err := ReadBinary(strings.NewReader("BOGUS\n")); err == nil {
-		t.Error("bad magic accepted")
+	for _, in := range []string{"BOGUS\n", "", "rd 0 x1\n"} {
+		if _, err := ReadBinary(strings.NewReader(in)); err == nil {
+			t.Errorf("ReadBinary(%q) accepted input without the magic", in)
+		}
 	}
 	if _, err := ReadBinary(strings.NewReader("FTRK1\n\xff")); err == nil {
 		t.Error("bad kind accepted")
@@ -122,17 +126,108 @@ func TestSniff(t *testing.T) {
 	if err := WriteBinary(&buf, Trace{Rd(0, 1)}); err != nil {
 		t.Fatal(err)
 	}
-	isBin, err := Sniff(bufio.NewReader(&buf))
+	isBin, err := sniff(bufio.NewReader(&buf))
 	if err != nil || !isBin {
-		t.Errorf("Sniff(binary) = %v,%v", isBin, err)
+		t.Errorf("sniff(binary) = %v,%v", isBin, err)
 	}
-	isBin, err = Sniff(bufio.NewReader(strings.NewReader("rd 0 x1\n")))
+	isBin, err = sniff(bufio.NewReader(strings.NewReader("rd 0 x1\n")))
 	if err != nil || isBin {
-		t.Errorf("Sniff(text) = %v,%v", isBin, err)
+		t.Errorf("sniff(text) = %v,%v", isBin, err)
 	}
-	isBin, err = Sniff(bufio.NewReader(strings.NewReader("")))
+	isBin, err = sniff(bufio.NewReader(strings.NewReader("")))
 	if err != nil || isBin {
-		t.Errorf("Sniff(empty) = %v,%v", isBin, err)
+		t.Errorf("sniff(empty) = %v,%v", isBin, err)
+	}
+}
+
+const goldenHex = "4654524b310a" + // magic
+	"000103" + "0102ac02" + "020107" + "030107" + "040002" + "050002" +
+	"060104" + "070204" + "080109" + "090209" + "0a000503" + "0001c801" +
+	"0b0100" + "0c0100" + "0d010603" + "0e020603" + "0f010603"
+
+const goldenText = `rd 1 x3
+wr 2 x300
+acq 1 m7
+rel 1 m7
+fork 0 2
+join 0 2
+vrd 1 v4
+vwr 2 v4
+wait 1 m9
+notify 2 m9
+barrier b5 0 1 200
+txbegin 1
+txend 1
+chsend 1 c6 3
+chrecv 2 c6 3
+chclose 1 c6 3
+`
+
+// TestCodecGolden pins both encodings of a trace holding one event of
+// every Kind, in Kind order, with multi-byte varints in the target, tid
+// and barrier fields, and checks that every decoder reads each encoding
+// back to the same events.
+func TestCodecGolden(t *testing.T) {
+	tr := Trace{
+		Rd(1, 3),
+		Wr(2, 300),
+		Acq(1, 7),
+		Rel(1, 7),
+		ForkOf(0, 2),
+		JoinOf(0, 2),
+		VRd(1, 4),
+		VWr(2, 4),
+		{Kind: Wait, Tid: 1, Target: 9},
+		{Kind: Notify, Tid: 2, Target: 9},
+		Barrier(5, 0, 1, 200),
+		{Kind: TxBegin, Tid: 1},
+		{Kind: TxEnd, Tid: 1},
+		ChSend(1, 6, 3),
+		ChRecv(2, 6, 3),
+		ChClose(1, 6, 3),
+	}
+	for i, e := range tr {
+		if e.Kind != Kind(i) {
+			t.Fatalf("golden event %d has kind %v, want %v", i, e.Kind, Kind(i))
+		}
+	}
+	if len(tr) != int(numKinds) {
+		t.Fatalf("golden trace covers %d kinds, want %d", len(tr), numKinds)
+	}
+	bin, err := hex.DecodeString(goldenHex)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var bb, tb bytes.Buffer
+	if err := WriteBinary(&bb, tr); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(bb.Bytes(), bin) {
+		t.Errorf("WriteBinary = %x, want %x", bb.Bytes(), bin)
+	}
+	if err := WriteText(&tb, tr); err != nil {
+		t.Fatal(err)
+	}
+	if tb.String() != goldenText {
+		t.Errorf("WriteText =\n%s\nwant\n%s", tb.String(), goldenText)
+	}
+
+	for _, format := range []Format{Text, Binary} {
+		in, read := []byte(goldenText), ReadText
+		if format == Binary {
+			in, read = bin, ReadBinary
+		}
+		got, err := read(bytes.NewReader(in))
+		if err != nil {
+			t.Fatalf("format %d: %v", format, err)
+		}
+		if !reflect.DeepEqual(got, tr) {
+			t.Errorf("format %d: Read decoded\n%v\nwant\n%v", format, got, tr)
+		}
+		if got := scanAll(t, NewScanner(bytes.NewReader(in))); !reflect.DeepEqual(got, tr) {
+			t.Errorf("format %d: Scanner decoded\n%v\nwant\n%v", format, got, tr)
+		}
 	}
 }
 

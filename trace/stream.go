@@ -2,27 +2,33 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 )
 
+// maxLine bounds one text line, terminator included, so input without
+// newlines fails instead of growing a buffer without limit.
+const maxLine = 16 << 20
+
 // Scanner reads a trace incrementally from a reader, auto-detecting the
 // text or binary format, so arbitrarily long traces can be analyzed
-// without being memory-resident. The zero value is not usable; call
-// NewScanner.
+// without being memory-resident. It is the only decoder of both formats;
+// ReadText and ReadBinary are loops over it. The zero value is not
+// usable; call NewScanner.
 type Scanner struct {
 	src     *countingReader
 	br      *bufio.Reader
-	binary  bool
+	format  Format
 	started bool
 	lineno  int
 	index   int
 	err     error
 	cur     Event
-	stats   ScanStats
 }
 
 // countingReader counts bytes handed to the buffering layer so the
@@ -38,18 +44,6 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// ScanStats counts what the scanner decoded, classified at the trace
-// layer before any dispatcher filtering — the raw stream composition the
-// pipeline's delivered-event accounting is compared against.
-type ScanStats struct {
-	Events  int64 `json:"events"`
-	Reads   int64 `json:"reads,omitempty"`
-	Writes  int64 `json:"writes,omitempty"`
-	Syncs   int64 `json:"syncs,omitempty"`
-	Markers int64 `json:"markers,omitempty"` // txbegin/txend
-	Other   int64 `json:"other,omitempty"`   // notify (no happens-before role)
-}
-
 // NewScanner returns a scanner over r.
 func NewScanner(r io.Reader) *Scanner {
 	cr := &countingReader{r: r}
@@ -58,37 +52,46 @@ func NewScanner(r io.Reader) *Scanner {
 
 // Offset returns the number of input bytes consumed so far: after a
 // successful Scan it is the offset just past the returned event, and
-// after a failed Scan it positions the error in the byte stream. The
-// network ingestion tier uses it to enforce per-frame byte budgets and
-// to report positions of decode errors.
+// after a failed Scan it positions the error in the byte stream. Binary
+// decode errors carry it as their "at byte" position.
 func (s *Scanner) Offset() int64 { return s.src.n - int64(s.br.Buffered()) }
+
+// start detects the format from the first bytes of input, once.
+func (s *Scanner) start() error {
+	if s.started {
+		return s.err
+	}
+	s.started = true
+	isBin, err := sniff(s.br)
+	if err == nil && isBin {
+		s.format = Binary
+		_, err = s.br.Discard(len(binaryMagic))
+	}
+	s.err = err
+	return err
+}
+
+// sniff reports whether the reader starts with the binary magic, without
+// consuming input.
+func sniff(r *bufio.Reader) (binaryFormat bool, err error) {
+	head, err := r.Peek(len(binaryMagic))
+	if err != nil && err != io.EOF {
+		return false, err
+	}
+	return string(head) == binaryMagic, nil
+}
 
 // Scan advances to the next event; it returns false at end of input or
 // on error (check Err).
 func (s *Scanner) Scan() bool {
-	if s.err != nil {
+	if s.err != nil || s.start() != nil {
 		return false
-	}
-	if !s.started {
-		s.started = true
-		isBin, err := Sniff(s.br)
-		if err != nil {
-			s.err = err
-			return false
-		}
-		s.binary = isBin
-		if isBin {
-			if _, err := s.br.Discard(len(binaryMagic)); err != nil {
-				s.err = err
-				return false
-			}
-		}
 	}
 	var (
 		e   Event
 		err error
 	)
-	if s.binary {
+	if s.format == Binary {
 		e, err = s.scanBinary()
 	} else {
 		e, err = s.scanText()
@@ -101,24 +104,8 @@ func (s *Scanner) Scan() bool {
 	}
 	s.cur = e
 	s.index++
-	s.stats.Events++
-	switch {
-	case e.Kind == Read:
-		s.stats.Reads++
-	case e.Kind == Write:
-		s.stats.Writes++
-	case e.Kind.IsSync():
-		s.stats.Syncs++
-	case e.Kind == TxBegin || e.Kind == TxEnd:
-		s.stats.Markers++
-	default:
-		s.stats.Other++
-	}
 	return true
 }
-
-// Stats returns decode-time counts for the events scanned so far.
-func (s *Scanner) Stats() ScanStats { return s.stats }
 
 // Event returns the event read by the last successful Scan.
 func (s *Scanner) Event() Event { return s.cur }
@@ -132,24 +119,161 @@ func (s *Scanner) Err() error { return s.err }
 
 func (s *Scanner) scanText() (Event, error) {
 	for {
-		line, err := s.br.ReadString('\n')
-		if line == "" && err != nil {
+		line, err := s.readLine()
+		if len(line) == 0 && err != nil {
 			return Event{}, err
 		}
 		s.lineno++
-		trimmed := strings.TrimSpace(line)
-		if trimmed == "" || strings.HasPrefix(trimmed, "#") {
+		trimmed := bytes.TrimSpace(line)
+		if len(trimmed) == 0 || trimmed[0] == '#' {
 			if err != nil {
 				return Event{}, err
 			}
 			continue
 		}
-		e, perr := parseLine(trimmed)
+		e, perr := parseLine(string(trimmed))
 		if perr != nil {
 			return Event{}, fmt.Errorf("trace: line %d: %w", s.lineno, perr)
 		}
 		return e, nil
 	}
+}
+
+// readLine returns the next line, terminator included, failing once it
+// grows past maxLine. A short line is a view into the read buffer, valid
+// until the next read.
+func (s *Scanner) readLine() ([]byte, error) {
+	line, err := s.br.ReadSlice('\n')
+	if err != bufio.ErrBufferFull {
+		return line, err
+	}
+	var long []byte
+	for {
+		long = append(long, line...)
+		if len(long) > maxLine {
+			return nil, fmt.Errorf("trace: line %d: longer than %d bytes", s.lineno+1, maxLine)
+		}
+		if err != bufio.ErrBufferFull {
+			return long, err
+		}
+		line, err = s.br.ReadSlice('\n')
+	}
+}
+
+// parseLine decodes one trimmed, non-comment text line.
+func parseLine(line string) (Event, error) {
+	fields := strings.Fields(line)
+	kind, ok := KindFromString(fields[0])
+	if !ok {
+		return Event{}, fmt.Errorf("unknown operation %q", clip(fields[0]))
+	}
+	var e Event
+	e.Kind = kind
+
+	parseTarget := func(s, sigil string) (uint64, error) {
+		if !strings.HasPrefix(s, sigil) {
+			return 0, fmt.Errorf("target %q must start with %q", clip(s), sigil)
+		}
+		return strconv.ParseUint(s[len(sigil):], 10, 64)
+	}
+	parseTid := func(s string) (int32, error) {
+		n, err := strconv.ParseInt(s, 10, 32)
+		if err != nil || n < 0 {
+			return 0, fmt.Errorf("bad thread id %q", clip(s))
+		}
+		return int32(n), nil
+	}
+
+	switch kind {
+	case Read, Write, VolatileRead, VolatileWrite, Acquire, Release, Wait, Notify:
+		if len(fields) != 3 {
+			return Event{}, fmt.Errorf("%s needs 2 operands", kind)
+		}
+		tid, err := parseTid(fields[1])
+		if err != nil {
+			return Event{}, err
+		}
+		sigil := "x"
+		switch kind {
+		case VolatileRead, VolatileWrite:
+			sigil = "v"
+		case Acquire, Release, Wait, Notify:
+			sigil = "m"
+		}
+		target, err := parseTarget(fields[2], sigil)
+		if err != nil {
+			return Event{}, err
+		}
+		e.Tid, e.Target = tid, target
+	case Fork, Join:
+		if len(fields) != 3 {
+			return Event{}, fmt.Errorf("%s needs 2 operands", kind)
+		}
+		tid, err := parseTid(fields[1])
+		if err != nil {
+			return Event{}, err
+		}
+		u, err := parseTid(fields[2])
+		if err != nil {
+			return Event{}, err
+		}
+		e.Tid, e.Target = tid, uint64(u)
+	case TxBegin, TxEnd:
+		if len(fields) != 2 {
+			return Event{}, fmt.Errorf("%s needs 1 operand", kind)
+		}
+		tid, err := parseTid(fields[1])
+		if err != nil {
+			return Event{}, err
+		}
+		e.Tid = tid
+	case ChanSend, ChanRecv, ChanClose:
+		if len(fields) != 4 {
+			return Event{}, fmt.Errorf("%s needs 3 operands", kind)
+		}
+		tid, err := parseTid(fields[1])
+		if err != nil {
+			return Event{}, err
+		}
+		target, err := parseTarget(fields[2], "c")
+		if err != nil {
+			return Event{}, err
+		}
+		capv, err := strconv.ParseInt(fields[3], 10, 32)
+		if err != nil || capv < 0 || int32(capv) > MaxChanCap {
+			return Event{}, fmt.Errorf("bad channel capacity %q", clip(fields[3]))
+		}
+		e.Tid, e.Target, e.Cap = tid, target, int32(capv)
+	case BarrierRelease:
+		if len(fields) < 3 {
+			return Event{}, fmt.Errorf("barrier needs an id and at least one thread")
+		}
+		target, err := parseTarget(fields[1], "b")
+		if err != nil {
+			return Event{}, err
+		}
+		e.Target = target
+		for _, f := range fields[2:] {
+			t, err := parseTid(f)
+			if err != nil {
+				return Event{}, err
+			}
+			e.Tids = append(e.Tids, t)
+		}
+	default:
+		return Event{}, fmt.Errorf("unhandled operation %q", clip(fields[0]))
+	}
+	return e, nil
+}
+
+// clip shortens a token quoted in a parse error, so a malformed line of
+// any length yields a short message.
+func clip(s string) string {
+	const max = 32
+	if len(s) <= max {
+		return s
+	}
+	return s[:max] + "..."
 }
 
 func (s *Scanner) scanBinary() (Event, error) {
@@ -185,6 +309,9 @@ func (s *Scanner) scanBinary() (Event, error) {
 		n, err := binary.ReadUvarint(s.br)
 		if err != nil {
 			return Event{}, pos(err)
+		}
+		if n == 0 {
+			return Event{}, fmt.Errorf("trace: event %d: barrier with no participants", s.index)
 		}
 		if n > 1<<20 {
 			return Event{}, fmt.Errorf("trace: event %d: absurd barrier size %d", s.index, n)
@@ -233,8 +360,9 @@ const (
 	Binary
 )
 
-// Writer encodes events incrementally. Close (or Flush) must be called
-// to drain the buffer.
+// Writer encodes events incrementally; it is the only encoder of both
+// formats, and WriteText and WriteBinary are loops over it. Flush must
+// be called to drain the buffer.
 type Writer struct {
 	bw     *bufio.Writer
 	format Format

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -247,5 +249,67 @@ func TestScannerOffsetOnTruncation(t *testing.T) {
 	}
 	if off := sc.Offset(); off > int64(len(cut)) {
 		t.Errorf("Offset %d beyond truncated input size %d", off, len(cut))
+	}
+}
+
+// fill yields n bytes of a repeated pattern, then EOF, so tests can feed
+// the scanner huge inputs without holding them in memory.
+type fill struct {
+	pattern string
+	n, off  int
+}
+
+func (f *fill) Read(p []byte) (int, error) {
+	if f.n == 0 {
+		return 0, io.EOF
+	}
+	if len(p) > f.n {
+		p = p[:f.n]
+	}
+	for i := range p {
+		p[i] = f.pattern[f.off]
+		f.off = (f.off + 1) % len(f.pattern)
+	}
+	f.n -= len(p)
+	return len(p), nil
+}
+
+// TestScannerLineLimit: the text decoder bounds a line at maxLine, and a
+// parse error quotes only a short prefix of the offending token, so a
+// stream without newlines fails fast with a short message.
+func TestScannerLineLimit(t *testing.T) {
+	check := func(name string, err error, wants ...string) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s: accepted", name)
+		}
+		if len(err.Error()) >= 256 {
+			t.Errorf("%s: error is %d bytes long, want < 256", name, len(err.Error()))
+		}
+		for _, w := range wants {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: error %.200q does not mention %q", name, err, w)
+			}
+		}
+	}
+	huge := func() io.Reader { return &fill{pattern: "a", n: 32 << 20} }
+	sc := NewScanner(huge())
+	for sc.Scan() {
+	}
+	check("Scanner, 32 MiB line", sc.Err(), "line 1", fmt.Sprint(maxLine))
+	_, err := ReadText(huge())
+	check("ReadText, 32 MiB line", err, "line 1", fmt.Sprint(maxLine))
+
+	_, err = ReadText(io.MultiReader(&fill{pattern: "b", n: 1 << 20}, strings.NewReader(" 0 x1\n")))
+	check("1 MiB operation", err, "line 1", "unknown operation")
+
+	const n = 1 << 19 // " 0" per participant: a line of about 1 MiB
+	tr, err := ReadText(io.MultiReader(strings.NewReader("rd 0 x1\nbarrier b0"),
+		&fill{pattern: " 0", n: 2 * n}, strings.NewReader("\nwr 0 x1\n")))
+	if err != nil {
+		t.Fatalf("1 MiB barrier line: %v", err)
+	}
+	if len(tr) != 3 || len(tr[1].Tids) != n || !reflect.DeepEqual(tr[2], Wr(0, 1)) {
+		t.Errorf("1 MiB barrier line decoded to %d events, want 3 with %d participants", len(tr), n)
 	}
 }

@@ -69,7 +69,8 @@ func TestBinaryTruncationPositions(t *testing.T) {
 
 // TestWriteRejectsOutOfRangeTids is the regression test for the tid
 // encoding asymmetry: tids that cannot round-trip through the binary
-// varint encoding must be rejected at write time with the event's
+// varint encoding, and barriers with no participants (which the text
+// grammar cannot spell), must be rejected at write time with the event's
 // position, by both the batch writer and the streaming writer.
 func TestWriteRejectsOutOfRangeTids(t *testing.T) {
 	bad := []Trace{
@@ -77,6 +78,7 @@ func TestWriteRejectsOutOfRangeTids(t *testing.T) {
 		{Wr(0, 1), Event{Kind: Fork, Tid: 0, Target: 1<<31 + 5}}, // forked tid > 2^31-1
 		{Wr(0, 1), Event{Kind: Join, Tid: 0, Target: 1 << 40}},   // joined tid overflows int32
 		{Wr(0, 1), Barrier(7, 0, -2)},                            // negative barrier participant
+		{Wr(0, 1), Barrier(7)},                                   // barrier with no participants
 		{Event{Kind: Read, Tid: -1, Target: 0}},                  // negative tid, first event
 	}
 	for i, tr := range bad {
@@ -119,7 +121,8 @@ func TestWriteRejectsOutOfRangeTids(t *testing.T) {
 
 // TestReadRejectsOutOfRangeTids checks the read side: a forged binary
 // stream carrying a tid beyond int32 is rejected with its position, not
-// silently truncated into a different thread id.
+// silently truncated into a different thread id, and so is a barrier
+// with no participants.
 func TestReadRejectsOutOfRangeTids(t *testing.T) {
 	forge := func(kind byte, fields ...uint64) []byte {
 		var buf bytes.Buffer
@@ -133,9 +136,10 @@ func TestReadRejectsOutOfRangeTids(t *testing.T) {
 		return buf.Bytes()
 	}
 	cases := [][]byte{
-		forge(byte(Read), 1<<31, 5), // tid just past the cap
-		forge(byte(Fork), 0, 1<<31), // forked tid past the cap
-		forge(byte(Join), 0, 1<<40), // joined tid far past the cap
+		forge(byte(Read), 1<<31, 5),          // tid just past the cap
+		forge(byte(Fork), 0, 1<<31),          // forked tid past the cap
+		forge(byte(Join), 0, 1<<40),          // joined tid far past the cap
+		forge(byte(BarrierRelease), 0, 3, 0), // barrier with no participants
 	}
 	for i, raw := range cases {
 		if _, err := ReadBinary(bytes.NewReader(raw)); err == nil {
