@@ -101,7 +101,7 @@ func runFrontend(mode string, args []string) int {
 	var target *exec.Cmd
 	if mode == "run" {
 		bin := filepath.Join(workDir, "ft.bin")
-		build := exec.Command("go", "build", "-o", bin, ".")
+		build := exec.Command("go", append(append([]string{"build"}, instrument.BuildFlags()...), "-o", bin, ".")...)
 		build.Dir = workDir
 		build.Env = goEnv
 		if out, err := build.CombinedOutput(); err != nil {
@@ -109,7 +109,8 @@ func runFrontend(mode string, args []string) int {
 		}
 		target = exec.Command(bin, targetArgs...)
 	} else {
-		target = exec.Command("go", append([]string{"test", "-count=1", "."}, targetArgs...)...)
+		args := append(append([]string{"test"}, instrument.BuildFlags()...), "-count=1", ".")
+		target = exec.Command("go", append(args, targetArgs...)...)
 	}
 
 	var saved *os.File

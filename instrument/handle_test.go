@@ -80,13 +80,7 @@ func TestSharedHandleRuleCompiles(t *testing.T) {
 		fmt.Fprintf(&calls, "\tcase%d()\n", i)
 	}
 	_, outDir := instrumentSource(t, fmt.Sprintf(handleProgram, funcs.String(), calls.String()))
-	build := exec.Command("go", "build", "-o", filepath.Join(outDir, "prog"), ".")
-	build.Dir = outDir
-	build.Env = append(os.Environ(), "GOFLAGS=-mod=mod")
-	if out, err := build.CombinedOutput(); err != nil {
-		src, _ := os.ReadFile(filepath.Join(outDir, "main.go"))
-		t.Fatalf("go build: %v\n%s\n%s", err, out, src)
-	}
+	buildInstrumented(t, outDir)
 }
 
 // closureRaceProgram calls a :=-bound closure directly in main and also

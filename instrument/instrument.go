@@ -19,6 +19,10 @@
 // rather than a compiler plugin, mirroring how the paper's RoadRunner
 // framework instruments JVM bytecode at load time: the program under
 // test is modified, the detector is not special-cased in the runtime.
+// The target is type-checked against the compiler's export data for
+// its imports, which one `go list -export` run in the working directory
+// reports; it is built with the same BuildFlags, so the export data
+// and the build share their build cache entries.
 //
 // Scope and limitations (checked or documented, never silently wrong
 // in the racy direction unless listed):
@@ -45,6 +49,7 @@
 package instrument
 
 import (
+	"bytes"
 	"fmt"
 	"go/ast"
 	"go/format"
@@ -52,10 +57,13 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -65,6 +73,15 @@ const shimImport = "fasttrack/instrument/rt"
 // shimName is the identifier the rewriter injects calls through; the
 // leading underscores keep it out of the way of user identifiers.
 const shimName = "__ft"
+
+// BuildFlags returns the go command flags that both the export-data
+// lookup (go list -export) and the build of the generated module (go
+// build, go test) must use. -trimpath keeps the generated module's
+// directory, new on every run, out of the build's action IDs, so a
+// rebuild of the same source hits the build cache; and because go list
+// compiles imports with the same flags, the export data it produces is
+// the build's cache entries, not a second compile of the stdlib.
+func BuildFlags() []string { return []string{"-trimpath"} }
 
 // Options configures an instrumentation run.
 type Options struct {
@@ -102,7 +119,10 @@ type Result struct {
 }
 
 // Instrument rewrites the package in srcDir into a standalone module
-// under outDir. outDir must exist and be empty or freshly created.
+// under outDir. outDir must exist and be empty or freshly created. It
+// runs the go command in the working directory to type-check the
+// package against its imports' export data; build the module with
+// BuildFlags.
 func Instrument(srcDir, outDir string, opts Options) (*Result, error) {
 	fset := token.NewFileSet()
 	names, err := sourceFiles(srcDir, opts.Test)
@@ -137,8 +157,7 @@ func Instrument(srcDir, outDir string, opts Options) (*Result, error) {
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
-	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
-	pkg, err := conf.Check(pkgName, fset, files, info)
+	pkg, err := typeCheck(pkgName, fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("instrument: type checking %s (only stdlib imports are supported): %w", srcDir, err)
 	}
@@ -225,6 +244,48 @@ func sourceFiles(dir string, includeTests bool) ([]string, error) {
 	}
 	sort.Strings(names)
 	return names, nil
+}
+
+// typeCheck type-checks files against the export data of their direct
+// imports. One go list -export, run in the working directory so that
+// imports resolve as they do for the go command there, compiles the
+// imports the build cache lacks and names each one's export data file.
+// unsafe has none; the gc importer provides it.
+func typeCheck(pkgName string, fset *token.FileSet, files []*ast.File, info *types.Info) (*types.Package, error) {
+	seen := map[string]bool{"unsafe": true}
+	var paths []string
+	for _, f := range files {
+		for _, spec := range f.Imports {
+			path, _ := strconv.Unquote(spec.Path.Value) // the parser rejected invalid paths
+			if !seen[path] {
+				seen[path] = true
+				paths = append(paths, path)
+			}
+		}
+	}
+	exports := map[string]string{}
+	if len(paths) > 0 {
+		args := append(append([]string{"list"}, BuildFlags()...), "-export", "-f", "{{.ImportPath}} {{.Export}}", "--")
+		cmd := exec.Command("go", append(args, paths...)...)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		if err != nil {
+			return nil, fmt.Errorf("go list -export %s: %v:\n%s", strings.Join(paths, " "), err, bytes.TrimSpace(stderr.Bytes()))
+		}
+		for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+			path, file, _ := strings.Cut(line, " ")
+			exports[path] = file
+		}
+	}
+	lookup := func(path string) (io.ReadCloser, error) {
+		if exports[path] == "" {
+			return nil, fmt.Errorf("go list -export reported no export data for %q", path)
+		}
+		return os.Open(exports[path])
+	}
+	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", lookup)}
+	return conf.Check(pkgName, fset, files, info)
 }
 
 // declaresTestMain reports whether the file defines func TestMain.

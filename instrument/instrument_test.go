@@ -1,6 +1,7 @@
 package instrument
 
 import (
+	"bytes"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -167,6 +168,21 @@ func TestRewriteSyncCalls(t *testing.T) {
 	}
 }
 
+// buildInstrumented builds the generated module in outDir with
+// BuildFlags, as the front-end does, and returns the binary's path.
+func buildInstrumented(t *testing.T, outDir string) string {
+	t.Helper()
+	bin := filepath.Join(outDir, "prog")
+	build := exec.Command("go", append(append([]string{"build"}, BuildFlags()...), "-o", bin, ".")...)
+	build.Dir = outDir
+	build.Env = append(os.Environ(), "GOFLAGS=-mod=mod")
+	if out, err := build.CombinedOutput(); err != nil {
+		src, _ := os.ReadFile(filepath.Join(outDir, "main.go"))
+		t.Fatalf("go build: %v\n%s\n%s", err, out, src)
+	}
+	return bin
+}
+
 // runInstrumented builds and executes an instrumented module with the
 // shim's trace sink, replays the trace through a fasttrack.Monitor and
 // returns the number of races.
@@ -176,13 +192,7 @@ func runInstrumented(t *testing.T, src string) (races int) {
 		t.Skip("go tool not available")
 	}
 	_, outDir := instrumentSource(t, src)
-	bin := filepath.Join(outDir, "prog")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	build.Dir = outDir
-	build.Env = append(os.Environ(), "GOFLAGS=-mod=mod")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildInstrumented(t, outDir)
 	tracePath := filepath.Join(outDir, "prog.trace")
 	run := exec.Command(bin)
 	run.Env = append(os.Environ(), "FASTTRACK_MODE=trace", "FASTTRACK_TRACE="+tracePath)
@@ -226,5 +236,70 @@ func TestInstrumentedCleanProgram(t *testing.T) {
 func TestInstrumentedBufferedChannelSlack(t *testing.T) {
 	if races := runInstrumented(t, chanProgram); races != 1 {
 		t.Fatalf("buffered slack program: %d races, want exactly 1", races)
+	}
+}
+
+// TestUnresolvedImportError checks that an import go list cannot
+// resolve fails type checking with an error that names the import and
+// quotes go list, not a bare exit status. GOPROXY=off keeps the module
+// lookup off the network.
+func TestUnresolvedImportError(t *testing.T) {
+	t.Setenv("GOFLAGS", "-mod=mod")
+	t.Setenv("GOPROXY", "off")
+	srcDir := t.TempDir()
+	src := "package main\n\nimport (\n\t\"fmt\"\n\n\tnope \"example.invalid/nope\"\n)\n\nfunc main() { fmt.Println(nope.X) }\n"
+	if err := os.WriteFile(filepath.Join(srcDir, "main.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Instrument(srcDir, t.TempDir(), Options{ModuleDir: repoRoot(t)})
+	if err == nil {
+		t.Fatal("Instrument succeeded on an unresolvable import")
+	}
+	msg := err.Error()
+	for _, want := range []string{"only stdlib imports are supported", "example.invalid/nope", "GOPROXY=off"} {
+		if !strings.Contains(msg, want) {
+			t.Fatalf("error %q does not contain %q", msg, want)
+		}
+	}
+	if strings.Contains(msg, "open ") {
+		t.Fatalf("error %q opens an empty export data path", msg)
+	}
+}
+
+// TestUnsafeImport checks that unsafe, which has no export data, is
+// resolved by the importer itself.
+func TestUnsafeImport(t *testing.T) {
+	res, _ := instrumentSource(t, `package main
+
+import "unsafe"
+
+var x int64
+
+func main() { x = int64(unsafe.Sizeof(x)) }
+`)
+	if res.Stats.Writes != 1 {
+		t.Fatalf("unexpected stats: %+v", res.Stats)
+	}
+}
+
+// TestInstrumentedBuildIsReproducible instruments one package into two
+// directories and builds both with BuildFlags: the binaries must be
+// byte-identical, so the generated module's directory is not part of
+// the build and a rebuild in a fresh directory hits the build cache.
+func TestInstrumentedBuildIsReproducible(t *testing.T) {
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("go tool not available")
+	}
+	var bins [2][]byte
+	for i := range bins {
+		_, outDir := instrumentSource(t, racyProgram)
+		data, err := os.ReadFile(buildInstrumented(t, outDir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bins[i] = data
+	}
+	if !bytes.Equal(bins[0], bins[1]) {
+		t.Fatal("the same package instrumented into two directories built to different binaries")
 	}
 }

@@ -326,9 +326,9 @@ func (t *Tracker) Nodes() []Status {
 	out := make([]Status, 0, len(t.nodes))
 	for _, n := range t.nodes {
 		st := Status{
-			Node:           n.Node,
-			Probed:         n.probed,
-			Down:           n.down,
+			Node:   n.Node,
+			Probed: n.probed,
+			Down:   n.down,
 			// A down node's rz is its last successful probe; don't let a
 			// stale ready=true outlive reachability.
 			Ready:          n.rz.Ready && !n.down,

@@ -40,11 +40,11 @@ type DetailedReport struct {
 // SyncRecord is one entry of a thread's provenance ring: a recent
 // synchronization operation with the thread's epoch at the time.
 type SyncRecord struct {
-	Index  int    `json:"index"`            // event index in the trace
-	Tid    int32  `json:"tid"`              // thread that performed the operation
-	Op     string `json:"op"`               // "acquire", "release", "fork", ...
-	Target uint64 `json:"target"`           // lock/volatile id, or peer tid for fork/join
-	Clock  string `json:"clock,omitempty"`  // thread's epoch at the time, "c@t"
+	Index  int    `json:"index"`           // event index in the trace
+	Tid    int32  `json:"tid"`             // thread that performed the operation
+	Op     string `json:"op"`              // "acquire", "release", "fork", ...
+	Target uint64 `json:"target"`          // lock/volatile id, or peer tid for fork/join
+	Clock  string `json:"clock,omitempty"` // thread's epoch at the time, "c@t"
 }
 
 // DetailedTool is implemented by tools whose provenance recorder can
