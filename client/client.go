@@ -15,20 +15,14 @@ import (
 	"fasttrack/trace"
 )
 
-// OverflowPolicy selects what Write does when the client's bounded
-// frame queue is full.
-type OverflowPolicy int
-
+// Fixed transport settings. dialTimeout bounds each connection attempt
+// and writeTimeout each frame write. queueFrames bounds the client-side
+// frame queue; a full queue makes Write wait (end-to-end backpressure,
+// no event ever silently lost), counted in Stats().Stalls.
 const (
-	// Block makes Write wait for queue space: end-to-end backpressure,
-	// no event ever silently lost.
-	Block OverflowPolicy = iota
-	// Shed makes Write drop the newest batch — the one just sealed —
-	// when the queue is full, instead of waiting: bounded producer
-	// latency at the cost of analysis completeness. Batches already
-	// queued survive; it is the most recent part of the trace that is
-	// lost. Shed frames are counted in Stats().FramesShed.
-	Shed
+	dialTimeout  = 5 * time.Second
+	writeTimeout = 10 * time.Second
+	queueFrames  = 32
 )
 
 // ErrSessionClosed is returned by operations on a session after Close.
@@ -72,30 +66,23 @@ func (e *ServerError) Temporary() bool {
 type DialFunc func(addr string, timeout time.Duration) (net.Conn, error)
 
 type config struct {
-	dialTimeout  time.Duration
-	writeTimeout time.Duration
-	readTimeout  time.Duration
-	batchEvents  int
-	queueFrames  int
-	onFull       OverflowPolicy
-	retries      int
-	backoff      time.Duration
-	schedule     func(attempt int) time.Duration
-	reconnects   int
-	maxFrame     int
-	hello        Handshake
-	dial         DialFunc
-	optErr       error
+	readTimeout time.Duration
+	batchEvents int
+	retries     int
+	backoff     time.Duration
+	schedule    func(attempt int) time.Duration
+	reconnects  int
+	hello       Handshake
+	dial        DialFunc
+	optErr      error
 
-	// Fleet routing hooks (see fleet.go / withRoute). route returns the
+	// Fleet routing hooks (see fleet.go / Fleet.route). route returns the
 	// candidate dial addresses ranked best-first for this session's key;
 	// nil means single-node (the Dial addr is the only candidate).
 	// observe feeds each candidate's dial+handshake outcome back to the
-	// fleet health tracker. sessionKey is the routing key DialFleet
-	// hashes (set via WithSessionKey).
-	route      func() []string
-	observe    func(addr string, err error)
-	sessionKey string
+	// fleet health tracker.
+	route   func() []string
+	observe func(addr string, err error)
 }
 
 // candidates returns the dial addresses to sweep, best-first: the fleet
@@ -119,16 +106,11 @@ func (c *config) observeDial(addr string, err error) {
 
 func defaultConfig() config {
 	return config{
-		dialTimeout:  5 * time.Second,
-		writeTimeout: 10 * time.Second,
-		readTimeout:  30 * time.Second,
-		batchEvents:  1024,
-		queueFrames:  32,
-		onFull:       Block,
-		retries:      3,
-		backoff:      50 * time.Millisecond,
-		maxFrame:     trace.DefaultMaxFramePayload,
-		hello:        Handshake{Version: ProtocolVersion},
+		readTimeout: 30 * time.Second,
+		batchEvents: 1024,
+		retries:     3,
+		backoff:     50 * time.Millisecond,
+		hello:       Handshake{Version: ProtocolVersion},
 		dial: func(addr string, timeout time.Duration) (net.Conn, error) {
 			return net.DialTimeout("tcp", addr, timeout)
 		},
@@ -154,12 +136,6 @@ func (c *config) retryDelay(attempt int) time.Duration {
 // Option configures Dial.
 type Option func(*config)
 
-// WithDialTimeout bounds each connection attempt.
-func WithDialTimeout(d time.Duration) Option { return func(c *config) { c.dialTimeout = d } }
-
-// WithWriteTimeout bounds each frame write (0 = no deadline).
-func WithWriteTimeout(d time.Duration) Option { return func(c *config) { c.writeTimeout = d } }
-
 // WithReadTimeout bounds each wait for a server reply (Flush, Results,
 // Close).
 func WithReadTimeout(d time.Duration) Option { return func(c *config) { c.readTimeout = d } }
@@ -175,17 +151,6 @@ func WithBatchSize(n int) Option {
 		if n > 0 {
 			c.batchEvents = n
 		}
-	}
-}
-
-// WithQueue bounds the client-side frame queue and selects the
-// overflow policy.
-func WithQueue(frames int, p OverflowPolicy) Option {
-	return func(c *config) {
-		if frames > 0 {
-			c.queueFrames = frames
-		}
-		c.onFull = p
 	}
 }
 
@@ -292,9 +257,7 @@ func WithDialFunc(f DialFunc) Option { return func(c *config) { c.dial = f } }
 type Stats struct {
 	EventsWritten int64 // events accepted by Write
 	EventsSent    int64 // events handed to the wire (flushed batches)
-	EventsShed    int64 // events in frames dropped by the Shed policy
 	FramesSent    int64
-	FramesShed    int64
 	Stalls        int64 // Writes that had to wait for queue space
 	Resumes       int64 // successful reconnects (WithReconnect)
 }
@@ -357,9 +320,7 @@ type Session struct {
 
 	eventsWritten atomic.Int64
 	eventsSent    atomic.Int64
-	eventsShed    atomic.Int64
 	framesSent    atomic.Int64
-	framesShed    atomic.Int64
 	stalls        atomic.Int64
 	resumes       atomic.Int64
 
@@ -424,7 +385,7 @@ func Dial(addr string, opts ...Option) (*Session, error) {
 		node:        ok.Node,
 		rootID:      ok.SessionID,
 		resumesLeft: cfg.reconnects,
-		sendq:       make(chan outFrame, cfg.queueFrames),
+		sendq:       make(chan outFrame, queueFrames),
 		dead:        make(chan struct{}),
 	}
 	if cfg.hello.Tracing {
@@ -463,7 +424,7 @@ func sweepDial(cfg *config, addr string, hello Handshake, prep func(*Handshake))
 		var hint time.Duration
 		var lastErr error
 		for _, cand := range cfg.candidates(addr) {
-			conn, err := cfg.dial(cand, cfg.dialTimeout)
+			conn, err := cfg.dial(cand, dialTimeout)
 			if err != nil {
 				cfg.observeDial(cand, err)
 				lastErr = err
@@ -563,13 +524,11 @@ func handshakeConn(conn net.Conn, cfg *config, hello Handshake) (HelloOK, error)
 	if err != nil {
 		return HelloOK{}, err
 	}
-	if cfg.writeTimeout > 0 {
-		conn.SetWriteDeadline(time.Now().Add(cfg.writeTimeout))
-	}
+	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	if err := fw.WriteFrame(FrameHello, b); err != nil {
 		return HelloOK{}, fmt.Errorf("client: sending hello: %w", err)
 	}
-	fr := trace.NewFrameReader(conn, cfg.maxFrame)
+	fr := trace.NewFrameReader(conn, trace.DefaultMaxFramePayload)
 	if cfg.readTimeout > 0 {
 		conn.SetReadDeadline(time.Now().Add(cfg.readTimeout))
 	}
@@ -757,9 +716,7 @@ func (s *Session) senderLoop() {
 				fw = trace.NewFrameWriter(conn)
 				fwGen = gen
 			}
-			if s.cfg.writeTimeout > 0 {
-				conn.SetWriteDeadline(time.Now().Add(s.cfg.writeTimeout))
-			}
+			conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 			// A frame stamped under an earlier connection's grant is
 			// sent plain if the resumed server did not re-grant tracing
 			// (it would reject the flagged type byte).
@@ -793,7 +750,7 @@ func (s *Session) senderLoop() {
 // tore the session down for cause, so resuming would replay the same
 // fate.
 func (s *Session) readerLoop(conn net.Conn, gen int64, replies chan inFrame) {
-	fr := trace.NewFrameReader(conn, s.cfg.maxFrame)
+	fr := trace.NewFrameReader(conn, trace.DefaultMaxFramePayload)
 	for {
 		t, payload, err := fr.ReadFrame()
 		if err != nil {
@@ -831,9 +788,8 @@ func wireErr(payload []byte) error {
 }
 
 // Write appends one event to the current batch, sending the batch as a
-// wire frame when it reaches the configured size. Under the Block
-// policy a full queue makes Write wait (backpressure); under Shed the
-// batch is dropped and counted.
+// wire frame when it reaches the configured size. A full frame queue
+// makes Write wait (backpressure).
 func (s *Session) Write(e trace.Event) error {
 	if s.closed.Load() {
 		return ErrSessionClosed
@@ -857,7 +813,7 @@ func (s *Session) Write(e trace.Event) error {
 }
 
 // flushBatch seals the current batch into an events frame and enqueues
-// it per the overflow policy.
+// it, waiting for queue space if necessary.
 func (s *Session) flushBatch() error {
 	s.bmu.Lock()
 	if s.batched == 0 {
@@ -882,16 +838,6 @@ func (s *Session) flushBatch() error {
 			f.id = s.nextTraceID()
 		}
 	}
-	if s.cfg.onFull == Shed {
-		select {
-		case s.sendq <- f:
-			s.eventsSent.Add(n)
-		default:
-			s.framesShed.Add(1)
-			s.eventsShed.Add(n)
-		}
-		return nil
-	}
 	select {
 	case s.sendq <- f:
 	default:
@@ -907,8 +853,7 @@ func (s *Session) flushBatch() error {
 }
 
 // enqueueControl enqueues a control frame stamped with the generation
-// it belongs to; control frames always block for space (they are rare
-// and must not be shed).
+// it belongs to, waiting for queue space.
 func (s *Session) enqueueControl(t trace.FrameType, v any, gen int64) error {
 	b, err := json.Marshal(v)
 	if err != nil {
@@ -1101,9 +1046,7 @@ func (s *Session) Stats() Stats {
 	return Stats{
 		EventsWritten: s.eventsWritten.Load(),
 		EventsSent:    s.eventsSent.Load(),
-		EventsShed:    s.eventsShed.Load(),
 		FramesSent:    s.framesSent.Load(),
-		FramesShed:    s.framesShed.Load(),
 		Stalls:        s.stalls.Load(),
 		Resumes:       s.resumes.Load(),
 	}

@@ -27,54 +27,37 @@ import (
 )
 
 // Fleet is a routed client view over a set of racedetectd nodes. It
-// owns the health tracker (and its /readyz poller, when probing is
-// enabled); every Session opened through Dial shares it, so one
+// owns the health tracker (and its /readyz poller, when any node has an
+// HTTP address); every Session opened through Dial shares it, so one
 // session's refusal steers the next session away immediately.
 type Fleet struct {
 	tracker *fleet.Tracker
-	nodes   []fleet.Node
 }
 
-// FleetOption configures NewFleet.
-type FleetOption func(*fleetConfig)
-
-type fleetConfig struct {
-	probe time.Duration
-}
-
-// WithProbeInterval sets how often the fleet polls each node's /readyz
-// (default 1s; <=0 disables polling, leaving only data-path refusal
-// signals to steer). Nodes without an HTTP address are never polled
-// regardless.
-func WithProbeInterval(d time.Duration) FleetOption {
-	return func(c *fleetConfig) { c.probe = d }
-}
+// probeInterval is how often a fleet polls each node's /readyz. Nodes
+// without an HTTP address are never polled; only data-path refusal
+// signals steer away from them.
+const probeInterval = time.Second
 
 // NewFleet builds a routed client over the given node specs — a
 // comma-separated list of "addr" or "addr=httpaddr" entries (see
 // fleet.ParseNodes) — and starts health probing. Close releases the
 // poller.
-func NewFleet(spec string, opts ...FleetOption) (*Fleet, error) {
+func NewFleet(spec string) (*Fleet, error) {
 	nodes, err := fleet.ParseNodes(spec)
 	if err != nil {
 		return nil, err
 	}
-	return NewFleetNodes(nodes, opts...), nil
+	return NewFleetNodes(nodes), nil
 }
 
 // NewFleetNodes is NewFleet for an already-parsed node list.
-func NewFleetNodes(nodes []fleet.Node, opts ...FleetOption) *Fleet {
-	cfg := fleetConfig{probe: time.Second}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	f := &Fleet{tracker: fleet.New(nodes), nodes: nodes}
-	if cfg.probe > 0 {
-		for _, n := range nodes {
-			if n.HTTP != "" {
-				f.tracker.Start(cfg.probe)
-				break
-			}
+func NewFleetNodes(nodes []fleet.Node) *Fleet {
+	f := &Fleet{tracker: fleet.New(nodes)}
+	for _, n := range nodes {
+		if n.HTTP != "" {
+			f.tracker.Start(probeInterval)
+			break
 		}
 	}
 	return f
@@ -90,10 +73,6 @@ func (f *Fleet) Nodes() []fleet.Status { return f.tracker.Nodes() }
 
 // Owner returns the node that currently owns the session key.
 func (f *Fleet) Owner(key string) (string, bool) { return f.tracker.Owner(key) }
-
-// Tracker exposes the underlying health tracker (the aggregator serves
-// its view; most callers only need Dial).
-func (f *Fleet) Tracker() *fleet.Tracker { return f.tracker }
 
 // Dial opens a session for the given routing key: the key's rendezvous
 // owner is tried first, then the remaining nodes in health-then-weight
@@ -118,7 +97,6 @@ func (f *Fleet) Dial(key string, opts ...Option) (*Session, error) {
 // session's config.
 func (f *Fleet) route(key string) Option {
 	return func(c *config) {
-		c.sessionKey = key
 		c.route = func() []string { return f.tracker.Route(key) }
 		c.observe = func(addr string, err error) {
 			var se *ServerError
@@ -140,39 +118,23 @@ func (f *Fleet) route(key string) Option {
 	}
 }
 
-// WithSessionKey sets the fleet routing key DialFleet hashes to pick
-// the owning node. Sessions dialed with the same key land on the same
-// node (while it is healthy), so a caller can keep related sessions —
-// shards of one analyzed program, say — colocated. Ignored by plain
-// Dial.
-func WithSessionKey(key string) Option {
-	return func(c *config) { c.sessionKey = key }
-}
-
 // DialFleet opens one session on a fleet of racedetectd nodes, given as
 // a comma-separated node-spec list ("addr" or "addr=httpaddr" per
-// node). The session key (WithSessionKey, or a random key) picks the
-// owning node by rendezvous hashing; unhealthy owners are swept past
+// node). A random session key picks the owning node by rendezvous
+// hashing; unhealthy owners are swept past
 // using the regular retry budget, and with WithReconnect a mid-session
 // node death fails the session over to the next-ranked node. The
 // fleet's health poller lives exactly as long as the session.
 //
-// Callers opening many sessions should build one Fleet and use its Dial
-// instead, so all sessions share one tracker and each other's steering
-// signals.
+// Callers opening many sessions, or keeping related sessions on one
+// node by key, should build one Fleet and use its Dial instead, so all
+// sessions share one tracker and each other's steering signals.
 func DialFleet(spec string, opts ...Option) (*Session, error) {
-	scratch := defaultConfig()
-	for _, o := range opts {
-		o(&scratch)
-	}
-	if scratch.optErr != nil {
-		return nil, scratch.optErr
-	}
 	f, err := NewFleet(spec)
 	if err != nil {
 		return nil, err
 	}
-	s, err := f.Dial(scratch.sessionKey, opts...)
+	s, err := f.Dial("", opts...)
 	if err != nil {
 		f.Close()
 		return nil, err

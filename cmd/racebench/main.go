@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	racebench [-table NAME] [-scale N] [-runs N] [-csv] [-out FILE]
+//	racebench [-table NAME] [-scale N] [-runs N] [-out FILE]
 //
 // Table 1: slowdown and warnings for seven tools on sixteen benchmarks.
 // Table 2: vector clocks allocated / O(n) VC operations, DJIT+ vs
@@ -41,7 +41,6 @@ func main() {
 	table := flag.String("table", "all", "which table to regenerate: all, 1, 2, 3, rules, compose, eclipse, scaling, accordion, ops, batch, fidelity, provenance, speed, fleet")
 	scale := flag.Float64("scale", 1, "workload scale factor")
 	runs := flag.Int("runs", 3, "timed repetitions per cell (fastest kept)")
-	asCSV := flag.Bool("csv", false, "emit machine-readable CSV instead of formatted tables (tables 1, 2, 3, compose, scaling, accordion)")
 	out := flag.String("out", "", "for -table ops/batch/fidelity/provenance/speed/fleet: also write the JSON artifact to this file and fail if its gates do")
 	flag.Parse()
 
@@ -58,26 +57,6 @@ func main() {
 	// run renders one table and returns its artifact, or nil for the
 	// tables that have none.
 	run := func(name string) bench.Report {
-		if *asCSV {
-			switch name {
-			case "1":
-				check(bench.Table1CSV(os.Stdout, bench.Table1(cfg)))
-			case "2":
-				check(bench.Table2CSV(os.Stdout, bench.Table2(cfg)))
-			case "3":
-				check(bench.Table3CSV(os.Stdout, bench.Table3(cfg)))
-			case "compose":
-				check(bench.ComposeCSV(os.Stdout, bench.Compose(cfg)))
-			case "scaling":
-				check(bench.ScalingCSV(os.Stdout, bench.Scaling(cfg, nil)))
-			case "accordion":
-				check(bench.AccordionCSV(os.Stdout, bench.Accordion(cfg, nil)))
-			default:
-				fmt.Fprintf(os.Stderr, "racebench: no CSV renderer for table %q\n", name)
-				os.Exit(2)
-			}
-			return nil
-		}
 		defer fmt.Println()
 		switch name {
 		case "1":

@@ -135,7 +135,7 @@ func runFrontend(mode string, args []string) int {
 	// shim opens it by name. Once the target holds it, this process
 	// drops its own copy, so the stream ends when the target exits.
 	target.Dir = workDir
-	target.Env = append(goEnv, "FASTTRACK_MODE=trace", "FASTTRACK_TRACE=/dev/fd/3")
+	target.Env = append(goEnv, "FASTTRACK_TRACE=/dev/fd/3")
 	target.Stdin, target.Stdout, target.Stderr = os.Stdin, os.Stdout, os.Stderr
 	target.ExtraFiles = []*os.File{pw}
 	err = target.Start()
@@ -192,9 +192,9 @@ func runFrontend(mode string, args []string) int {
 // ("" when none), for the JSON report.
 func analyzeStream(in io.Reader, name, serverAddr string, stats, jsonOut bool, jsonFile string) int {
 	if serverAddr != "" {
-		return runRemote(in, name, serverAddr, "", "FastTrack", "fine", "off", "", true, false, false, jsonOut, jsonFile)
+		return runRemote(in, name, serverAddr, "", "FastTrack", "fine", "off", "", false, false, jsonOut, jsonFile)
 	}
-	return runStream(in, name, []string{"FastTrack"}, fasttrack.Fine, fasttrack.PolicyOff, 0, 0, true, stats,
+	return runStream(in, name, []string{"FastTrack"}, fasttrack.Fine, fasttrack.PolicyOff, 0, 0, stats,
 		false, jsonOut, jsonFile, nil)
 }
 

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	racedetect [-tool FastTrack] [-all] [-granularity fine|coarse]
-//	           [-validate] [-stats] [-policy off|strict|repair|drop]
+//	           [-stats] [-policy off|strict|repair|drop]
 //	           [-membudget bytes] [-json]
 //	           [-fidelity full|sampled(p)|adaptive] [-provenance]
 //	           [-json.file out.json] [-metrics.addr :6060] trace-file
@@ -28,6 +28,11 @@
 // analyzed), and adaptive lets the racedetectd governor move the
 // session along the full→sampled→coarse→shed ladder under pressure, so
 // it requires -server.
+//
+// Under -policy off the trace must be feasible: the first event that
+// breaks the locking or fork/join discipline stops the run with exit 2.
+// A validating policy instead strictly rejects, repairs or drops such
+// events itself, locally and with -server alike.
 //
 // With "-" as the file name the trace is read from standard input.
 // -chaos runs the fault-injection smoke suite: every registered
@@ -61,7 +66,6 @@ import (
 	"fasttrack"
 	"fasttrack/client"
 	"fasttrack/internal/chaos"
-	"fasttrack/internal/hb"
 	"fasttrack/internal/obs"
 	"fasttrack/internal/rr"
 	"fasttrack/internal/sim"
@@ -79,9 +83,7 @@ func main() {
 	toolName := flag.String("tool", "FastTrack", "detector to run (see -list)")
 	all := flag.Bool("all", false, "run every detector and compare")
 	gran := flag.String("granularity", "fine", "shadow granularity: fine or coarse")
-	validate := flag.Bool("validate", true, "check trace feasibility")
 	stats := flag.Bool("stats", false, "print instrumentation statistics and the operation-mix table")
-	explain := flag.Bool("explain", false, "for each FastTrack warning, show both racing accesses and why nothing orders them (implies -tool FastTrack)")
 	policyName := flag.String("policy", "off", "stream-validation policy: off, strict, repair, or drop")
 	memBudget := flag.Int64("membudget", 0, "FastTrack shadow-memory budget in bytes (0 = unbounded)")
 	chaosMode := flag.Bool("chaos", false, "run the fault-injection smoke suite over every detector")
@@ -156,32 +158,18 @@ func main() {
 		fatal(fmt.Errorf("-trace spans the client/daemon pipeline; add -server"))
 	}
 	if remote {
-		if *all || *explain {
-			fatal(fmt.Errorf("-server streams a single tool's run; drop -all/-explain"))
+		if *all {
+			fatal(fmt.Errorf("-server streams a single tool's run; drop -all"))
 		}
 		in, err := openInput(flag.Arg(0))
 		if err != nil {
 			fatal(err)
 		}
-		os.Exit(runRemote(in, flag.Arg(0), *serverAddr, *servers, *toolName, *gran, *policyName, *fidelity, *validate, *provenance, *traceWire, *jsonOut, *jsonFile))
+		os.Exit(runRemote(in, flag.Arg(0), *serverAddr, *servers, *toolName, *gran, *policyName, *fidelity, *provenance, *traceWire, *jsonOut, *jsonFile))
 	}
 
 	if sampleRate > 0 && *all {
 		fatal(fmt.Errorf("-fidelity samples a single tool's run; drop -all"))
-	}
-
-	if *explain {
-		tr, err := readTrace(flag.Arg(0))
-		if err != nil {
-			fatal(err)
-		}
-		if *validate {
-			if err := tr.Validate(); err != nil {
-				fatal(fmt.Errorf("infeasible trace: %w", err))
-			}
-		}
-		explainRaces(tr, g)
-		return
 	}
 
 	ms, err := startMetrics(*metricsAddr)
@@ -196,7 +184,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	os.Exit(runStream(in, flag.Arg(0), names, g, policy, sampleRate, *memBudget, *validate, *stats, *provenance, *jsonOut, *jsonFile, ms))
+	os.Exit(runStream(in, flag.Arg(0), names, g, policy, sampleRate, *memBudget, *stats, *provenance, *jsonOut, *jsonFile, ms))
 }
 
 // applySampleRate starts a tool's sampling tier at the -fidelity rate
@@ -222,7 +210,7 @@ func applySampleRate(tool fasttrack.Tool, rate float64) error {
 // the process exit code. racedetect run and test feed it the
 // instrumented target's stream while the target runs.
 func runStream(in io.Reader, name string, names []string, g fasttrack.Granularity, policy fasttrack.Policy,
-	sampleRate float64, memBudget int64, validate, stats, provenance, jsonOut bool, jsonFile string, ms *metricsServer) int {
+	sampleRate float64, memBudget int64, stats, provenance, jsonOut bool, jsonFile string, ms *metricsServer) int {
 
 	var rep *runReport
 	if jsonOut || jsonFile != "" {
@@ -252,10 +240,10 @@ func runStream(in io.Reader, name string, names []string, g fasttrack.Granularit
 	last, lastTool := ds[len(ds)-1], tools[len(tools)-1]
 	ms.attach(last.Obs)
 
-	// Feasibility checking (-validate) applies only under PolicyOff; a
-	// validating policy performs its own online checks.
+	// Feasibility checking applies only under PolicyOff; a validating
+	// policy performs its own online checks.
 	var feas *trace.Validator
-	if policy == fasttrack.PolicyOff && validate {
+	if policy == fasttrack.PolicyOff {
 		feas = trace.NewValidator()
 	}
 
@@ -478,36 +466,6 @@ func runChaos(args []string) {
 	fmt.Println("chaos: OK")
 }
 
-// explainRaces runs FastTrack with detailed reports and renders, for
-// each warning, both racing accesses and the happens-before evidence (or
-// its absence) from the oracle.
-func explainRaces(tr trace.Trace, g fasttrack.Granularity) {
-	tool, err := fasttrack.NewTool("FastTrack", fasttrack.Hints{DetailedReports: true})
-	if err != nil {
-		fatal(err)
-	}
-	races := fasttrack.Replay(tr, tool, g)
-	fmt.Printf("FastTrack: %d warning(s)\n", len(races))
-	if len(races) == 0 {
-		return
-	}
-	oracle := hb.New(tr)
-	for _, r := range races {
-		fmt.Printf("\n%s\n", r)
-		if r.PrevIndex < 0 || r.Index >= len(tr) {
-			fmt.Println("  (no recorded prior access; re-run the producer with detailed reports)")
-			continue
-		}
-		fmt.Printf("  first access:  event %d: %s\n", r.PrevIndex, tr[r.PrevIndex])
-		fmt.Printf("  second access: event %d: %s\n", r.Index, tr[r.Index])
-		ex := oracle.Explain(r.PrevIndex, r.Index)
-		for _, line := range strings.Split(ex.Render(tr), "\n") {
-			fmt.Printf("  %s\n", line)
-		}
-	}
-	os.Exit(1)
-}
-
 func printReport(w io.Writer, tool fasttrack.Tool, races []fasttrack.Report, st fasttrack.Stats, stats bool) {
 	fmt.Fprintf(w, "%s: %d warning(s)\n", tool.Name(), len(races))
 	for _, r := range races {
@@ -556,8 +514,7 @@ func openInput(path string) (io.Reader, error) {
 	return os.Open(path)
 }
 
-// readTrace loads the whole trace, for the modes that need random
-// access to it (-explain, -chaos).
+// readTrace loads the whole trace, for -chaos, which corrupts it.
 func readTrace(path string) (trace.Trace, error) {
 	in, err := openInput(path)
 	if err != nil {

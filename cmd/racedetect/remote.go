@@ -18,7 +18,7 @@ import (
 // on the key's owning node, steers around capped/draining/dead nodes,
 // and fails over mid-stream if its node dies. Returns the process exit
 // code.
-func runRemote(in io.Reader, name, addr, servers, toolName, gran, policyName, fidelity string, validate, provenance, traceWire, jsonOut bool, jsonFile string) int {
+func runRemote(in io.Reader, name, addr, servers, toolName, gran, policyName, fidelity string, provenance, traceWire, jsonOut bool, jsonFile string) int {
 	jsonWanted := jsonOut || jsonFile != ""
 
 	opts := []client.Option{
@@ -31,7 +31,10 @@ func runRemote(in io.Reader, name, addr, servers, toolName, gran, policyName, fi
 		// the same trace diff clean.
 		opts = append(opts, client.WithDetailedReports())
 	}
-	if policyName != "" && policyName != "off" {
+	// Under -policy off the client checks feasibility, as the local path
+	// does; a validating policy is the daemon's to apply.
+	feasible := policyName == "" || policyName == "off"
+	if !feasible {
 		opts = append(opts, client.WithValidation(policyName))
 	}
 	if fidelity != "" {
@@ -56,7 +59,7 @@ func runRemote(in io.Reader, name, addr, servers, toolName, gran, policyName, fi
 	if err != nil {
 		return reportErr(err)
 	}
-	if err := streamTo(sess, in, validate); err != nil {
+	if err := streamTo(sess, in, feasible); err != nil {
 		sess.Close()
 		return reportErr(err)
 	}
@@ -66,6 +69,10 @@ func runRemote(in io.Reader, name, addr, servers, toolName, gran, policyName, fi
 	res, err := sess.Results()
 	if err != nil {
 		return reportErr(err)
+	}
+	// A strict violation stopped the daemon's analysis at the bad event.
+	if res.Health.Err != "" {
+		return reportErr(fmt.Errorf("strict validation: %s", res.Health.Err))
 	}
 
 	humanOut := humanOutput(jsonWanted, jsonFile)

@@ -114,9 +114,12 @@ func TestAllFansOutOnePass(t *testing.T) {
 // TestPolicyRepairsDamagedTrace: a validating policy checks the stream
 // itself, so a trace that fails the feasibility check is repaired under
 // -policy repair, stops at the bad event under -policy strict, and is
-// rejected outright under the default policy.
+// rejected outright under the default policy. With -server the daemon's
+// pipeline repairs it the same way: the client leaves feasibility to
+// the policy there too.
 func TestPolicyRepairsDamagedTrace(t *testing.T) {
 	bin, base, _ := buildRacedetect(t)
+	addr := startDaemon(t)
 	path := filepath.Join(base, "damaged.trace")
 	// Event 3 releases a lock thread 1 never acquired (and thread 1 was
 	// never forked); event 4 writes from the unforked thread 9.
@@ -135,6 +138,12 @@ func TestPolicyRepairsDamagedTrace(t *testing.T) {
 		{"strict", []string{"-policy", "strict"}, 2,
 			[]string{"strict validation", "event 3 (rel 1 m7)"}},
 		{"off", nil, 2,
+			[]string{"infeasible trace", "event 3 (rel 1 m7)"}},
+		{"repair-remote", []string{"-server", addr, "-policy", "repair"}, 1,
+			[]string{"FastTrack: 1 warning(s)", "write-write race on x6"}},
+		{"strict-remote", []string{"-server", addr, "-policy", "strict"}, 2,
+			[]string{"strict validation", "event 3 (rel 1 m7)"}},
+		{"off-remote", []string{"-server", addr}, 2,
 			[]string{"infeasible trace", "event 3 (rel 1 m7)"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

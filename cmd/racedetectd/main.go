@@ -6,12 +6,10 @@
 // Usage:
 //
 //	racedetectd [-addr 127.0.0.1:7766] [-http 127.0.0.1:7767]
-//	            [-queue 64] [-max-frame bytes] [-max-sessions 256]
+//	            [-queue 64] [-max-sessions 256]
 //	            [-idle 5m] [-drain 30s] [-report.dir DIR] [-v]
-//	            [-governor 250ms] [-stuck-timeout 30s] [-mem-budget bytes]
-//	            [-sample-rate 0.25] [-retry-after 1s]
-//	            [-trace] [-trace.slow 50ms] [-trace.spans 256]
-//	            [-log-format text|json] [-node NAME]
+//	            [-stuck-timeout 30s] [-mem-budget bytes] [-retry-after 1s]
+//	            [-trace] [-log-format text|json] [-node NAME]
 //
 // -node names this daemon in a fleet: the identity is published in
 // /readyz and /healthz, stamped on admission refusals and accepted
@@ -21,16 +19,16 @@
 // -trace enables the pipeline tracer: sessions that request tracing in
 // their handshake get per-frame stage spans (wire gap, queue wait,
 // decode, detect, callback) served at /debug/trace, with stage-latency
-// histograms in /metrics; frames slower than -trace.slow land in the
+// histograms in /metrics; frames slower than 50ms land in the
 // slow-frame log. -log-format json emits structured one-line-JSON
 // lifecycle events (session open/end, evictions, quarantines, governor
 // rung moves, admission refusals) on stderr, independent of -v.
 //
-// The governor flags tune the adaptive fidelity layer: every -governor
-// tick each adaptive session is checked against its queue and
-// shadow-memory (-mem-budget) pressure and moved along the fidelity
-// ladder full → sampled(-sample-rate) → coarse → shed, and any session
-// whose worker makes no progress for -stuck-timeout is quarantined.
+// The governor flags tune the adaptive fidelity layer: every 250ms
+// each adaptive session is checked against its queue and shadow-memory
+// (-mem-budget) pressure and moved along the fidelity ladder
+// full → sampled(0.25) → coarse → shed, and any session whose worker
+// makes no progress for -stuck-timeout is quarantined.
 // Admission refusals at the session cap carry the -retry-after redial
 // hint.
 //
@@ -73,19 +71,14 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:7766", "TCP listen address for ingestion sessions")
 	httpAddr := flag.String("http", "", "HTTP listen address for /metrics and /sessions (disabled if empty)")
 	queue := flag.Int("queue", 64, "per-session frame queue depth (bounds buffered-but-unprocessed frames)")
-	maxFrame := flag.Int("max-frame", 0, "maximum accepted frame payload in bytes (0 = default 4MiB)")
 	maxSessions := flag.Int("max-sessions", 256, "concurrent session cap")
 	idle := flag.Duration("idle", 5*time.Minute, "evict sessions idle for this long (0 = never)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-drain budget on SIGTERM")
 	reportDir := flag.String("report.dir", "", "write one JSON report per finished session into this directory")
-	governor := flag.Duration("governor", 0, "fidelity governor tick interval (0 = default 250ms, negative = disabled)")
 	stuck := flag.Duration("stuck-timeout", 0, "quarantine sessions whose worker makes no progress for this long (0 = default 30s, negative = disabled)")
 	memBudget := flag.Int64("mem-budget", 0, "per-session shadow-memory budget in bytes before the governor degrades fidelity (0 = no memory signal)")
-	sampleRate := flag.Float64("sample-rate", 0, "default sampled-rung rate for sessions that pick none (0 = default 0.25)")
 	retryAfter := flag.Duration("retry-after", 0, "redial hint on session-cap refusals (0 = default 1s)")
 	tracing := flag.Bool("trace", false, "enable the pipeline tracer (/debug/trace, svc.stage.* histograms)")
-	traceSlow := flag.Duration("trace.slow", 0, "slow-frame log threshold (0 = default 50ms)")
-	traceSpans := flag.Int("trace.spans", 0, "recent-span ring capacity (0 = default 256)")
 	logFormat := flag.String("log-format", "text", "lifecycle log format: text (free-form, needs -v) or json (structured one-line events)")
 	node := flag.String("node", "", "this daemon's fleet identity, published in /readyz, refusals, and session listings (empty = unnamed single node)")
 	verbose := flag.Bool("v", false, "log per-session lifecycle events")
@@ -118,22 +111,17 @@ func main() {
 	}
 
 	srv := svc.New(svc.Config{
-		QueueDepth:         *queue,
-		MaxFramePayload:    *maxFrame,
-		MaxSessions:        *maxSessions,
-		IdleTimeout:        *idle,
-		ReportDir:          *reportDir,
-		GovernorInterval:   *governor,
-		StuckTimeout:       *stuck,
-		SessionMemBudget:   *memBudget,
-		DefaultSampleRate:  *sampleRate,
-		RetryAfterHint:     *retryAfter,
-		Tracing:            *tracing,
-		SlowFrameThreshold: *traceSlow,
-		TraceSpans:         *traceSpans,
-		NodeID:             *node,
-		Logf:               logf,
-		EventLog:           eventLog,
+		QueueDepth:       *queue,
+		MaxSessions:      *maxSessions,
+		IdleTimeout:      *idle,
+		ReportDir:        *reportDir,
+		StuckTimeout:     *stuck,
+		SessionMemBudget: *memBudget,
+		RetryAfterHint:   *retryAfter,
+		Tracing:          *tracing,
+		NodeID:           *node,
+		Logf:             logf,
+		EventLog:         eventLog,
 	})
 
 	ln, err := net.Listen("tcp", *addr)

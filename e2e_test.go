@@ -2,9 +2,11 @@ package fasttrack_test
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -82,14 +84,23 @@ func TestEndToEndPipeline(t *testing.T) {
 		t.Errorf("expected 2 Eraser warnings:\n%s", out)
 	}
 
-	// Explanation mode pinpoints both halves of each race.
-	out, code = run(t, "racedetect", "-explain", tracePath)
+	// Provenance pinpoints both halves of each race and the failed check.
+	out, code = run(t, "racedetect", "-provenance", tracePath)
 	if code != 1 {
-		t.Fatalf("explain exit = %d:\n%s", code, out)
+		t.Fatalf("provenance exit = %d:\n%s", code, out)
 	}
-	for _, want := range []string{"first access:", "second access:", "CONCURRENT"} {
+	if n := strings.Count(out, "failed happens-before check"); n != 3 {
+		t.Errorf("%d failed happens-before checks, want 3:\n%s", n, out)
+	}
+	warn := regexp.MustCompile(`thread (\d+) \(event (\d+)\) conflicts with thread (\d+) \(event (\d+)\)`)
+	races := warn.FindAllStringSubmatch(out, -1)
+	if len(races) != 3 {
+		t.Errorf("%d race lines, want 3:\n%s", len(races), out)
+	}
+	for _, m := range races {
+		want := fmt.Sprintf("thread %s's access (event %s) is concurrent with thread %s's (event %s)", m[1], m[2], m[3], m[4])
 		if !strings.Contains(out, want) {
-			t.Errorf("explain output missing %q:\n%s", want, out)
+			t.Errorf("provenance output missing %q:\n%s", want, out)
 		}
 	}
 

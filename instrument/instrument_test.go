@@ -195,7 +195,7 @@ func runInstrumented(t *testing.T, src string) (races int) {
 	bin := buildInstrumented(t, outDir)
 	tracePath := filepath.Join(outDir, "prog.trace")
 	run := exec.Command(bin)
-	run.Env = append(os.Environ(), "FASTTRACK_MODE=trace", "FASTTRACK_TRACE="+tracePath)
+	run.Env = append(os.Environ(), "FASTTRACK_TRACE="+tracePath)
 	if out, err := run.CombinedOutput(); err != nil {
 		t.Fatalf("instrumented run: %v\n%s", err, out)
 	}

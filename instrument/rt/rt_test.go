@@ -239,26 +239,21 @@ func TestConcurrentGoroutines(t *testing.T) {
 	}
 }
 
-// TestNewSinkModes: the trace sink is the only one. FASTTRACK_MODE may be
-// unset or "trace"; any other value is an error, and so is a missing
-// FASTTRACK_TRACE.
+// TestNewSinkModes: the trace sink is the only one, and FASTTRACK_TRACE
+// alone selects it; a missing FASTTRACK_TRACE is an error.
 func TestNewSinkModes(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.trace")
 	for _, c := range []struct {
-		mode, path string
-		ok         bool
+		path string
+		ok   bool
 	}{
-		{"", path, true},
-		{"trace", path, true},
-		{"trace", "", false},
-		{"local", path, false},
-		{"server", path, false},
+		{path, true},
+		{"", false},
 	} {
-		t.Setenv("FASTTRACK_MODE", c.mode)
 		t.Setenv("FASTTRACK_TRACE", c.path)
 		s, err := newSink()
 		if (err == nil) != c.ok {
-			t.Errorf("FASTTRACK_MODE=%q FASTTRACK_TRACE=%q: err %v, want ok=%v", c.mode, c.path, err, c.ok)
+			t.Errorf("FASTTRACK_TRACE=%q: err %v, want ok=%v", c.path, err, c.ok)
 		}
 		if s != nil {
 			if err := s.finish(); err != nil {

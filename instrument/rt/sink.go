@@ -17,15 +17,11 @@ type eventSink interface {
 
 // newSink opens the binary trace named by FASTTRACK_TRACE. The path may
 // be a file or an inherited pipe (racedetect run passes /dev/fd/3 and
-// analyzes the stream while the program runs). FASTTRACK_MODE, when
-// set, must be "trace", the only mode.
+// analyzes the stream while the program runs).
 func newSink() (eventSink, error) {
-	if mode := os.Getenv("FASTTRACK_MODE"); mode != "" && mode != "trace" {
-		return nil, fmt.Errorf("unknown FASTTRACK_MODE %q (the shim only writes traces)", mode)
-	}
 	path := os.Getenv("FASTTRACK_TRACE")
 	if path == "" {
-		return nil, fmt.Errorf("FASTTRACK_MODE=trace needs FASTTRACK_TRACE=<path>")
+		return nil, fmt.Errorf("instrumented program needs FASTTRACK_TRACE=<path>")
 	}
 	// Write-only: opening a pipe read-write would make the shim one of
 	// its readers, so a write would block forever, not fail, if the

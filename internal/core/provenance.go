@@ -140,9 +140,6 @@ func (d *Detector) EnableProvenance() {
 	d.prov = &provState{details: make(map[uint64]*rr.DetailedReport)}
 }
 
-// ProvenanceEnabled reports whether the flight recorder is on.
-func (d *Detector) ProvenanceEnabled() bool { return d.prov != nil }
-
 // provRecordSync appends one sync operation to the acting threads'
 // rings with their post-operation epochs, and snapshots every clock the
 // operation may have changed (both ends of a fork/join, every barrier

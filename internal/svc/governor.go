@@ -227,11 +227,7 @@ func (s *Server) quarantine(sess *session, reason string) {
 	sess.workerDone()   // drain no longer waits for the wedged worker
 	s.mu.Lock()
 	s.active--
-	s.finished = append(s.finished, sess.id) // age out of /sessions with the retention window
-	for len(s.finished) > s.cfg.RetainFinished {
-		delete(s.sessions, s.finished[0])
-		s.finished = s.finished[1:]
-	}
+	s.retireLocked(sess.id) // age out of /sessions with the retention window
 	s.mu.Unlock()
 	s.sm.sessionsActive.Add(-1)
 	s.sm.sessionsQuarantined.Add(1)
@@ -272,7 +268,7 @@ func (s *Server) resolveFidelity(h client.Handshake, forced bool) (fidelityPlan,
 	}
 	p := fidelityPlan{mode: mode, baseRate: rate}
 	if p.baseRate == 0 || p.baseRate == 1 {
-		p.baseRate = s.cfg.DefaultSampleRate
+		p.baseRate = defaultSampleRate
 	}
 	switch mode {
 	case client.FidelitySampled:

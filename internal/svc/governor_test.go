@@ -152,7 +152,7 @@ func TestFidelityLadderEndToEnd(t *testing.T) {
 		t.Fatalf("after 2 pressure ticks: rung %d, want sampled", got)
 	}
 	pump() // worker applies the sampled rate
-	if got := ss.mon.SamplingRate(); got != cfg.DefaultSampleRate && got != 0.25 {
+	if got := ss.mon.SamplingRate(); got != defaultSampleRate {
 		t.Fatalf("sampling rate %v after downgrade, want server default 0.25", got)
 	}
 

@@ -48,29 +48,40 @@ import (
 	"fasttrack/trace"
 )
 
+// Fixed server settings. Accepted frame payloads are capped at
+// trace.DefaultMaxFramePayload, the same cap the client reads with.
+const (
+	// handshakeTimeout bounds the wait for the hello frame on a new
+	// connection.
+	handshakeTimeout = 10 * time.Second
+	// writeTimeout bounds each reply write.
+	writeTimeout = 30 * time.Second
+	// retainFinished is how many finalized sessions stay queryable over
+	// HTTP; older ones are forgotten.
+	retainFinished = 64
+	// defaultSampleRate is the sampled rung's rate for sessions that did
+	// not pick one in their handshake.
+	defaultSampleRate = 0.25
+	// slowFrameThreshold is the processing latency (queue wait through
+	// callback, excluding the inter-frame wire gap) above which a traced
+	// frame is also kept in the slow-frame log.
+	slowFrameThreshold = 50 * time.Millisecond
+	// traceSpans caps the recent-span ring.
+	traceSpans = 256
+)
+
 // Config parameterizes a Server; the zero value is usable.
 type Config struct {
 	// QueueDepth bounds each session's frame queue (default 64). Together
-	// with MaxFramePayload it caps a session's queued-but-unprocessed
-	// bytes at QueueDepth * MaxFramePayload.
+	// with the frame payload cap it bounds a session's queued-but-
+	// unprocessed bytes at QueueDepth * trace.DefaultMaxFramePayload.
 	QueueDepth int
-	// MaxFramePayload bounds accepted frame payloads
-	// (trace.DefaultMaxFramePayload if <= 0).
-	MaxFramePayload int
 	// IdleTimeout evicts sessions that send no frame for this long
 	// (0 = never evict).
 	IdleTimeout time.Duration
-	// HandshakeTimeout bounds the wait for the hello frame on a new
-	// connection (default 10s).
-	HandshakeTimeout time.Duration
-	// WriteTimeout bounds each reply write (default 30s).
-	WriteTimeout time.Duration
 	// MaxSessions caps concurrent sessions (default 256); excess
 	// connections are refused with a session-cap error.
 	MaxSessions int
-	// RetainFinished is how many finalized sessions stay queryable over
-	// HTTP (default 64); older ones are forgotten.
-	RetainFinished int
 	// ReportDir, when non-empty, receives one <sessionID>.json report per
 	// finalized session.
 	ReportDir string
@@ -86,15 +97,9 @@ type Config struct {
 	// in bytes: an adaptive session above it is downgraded one fidelity
 	// rung at a time until pressure clears (0 = no memory signal).
 	SessionMemBudget int64
-	// DefaultSampleRate is the sampled rung's rate for sessions that did
-	// not pick one in their handshake (default 0.25).
-	DefaultSampleRate float64
 	// RetryAfterHint is the Retry-After hint attached to session-cap
 	// admission refusals (default 1s).
 	RetryAfterHint time.Duration
-	// Registry receives the service metrics (svc.* plus per-session
-	// svc.session.<id>.*); a private registry is created when nil.
-	Registry *obs.Registry
 	// NewMonitor overrides session monitor construction, used by tests to
 	// install instrumented detectors. The default builds a Monitor from
 	// the handshake via BuildMonitor.
@@ -113,12 +118,6 @@ type Config struct {
 	// wire extension. Off by default; per-frame cost when on is a few
 	// clock reads and one small allocation.
 	Tracing bool
-	// SlowFrameThreshold is the processing latency (queue wait through
-	// callback, excluding the inter-frame wire gap) above which a traced
-	// frame is also kept in the slow-frame log (default 50ms).
-	SlowFrameThreshold time.Duration
-	// TraceSpans caps the recent-span ring (default 256).
-	TraceSpans int
 	// NodeID names this daemon in a fleet: it is published in /readyz
 	// and /healthz, stamped on admission refusals and HelloOK replies
 	// (so clients and the fleet aggregator can attribute state to a
@@ -150,20 +149,8 @@ func (c *Config) withDefaults() Config {
 	if d.QueueDepth <= 0 {
 		d.QueueDepth = 64
 	}
-	if d.MaxFramePayload <= 0 {
-		d.MaxFramePayload = trace.DefaultMaxFramePayload
-	}
-	if d.HandshakeTimeout <= 0 {
-		d.HandshakeTimeout = 10 * time.Second
-	}
-	if d.WriteTimeout <= 0 {
-		d.WriteTimeout = 30 * time.Second
-	}
 	if d.MaxSessions <= 0 {
 		d.MaxSessions = 256
-	}
-	if d.RetainFinished <= 0 {
-		d.RetainFinished = 64
 	}
 	if d.GovernorInterval == 0 {
 		d.GovernorInterval = 250 * time.Millisecond
@@ -171,20 +158,8 @@ func (c *Config) withDefaults() Config {
 	if d.StuckTimeout == 0 {
 		d.StuckTimeout = 30 * time.Second
 	}
-	if d.DefaultSampleRate <= 0 || d.DefaultSampleRate >= 1 {
-		d.DefaultSampleRate = 0.25
-	}
 	if d.RetryAfterHint <= 0 {
 		d.RetryAfterHint = time.Second
-	}
-	if d.SlowFrameThreshold <= 0 {
-		d.SlowFrameThreshold = 50 * time.Millisecond
-	}
-	if d.TraceSpans <= 0 {
-		d.TraceSpans = 256
-	}
-	if d.Registry == nil {
-		d.Registry = obs.NewRegistry()
 	}
 	if d.NewMonitor == nil {
 		d.NewMonitor = BuildMonitor
@@ -269,7 +244,7 @@ type Server struct {
 
 	// Pipeline tracer state; all nil unless Config.Tracing. spans keeps
 	// the most recent traced frames, slow the frames whose processing
-	// latency crossed SlowFrameThreshold.
+	// latency crossed slowFrameThreshold.
 	spans *obs.SpanRing
 	slow  *obs.SpanRing
 	stage *stageHists
@@ -312,7 +287,7 @@ func monotonicNow() int64 { return int64(time.Since(clockBase)) + 1 }
 // New returns a Server with the given configuration.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	reg := cfg.Registry
+	reg := obs.NewRegistry()
 	s := &Server{
 		cfg:      cfg,
 		reg:      reg,
@@ -342,7 +317,7 @@ func New(cfg Config) *Server {
 		},
 	}
 	if cfg.Tracing {
-		s.spans = obs.NewSpanRing(cfg.TraceSpans)
+		s.spans = obs.NewSpanRing(traceSpans)
 		s.slow = obs.NewSpanRing(64)
 		s.stage = &stageHists{
 			wire:     reg.Histogram("svc.stage.wire.ns"),
@@ -437,10 +412,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // the reader loop; the worker runs on its own goroutine.
 func (s *Server) handleConn(conn net.Conn) {
 	ic := &idleConn{Conn: conn}
-	fr := trace.NewFrameReader(ic, s.cfg.MaxFramePayload)
+	fr := trace.NewFrameReader(ic, trace.DefaultMaxFramePayload)
 	fw := trace.NewFrameWriter(conn)
 
-	conn.SetReadDeadline(time.Now().Add(s.cfg.HandshakeTimeout))
+	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
 	t, payload, err := fr.ReadFrame()
 	if err != nil || t != client.FrameHello {
 		s.refuse(conn, fw, client.ErrCodeProtocol, "expected hello frame")
@@ -606,7 +581,7 @@ func (s *Server) refuse(conn net.Conn, fw *trace.FrameWriter, code, msg string) 
 // should treat as transient (session cap, draining).
 func (s *Server) refuseRetry(conn net.Conn, fw *trace.FrameWriter, code, msg string, retryAfter time.Duration) {
 	s.sm.errorsTotal.Inc()
-	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	we := client.WireError{Code: code, Msg: msg, Node: s.cfg.NodeID}
 	if retryAfter > 0 {
 		we.RetryAfterMillis = retryAfter.Milliseconds()
@@ -635,16 +610,23 @@ func (s *Server) recordEpochLocked(root string, epoch int64) {
 	s.epochs[root] = epoch
 }
 
+// retireLocked moves a session that no longer streams into the
+// retention window, forgetting the oldest beyond retainFinished.
+// Callers hold s.mu.
+func (s *Server) retireLocked(id string) {
+	s.finished = append(s.finished, id)
+	for len(s.finished) > retainFinished {
+		delete(s.sessions, s.finished[0])
+		s.finished = s.finished[1:]
+	}
+}
+
 // finalized moves a finalized session into the retention window.
 func (s *Server) finalized(sess *session) {
 	s.mu.Lock()
 	s.active--
 	s.activeN.Store(int64(s.active))
-	s.finished = append(s.finished, sess.id)
-	for len(s.finished) > s.cfg.RetainFinished {
-		delete(s.sessions, s.finished[0])
-		s.finished = s.finished[1:]
-	}
+	s.retireLocked(sess.id)
 	s.mu.Unlock()
 	// Metrics first: whoever sees the active gauge drop must no longer
 	// see the session's own metrics.
@@ -754,7 +736,7 @@ func (s *Server) Handler() http.Handler {
 		}{Spans: []obs.Span{}, Slow: []obs.Span{}}
 		if s.spans != nil {
 			out.Enabled = true
-			out.SlowThresholdNs = s.cfg.SlowFrameThreshold.Nanoseconds()
+			out.SlowThresholdNs = slowFrameThreshold.Nanoseconds()
 			out.Recorded = s.spans.Recorded()
 			out.Spans = s.spans.Snapshot()
 			out.Slow = s.slow.Snapshot()

@@ -431,7 +431,7 @@ func (sess *session) recordSpan(it qitem, dequeued, decodeNs, detectNs int64) {
 	st.decode.Observe(decodeNs)
 	st.detect.Observe(detectNs)
 	st.callback.Observe(now - dequeued - decodeNs - detectNs)
-	if now-it.recv >= srv.cfg.SlowFrameThreshold.Nanoseconds() {
+	if now-it.recv >= slowFrameThreshold.Nanoseconds() {
 		srv.slow.Record(sp)
 	}
 }
@@ -528,7 +528,7 @@ func (sess *session) reply(t trace.FrameType, v any) error {
 	}
 	sess.wmu.Lock()
 	defer sess.wmu.Unlock()
-	sess.conn.SetWriteDeadline(time.Now().Add(sess.srv.cfg.WriteTimeout))
+	sess.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	return sess.fw.WriteFrame(t, b)
 }
 

@@ -363,7 +363,7 @@ func TestBackpressure(t *testing.T) {
 }
 
 // throttleConn blocks writes past a byte budget until released; it
-// gives the shed test a deterministic "transport is stuck" condition.
+// gives the overflow test a deterministic "transport is stuck" condition.
 type throttleConn struct {
 	net.Conn
 	mu      sync.Mutex
@@ -386,15 +386,14 @@ func (c *throttleConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// TestShedPolicy wedges the transport after the handshake; a client
-// configured to shed must drop whole frames (counted, bounded memory)
-// instead of blocking, and the server's final count must equal exactly
-// the events the client reports as sent.
-func TestShedPolicy(t *testing.T) {
+// TestQueueOverflowBlocks wedges the transport after the handshake; once
+// the client's bounded frame queue is full, Write must wait (counted in
+// Stats().Stalls) rather than drop anything, and after the transport
+// recovers the server must analyze every written event.
+func TestQueueOverflowBlocks(t *testing.T) {
 	_, addr := startServer(t, Config{})
 
 	release := make(chan struct{})
-	var tc *throttleConn
 	dial := func(addr string, timeout time.Duration) (net.Conn, error) {
 		c, err := net.DialTimeout("tcp", addr, timeout)
 		if err != nil {
@@ -402,33 +401,42 @@ func TestShedPolicy(t *testing.T) {
 		}
 		// Budget covers the hello frame only; the first events frame
 		// wedges until release.
-		tc = &throttleConn{Conn: c, allowed: 64, release: release}
-		return tc, nil
+		return &throttleConn{Conn: c, allowed: 64, release: release}, nil
 	}
 	sess, err := client.Dial(addr,
 		client.WithDialFunc(dial),
 		client.WithBatchSize(16),
-		client.WithQueue(2, client.Shed),
 		client.WithReadTimeout(time.Minute))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// 10 frames worth: one wedged in the sender, two queued, the rest shed.
-	for i := 0; i < 160; i++ {
-		if err := sess.Write(trace.Wr(0, uint64(i))); err != nil {
-			t.Fatal(err)
+	// 40 frames: one wedged in the sender, 32 filling the client queue,
+	// and the rest must wait for space.
+	const events = 40 * 16
+	wrote := make(chan error, 1)
+	go func() {
+		for i := 0; i < events; i++ {
+			if err := sess.Write(trace.Wr(0, uint64(i))); err != nil {
+				wrote <- err
+				return
+			}
 		}
-	}
-	st := sess.Stats()
-	if st.FramesShed == 0 {
-		t.Fatalf("no frames shed: %+v", st)
-	}
-	if st.Stalls != 0 {
-		t.Errorf("shed client stalled %d times", st.Stalls)
+		wrote <- nil
+	}()
+
+	deadline := time.Now().Add(10 * time.Second)
+	for sess.Stats().Stalls == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("no stall while the transport is wedged: %+v", sess.Stats())
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 
 	close(release)
+	if err := <-wrote; err != nil {
+		t.Fatal(err)
+	}
 	if err := sess.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -436,11 +444,11 @@ func TestShedPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Events != sess.Stats().EventsSent {
-		t.Errorf("server analyzed %d events, client sent %d", res.Events, sess.Stats().EventsSent)
+	if res.Events != events {
+		t.Errorf("server analyzed %d events, want %d", res.Events, events)
 	}
-	if res.Events+sess.Stats().EventsShed != 160 {
-		t.Errorf("sent(%d) + shed(%d) != written(160)", res.Events, sess.Stats().EventsShed)
+	if st := sess.Stats(); st.EventsSent != events {
+		t.Errorf("client sent %d events, want %d", st.EventsSent, events)
 	}
 	if err := sess.Close(); err != nil {
 		t.Fatal(err)

@@ -239,20 +239,6 @@ func Replay(tr trace.Trace, tool Tool, g Granularity) []Report {
 	return tool.Races()
 }
 
-// ReplayResilient feeds a trace through a tool with the resilience layer
-// engaged: events are validated under the given policy (repaired,
-// dropped, or — under PolicyStrict — rejected, stopping the stream) and
-// tool panics are quarantined instead of propagating. It returns the
-// warnings and a degradation snapshot; under PolicyStrict the first
-// violation is in Health.Err.
-func ReplayResilient(tr trace.Trace, tool Tool, g Granularity, p Policy) ([]Report, Health) {
-	d := rr.NewDispatcher(tool)
-	d.Granularity = g
-	d.Policy = p
-	d.Feed(tr)
-	return tool.Races(), d.Health()
-}
-
 // ReplayStream analyzes a trace incrementally from a reader (text or
 // binary format, auto-detected) without materializing it in memory.
 // When validate is true each event is also checked against the
