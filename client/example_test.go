@@ -41,18 +41,3 @@ func ExampleDial() {
 		fmt.Println(r)
 	}
 }
-
-// Open sessions through one Fleet so they share its health tracker.
-func ExampleFleet() {
-	f, err := client.NewFleet("localhost:7766=localhost:7767,localhost:7866=localhost:7867")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	s, err := f.Dial("checkout-service", // sessions with one key colocate
-		client.WithReconnect(4)) // node death → resume on next-ranked node
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer s.Close()
-}

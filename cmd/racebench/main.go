@@ -17,13 +17,9 @@
 // "provenance": FastTrack throughput with the provenance flight
 // recorder off vs on across workload mixes. "speed": serial per-event
 // throughput of FastTrack against in-run DJIT+ on memory-bound streams
-// (DESIGN.md §13). "fleet": routed session throughput against 1/2/4
-// in-process racedetectd nodes — fixed worker population, capped
-// session slots per node, client.Fleet steering refused dials to free
-// capacity (DESIGN.md §15). Fleet spins real TCP servers, so it is not
-// part of -table all.
+// (DESIGN.md §13).
 //
-// For those six tables, -out FILE writes the JSON artifact in the
+// For those five tables, -out FILE writes the JSON artifact in the
 // fasttrack/bench/v2 envelope (BENCH_<table>.json in CI), then runs
 // the table's gates: racebench exits 1 when one fails, so the exit
 // status of `racebench -table X -out F` is the CI gate.
@@ -38,10 +34,10 @@ import (
 )
 
 func main() {
-	table := flag.String("table", "all", "which table to regenerate: all, 1, 2, 3, rules, compose, eclipse, scaling, accordion, ops, batch, fidelity, provenance, speed, fleet")
+	table := flag.String("table", "all", "which table to regenerate: all, 1, 2, 3, rules, compose, eclipse, scaling, accordion, ops, batch, fidelity, provenance, speed")
 	scale := flag.Float64("scale", 1, "workload scale factor")
 	runs := flag.Int("runs", 3, "timed repetitions per cell (fastest kept)")
-	out := flag.String("out", "", "for -table ops/batch/fidelity/provenance/speed/fleet: also write the JSON artifact to this file and fail if its gates do")
+	out := flag.String("out", "", "for -table ops/batch/fidelity/provenance/speed: also write the JSON artifact to this file and fail if its gates do")
 	flag.Parse()
 
 	cfg := bench.DefaultConfig()
@@ -107,12 +103,6 @@ func main() {
 			fmt.Println("=== Raw speed: FastTrack vs in-run DJIT+ ===")
 			rep := bench.Speed(cfg)
 			bench.FprintSpeed(os.Stdout, rep)
-			return rep
-		case "fleet":
-			fmt.Println("=== Extension: fleet-routed session throughput ===")
-			rep, err := bench.Fleet(cfg, 0)
-			check(err)
-			bench.FprintFleet(os.Stdout, rep)
 			return rep
 		default:
 			fmt.Fprintf(os.Stderr, "racebench: unknown table %q\n", name)

@@ -192,7 +192,7 @@ func runFrontend(mode string, args []string) int {
 // ("" when none), for the JSON report.
 func analyzeStream(in io.Reader, name, serverAddr string, stats, jsonOut bool, jsonFile string) int {
 	if serverAddr != "" {
-		return runRemote(in, name, serverAddr, "", "FastTrack", "fine", "off", "", false, false, jsonOut, jsonFile)
+		return runRemote(in, name, serverAddr, "FastTrack", "fine", "off", "", false, false, jsonOut, jsonFile)
 	}
 	return runStream(in, name, []string{"FastTrack"}, fasttrack.Fine, fasttrack.PolicyOff, 0, 0, stats,
 		false, jsonOut, jsonFile, nil)

@@ -91,7 +91,6 @@ func main() {
 	jsonFile := flag.String("json.file", "", "write the run report to this file instead of stdout")
 	metricsAddr := flag.String("metrics.addr", "", "serve live metrics and pprof on this address (e.g. :6060)")
 	serverAddr := flag.String("server", "", "stream the trace to a racedetectd daemon at this address instead of analyzing locally")
-	servers := flag.String("servers", "", "stream to a racedetectd fleet: comma-separated nodes (addr or addr=httpaddr each); the session routes to its owning node, steers around capped/draining nodes, and fails over if its node dies")
 	fidelity := flag.String("fidelity", "", "analysis fidelity: full, sampled(p), or adaptive (adaptive requires -server)")
 	provenance := flag.Bool("provenance", false, "record race provenance: each warning carries clock evidence, the failed happens-before check, the recent sync chain, and a rendered explanation (FastTrack only)")
 	traceWire := flag.Bool("trace", false, "request pipeline tracing from the daemon: frames carry trace IDs and per-stage spans land in its /debug/trace (requires -server and a daemon started with -trace)")
@@ -114,10 +113,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *serverAddr != "" && *servers != "" {
-		fatal(fmt.Errorf("-server and -servers are mutually exclusive"))
-	}
-	remote := *serverAddr != "" || *servers != ""
+	remote := *serverAddr != ""
 	if fidMode == client.FidelityAdaptive && !remote {
 		fatal(fmt.Errorf("-fidelity adaptive is governed by racedetectd; add -server"))
 	}
@@ -165,7 +161,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		os.Exit(runRemote(in, flag.Arg(0), *serverAddr, *servers, *toolName, *gran, *policyName, *fidelity, *provenance, *traceWire, *jsonOut, *jsonFile))
+		os.Exit(runRemote(in, flag.Arg(0), *serverAddr, *toolName, *gran, *policyName, *fidelity, *provenance, *traceWire, *jsonOut, *jsonFile))
 	}
 
 	if sampleRate > 0 && *all {

@@ -13,12 +13,9 @@ import (
 // instead of analyzing it in-process, event by event as it decodes, and
 // renders the session's final report in exactly the local format
 // (so local and remote runs diff clean); the transport note goes to
-// stderr. name is the trace's name in the JSON report. With a non-empty
-// servers spec the session is fleet-routed (client.DialFleet): it lands
-// on the key's owning node, steers around capped/draining/dead nodes,
-// and fails over mid-stream if its node dies. Returns the process exit
-// code.
-func runRemote(in io.Reader, name, addr, servers, toolName, gran, policyName, fidelity string, provenance, traceWire, jsonOut bool, jsonFile string) int {
+// stderr. name is the trace's name in the JSON report. Returns the
+// process exit code.
+func runRemote(in io.Reader, name, addr, toolName, gran, policyName, fidelity string, provenance, traceWire, jsonOut bool, jsonFile string) int {
 	jsonWanted := jsonOut || jsonFile != ""
 
 	opts := []client.Option{
@@ -46,16 +43,7 @@ func runRemote(in io.Reader, name, addr, servers, toolName, gran, policyName, fi
 	if traceWire {
 		opts = append(opts, client.WithTracing())
 	}
-	var sess *client.Session
-	var err error
-	if servers != "" {
-		// Fleet mode: reconnect budget covers mid-stream node failover
-		// (a one-shot CLI run otherwise fails closed on its node dying).
-		opts = append(opts, client.WithReconnect(4))
-		sess, err = client.DialFleet(servers, opts...)
-	} else {
-		sess, err = client.Dial(addr, opts...)
-	}
+	sess, err := client.Dial(addr, opts...)
 	if err != nil {
 		return reportErr(err)
 	}
@@ -100,12 +88,8 @@ func runRemote(in io.Reader, name, addr, servers, toolName, gran, policyName, fi
 			return reportErr(err)
 		}
 	}
-	where := sess.Addr()
-	if n := sess.Node(); n != "" {
-		where = fmt.Sprintf("%s, node %s", where, n)
-	}
 	fmt.Fprintf(os.Stderr, "racedetect: %d events analyzed remotely (session %s on %s)\n",
-		res.Events, res.SessionID, where)
+		res.Events, res.SessionID, sess.Addr())
 	if len(res.Races) > 0 {
 		return 1
 	}

@@ -8,13 +8,8 @@
 //	racedetectd [-addr 127.0.0.1:7766] [-http 127.0.0.1:7767]
 //	            [-queue 64] [-max-sessions 256]
 //	            [-idle 5m] [-drain 30s] [-report.dir DIR] [-v]
-//	            [-stuck-timeout 30s] [-mem-budget bytes] [-retry-after 1s]
-//	            [-trace] [-log-format text|json] [-node NAME]
-//
-// -node names this daemon in a fleet: the identity is published in
-// /readyz and /healthz, stamped on admission refusals and accepted
-// handshakes, and attached to every session listed over HTTP, which is
-// what lets racedetectfleet's merged views attribute state to nodes.
+//	            [-stuck-timeout 30s] [-mem-budget bytes]
+//	            [-trace] [-log-format text|json]
 //
 // -trace enables the pipeline tracer: sessions that request tracing in
 // their handshake get per-frame stage spans (wire gap, queue wait,
@@ -29,8 +24,7 @@
 // (-mem-budget) pressure and moved along the fidelity ladder
 // full → sampled(0.25) → coarse → shed, and any session whose worker
 // makes no progress for -stuck-timeout is quarantined.
-// Admission refusals at the session cap carry the -retry-after redial
-// hint.
+// Admission refusals at the session cap carry a 1s redial hint.
 //
 // The HTTP listener (enabled by -http) serves:
 //
@@ -77,10 +71,8 @@ func main() {
 	reportDir := flag.String("report.dir", "", "write one JSON report per finished session into this directory")
 	stuck := flag.Duration("stuck-timeout", 0, "quarantine sessions whose worker makes no progress for this long (0 = default 30s, negative = disabled)")
 	memBudget := flag.Int64("mem-budget", 0, "per-session shadow-memory budget in bytes before the governor degrades fidelity (0 = no memory signal)")
-	retryAfter := flag.Duration("retry-after", 0, "redial hint on session-cap refusals (0 = default 1s)")
 	tracing := flag.Bool("trace", false, "enable the pipeline tracer (/debug/trace, svc.stage.* histograms)")
 	logFormat := flag.String("log-format", "text", "lifecycle log format: text (free-form, needs -v) or json (structured one-line events)")
-	node := flag.String("node", "", "this daemon's fleet identity, published in /readyz, refusals, and session listings (empty = unnamed single node)")
 	verbose := flag.Bool("v", false, "log per-session lifecycle events")
 	flag.Parse()
 
@@ -117,9 +109,7 @@ func main() {
 		ReportDir:        *reportDir,
 		StuckTimeout:     *stuck,
 		SessionMemBudget: *memBudget,
-		RetryAfterHint:   *retryAfter,
 		Tracing:          *tracing,
-		NodeID:           *node,
 		Logf:             logf,
 		EventLog:         eventLog,
 	})

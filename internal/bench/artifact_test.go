@@ -76,25 +76,6 @@ func speedRep(mut func(*SpeedReport)) Report {
 	return r
 }
 
-func fleetRep(mut func(*FleetReport)) Report {
-	r := FleetReport{Header: hdr("fleet"), Workers: 16, SlotsPerNode: 4, HoldMs: 15, Events: 256, Sessions: 48}
-	for _, n := range []struct {
-		nodes   int
-		speedup float64
-	}{{1, 1}, {2, 1.8}, {4, 2.5}} {
-		per := map[string]int{}
-		for i := 0; i < n.nodes; i++ {
-			per[fmt.Sprint("n", i+1)] = 48 / n.nodes
-		}
-		r.Rows = append(r.Rows, FleetRow{Nodes: n.nodes, Completed: 48, ElapsedNs: 1e9, SessionsPerSec: 48 * n.speedup,
-			Speedup: n.speedup, PerNode: per})
-	}
-	if mut != nil {
-		mut(&r)
-	}
-	return r
-}
-
 // TestChecks runs every table's gates on a passing synthetic report and
 // on one failing report per condition, and requires the failure to name
 // the broken condition.
@@ -144,19 +125,6 @@ func TestChecks(t *testing.T) {
 		{"speed/zero FastTrack time", speedRep(func(r *SpeedReport) { r.Rows[2].NsPerEvent = 0 }), "read-shared: non-positive"},
 		{"speed/race counts differ", speedRep(func(r *SpeedReport) { r.Rows[3].DJITRaces = 2 }), "first-touch: FastTrack reports 1 races, DJIT+ 2"},
 		{"speed/geomean below gate", speedRep(func(r *SpeedReport) { r.GeomeanSpeedup = speedGate - 0.01 }), "geomean speedup"},
-
-		{"fleet/valid", fleetRep(nil), ""},
-		{"fleet/no slots", fleetRep(func(r *FleetReport) { r.SlotsPerNode = 0 }), "slotsPerNode 0"},
-		{"fleet/failed 1", fleetRep(func(r *FleetReport) { r.Rows[1].Failed = 1 }), "2 nodes: 1 failed sessions"},
-		{"fleet/short of sessions", fleetRep(func(r *FleetReport) { r.Rows[0].Completed = 47 }), "1 nodes: 47 sessions completed, want 48"},
-		{"fleet/unspread", fleetRep(func(r *FleetReport) { delete(r.Rows[2].PerNode, "n4") }), "4 nodes: sessions landed on 3"},
-		{"fleet/missing 4 nodes", fleetRep(func(r *FleetReport) { r.Rows = r.Rows[:2] }), "want exactly 1, 2 and 4"},
-		{"fleet/extra 8 nodes", fleetRep(func(r *FleetReport) {
-			r.Rows = append(r.Rows, FleetRow{Nodes: 8, Completed: 48, Speedup: 3, PerNode: map[string]int{
-				"n1": 6, "n2": 6, "n3": 6, "n4": 6, "n5": 6, "n6": 6, "n7": 6, "n8": 6}})
-		}), "want exactly 1, 2 and 4"},
-		{"fleet/2 nodes at 1.79x", fleetRep(func(r *FleetReport) { r.Rows[1].Speedup = 1.79 }), "2-node speedup 1.79x"},
-		{"fleet/4 nodes at 2.49x", fleetRep(func(r *FleetReport) { r.Rows[2].Speedup = 2.49 }), "4-node speedup 2.49x"},
 	}
 
 	// The envelope gates, on every table.
@@ -169,7 +137,6 @@ func TestChecks(t *testing.T) {
 		{"fidelity", func(m func(*Header)) Report { return fidelityRep(func(r *FidelityReport) { m(&r.Header) }) }},
 		{"provenance", func(m func(*Header)) Report { return provenanceRep(func(r *ProvenanceReport) { m(&r.Header) }) }},
 		{"speed", func(m func(*Header)) Report { return speedRep(func(r *SpeedReport) { m(&r.Header) }) }},
-		{"fleet", func(m func(*Header)) Report { return fleetRep(func(r *FleetReport) { m(&r.Header) }) }},
 	} {
 		cases = append(cases,
 			checkCase{b.table + "/old schema", b.rep(func(h *Header) { h.Schema = "fasttrack/bench-" + b.table + "/v1" }), "schema"},
@@ -222,8 +189,6 @@ func TestCommittedArtifacts(t *testing.T) {
 			rep = &ProvenanceReport{}
 		case "speed":
 			rep = &SpeedReport{}
-		case "fleet":
-			rep = &FleetReport{}
 		default:
 			t.Errorf("%s: unknown table %q (schema %q)", p, h.Table, h.Schema)
 			continue
@@ -242,7 +207,7 @@ func TestCommittedArtifacts(t *testing.T) {
 		}
 		seen[h.Table] = true
 	}
-	for _, table := range []string{"batch", "fidelity", "provenance", "speed", "fleet"} {
+	for _, table := range []string{"batch", "fidelity", "provenance", "speed"} {
 		if !seen[table] {
 			t.Errorf("no committed BENCH_%s.json in the %s envelope", table, Schema)
 		}

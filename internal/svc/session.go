@@ -613,7 +613,6 @@ func (sess *session) info() SessionInfo {
 		SampleRate: sess.rateFor(rung),
 		Epoch:      sess.epoch,
 		ResumeOf:   sess.resumeOf,
-		Node:       sess.srv.cfg.NodeID,
 	}
 	// Same watchdog race as the stats endpoint: bound the monitor read
 	// so a listing never hangs on a session quarantined mid-call.

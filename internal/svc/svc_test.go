@@ -827,6 +827,90 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 }
 
+// TestStatsWhileMonitorWedged is the regression for the stats handler's
+// check-then-act window: a worker wedged INSIDE the monitor (holding
+// its lock, session still streaming, not yet quarantined) must not park
+// the handler forever behind that lock. The old handler checked the
+// quarantine state and then called the blocking Stats(); with the lock
+// wedged it never returned and the probe's HTTP client hung until its
+// own timeout.
+func TestStatsWhileMonitorWedged(t *testing.T) {
+	srv, addr, gate := gatedServer(t, Config{GovernorInterval: -1})
+	// Open the gate before startServer's cleanup drains (cleanups run
+	// after this test function's defers), so shutdown never inherits the
+	// wedge this test manufactures.
+	defer close(gate)
+
+	sess, err := client.Dial(addr, client.WithBatchSize(8), client.WithReadTimeout(time.Minute))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 16; i++ {
+		if err := sess.Write(trace.Wr(0, uint64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	vs := srv.lookup(sess.ID())
+	waitUntil(t, "worker to wedge inside the monitor", func() bool { return vs.busySince.Load() != 0 })
+
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	start := time.Now()
+	code, body := httpGET(t, hs, "/sessions/"+sess.ID()+"/stats")
+	if code != http.StatusOK {
+		t.Fatalf("stats on wedged session: code %d body %s", code, body)
+	}
+	if !strings.Contains(body, "monitor lock busy") {
+		t.Errorf("stats on wedged session did not report the busy lock:\n%s", body)
+	}
+	// Bounded by the stats budget, not the probe client's 5s timeout.
+	if el := time.Since(start); el > 2*time.Second {
+		t.Errorf("stats handler took %v on a wedged monitor, want ~%v", el, statsBudget)
+	}
+}
+
+// TestHealthzWithServerMutexHeld is the liveness regression: /healthz
+// must answer from atomics alone, so a stalled operation holding the
+// server mutex (a slow drain, a stuck accept path) cannot make the
+// liveness probe time out and get a live process killed.
+func TestHealthzWithServerMutexHeld(t *testing.T) {
+	srv, _ := startServer(t, Config{})
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	code, body := httpGET(t, hs, "/healthz")
+	if code != http.StatusOK || !strings.Contains(body, `"status": "ok"`) {
+		t.Fatalf("/healthz under held server mutex: code %d body %s", code, body)
+	}
+}
+
+// TestReadyzShedCensus checks that /readyz counts the sessions parked on
+// the shed rung alongside the admission state.
+func TestReadyzShedCensus(t *testing.T) {
+	srv, addr := startServer(t, Config{MaxSessions: 1, GovernorInterval: -1})
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+
+	sess, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+
+	srv.lookup(sess.ID()).rung.Store(rungShed)
+	code, body := httpGET(t, hs, "/readyz")
+	if code != http.StatusServiceUnavailable { // at the cap
+		t.Errorf("/readyz at cap: code %d, want 503", code)
+	}
+	for _, want := range []string{`"shedding": true`, `"shedSessions": 1`} {
+		if !strings.Contains(body, want) {
+			t.Errorf("/readyz missing %s:\n%s", want, body)
+		}
+	}
+}
+
 // rawSessionRaces opens a session with a hand-written hello payload,
 // streams tr in 64-event frames, closes the session, and returns the
 // JSON encoding of its final race list.
