@@ -28,13 +28,6 @@ const (
 // ErrSessionClosed is returned by operations on a session after Close.
 var ErrSessionClosed = errors.New("client: session is closed")
 
-// ErrResumed is returned by a control operation (Flush, Results, Close)
-// whose reply was lost to a connection drop that the session then
-// recovered from (WithReconnect). It is transient, not sticky: the
-// session is healthy again on a fresh connection and the operation can
-// simply be retried.
-var ErrResumed = errors.New("client: connection was lost and resumed; retry the operation")
-
 // ServerError is a server-diagnosed session failure (a FrameErrorMsg on
 // the wire): the daemon refused or tore down the session for cause.
 // Code is one of the ErrCode constants.
@@ -42,8 +35,8 @@ type ServerError struct {
 	Code string
 	Msg  string
 	// RetryAfter is the server's redial hint on admission refusals
-	// (zero when the server gave none). Dial and the resume path fold
-	// it into their backoff.
+	// (zero when the server gave none). Dial folds it into its
+	// backoff.
 	RetryAfter time.Duration
 }
 
@@ -67,8 +60,6 @@ type config struct {
 	batchEvents int
 	retries     int
 	backoff     time.Duration
-	schedule    func(attempt int) time.Duration
-	reconnects  int
 	hello       Handshake
 	dial        DialFunc
 	optErr      error
@@ -87,15 +78,11 @@ func defaultConfig() config {
 	}
 }
 
-// retryDelay is the wait before retry number attempt (0-based): the
-// configured schedule, or the default jittered exponential backoff —
-// initial·2^attempt scaled by a uniform factor in [0.5, 1.5), so a
-// daemon restart does not get its reconnecting clients back in one
-// synchronized stampede.
+// retryDelay is the wait before retry number attempt (0-based): a
+// jittered exponential backoff — initial·2^attempt scaled by a uniform
+// factor in [0.5, 1.5), so a daemon restart does not get its redialing
+// clients back in one synchronized stampede.
 func (c *config) retryDelay(attempt int) time.Duration {
-	if c.schedule != nil {
-		return c.schedule(attempt)
-	}
 	if attempt > 16 {
 		attempt = 16
 	}
@@ -125,9 +112,8 @@ func WithBatchSize(n int) Option {
 }
 
 // WithRetry sets the bounded dial retry budget: up to retries extra
-// attempts, waiting retryDelay(attempt) between them — by default
-// exponential backoff starting at initial with ±50% jitter (see
-// WithRetrySchedule to replace the schedule entirely).
+// attempts, waiting between them with exponential backoff starting at
+// initial with ±50% jitter.
 func WithRetry(retries int, initial time.Duration) Option {
 	return func(c *config) {
 		if retries >= 0 {
@@ -135,31 +121,6 @@ func WithRetry(retries int, initial time.Duration) Option {
 		}
 		if initial > 0 {
 			c.backoff = initial
-		}
-	}
-}
-
-// WithRetrySchedule replaces the dial/reconnect backoff schedule: f is
-// called with the 0-based retry attempt number and returns how long to
-// wait before that retry. The number of attempts is still bounded by
-// WithRetry's budget. The caller owns jitter when supplying a schedule;
-// a deterministic schedule re-creates the synchronized-stampede problem
-// the default avoids. A server Retry-After hint still takes precedence
-// when it is longer than the scheduled delay.
-func WithRetrySchedule(f func(attempt int) time.Duration) Option {
-	return func(c *config) { c.schedule = f }
-}
-
-// WithReconnect enables transparent reconnect-and-resume: when the
-// transport fails mid-session (not on a server-diagnosed error), the
-// session redials with the retry schedule, re-handshakes with an
-// incremented session epoch and the original session id as lineage, and
-// continues streaming — up to maxResumes times over the session's life.
-// See Session for the exact semantics and what resume does NOT promise.
-func WithReconnect(maxResumes int) Option {
-	return func(c *config) {
-		if maxResumes > 0 {
-			c.reconnects = maxResumes
 		}
 	}
 }
@@ -229,7 +190,6 @@ type Stats struct {
 	EventsSent    int64 // events handed to the wire (flushed batches)
 	FramesSent    int64
 	Stalls        int64 // Writes that had to wait for queue space
-	Resumes       int64 // successful reconnects (WithReconnect)
 }
 
 // Session is one open analysis session on a racedetectd server. A
@@ -237,40 +197,18 @@ type Stats struct {
 // concurrent writers are interleaved at batch granularity; the common
 // shape is one producing goroutine per session.
 //
-// Errors are sticky and fail-closed by default: once the connection or
-// the server-side session has failed, every subsequent operation
-// returns the first error. WithReconnect relaxes this for transport
-// failures only: the session redials, re-handshakes with an incremented
-// epoch and its original id as lineage (so the server can refuse a
-// stale duplicate of an earlier connection — no event is ever counted
-// into two live sessions of one lineage), and resumes streaming into a
-// fresh server-side detector. Resume preserves liveness, not exactness:
-// the old connection's analysis state died with it, so events
-// unacknowledged at the drop may be lost and race reports start over
-// from the resumed stream's beginning. Control operations that were
-// awaiting a reply across the drop return the transient ErrResumed.
-// Server-diagnosed failures (FrameErrorMsg) never trigger resume; the
-// daemon tore the session down for cause and the error stays sticky.
+// Errors are sticky and fail-closed: once the connection or the
+// server-side session has failed, every subsequent operation returns
+// the first error. A dropped connection ends the session on both ends:
+// events not acknowledged by a Flush may not have been analyzed, and a
+// caller that wants to go on dials a new session, whose detector starts
+// from an empty state.
 type Session struct {
-	cfg  config
-	addr string
-
-	// Connection state, replaced as a unit on resume. gen counts
-	// connection generations; genDead is closed when generation gen's
-	// connection is declared lost; replies carries generation gen's
-	// control replies. Control frames are stamped with the generation
-	// that enqueued them and are dropped rather than sent on a later
-	// one (their awaiter got ErrResumed); event frames are
-	// generation-free and survive resume.
-	connMu      sync.Mutex
-	conn        net.Conn // nil once the session has failed
-	gen         int64
-	genDead     chan struct{}
-	replies     chan inFrame
-	id          string
-	rootID      string // first session id of the lineage
-	epoch       int64  // last handshake epoch sent
-	resumesLeft int
+	cfg     config
+	addr    string
+	conn    net.Conn
+	id      string
+	replies chan inFrame // control replies, fed by readerLoop
 
 	bmu     sync.Mutex // guards the batch encoder
 	buf     bytes.Buffer
@@ -291,26 +229,18 @@ type Session struct {
 	eventsSent    atomic.Int64
 	framesSent    atomic.Int64
 	stalls        atomic.Int64
-	resumes       atomic.Int64
 
 	// Tracing state (WithTracing). spans is nil when tracing was not
-	// requested; traceOK tracks the current connection's server grant
-	// (re-evaluated on every handshake, so a resume onto a server that
-	// does not speak the extension stops stamping frames).
+	// requested; traceOK is the server's grant, fixed at the handshake.
 	spans     *obs.SpanRing
-	traceOK   atomic.Bool
+	traceOK   bool
 	traceSeq  atomic.Uint64
 	traceBase uint64
 }
 
-// eventsGen marks an outFrame that may be sent on any connection
-// generation (event payloads survive resume; control frames do not).
-const eventsGen = int64(-1)
-
 type outFrame struct {
 	t       trace.FrameType
 	payload []byte
-	gen     int64
 	id      uint64 // trace ID; 0 = untraced (control frames, tracing off)
 	start   int64  // span start (batch sealed), unix nanos; 0 = no span
 }
@@ -333,22 +263,20 @@ func Dial(addr string, opts ...Option) (*Session, error) {
 		return nil, cfg.optErr
 	}
 
-	conn, ok, err := sweepDial(&cfg, addr, cfg.hello, nil)
+	conn, ok, err := sweepDial(&cfg, addr)
 	if err != nil {
 		return nil, err
 	}
 
 	s := &Session{
-		cfg:         cfg,
-		addr:        addr,
-		conn:        conn,
-		genDead:     make(chan struct{}),
-		replies:     make(chan inFrame, 4),
-		id:          ok.SessionID,
-		rootID:      ok.SessionID,
-		resumesLeft: cfg.reconnects,
-		sendq:       make(chan outFrame, queueFrames),
-		dead:        make(chan struct{}),
+		cfg:     cfg,
+		addr:    addr,
+		conn:    conn,
+		id:      ok.SessionID,
+		replies: make(chan inFrame, 4),
+		sendq:   make(chan outFrame, queueFrames),
+		dead:    make(chan struct{}),
+		traceOK: ok.Tracing,
 	}
 	if cfg.hello.Tracing {
 		// Random high bits keep one session's trace IDs from colliding
@@ -358,46 +286,34 @@ func Dial(addr string, opts ...Option) (*Session, error) {
 		s.spans = obs.NewSpanRing(clientTraceSpans)
 		s.traceBase = randTraceBase()
 	}
-	s.traceOK.Store(ok.Tracing)
 	s.enc = trace.NewWriter(&s.buf, trace.Binary)
 	go s.senderLoop()
-	go s.readerLoop(conn, 0, s.replies)
+	go s.readerLoop()
 	return s, nil
 }
 
 // sweepDial opens and handshakes a connection within the retry budget,
 // waiting out the backoff between attempts — stretched to the server's
 // Retry-After hint when it refused admission. A permanent server refusal
-// (rejected configuration, protocol violation) aborts immediately. A
-// non-server handshake failure is fatal on a first dial (the peer does
-// not speak the protocol) but retryable when resuming (a restarting
-// daemon must not kill the session). prep, when non-nil, mutates the
-// hello before each handshake — the resume path advances the epoch per
-// attempt there, so a reply lost after the server registered its epoch
-// cannot stale the next try.
-func sweepDial(cfg *config, addr string, hello Handshake, prep func(*Handshake)) (net.Conn, HelloOK, error) {
+// (rejected configuration, protocol violation) aborts immediately, and
+// so does a handshake failure that is not a server refusal: the peer
+// does not speak the protocol.
+func sweepDial(cfg *config, addr string) (net.Conn, HelloOK, error) {
 	for attempt := 0; ; attempt++ {
 		var hint time.Duration
 		conn, err := cfg.dial(addr, dialTimeout)
 		if err == nil {
-			if prep != nil {
-				prep(&hello)
-			}
 			var ok HelloOK
-			ok, err = handshakeConn(conn, cfg, hello)
+			ok, err = handshakeConn(conn, cfg)
 			if err == nil {
 				return conn, ok, nil
 			}
 			conn.Close()
 			var se *ServerError
-			if errors.As(err, &se) {
-				if !se.Temporary() {
-					return nil, HelloOK{}, err
-				}
-				hint = se.RetryAfter
-			} else if prep == nil {
+			if !errors.As(err, &se) || !se.Temporary() {
 				return nil, HelloOK{}, err
 			}
+			hint = se.RetryAfter
 		}
 		if attempt >= cfg.retries {
 			return nil, HelloOK{}, fmt.Errorf("client: dial %s: %w (after %d attempts)", addr, err, attempt+1)
@@ -450,8 +366,8 @@ func (s *Session) TraceSpans() []obs.Span {
 }
 
 // TracingGranted reports whether the server granted the tracing
-// request on the current connection.
-func (s *Session) TracingGranted() bool { return s.traceOK.Load() }
+// request.
+func (s *Session) TracingGranted() bool { return s.traceOK }
 
 func maxDuration(a, b time.Duration) time.Duration {
 	if a >= b {
@@ -461,10 +377,10 @@ func maxDuration(a, b time.Duration) time.Duration {
 }
 
 // handshakeConn runs the hello exchange synchronously on a fresh
-// connection, before (or between) the sender/reader loops.
-func handshakeConn(conn net.Conn, cfg *config, hello Handshake) (HelloOK, error) {
+// connection, before the sender/reader loops start.
+func handshakeConn(conn net.Conn, cfg *config) (HelloOK, error) {
 	fw := trace.NewFrameWriter(conn)
-	b, err := json.Marshal(hello)
+	b, err := json.Marshal(cfg.hello)
 	if err != nil {
 		return HelloOK{}, err
 	}
@@ -495,19 +411,8 @@ func handshakeConn(conn net.Conn, cfg *config, hello Handshake) (HelloOK, error)
 	}
 }
 
-// ID returns the server-assigned session identifier (of the current
-// connection generation; resume opens a new server session whose
-// lineage is RootID).
-func (s *Session) ID() string {
-	s.connMu.Lock()
-	defer s.connMu.Unlock()
-	return s.id
-}
-
-// RootID returns the first session id of this session's lineage; it is
-// stable across resumes and is what resumed handshakes name in
-// ResumeOf.
-func (s *Session) RootID() string { return s.rootID }
+// ID returns the server-assigned session identifier.
+func (s *Session) ID() string { return s.id }
 
 // Addr returns the address of the daemon serving the session.
 func (s *Session) Addr() string { return s.addr }
@@ -520,103 +425,20 @@ func (s *Session) Err() error {
 	return nil
 }
 
-// fail records the first error and wakes every blocked operation.
-// It does not touch the connection (callers own that; see closeConn).
+// fail records the first error, wakes every blocked operation, and
+// severs the connection, which stops both loops. Later calls keep the
+// first error.
 func (s *Session) fail(err error) {
 	s.failOnce.Do(func() {
 		s.errv.Store(err)
 		close(s.dead)
 	})
-}
-
-// closeConn severs the current connection, unblocking the loops.
-func (s *Session) closeConn() {
-	s.connMu.Lock()
-	if s.conn != nil {
-		s.conn.Close()
-	}
-	s.connMu.Unlock()
-}
-
-// snapshot returns the current connection generation as one consistent
-// unit.
-func (s *Session) snapshot() (net.Conn, int64, chan inFrame, chan struct{}) {
-	s.connMu.Lock()
-	defer s.connMu.Unlock()
-	return s.conn, s.gen, s.replies, s.genDead
-}
-
-// generation returns the current connection generation number.
-func (s *Session) generation() int64 {
-	s.connMu.Lock()
-	defer s.connMu.Unlock()
-	return s.gen
-}
-
-// lost is the single place a transport failure on generation gen is
-// handled: the first reporter (sender or reader loop) either resumes
-// the session on a fresh connection or makes the failure sticky.
-// Duplicate and stale reports are no-ops.
-func (s *Session) lost(gen int64, cause error) {
-	s.connMu.Lock()
-	defer s.connMu.Unlock()
-	if s.gen != gen || s.conn == nil {
-		return
-	}
 	s.conn.Close()
-	close(s.genDead) // awaiting control ops observe ErrResumed
-	if s.Err() != nil || s.closed.Load() || s.resumesLeft <= 0 {
-		s.fail(cause)
-		s.conn = nil
-		return
-	}
-	s.resumesLeft--
-	s.redialLocked(cause)
 }
 
-// redialLocked re-establishes the session under connMu: jittered-backoff
-// redial, then a resume handshake carrying the lineage's root id and a
-// strictly increasing epoch — incremented per handshake attempt, so even
-// if an attempt's reply is lost after the server registered it, the next
-// attempt still presents a newer epoch. While it runs, senderLoop blocks
-// in snapshot and producers back up in the frame queue: reconnect is
-// backpressure, not loss.
-func (s *Session) redialLocked(cause error) {
-	hello := s.cfg.hello
-	hello.ResumeOf = s.rootID
-	conn, ok, err := sweepDial(&s.cfg, s.addr, hello, func(h *Handshake) {
-		s.epoch++
-		h.Epoch = s.epoch
-	})
-	if err != nil {
-		var se *ServerError
-		if errors.As(err, &se) && !se.Temporary() {
-			s.fail(fmt.Errorf("client: resume refused: %w (connection lost: %v)", err, cause))
-		} else {
-			s.fail(fmt.Errorf("client: resume failed: %w (connection lost: %v)", err, cause))
-		}
-		s.conn = nil
-		return
-	}
-	s.conn = conn
-	s.gen++
-	s.genDead = make(chan struct{})
-	s.replies = make(chan inFrame, 4)
-	s.id = ok.SessionID
-	s.traceOK.Store(ok.Tracing)
-	s.resumes.Add(1)
-	go s.readerLoop(conn, s.gen, s.replies)
-}
-
-// senderLoop is the only writer of the connection(s) after the
-// handshake. A frame whose write fails is retried verbatim on the
-// replacement connection — safe because the resumed server session's
-// detector is fresh, so the events count exactly once there.
+// senderLoop is the only writer of the connection after the handshake.
 func (s *Session) senderLoop() {
-	var (
-		fw    *trace.FrameWriter
-		fwGen = int64(-1)
-	)
+	fw := trace.NewFrameWriter(s.conn)
 	for {
 		var f outFrame
 		select {
@@ -624,72 +446,44 @@ func (s *Session) senderLoop() {
 		case <-s.dead:
 			return
 		}
-		for {
-			conn, gen, _, _ := s.snapshot()
-			if conn == nil {
-				return // session failed
-			}
-			if f.gen != eventsGen && f.gen != gen {
-				// Control frame from a pre-resume generation: its
-				// awaiter already got ErrResumed; sending it to the
-				// fresh session would draw a reply nobody consumes.
-				break
-			}
-			if fwGen != gen {
-				fw = trace.NewFrameWriter(conn)
-				fwGen = gen
-			}
-			conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-			// A frame stamped under an earlier connection's grant is
-			// sent plain if the resumed server did not re-grant tracing
-			// (it would reject the flagged type byte).
-			id := f.id
-			if id != 0 && !s.traceOK.Load() {
-				id = 0
-			}
-			var wstart int64
-			if f.start != 0 {
-				wstart = time.Now().UnixNano()
-			}
-			if err := fw.WriteTracedFrame(f.t, id, f.payload); err == nil {
-				s.framesSent.Add(1)
-				if f.start != 0 && s.spans != nil {
-					sp := obs.Span{TraceID: f.id, Label: s.rootID, Seq: s.framesSent.Load(), Start: f.start}
-					sp.AddStage("enqueue", wstart-f.start)
-					sp.AddStage("write", time.Now().UnixNano()-wstart)
-					s.spans.Record(sp)
-				}
-				break
-			} else {
-				s.lost(gen, fmt.Errorf("client: writing frame: %w", err))
-			}
+		s.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+		var wstart int64
+		if f.start != 0 {
+			wstart = time.Now().UnixNano()
+		}
+		if err := fw.WriteTracedFrame(f.t, f.id, f.payload); err != nil {
+			s.fail(fmt.Errorf("client: writing frame: %w", err))
+			return
+		}
+		s.framesSent.Add(1)
+		if f.start != 0 && s.spans != nil {
+			sp := obs.Span{TraceID: f.id, Label: s.id, Seq: s.framesSent.Load(), Start: f.start}
+			sp.AddStage("enqueue", wstart-f.start)
+			sp.AddStage("write", time.Now().UnixNano()-wstart)
+			s.spans.Record(sp)
 		}
 	}
 }
 
-// readerLoop is the only reader of one connection generation; it feeds
-// replies to the waiting control operation. Transport errors go through
-// lost (which may resume); server error frames are sticky — the daemon
-// tore the session down for cause, so resuming would replay the same
-// fate.
-func (s *Session) readerLoop(conn net.Conn, gen int64, replies chan inFrame) {
-	fr := trace.NewFrameReader(conn, trace.DefaultMaxFramePayload)
+// readerLoop is the only reader of the connection; it feeds replies to
+// the waiting control operation.
+func (s *Session) readerLoop() {
+	fr := trace.NewFrameReader(s.conn, trace.DefaultMaxFramePayload)
 	for {
 		t, payload, err := fr.ReadFrame()
 		if err != nil {
-			s.lost(gen, fmt.Errorf("client: reading reply: %w", err))
+			s.fail(fmt.Errorf("client: reading reply: %w", err))
 			return
 		}
 		if t == FrameErrorMsg {
-			// Record the server's error before closing: the sender's
-			// next write then fails on the closed connection, and its
-			// report must not win the sticky error.
+			// The server's diagnosis wins the sticky error: fail records
+			// it before closing, so the sender's next write, which then
+			// fails on the closed connection, cannot replace it.
 			s.fail(wireErr(payload))
-			conn.Close()
 			return
 		}
 		select {
-		case replies <- inFrame{t, payload}:
+		case s.replies <- inFrame{t, payload}:
 		case <-s.dead:
 			return
 		}
@@ -753,10 +547,10 @@ func (s *Session) flushBatch() error {
 	s.batched = 0
 	s.bmu.Unlock()
 
-	f := outFrame{t: FrameEvents, payload: payload, gen: eventsGen}
+	f := outFrame{t: FrameEvents, payload: payload}
 	if s.spans != nil {
 		f.start = time.Now().UnixNano()
-		if s.traceOK.Load() {
+		if s.traceOK {
 			f.id = s.nextTraceID()
 		}
 	}
@@ -774,93 +568,62 @@ func (s *Session) flushBatch() error {
 	return nil
 }
 
-// enqueueControl enqueues a control frame stamped with the generation
-// it belongs to, waiting for queue space.
-func (s *Session) enqueueControl(t trace.FrameType, v any, gen int64) error {
+// enqueueControl enqueues a control frame, waiting for queue space.
+func (s *Session) enqueueControl(t trace.FrameType, v any) error {
 	b, err := json.Marshal(v)
 	if err != nil {
 		return err
 	}
 	select {
-	case s.sendq <- outFrame{t: t, payload: b, gen: gen}:
+	case s.sendq <- outFrame{t: t, payload: b}:
 		return nil
 	case <-s.dead:
 		return s.Err()
 	}
 }
 
-// await waits for the reply of the outstanding control request, issued
-// at connection generation gen0. Callers hold reqMu, so at most one
-// reply is in flight. If the connection was lost (and possibly resumed)
-// since the request was issued, the reply will never arrive; await
-// returns ErrResumed instead of waiting for the timeout.
-func (s *Session) await(want trace.FrameType, seq, gen0 int64) (inFrame, error) {
-	// A failed session (conn == nil) still waits below on the same
-	// generation: the server may have replied and closed before this
-	// call, and the reader queues the reply before it reports the end
-	// of the connection.
-	_, gen, replies, gd := s.snapshot()
-	if gen != gen0 {
-		if err := s.Err(); err != nil {
-			return inFrame{}, err
-		}
-		return inFrame{}, ErrResumed
-	}
+// await waits for the reply of the outstanding control request.
+// Callers hold reqMu, so at most one reply is in flight.
+func (s *Session) await(want trace.FrameType, seq int64) (inFrame, error) {
 	var timeout <-chan time.Time
 	if s.cfg.readTimeout > 0 {
 		tm := time.NewTimer(s.cfg.readTimeout)
 		defer tm.Stop()
 		timeout = tm.C
 	}
-	// An already-delivered reply wins over a concurrent connection
-	// teardown: the server may legally close right after replying (a
-	// CloseOK followed by its end of stream). The reader queues a reply
-	// before it reports its connection's end, so when a teardown wins
-	// the select, one more look finds a reply that raced it.
 	var r inFrame
-	queued := func() bool {
-		select {
-		case r = <-replies:
-			return true
-		default:
-			return false
-		}
-	}
 	select {
-	case r = <-replies:
-	case <-gd:
-		if !queued() {
-			if err := s.Err(); err != nil {
-				return inFrame{}, err
-			}
-			return inFrame{}, ErrResumed
-		}
+	case r = <-s.replies:
 	case <-s.dead:
-		if !queued() {
+		// An already-delivered reply wins over a concurrent connection
+		// teardown: the server may legally close right after replying (a
+		// CloseOK followed by its end of stream). The reader queues a
+		// reply before it reports its connection's end, so when the
+		// teardown wins the select, one more look finds a reply that
+		// raced it.
+		select {
+		case r = <-s.replies:
+		default:
 			return inFrame{}, s.Err()
 		}
 	case <-timeout:
 		err := fmt.Errorf("client: timed out after %v waiting for frame %d", s.cfg.readTimeout, want)
 		s.fail(err)
-		s.closeConn()
 		return inFrame{}, err
 	}
 	if r.t != want {
 		err := fmt.Errorf("client: protocol error: got frame %d, want %d", r.t, want)
 		s.fail(err)
-		s.closeConn()
 		return inFrame{}, err
 	}
 	var q Seq
 	if err := json.Unmarshal(r.payload, &q); err != nil {
 		s.fail(fmt.Errorf("client: malformed reply: %w", err))
-		s.closeConn()
 		return inFrame{}, s.Err()
 	}
 	if q.Seq != seq {
 		err := fmt.Errorf("client: protocol error: reply seq %d, want %d", q.Seq, seq)
 		s.fail(err)
-		s.closeConn()
 		return inFrame{}, err
 	}
 	return r, nil
@@ -868,25 +631,24 @@ func (s *Session) await(want trace.FrameType, seq, gen0 int64) (inFrame, error) 
 
 // Flush sends the current batch and blocks until the server
 // acknowledges that every event sent so far has been ingested. Events
-// acknowledged by a Flush survive even an immediate server drain. After
-// a resume, the acknowledgment covers the resumed session's stream —
-// events unacknowledged at the connection drop may have been lost with
-// the old session.
+// acknowledged by a Flush survive even an immediate server drain.
 func (s *Session) Flush() error {
 	s.reqMu.Lock()
 	defer s.reqMu.Unlock()
 	if s.closed.Load() {
 		return ErrSessionClosed
 	}
+	if err := s.Err(); err != nil {
+		return err
+	}
 	if err := s.flushBatch(); err != nil {
 		return err
 	}
-	gen0 := s.generation()
 	seq := s.seq.Add(1)
-	if err := s.enqueueControl(FrameFlush, Seq{Seq: seq}, gen0); err != nil {
+	if err := s.enqueueControl(FrameFlush, Seq{Seq: seq}); err != nil {
 		return err
 	}
-	_, err := s.await(FrameFlushOK, seq, gen0)
+	_, err := s.await(FrameFlushOK, seq)
 	return err
 }
 
@@ -902,15 +664,17 @@ func (s *Session) Results() (Results, error) {
 	if s.closed.Load() {
 		return Results{}, ErrSessionClosed
 	}
+	if err := s.Err(); err != nil {
+		return Results{}, err
+	}
 	if err := s.flushBatch(); err != nil {
 		return Results{}, err
 	}
-	gen0 := s.generation()
 	seq := s.seq.Add(1)
-	if err := s.enqueueControl(FrameQuery, Seq{Seq: seq}, gen0); err != nil {
+	if err := s.enqueueControl(FrameQuery, Seq{Seq: seq}); err != nil {
 		return Results{}, err
 	}
-	r, err := s.await(FrameResults, seq, gen0)
+	r, err := s.await(FrameResults, seq)
 	if err != nil {
 		return Results{}, err
 	}
@@ -939,27 +703,21 @@ func (s *Session) Close() error {
 		s.closed.Store(true)
 		return err
 	}
-	gen0 := s.generation()
 	seq := s.seq.Add(1)
-	if err := s.enqueueControl(FrameClose, Seq{Seq: seq}, gen0); err != nil {
+	if err := s.enqueueControl(FrameClose, Seq{Seq: seq}); err != nil {
 		s.closed.Store(true)
 		return err
 	}
-	r, err := s.await(FrameCloseOK, seq, gen0)
+	r, err := s.await(FrameCloseOK, seq)
 	s.closed.Store(true)
 	if err != nil {
-		// Tear the session down even when the goodbye was cut short
-		// (e.g. ErrResumed), so a resumed connection is not left open.
-		s.fail(err)
-		s.closeConn()
-		return err
+		return err // await failed the session, which closed the connection
 	}
 	var res Results
 	if err := json.Unmarshal(r.payload, &res); err == nil {
 		s.final.Store(res)
 	}
-	s.fail(ErrSessionClosed) // tear down the loops...
-	s.closeConn()            // ...and the connection
+	s.fail(ErrSessionClosed) // tear down the loops and the connection
 	return nil
 }
 
@@ -970,6 +728,5 @@ func (s *Session) Stats() Stats {
 		EventsSent:    s.eventsSent.Load(),
 		FramesSent:    s.framesSent.Load(),
 		Stalls:        s.stalls.Load(),
-		Resumes:       s.resumes.Load(),
 	}
 }

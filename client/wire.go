@@ -68,7 +68,10 @@ const (
 // fidelity, an old server ignores the request and runs full. Unknown
 // fields are ignored the same way: the "shards" field older clients
 // send is dropped and the session runs on the one serial ingestion
-// path.
+// path. The exception is an older client's request to resume a dropped
+// session, which the server refuses (ErrCodeBadRequest): a fresh
+// detector fed only the rest of a stream misses the synchronization
+// before the drop and reports false races.
 type Handshake struct {
 	Version int    `json:"version"`
 	Tool    string `json:"tool,omitempty"`        // detector name ("" = FastTrack)
@@ -83,16 +86,6 @@ type Handshake struct {
 	// SampleRate is the sampling rate for "sampled" (and the starting/
 	// ceiling rate for "adaptive"); 0 means the server default.
 	SampleRate float64 `json:"sampleRate,omitempty"`
-
-	// Epoch and ResumeOf implement reconnect-and-resume: a client that
-	// lost its connection re-handshakes with ResumeOf naming its original
-	// session id and Epoch strictly greater than any it used before. The
-	// server refuses non-increasing epochs (ErrCodeStaleEpoch), so a
-	// delayed duplicate of an earlier connection can never double-count
-	// events into a live lineage. A resumed session gets a fresh detector
-	// (id and lineage are for reporting; shadow state is not carried).
-	Epoch    int64  `json:"epoch,omitempty"`
-	ResumeOf string `json:"resumeOf,omitempty"`
 
 	// Tracing asks the server to time this session's frames through the
 	// pipeline stages and to accept the optional per-frame trace-ID
@@ -210,7 +203,7 @@ type WireError struct {
 	// RetryAfterMillis, when positive on an admission refusal
 	// (session-cap, draining), hints how long the client should wait
 	// before redialing — the wire analog of HTTP Retry-After. The client
-	// folds it into its jittered reconnect backoff.
+	// folds it into Dial's jittered backoff.
 	RetryAfterMillis int64 `json:"retryAfterMillis,omitempty"`
 }
 
@@ -224,7 +217,6 @@ const (
 	ErrCodeSessionCap  = "session-cap"   // too many concurrent sessions
 	ErrCodeUnknownTool = "unknown-tool"  // handshake named an unknown detector
 	ErrCodeBadRequest  = "bad-handshake" // handshake configuration invalid
-	ErrCodeStaleEpoch  = "stale-epoch"   // resume epoch not newer than the lineage's last
 )
 
 // Fidelity modes of the Handshake.Fidelity field.

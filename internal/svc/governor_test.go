@@ -1,7 +1,6 @@
 package svc
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -494,101 +493,6 @@ func TestWatchdogSparesYoungBusyWorker(t *testing.T) {
 	}
 }
 
-// TestReconnectResume severs a session's connection server-side: the
-// client redials under its original lineage with a bumped epoch, keeps
-// streaming, and the server both tracks the resume and refuses a stale
-// replay of the old epoch.
-func TestReconnectResume(t *testing.T) {
-	srv, addr := startServer(t, Config{GovernorInterval: -1})
-	sess, err := client.Dial(addr, client.WithBatchSize(16), client.WithReconnect(3),
-		client.WithRetry(4, time.Millisecond), client.WithReadTimeout(5*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	root := sess.ID()
-	if sess.RootID() != root {
-		t.Fatalf("RootID %q != first session id %q", sess.RootID(), root)
-	}
-	for i := 0; i < 64; i++ {
-		if err := sess.Write(trace.Wr(0, uint64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sess.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	srv.lookup(root).conn.Close() // the network "fails"
-
-	// Liveness: writes keep flowing into the resumed session; control
-	// ops across the drop are transient and retried.
-	var flushErr error
-	waitUntil(t, "stream to resume", func() bool {
-		for i := 0; i < 16; i++ {
-			if err := sess.Write(trace.Wr(0, uint64(1000+i))); err != nil {
-				flushErr = err
-				return false
-			}
-		}
-		flushErr = sess.Flush()
-		return flushErr == nil
-	})
-	if flushErr != nil {
-		t.Fatalf("stream never recovered: %v", flushErr)
-	}
-	if sess.ID() == root {
-		t.Fatal("session id unchanged across resume")
-	}
-	if got := sess.Stats().Resumes; got != 1 {
-		t.Errorf("client Resumes = %d, want 1", got)
-	}
-	if n := srv.Registry().Snapshot().Counter("svc.sessionResumes"); n != 1 {
-		t.Errorf("svc.sessionResumes = %d, want 1", n)
-	}
-	cur := srv.lookup(sess.ID())
-	if cur.resumeOf != root || cur.epoch < 1 {
-		t.Errorf("resumed session lineage %q epoch %d, want root %q epoch >= 1",
-			cur.resumeOf, cur.epoch, root)
-	}
-	info := cur.info()
-	if info.ResumeOf != root || info.Epoch != cur.epoch {
-		t.Errorf("info lineage %q/%d, want %q/%d", info.ResumeOf, info.Epoch, root, cur.epoch)
-	}
-	if _, err := sess.Results(); err != nil {
-		t.Fatalf("Results after resume: %v", err)
-	}
-
-	// A duplicate of the dead connection (same lineage, stale epoch)
-	// must be refused so no event is double-counted into the lineage.
-	srv.mu.Lock()
-	last := srv.epochs[root]
-	srv.mu.Unlock()
-	if last != cur.epoch {
-		t.Errorf("epoch registry has %d for %s, want %d", last, root, cur.epoch)
-	}
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	hello, _ := json.Marshal(client.Handshake{Version: client.ProtocolVersion, ResumeOf: root, Epoch: last})
-	if err := trace.NewFrameWriter(conn).WriteFrame(client.FrameHello, hello); err != nil {
-		t.Fatal(err)
-	}
-	ft, payload, err := trace.NewFrameReader(conn, 0).ReadFrame()
-	if err != nil || ft != client.FrameErrorMsg {
-		t.Fatalf("stale-epoch handshake: frame %d err %v, want an error frame", ft, err)
-	}
-	var we client.WireError
-	if err := json.Unmarshal(payload, &we); err != nil {
-		t.Fatal(err)
-	}
-	if we.Code != client.ErrCodeStaleEpoch {
-		t.Errorf("stale-epoch refusal code %q, want %q", we.Code, client.ErrCodeStaleEpoch)
-	}
-}
-
 // TestFaultConnLatency trickles a session through a high-latency uplink:
 // per-write delays stack far past the idle timeout in aggregate, but no
 // single gap exceeds it, so eviction must not misfire and the analysis
@@ -670,9 +574,11 @@ func TestFaultConnStallEvicted(t *testing.T) {
 
 // TestChaosSoak is the everything-at-once stability run: many client
 // lifecycles racing a connection killer and a fast governor, with
-// reconnects and forced degradations, ending in zero active sessions,
-// no leaked per-session metrics, and a clean drain. SOAK_SECONDS
-// stretches it in CI; the default keeps it test-suite friendly.
+// forced degradations, ending in zero active sessions, no leaked
+// per-session metrics, and a clean drain. A client whose session the
+// killer severed must fail closed, and goes on only by dialing a new
+// session. SOAK_SECONDS stretches it in CI; the default keeps it
+// test-suite friendly.
 func TestChaosSoak(t *testing.T) {
 	dur := 1500 * time.Millisecond
 	if s := os.Getenv("SOAK_SECONDS"); s != "" {
@@ -694,7 +600,9 @@ func TestChaosSoak(t *testing.T) {
 	deadline := time.Now().Add(dur)
 
 	// Connection killer: severs a random live session a few times per
-	// soak second, driving the reconnect and lost-session paths.
+	// soak second, driving the lost-session path. killed records each
+	// severed session once its connection is closed.
+	var killed sync.Map
 	killerDone := make(chan struct{})
 	go func() {
 		defer close(killerDone)
@@ -709,14 +617,19 @@ func TestChaosSoak(t *testing.T) {
 				}
 			}
 			if len(live) > 0 {
-				live[rng.Intn(len(live))].conn.Close()
+				victim := live[rng.Intn(len(live))]
+				victim.conn.Close()
+				killed.Store(victim.id, true)
 			}
 			srv.mu.Unlock()
 		}
 	}()
 
 	fidelities := []string{"full", "adaptive", "sampled(0.2)"}
-	var wg sync.WaitGroup
+	var (
+		wg       sync.WaitGroup
+		observed atomic.Int64 // sessions their client closed after the kill
+	)
 	for c := 0; c < 4; c++ {
 		wg.Add(1)
 		go func(c int) {
@@ -726,7 +639,6 @@ func TestChaosSoak(t *testing.T) {
 				sess, err := client.Dial(addr,
 					client.WithFidelity(fidelities[rng.Intn(len(fidelities))]),
 					client.WithBatchSize(16),
-					client.WithReconnect(4),
 					client.WithRetry(4, time.Millisecond),
 					client.WithReadTimeout(2*time.Second))
 				if err != nil {
@@ -739,13 +651,28 @@ func TestChaosSoak(t *testing.T) {
 						break
 					}
 				}
-				sess.Flush() // transient failures are part of the weather
-				sess.Close() // so is closing a session the killer already severed
+				sess.Flush() // failures are part of the weather
+				_, severed := killed.Load(sess.ID())
+				err = sess.Close()
+				if !severed {
+					continue
+				}
+				// The server hung up before Close was sent, so no
+				// CloseOK can come back: the session must fail closed.
+				observed.Add(1)
+				if err == nil {
+					t.Errorf("session %s: Close after its connection was killed returned nil", sess.ID())
+				} else if sess.Err() == nil {
+					t.Errorf("session %s: Close failed (%v) but the session has no sticky error", sess.ID(), err)
+				}
 			}
 		}(c)
 	}
 	wg.Wait()
 	<-killerDone
+	if observed.Load() == 0 {
+		t.Error("no client closed a session after the killer severed it")
+	}
 
 	// Quiescence: every session winds down, nothing leaks.
 	waitUntil(t, "all sessions to finalize", func() bool {

@@ -194,10 +194,9 @@ func BuildMonitor(h client.Handshake) (*fasttrack.Monitor, string, error) {
 		return nil, "", fmt.Errorf("%s: unknown granularity %q", client.ErrCodeBadRequest, h.Gran)
 	}
 	mon := fasttrack.NewMonitor(
-		fasttrack.WithDetector(name),
+		fasttrack.WithTool(tool),
 		fasttrack.WithGranularity(gran),
 		fasttrack.WithValidation(policy),
-		fasttrack.WithHints(hints),
 	)
 	return mon, tool.Name(), nil
 }
@@ -221,7 +220,6 @@ type serverMetrics struct {
 	governorQuarantines    *obs.Counter // watchdog quarantines
 	admissionRefused       *obs.Counter // hard-cap handshake refusals
 	admissionForcedSampled *obs.Counter // soft-limit forced-sampled admissions
-	resumes                *obs.Counter // sessions admitted as resumes
 }
 
 // stageHists are the per-stage frame-latency histograms (nanoseconds),
@@ -253,11 +251,6 @@ type Server struct {
 	// path must not turn a live process into a probe-dead one). Written
 	// only under s.mu, wherever active changes.
 	activeN atomic.Int64
-	// epochs maps a resume lineage's root session id to the highest epoch
-	// admitted for it; a resume handshake must beat it or is refused as
-	// stale. epochOrder bounds the map (oldest lineage evicted first).
-	epochs     map[string]int64
-	epochOrder []string
 
 	nextID      atomic.Int64
 	draining    atomic.Bool
@@ -286,7 +279,6 @@ func New(cfg Config) *Server {
 		cfg:      cfg,
 		reg:      reg,
 		sessions: map[string]*session{},
-		epochs:   map[string]int64{},
 		govStop:  make(chan struct{}),
 		now:      monotonicNow,
 		sm: serverMetrics{
@@ -307,7 +299,6 @@ func New(cfg Config) *Server {
 			governorQuarantines:    reg.Counter("svc.governorQuarantines"),
 			admissionRefused:       reg.Counter("svc.admissionRefused"),
 			admissionForcedSampled: reg.Counter("svc.admissionForcedSampled"),
-			resumes:                reg.Counter("svc.sessionResumes"),
 		},
 	}
 	if cfg.Tracing {
@@ -415,14 +406,26 @@ func (s *Server) handleConn(conn net.Conn) {
 		s.refuse(conn, fw, client.ErrCodeProtocol, "expected hello frame")
 		return
 	}
-	var h client.Handshake
-	if err := json.Unmarshal(payload, &h); err != nil {
+	// ResumeOf is decoded only to refuse it: clients that predate the
+	// removal of resume sent it to continue a dropped session's stream
+	// in a fresh detector, which misses the synchronization before the
+	// drop and reports false races.
+	var hello struct {
+		client.Handshake
+		ResumeOf string `json:"resumeOf"`
+	}
+	if err := json.Unmarshal(payload, &hello); err != nil {
 		s.refuse(conn, fw, client.ErrCodeProtocol, "malformed handshake: "+err.Error())
 		return
 	}
+	h := hello.Handshake
 	if h.Version != client.ProtocolVersion {
 		s.refuse(conn, fw, client.ErrCodeProtocol,
 			fmt.Sprintf("protocol version %d not supported (want %d)", h.Version, client.ProtocolVersion))
+		return
+	}
+	if hello.ResumeOf != "" {
+		s.refuse(conn, fw, client.ErrCodeBadRequest, "resume is not supported")
 		return
 	}
 	if s.draining.Load() {
@@ -430,9 +433,8 @@ func (s *Server) handleConn(conn net.Conn) {
 		return
 	}
 
-	// Admission, atomically with the epoch guard: hard cap refuses (with
-	// a Retry-After hint), the soft limit forces the session to start
-	// sampled, and a resume must beat the lineage's last admitted epoch.
+	// Admission: the hard cap refuses (with a Retry-After hint), the
+	// soft limit forces the session to start sampled.
 	s.mu.Lock()
 	if s.active >= s.cfg.MaxSessions {
 		s.mu.Unlock()
@@ -440,16 +442,6 @@ func (s *Server) handleConn(conn net.Conn) {
 		s.refuseRetry(conn, fw, client.ErrCodeSessionCap,
 			fmt.Sprintf("session cap reached (%d)", s.cfg.MaxSessions), s.cfg.RetryAfterHint)
 		return
-	}
-	if h.ResumeOf != "" {
-		if h.Epoch <= s.epochs[h.ResumeOf] {
-			last := s.epochs[h.ResumeOf]
-			s.mu.Unlock()
-			s.refuse(conn, fw, client.ErrCodeStaleEpoch,
-				fmt.Sprintf("resume epoch %d for %s is not newer than %d", h.Epoch, h.ResumeOf, last))
-			return
-		}
-		s.recordEpochLocked(h.ResumeOf, h.Epoch)
 	}
 	forced := s.softLimitedLocked()
 	s.active++ // reserved; released in finalize
@@ -507,9 +499,6 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 	if plan.forced {
 		s.sm.admissionForcedSampled.Inc()
-	}
-	if h.ResumeOf != "" {
-		s.sm.resumes.Inc()
 	}
 
 	id := fmt.Sprintf("s%06d", s.nextID.Add(1))
@@ -586,23 +575,6 @@ func (s *Server) refuseRetry(conn net.Conn, fw *trace.FrameWriter, code, msg str
 	s.event(Event{Kind: "refused", Remote: conn.RemoteAddr().String(), Reason: code + ": " + msg})
 }
 
-// maxEpochLineages bounds the resume-epoch map so hostile handshakes
-// cannot grow it without bound; the oldest lineages are forgotten first.
-const maxEpochLineages = 4096
-
-// recordEpochLocked remembers the highest epoch admitted for a resume
-// lineage. Callers hold s.mu.
-func (s *Server) recordEpochLocked(root string, epoch int64) {
-	if _, ok := s.epochs[root]; !ok {
-		s.epochOrder = append(s.epochOrder, root)
-		for len(s.epochOrder) > maxEpochLineages {
-			delete(s.epochs, s.epochOrder[0])
-			s.epochOrder = s.epochOrder[1:]
-		}
-	}
-	s.epochs[root] = epoch
-}
-
 // retireLocked moves a session that no longer streams into the
 // retention window, forgetting the oldest beyond retainFinished.
 // Callers hold s.mu.
@@ -669,8 +641,6 @@ type SessionInfo struct {
 	Fidelity             string  `json:"fidelity,omitempty"`
 	SampleRate           float64 `json:"sampleRate,omitempty"`
 	DetectionProbability float64 `json:"detectionProbability,omitempty"`
-	Epoch                int64   `json:"epoch,omitempty"`
-	ResumeOf             string  `json:"resumeOf,omitempty"`
 	Err                  string  `json:"err,omitempty"`
 }
 

@@ -101,8 +101,6 @@ type session struct {
 	adaptive bool    // governor may move the session along the ladder
 	forced   bool    // admission soft limit forced a sampled start
 	baseRate float64 // the sampled rung's rate
-	epoch    int64   // resume epoch (0 on a first connection)
-	resumeOf string  // lineage root session id ("" unless resumed)
 
 	rung         atomic.Int32
 	pendingRate  atomic.Uint64 // Float64bits of the rate the worker should apply
@@ -148,8 +146,6 @@ func newSession(srv *Server, id string, conn net.Conn, fw *trace.FrameWriter,
 		adaptive: plan.adaptive,
 		forced:   plan.forced,
 		baseRate: plan.baseRate,
-		epoch:    h.Epoch,
-		resumeOf: h.ResumeOf,
 	}
 	sess.gov.ceiling = plan.ceiling
 	sess.gov.requestCeiling = plan.requestCeiling
@@ -611,8 +607,6 @@ func (sess *session) info() SessionInfo {
 		StartedAt:  sess.started.UTC().Format(time.RFC3339Nano),
 		Fidelity:   sess.fidelityString(rung),
 		SampleRate: sess.rateFor(rung),
-		Epoch:      sess.epoch,
-		ResumeOf:   sess.resumeOf,
 	}
 	// Same watchdog race as the stats endpoint: bound the monitor read
 	// so a listing never hangs on a session quarantined mid-call.

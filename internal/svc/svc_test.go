@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -662,13 +663,38 @@ func TestChaosConnectionReset(t *testing.T) {
 		t.Fatal("torn connection went unnoticed")
 	}
 
+	// Fail closed: the first error sticks, and every later operation
+	// returns it rather than starting over on a new connection.
+	sticky := sess.Err()
+	if sticky == nil {
+		t.Fatalf("operation failed (%v) but the session has no sticky error", opErr)
+	}
+	if !errors.Is(opErr, sticky) {
+		t.Errorf("first failing operation returned %v, sticky error is %v", opErr, sticky)
+	}
+	if err := sess.Write(trace.Wr(0, 0)); !errors.Is(err, sticky) {
+		t.Errorf("Write after the tear: %v, want the sticky %v", err, sticky)
+	}
+	if err := sess.Flush(); !errors.Is(err, sticky) {
+		t.Errorf("Flush after the tear: %v, want the sticky %v", err, sticky)
+	}
+	if _, err := sess.Results(); !errors.Is(err, sticky) {
+		t.Errorf("Results after the tear: %v, want the sticky %v", err, sticky)
+	}
+	if err := sess.Close(); !errors.Is(err, sticky) {
+		t.Errorf("Close after the tear: %v, want the sticky %v", err, sticky)
+	}
+
 	// The server session finalizes (worker exits) despite the tear.
-	deadline := time.Now().Add(10 * time.Second)
-	for srv.Registry().Snapshot().Gauge("svc.sessionsActive") != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("torn session never finalized")
-		}
-		time.Sleep(10 * time.Millisecond)
+	waitUntil(t, "torn session to finalize", func() bool {
+		return srv.Registry().Snapshot().Gauge("svc.sessionsActive") == 0
+	})
+	// The cut lands inside an events frame, so the server reads a torn
+	// frame rather than a clean end of stream and finalizes the session
+	// as failed with that cause (a cut between frames would be lost).
+	info := srv.lookup(sess.ID()).info()
+	if info.State != "failed" || !strings.Contains(info.Err, "unexpected EOF") {
+		t.Errorf("torn session finalized as %s (%q), want failed on the torn frame", info.State, info.Err)
 	}
 }
 
@@ -967,7 +993,8 @@ func rawSessionRaces(t *testing.T, addr, hello string, tr trace.Trace) []byte {
 // ingestion path send a "shards" field in their hello. Unknown hello
 // fields are ignored, so such a session is admitted and runs on the
 // serial path, with a race list byte-identical to the same trace sent
-// without the field.
+// without the field. A hello asking to resume, which clients sent
+// before resume was removed, is the one legacy field that is refused.
 func TestHandshakeLegacyShardsField(t *testing.T) {
 	_, addr := startServer(t, Config{})
 	tr := testTrace(9)
@@ -985,5 +1012,30 @@ func TestHandshakeLegacyShardsField(t *testing.T) {
 	}
 	if bytes.Equal(plain, []byte("null")) || bytes.Equal(plain, []byte("[]")) {
 		t.Error("trace reported no races; the comparison needs a racy trace")
+	}
+
+	// Clients that predate the removal of resume asked to continue a
+	// dropped session with "resumeOf" and "epoch". A fresh detector fed
+	// only the rest of a stream reports false races, so that hello is
+	// refused and the old client fails closed.
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	resume := fmt.Sprintf(`{"version":%d,"resumeOf":"s000001","epoch":2}`, client.ProtocolVersion)
+	if err := trace.NewFrameWriter(conn).WriteFrame(client.FrameHello, []byte(resume)); err != nil {
+		t.Fatal(err)
+	}
+	ft, pl, err := trace.NewFrameReader(conn, 0).ReadFrame()
+	if err != nil || ft != client.FrameErrorMsg {
+		t.Fatalf("resume hello: reply frame %d %s, err %v; want an error frame", ft, pl, err)
+	}
+	var we client.WireError
+	if err := json.Unmarshal(pl, &we); err != nil {
+		t.Fatal(err)
+	}
+	if we.Code != client.ErrCodeBadRequest {
+		t.Errorf("resume hello refused with %q (%s), want %q", we.Code, we.Msg, client.ErrCodeBadRequest)
 	}
 }

@@ -68,7 +68,8 @@ type MonitorOption func(*monitorConfig)
 
 type monitorConfig struct {
 	toolName    string
-	tool        Tool
+	tool        Tool // WithTool's instance; NewMonitor hands it to the dispatcher
+	custom      bool // the tool came from WithTool, so Reset cannot rebuild it
 	granularity Granularity
 	hints       Hints
 	onRace      func(Report)
@@ -133,6 +134,10 @@ func NewMonitor(opts ...MonitorOption) *Monitor {
 		if err != nil {
 			panic(err)
 		}
+	} else {
+		// Only the dispatcher keeps the instance, so Close releases its
+		// shadow state just as it does for a tool built by name.
+		cfg.tool, cfg.custom = nil, true
 	}
 	d := rr.NewDispatcher(tool)
 	d.Granularity = cfg.granularity
@@ -193,7 +198,7 @@ func (m *Monitor) Rejected() int64 { return m.rejected.Load() }
 func (m *Monitor) Reset() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.cfg.tool != nil {
+	if m.cfg.custom {
 		return errors.New("fasttrack: Reset requires a detector constructed by name (a WithTool instance cannot be rebuilt)")
 	}
 	tool, err := NewTool(m.cfg.toolName, m.cfg.hints)

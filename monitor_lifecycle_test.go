@@ -2,8 +2,10 @@ package fasttrack
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"fasttrack/trace"
 )
@@ -98,6 +100,36 @@ func TestMonitorResetRejectsWithTool(t *testing.T) {
 	if err := m.Reset(); err == nil {
 		t.Error("Reset on a WithTool monitor succeeded, want error")
 	}
+}
+
+// TestMonitorCloseReleasesWithTool: Close drops the detector's shadow
+// state for a caller-supplied tool too, so a closed monitor that stays
+// reachable (a daemon's retained session, say) does not pin it.
+func TestMonitorCloseReleasesWithTool(t *testing.T) {
+	tool, err := NewTool("FastTrack", Hints{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	released := make(chan struct{})
+	runtime.SetFinalizer(tool, func(any) { close(released) })
+	m := NewMonitor(WithTool(tool))
+	tool = nil
+	raceyFeed(m)
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		runtime.GC()
+		select {
+		case <-released:
+			if got := len(m.Races()); got != 1 {
+				t.Errorf("Races after Close = %d, want 1", got)
+			}
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Error("closed monitor still holds its WithTool detector")
 }
 
 // TestMonitorCloseConcurrentFeeders closes the monitor while producers
