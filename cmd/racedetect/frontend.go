@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"regexp"
 	"slices"
-	"strings"
 
 	"fasttrack"
 	"fasttrack/instrument"
@@ -25,9 +24,12 @@ import (
 // a daemon with -server, so the reports match `racedetect <trace>` on
 // the same stream (-o keeps a copy). Arguments after "--" go to the
 // program (run) or to go test (test), and standard input is passed
-// through. It returns the process exit status instead of exiting, so
-// the deferred removal of the instrumented work directory runs on
-// every path.
+// through. run executes the program in the current directory and
+// caches its instrumented executable (bincache.go), so a repeated run
+// of unchanged source skips the rewrite and the build; test runs go
+// test in the instrumented module. It returns the process exit status
+// instead of exiting, so the deferred removal of the instrumented work
+// directory runs on every path.
 func runFrontend(mode string, args []string) int {
 	var targetArgs []string
 	if i := slices.Index(args, "--"); i >= 0 {
@@ -63,58 +65,50 @@ func runFrontend(mode string, args []string) int {
 		pkgDir = fs.Arg(0)
 	}
 
+	buildEnv := append(os.Environ(), "GOFLAGS=-mod=mod", "GOWORK=off")
+	goVars, goVarsErr := goEnv(buildEnv)
 	root := *moduleDir
 	if root == "" {
-		var err error
-		if root, err = findFasttrackModule(); err != nil {
+		err := goVarsErr
+		if err == nil {
+			root, err = findFasttrackModule(goVars["GOMOD"])
+		}
+		if err != nil {
 			return reportErr(fmt.Errorf("cannot locate the fasttrack module (run from inside it or pass -module): %w", err))
 		}
 	}
 
-	workDir, err := os.MkdirTemp("", "ft-instrument-")
-	if err != nil {
-		return reportErr(err)
-	}
-	if *keep {
-		fmt.Fprintln(os.Stderr, "instrumented module:", workDir)
-	} else {
-		defer os.RemoveAll(workDir)
-	}
-
-	res, err := instrument.Instrument(pkgDir, workDir, instrument.Options{
-		ModuleDir: root,
-		Test:      mode == "test",
-	})
-	if err != nil {
-		return reportErr(err)
-	}
-	if *stats {
-		s := res.Stats
-		fmt.Fprintf(os.Stderr, "instrumented %d file(s): %d reads, %d writes, %d forks, %d chan ops, %d sync ops, %d skipped, %d handles, %d shared closures\n",
-			s.Files, s.Reads, s.Writes, s.Forks, s.ChanOps, s.SyncOps, s.Skipped, s.Handles, s.SharedClosures)
-	}
-	if mode == "run" && !res.Main {
-		return reportErr(fmt.Errorf("racedetect run: %s is package %s, not a main package (use racedetect test)", pkgDir, res.Package))
-	}
-
-	goEnv := append(os.Environ(), "GOFLAGS=-mod=mod", "GOWORK=off")
 	var target *exec.Cmd
 	if mode == "run" {
-		bin := filepath.Join(workDir, "ft.bin")
-		build := exec.Command("go", append(append([]string{"build"}, instrument.BuildFlags()...), "-o", bin, ".")...)
-		build.Dir = workDir
-		build.Env = goEnv
-		if out, err := build.CombinedOutput(); err != nil {
-			return reportErr(fmt.Errorf("building instrumented package:\n%s%w", out, err))
+		// -keep asks for the instrumented module, so it bypasses the
+		// cache.
+		var cache *binCache
+		if !*keep && goVarsErr == nil {
+			cache = openBinCache(pkgDir, root, goVars)
 		}
+		bin, done, err := runBinary(pkgDir, root, cache, buildEnv, *keep, *stats)
+		defer done()
+		if err != nil {
+			return reportErr(err)
+		}
+		// The program runs in the caller's directory, as under go run.
 		target = exec.Command(bin, targetArgs...)
 	} else {
+		workDir, _, err := instrumentPkg(pkgDir, root, true, *keep, *stats)
+		if workDir != "" && !*keep {
+			defer os.RemoveAll(workDir)
+		}
+		if err != nil {
+			return reportErr(err)
+		}
 		args := append(append([]string{"test"}, instrument.BuildFlags()...), "-count=1", ".")
 		target = exec.Command("go", append(args, targetArgs...)...)
+		target.Dir = workDir
 	}
 
 	var saved *os.File
 	if *traceOut != "" {
+		var err error
 		if saved, err = os.Create(*traceOut); err != nil {
 			return reportErr(err)
 		}
@@ -134,8 +128,7 @@ func runFrontend(mode string, args []string) int {
 	// through go test, which passes it on to the test binary), and the
 	// shim opens it by name. Once the target holds it, this process
 	// drops its own copy, so the stream ends when the target exits.
-	target.Dir = workDir
-	target.Env = append(goEnv, "FASTTRACK_TRACE=/dev/fd/3")
+	target.Env = append(buildEnv, "FASTTRACK_TRACE=/dev/fd/3")
 	target.Stdin, target.Stdout, target.Stderr = os.Stdin, os.Stdout, os.Stderr
 	target.ExtraFiles = []*os.File{pw}
 	err = target.Start()
@@ -209,13 +202,8 @@ func reportErr(err error) int {
 var moduleLineRE = regexp.MustCompile(`(?m)^module\s+fasttrack\s*$`)
 
 // findFasttrackModule resolves the fasttrack checkout from the current
-// directory's module (go env GOMOD).
-func findFasttrackModule() (string, error) {
-	out, err := exec.Command("go", "env", "GOMOD").Output()
-	if err != nil {
-		return "", err
-	}
-	gomod := strings.TrimSpace(string(out))
+// directory's module, whose go.mod go env reports as gomod.
+func findFasttrackModule(gomod string) (string, error) {
 	if gomod == "" || gomod == os.DevNull {
 		return "", fmt.Errorf("no go.mod in the current directory's module")
 	}
@@ -227,4 +215,83 @@ func findFasttrackModule() (string, error) {
 		return "", fmt.Errorf("%s is not the fasttrack module", gomod)
 	}
 	return filepath.Dir(gomod), nil
+}
+
+// runBinary returns the instrumented executable of the main package in
+// pkgDir, from the cache when it holds one, and a function to call once
+// the program has run. On a cache miss it instruments and builds into
+// the cache; with a nil cache it builds into the instrumented module's
+// directory, which the returned function removes unless keep is set.
+// It prints the rewriter's statistics when stats is set.
+func runBinary(pkgDir, root string, cache *binCache, env []string, keep, stats bool) (string, func(), error) {
+	if cache != nil {
+		if bin, st, ok := cache.lookup(); ok {
+			if stats {
+				printStats(st)
+			}
+			return bin, func() {}, nil
+		}
+	}
+	workDir, res, err := instrumentPkg(pkgDir, root, false, keep, stats)
+	done := func() {
+		if workDir != "" && !keep {
+			os.RemoveAll(workDir)
+		}
+	}
+	if err != nil {
+		return "", done, err
+	}
+	if !res.Main {
+		return "", done, fmt.Errorf("racedetect run: %s is package %s, not a main package (use racedetect test)", pkgDir, res.Package)
+	}
+	out := workDir
+	if cache != nil {
+		if out, err = os.MkdirTemp(cache.dir, "tmp-"); err != nil {
+			cache, out = nil, workDir
+		}
+	}
+	bin := filepath.Join(out, binName)
+	build := exec.Command("go", append(append([]string{"build"}, instrument.BuildFlags()...), "-o", bin, ".")...)
+	build.Dir = workDir
+	build.Env = env
+	if msg, err := build.CombinedOutput(); err != nil {
+		if cache != nil {
+			os.RemoveAll(out)
+		}
+		return "", done, fmt.Errorf("building instrumented package:\n%s%w", msg, err)
+	}
+	if cache == nil {
+		return bin, done, nil
+	}
+	// The module is no longer needed: the cached program runs without it.
+	done()
+	bin, done = cache.commit(out, res.Stats)
+	return bin, done, nil
+}
+
+// instrumentPkg instruments pkgDir into a new ft-instrument-* module
+// directory, which it returns (also with an error, when it was made).
+// keep prints the directory; stats prints the rewriter's statistics.
+func instrumentPkg(pkgDir, root string, test, keep, stats bool) (string, *instrument.Result, error) {
+	workDir, err := os.MkdirTemp("", "ft-instrument-")
+	if err != nil {
+		return "", nil, err
+	}
+	if keep {
+		fmt.Fprintln(os.Stderr, "instrumented module:", workDir)
+	}
+	res, err := instrument.Instrument(pkgDir, workDir, instrument.Options{ModuleDir: root, Test: test})
+	if err != nil {
+		return workDir, nil, err
+	}
+	if stats {
+		printStats(res.Stats)
+	}
+	return workDir, res, nil
+}
+
+// printStats prints the rewriter's statistics line.
+func printStats(s instrument.Stats) {
+	fmt.Fprintf(os.Stderr, "instrumented %d file(s): %d reads, %d writes, %d forks, %d chan ops, %d sync ops, %d skipped, %d handles, %d shared closures\n",
+		s.Files, s.Reads, s.Writes, s.Forks, s.ChanOps, s.SyncOps, s.Skipped, s.Handles, s.SharedClosures)
 }

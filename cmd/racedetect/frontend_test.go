@@ -471,3 +471,36 @@ func TestRace(t *testing.T) {
 		t.Fatalf("racedetect test found %d races, want 1:\n%s", len(races), out)
 	}
 }
+
+// TestFrontendRunsInCallerDir: the program runs in the directory
+// racedetect run was started in, as under go run, so a relative path
+// opens the caller's file; a cache hit runs it there too.
+func TestFrontendRunsInCallerDir(t *testing.T) {
+	bin, base, module := buildRacedetect(t)
+	prog := writeProgram(t, base, "reader", `package main
+
+import (
+	"fmt"
+	"os"
+)
+
+func main() {
+	data, err := os.ReadFile("input.txt")
+	if err != nil {
+		fmt.Println("error:", err)
+		os.Exit(1)
+	}
+	fmt.Printf("read %q\n", data)
+}
+`)
+	cwd := t.TempDir()
+	writeFile(t, filepath.Join(cwd, "input.txt"), "from the caller")
+	for _, run := range []string{"first", "repeated"} {
+		cmd := exec.Command(bin, "run", "-module", module, prog)
+		cmd.Dir = cwd
+		out, err := cmd.CombinedOutput()
+		if err != nil || !strings.Contains(string(out), `read "from the caller"`) {
+			t.Errorf("%s run: %v, want the caller's input.txt read:\n%s", run, err, out)
+		}
+	}
+}

@@ -300,27 +300,92 @@ func declaresTestMain(f *ast.File) bool {
 
 var modulePathRE = regexp.MustCompile(`(?m)^module\s+(\S+)`)
 
-// writeGoMod lays down the generated module's go.mod, requiring the
-// fasttrack module by its declared path and replacing it with the
-// local checkout.
+// writeGoMod lays down the generated module's go.mod.
 func writeGoMod(outDir, moduleDir string) error {
-	if moduleDir == "" {
-		return fmt.Errorf("instrument: Options.ModuleDir is required")
-	}
-	abs, err := filepath.Abs(moduleDir)
+	gomod, err := generatedGoMod(moduleDir)
 	if err != nil {
 		return err
 	}
+	return os.WriteFile(filepath.Join(outDir, "go.mod"), gomod, 0o644)
+}
+
+// generatedGoMod returns the generated module's go.mod, which requires
+// the fasttrack module by its declared path and replaces it with the
+// local checkout at moduleDir.
+func generatedGoMod(moduleDir string) ([]byte, error) {
+	if moduleDir == "" {
+		return nil, fmt.Errorf("instrument: Options.ModuleDir is required")
+	}
+	abs, err := filepath.Abs(moduleDir)
+	if err != nil {
+		return nil, err
+	}
 	data, err := os.ReadFile(filepath.Join(abs, "go.mod"))
 	if err != nil {
-		return fmt.Errorf("instrument: ModuleDir: %w", err)
+		return nil, fmt.Errorf("instrument: ModuleDir: %w", err)
 	}
 	m := modulePathRE.FindSubmatch(data)
 	if m == nil {
-		return fmt.Errorf("instrument: no module line in %s/go.mod", abs)
+		return nil, fmt.Errorf("instrument: no module line in %s/go.mod", abs)
 	}
 	modPath := string(m[1])
-	gomod := fmt.Sprintf("module ftinstrumented\n\ngo 1.22\n\nrequire %s v0.0.0\n\nreplace %s => %s\n",
-		modPath, modPath, abs)
-	return os.WriteFile(filepath.Join(outDir, "go.mod"), []byte(gomod), 0o644)
+	return fmt.Appendf(nil, "module ftinstrumented\n\ngo 1.22\n\nrequire %s v0.0.0\n\nreplace %s => %s\n",
+		modPath, modPath, abs), nil
+}
+
+// shimDirs are the fasttrack module's package directories that an
+// instrumented program links: the shim and every repository package it
+// imports (a test checks the list against go list -deps).
+var shimDirs = []string{"instrument/rt", "trace"}
+
+// Input is one file the instrumented build depends on.
+type Input struct {
+	Name string // "src/", "module/" or "generated/" and the file's path there
+	Data []byte
+}
+
+// Inputs returns every file the instrumented build of srcDir depends on
+// besides the toolchain and the standard library: the target's source
+// files as Instrument lists them, every file directly in the fasttrack
+// module's shimDirs, the module's go.mod, and the generated go.mod. The
+// same inputs, built by the same rewriter and toolchain with
+// BuildFlags, give the same executable, so a cache of instrumented
+// programs can key on them.
+func Inputs(srcDir string, opts Options) ([]Input, error) {
+	var in []Input
+	add := func(name, path string) error {
+		data, err := os.ReadFile(path)
+		in = append(in, Input{Name: name, Data: data})
+		return err
+	}
+	names, err := sourceFiles(srcDir, opts.Test)
+	if err != nil {
+		return nil, err
+	}
+	for _, name := range names {
+		if err := add("src/"+name, filepath.Join(srcDir, name)); err != nil {
+			return nil, err
+		}
+	}
+	for _, dir := range shimDirs {
+		ents, err := os.ReadDir(filepath.Join(opts.ModuleDir, dir))
+		if err != nil {
+			return nil, err
+		}
+		for _, e := range ents {
+			if e.Type().IsRegular() {
+				if err := add("module/"+dir+"/"+e.Name(), filepath.Join(opts.ModuleDir, dir, e.Name())); err != nil {
+					return nil, err
+				}
+			}
+		}
+	}
+	if err := add("module/go.mod", filepath.Join(opts.ModuleDir, "go.mod")); err != nil {
+		return nil, err
+	}
+	gomod, err := generatedGoMod(opts.ModuleDir)
+	if err != nil {
+		return nil, err
+	}
+	return append(in, Input{Name: "generated/go.mod", Data: gomod}), nil
 }

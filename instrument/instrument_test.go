@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -301,5 +302,32 @@ func TestInstrumentedBuildIsReproducible(t *testing.T) {
 	}
 	if !bytes.Equal(bins[0], bins[1]) {
 		t.Fatal("the same package instrumented into two directories built to different binaries")
+	}
+}
+
+// TestShimDirsMatchDeps: the shim directories Inputs hashes are exactly
+// the fasttrack packages an instrumented program links, so a cache keyed
+// on Inputs sees every edit that can change the program.
+func TestShimDirsMatchDeps(t *testing.T) {
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("go tool not available")
+	}
+	cmd := exec.Command("go", "list", "-deps", shimImport)
+	cmd.Dir = ".."
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list -deps %s: %v", shimImport, err)
+	}
+	var deps []string
+	for _, pkg := range strings.Fields(string(out)) {
+		if dir, ok := strings.CutPrefix(pkg, "fasttrack/"); ok {
+			deps = append(deps, dir)
+		}
+	}
+	want := slices.Clone(shimDirs)
+	slices.Sort(want)
+	slices.Sort(deps)
+	if !slices.Equal(deps, want) {
+		t.Errorf("the shim links fasttrack packages %v, Inputs hashes %v", deps, want)
 	}
 }

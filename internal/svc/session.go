@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"fasttrack"
@@ -290,8 +291,8 @@ func (sess *session) workerLoop() {
 	case sess.srv.draining.Load():
 		sess.finalize(stateDrained, nil)
 	case terminalErr != nil && !isDisconnect(terminalErr):
-		// The stream itself was bad (CRC mismatch, oversized frame, torn
-		// mid-frame): tell the client before finalizing as failed.
+		// The stream itself was bad (CRC mismatch, oversized frame):
+		// tell the client before finalizing as failed.
 		sess.sendError(fmt.Errorf("%s: %v", client.ErrCodeBadFrame, terminalErr))
 		sess.linger()
 		sess.finalize(stateFailed, terminalErr)
@@ -300,10 +301,13 @@ func (sess *session) workerLoop() {
 	}
 }
 
-// isDisconnect reports whether a read error is an ordinary end of
-// connection rather than a damaged stream.
+// isDisconnect reports whether a read error is a lost connection
+// rather than a damaged stream: an end of stream between frames or
+// inside one (the peer went away mid-write), a reset, or a closed
+// socket.
 func isDisconnect(err error) bool {
-	return errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed)
+	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
+		errors.Is(err, syscall.ECONNRESET) || errors.Is(err, net.ErrClosed)
 }
 
 // handleFrame processes one frame in the worker; a non-nil error fails
