@@ -543,7 +543,7 @@ func (s *Session) flushBatch() error {
 	payload := append([]byte(nil), s.buf.Bytes()...)
 	n := s.batched
 	s.buf.Reset()
-	s.enc = trace.NewWriter(&s.buf, trace.Binary)
+	s.enc.Reset(&s.buf)
 	s.batched = 0
 	s.bmu.Unlock()
 

@@ -79,6 +79,9 @@ func runFrontend(mode string, args []string) int {
 	}
 
 	var target *exec.Cmd
+	// The program sees the caller's environment, as under go run; go
+	// test builds the instrumented module, so it needs the build's.
+	targetEnv := os.Environ()
 	if mode == "run" {
 		// -keep asks for the instrumented module, so it bypasses the
 		// cache.
@@ -104,6 +107,7 @@ func runFrontend(mode string, args []string) int {
 		args := append(append([]string{"test"}, instrument.BuildFlags()...), "-count=1", ".")
 		target = exec.Command("go", append(args, targetArgs...)...)
 		target.Dir = workDir
+		targetEnv = buildEnv
 	}
 
 	var saved *os.File
@@ -128,7 +132,7 @@ func runFrontend(mode string, args []string) int {
 	// through go test, which passes it on to the test binary), and the
 	// shim opens it by name. Once the target holds it, this process
 	// drops its own copy, so the stream ends when the target exits.
-	target.Env = append(buildEnv, "FASTTRACK_TRACE=/dev/fd/3")
+	target.Env = append(targetEnv, "FASTTRACK_TRACE=/dev/fd/3")
 	target.Stdin, target.Stdout, target.Stderr = os.Stdin, os.Stdout, os.Stderr
 	target.ExtraFiles = []*os.File{pw}
 	err = target.Start()

@@ -504,3 +504,37 @@ func main() {
 		}
 	}
 }
+
+// TestFrontendRunPassesCallerEnv: the program sees the caller's GOFLAGS
+// and GOWORK, not the settings racedetect builds it with, on a binary
+// cache miss and on a hit.
+func TestFrontendRunPassesCallerEnv(t *testing.T) {
+	bin, base, module := buildRacedetect(t)
+	prog := writeProgram(t, base, "env", `package main
+
+import (
+	"fmt"
+	"os"
+)
+
+func main() {
+	fmt.Printf("GOFLAGS=%q GOWORK=%q\n", os.Getenv("GOFLAGS"), os.Getenv("GOWORK"))
+}
+`)
+	var env []string
+	for _, kv := range os.Environ() {
+		if !strings.HasPrefix(kv, "GOFLAGS=") && !strings.HasPrefix(kv, "GOWORK=") {
+			env = append(env, kv)
+		}
+	}
+	env = append(env, "GOFLAGS=-buildvcs=false", "XDG_CACHE_HOME="+t.TempDir())
+	const want = `GOFLAGS="-buildvcs=false" GOWORK=""`
+	for _, run := range []string{"miss", "hit"} {
+		cmd := exec.Command(bin, "run", "-module", module, prog)
+		cmd.Env = env
+		out, err := cmd.Output()
+		if line, _, _ := strings.Cut(string(out), "\n"); err != nil || line != want {
+			t.Errorf("%s: %v, output %q, want the program's line %q first", run, err, out, want)
+		}
+	}
+}

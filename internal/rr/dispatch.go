@@ -179,14 +179,18 @@ func (d *Dispatcher) Event(e trace.Event) {
 		d.om.fed.Inc()
 	}
 	d.checked(idx, e)
+	if d.om != nil {
+		d.om.publishDelivered(d)
+	}
 }
 
 // EventBatch offers a batch of events in order. It is semantically
 // identical to calling Event once per element — validation, filtering,
 // and delivery all stay per-event — but the fed accounting (Fed, the
-// rr.events.fed counter) is amortized into one update per batch. idx
-// passed to the validator is each event's position in the fed stream,
-// exactly as the per-event path computes it.
+// rr.events.fed counter) and the rr.delivered.* counters are amortized
+// into one update per batch. idx passed to the validator is each
+// event's position in the fed stream, exactly as the per-event path
+// computes it.
 func (d *Dispatcher) EventBatch(events []trace.Event) {
 	n := int64(len(events))
 	if n == 0 {
@@ -202,6 +206,9 @@ func (d *Dispatcher) EventBatch(events []trace.Event) {
 	}
 	for i := range events {
 		d.checked(base+int64(i), events[i])
+	}
+	if d.om != nil {
+		d.om.publishDelivered(d)
 	}
 }
 
@@ -361,7 +368,6 @@ func (d *Dispatcher) deliver(i int, e trace.Event) {
 		d.deliveredKind[e.Kind]++
 	}
 	if d.om != nil {
-		d.om.countDelivered(e.Kind)
 		// Sample 1 in latencySampleEvery deliveries into the latency
 		// histogram; registered before the recover defer (LIFO) so a
 		// panicking delivery is still timed.

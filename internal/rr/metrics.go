@@ -52,8 +52,8 @@ func PublishStats(reg *obs.Registry, prefix string, st Stats) {
 	set("memCoarse", st.MemCoarse, false)
 }
 
-// obsMetrics caches the dispatcher's metric handles so the per-event
-// path is a handful of atomic adds with no registry (map) lookups.
+// obsMetrics caches the dispatcher's metric handles so publishing is a
+// handful of atomic adds with no registry (map) lookups.
 type obsMetrics struct {
 	fed         *obs.Counter
 	reads       *obs.Counter
@@ -73,6 +73,9 @@ type obsMetrics struct {
 	// Last-published validator values, so deltas can be mirrored into
 	// the monotone counters after each Check.
 	lastViolations, lastRepaired, lastDropped, lastSynthesized int64
+	// Last-published delivery counts, mirrored the same way once per
+	// Event or EventBatch call.
+	lastDelivered, lastReads, lastWrites, lastSyncs int64
 }
 
 // dispatcher metric names, all under the rr.* namespace. The canonical
@@ -140,15 +143,38 @@ func (m *obsMetrics) publishValidator(v *Validator) {
 	}
 }
 
-// countDelivered classifies one delivered event into the live counters.
-func (m *obsMetrics) countDelivered(k trace.Kind) {
-	m.delivered.Inc()
-	switch {
-	case k == trace.Read:
-		m.reads.Inc()
-	case k == trace.Write:
-		m.writes.Inc()
-	case k.IsSync():
-		m.syncs.Inc()
+// publishDelivered mirrors the dispatcher's per-kind delivery counts
+// into the rr.delivered.* counters as deltas. The dispatcher calls it
+// once per Event or EventBatch, so the per-event path does no atomic
+// work for them. forward counts every event it forwards in next and the
+// quarantined ones in quarantinedHits, so their difference is the number
+// handed to deliver; the sync count is summed only when something other
+// than a read or write was delivered since the last call.
+func (m *obsMetrics) publishDelivered(d *Dispatcher) {
+	total := d.next - d.quarantinedHits
+	if total == m.lastDelivered {
+		return
+	}
+	reads, writes := d.deliveredKind[trace.Read], d.deliveredKind[trace.Write]
+	other := (total - reads - writes) != (m.lastDelivered - m.lastReads - m.lastWrites)
+	publishDelta(m.delivered, &m.lastDelivered, total)
+	publishDelta(m.reads, &m.lastReads, reads)
+	publishDelta(m.writes, &m.lastWrites, writes)
+	if other {
+		var syncs int64
+		for k, c := range d.deliveredKind {
+			if trace.Kind(k).IsSync() {
+				syncs += c
+			}
+		}
+		publishDelta(m.syncs, &m.lastSyncs, syncs)
+	}
+}
+
+// publishDelta adds v's growth since *last to c and records v.
+func publishDelta(c *obs.Counter, last *int64, v int64) {
+	if v != *last {
+		c.Add(v - *last)
+		*last = v
 	}
 }

@@ -88,8 +88,12 @@ type session struct {
 	doneCh chan struct{} // closed by finalize
 	queueD *obs.Gauge
 
-	// scratch is the frame-decode buffer reused across event chunks; it
-	// is touched only by the worker goroutine (ingestChunk).
+	// The frame decoder and its output, reused across event chunks and
+	// touched only by the worker goroutine (ingestChunk). The worker
+	// frees them when it exits, so a retained finished session holds
+	// only its results.
+	payload bytes.Reader
+	sc      *trace.Scanner
 	scratch []trace.Event
 
 	// Fidelity and governor plumbing (see governor.go). The immutable
@@ -278,6 +282,8 @@ func (sess *session) workerLoop() {
 		}
 		sess.busySince.Store(0)
 	}
+	sess.payload.Reset(nil)
+	sess.sc, sess.scratch = nil, nil
 
 	switch {
 	case failed:
@@ -370,18 +376,25 @@ func (sess *session) handleFrame(it qitem) error {
 }
 
 // ingestChunk decodes one event-chunk payload (a complete binary trace)
-// into the session's reused scratch buffer and ingests it as a single
-// batch: one wire frame is one Monitor.IngestBatch call, so the
-// per-event lock and dispatch bookkeeping is amortized across the
-// frame. It returns how many events were ingested even on error, so
-// accounting stays exact. On traced sessions it also times the decode
-// and detect stages (both 0 otherwise).
+// with the session's one Scanner, Reset onto the payload, into its
+// reused scratch buffer, and ingests it as a single batch: one wire
+// frame is one Monitor.IngestBatch call, so the per-event lock and
+// dispatch bookkeeping is amortized across the frame. In steady state
+// it allocates nothing. It returns how many events were ingested even on
+// error, so accounting stays exact. On traced sessions it also times the
+// decode and detect stages (both 0 otherwise).
 func (sess *session) ingestChunk(payload []byte) (n, decodeNs, detectNs int64, err error) {
 	var t0 int64
 	if sess.traced {
 		t0 = time.Now().UnixNano()
 	}
-	sc := trace.NewScanner(bytes.NewReader(payload))
+	sess.payload.Reset(payload)
+	if sess.sc == nil {
+		sess.sc = trace.NewScanner(&sess.payload)
+	} else {
+		sess.sc.Reset(&sess.payload)
+	}
+	sc := sess.sc
 	events := sess.scratch[:0]
 	for sc.Scan() {
 		events = append(events, sc.Event())

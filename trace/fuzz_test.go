@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+	"testing/iotest"
 )
 
 // FuzzReadText: arbitrary text input must never panic, and anything that
@@ -86,6 +87,99 @@ func FuzzScannerMatchesBatch(f *testing.F) {
 		}
 		if batchErr == nil && len(batch) != len(streamed) {
 			t.Fatalf("event counts differ: %d vs %d", len(batch), len(streamed))
+		}
+	})
+}
+
+// scanned is everything a Scanner reports over one input: each event
+// with the Index and Offset after it, then the final Index, Offset and
+// error.
+type scanned struct {
+	events  Trace
+	indexes []int
+	offsets []int64
+	index   int
+	offset  int64
+	err     string
+}
+
+func scanRecord(sc *Scanner) scanned {
+	var r scanned
+	for sc.Scan() {
+		r.events = append(r.events, sc.Event())
+		r.indexes = append(r.indexes, sc.Index())
+		r.offsets = append(r.offsets, sc.Offset())
+	}
+	r.index, r.offset = sc.Index(), sc.Offset()
+	if err := sc.Err(); err != nil {
+		r.err = err.Error()
+	}
+	return r
+}
+
+// FuzzScannerFastMatchesSlow: the in-place decode of events that lie
+// whole in the read buffer must agree with the byte-by-byte decode on
+// every input, error and position included. Each input is decoded as the
+// body of a binary trace twice: from a bytes.Reader, so whole events sit
+// in the buffer, and through iotest.OneByteReader, so the buffer never
+// holds a whole event and only the byte-by-byte path runs. A Scanner
+// Reset after reading another input must match a fresh one, and a Writer
+// Reset after writing must produce the bytes a fresh Writer does.
+func FuzzScannerFastMatchesSlow(f *testing.F) {
+	for _, tr := range []Trace{
+		{Rd(0, 1), Wr(1, 1<<40), Acq(2, 3), Rel(2, 3), ForkOf(0, 1<<31-1), JoinOf(0, 5)},
+		{Barrier(7, 0, 1, 2), VRd(3, 4), VWr(3, 4), {Kind: TxBegin, Tid: 1}, {Kind: TxEnd, Tid: 1}},
+		{ChSend(0, 1, 2), ChRecv(1, 1, 2), ChClose(0, 1, MaxChanCap), {Kind: Wait, Target: 1}, {Kind: Notify, Target: 1}},
+	} {
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, tr); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes()[len(binaryMagic):])
+	}
+	f.Add([]byte{byte(Read), 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02, 1})
+	f.Add([]byte{byte(Fork), 0, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Add([]byte{byte(ChanSend), 0, 1, 0xff, 0xff, 0xff, 0x0f})
+	f.Add([]byte{byte(numKinds), 0, 0})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		data := append([]byte(binaryMagic), in...)
+		fast := scanRecord(NewScanner(bytes.NewReader(data)))
+		slow := scanRecord(NewScanner(iotest.OneByteReader(bytes.NewReader(data))))
+		if !reflect.DeepEqual(fast, slow) {
+			t.Fatalf("in-place and byte-by-byte decodes differ:\n%+v\n%+v", fast, slow)
+		}
+
+		sc := NewScanner(bytes.NewReader(in))
+		sc.Scan()
+		sc.Reset(bytes.NewReader(data))
+		if reset := scanRecord(sc); !reflect.DeepEqual(reset, fast) {
+			t.Fatalf("Reset scanner differs from a fresh one:\n%+v\n%+v", reset, fast)
+		}
+
+		for _, format := range []Format{Text, Binary} {
+			var want, got, old bytes.Buffer
+			fresh := NewWriter(&want, format)
+			w := NewWriter(&old, format)
+			w.Write(Rd(0, 1))
+			w.Reset(&got)
+			for _, e := range fast.events {
+				if err := fresh.Write(e); err != nil {
+					t.Fatal(err)
+				}
+				if err := w.Write(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := fresh.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) || old.Len() != 0 {
+				t.Fatalf("format %d: Reset writer wrote %q (and %q before Reset), fresh writer %q",
+					format, got.Bytes(), old.Bytes(), want.Bytes())
+			}
 		}
 	})
 }

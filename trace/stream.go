@@ -18,8 +18,12 @@ const maxLine = 16 << 20
 // Scanner reads a trace incrementally from a reader, auto-detecting the
 // text or binary format, so arbitrarily long traces can be analyzed
 // without being memory-resident. It is the only decoder of both formats;
-// ReadText and ReadBinary are loops over it. The zero value is not
-// usable; call NewScanner.
+// ReadText and ReadBinary are loops over it. A binary event that lies
+// whole in the read buffer is decoded in place from the buffer; one that
+// does not (the last bytes of a buffer fill, a barrier) or that fails a
+// check is read byte by byte, so every error comes from that one path.
+// The zero value is not usable; call NewScanner, and Reset to reuse a
+// Scanner and its buffer on another input.
 type Scanner struct {
 	src     *countingReader
 	br      *bufio.Reader
@@ -48,6 +52,16 @@ func (c *countingReader) Read(p []byte) (int, error) {
 func NewScanner(r io.Reader) *Scanner {
 	cr := &countingReader{r: r}
 	return &Scanner{src: cr, br: bufio.NewReaderSize(cr, 1<<16)}
+}
+
+// Reset makes the scanner read r from its start, as NewScanner(r) would,
+// while keeping its read buffer: the format is detected afresh, and
+// Index, Offset and Err start over. Input still buffered from the
+// previous reader is discarded.
+func (s *Scanner) Reset(r io.Reader) {
+	s.src.r, s.src.n = r, 0
+	s.br.Reset(s.src)
+	*s = Scanner{src: s.src, br: s.br}
 }
 
 // Offset returns the number of input bytes consumed so far: after a
@@ -86,6 +100,10 @@ func sniff(r *bufio.Reader) (binaryFormat bool, err error) {
 func (s *Scanner) Scan() bool {
 	if s.err != nil || s.start() != nil {
 		return false
+	}
+	if s.format == Binary && s.br.Buffered() >= maxEventLen && s.scanBuffered() {
+		s.index++
+		return true
 	}
 	var (
 		e   Event
@@ -276,6 +294,10 @@ func clip(s string) string {
 	return s[:max] + "..."
 }
 
+// maxEventLen bounds the encoding of a non-barrier binary event: a kind
+// byte and at most three varints (thread, target, channel capacity).
+const maxEventLen = 1 + 3*binary.MaxVarintLen64
+
 func (s *Scanner) scanBinary() (Event, error) {
 	start := s.Offset()
 	kb, err := s.br.ReadByte()
@@ -341,6 +363,40 @@ func (s *Scanner) scanBinary() (Event, error) {
 	return e, nil
 }
 
+// scanBuffered decodes one non-barrier event in place from the read
+// buffer, which holds at least maxEventLen bytes, into s.cur, with the
+// checks of scanBinary. It consumes nothing and reports false on a
+// barrier or on any input scanBinary rejects, so that scanBinary decodes
+// the event again and reports the error.
+func (s *Scanner) scanBuffered() bool {
+	b, _ := s.br.Peek(maxEventLen)
+	k := Kind(b[0])
+	if k >= numKinds || k == BarrierRelease {
+		return false
+	}
+	tid, n := binary.Uvarint(b[1:])
+	if n <= 0 || tid > maxWireTid {
+		return false
+	}
+	used := 1 + n
+	target, n := binary.Uvarint(b[used:])
+	if n <= 0 || (k == Fork || k == Join) && target > maxWireTid {
+		return false
+	}
+	used += n
+	var c uint64
+	if k == ChanSend || k == ChanRecv || k == ChanClose {
+		c, n = binary.Uvarint(b[used:])
+		if n <= 0 || c > uint64(MaxChanCap) {
+			return false
+		}
+		used += n
+	}
+	s.br.Discard(used)
+	s.cur = Event{Kind: k, Tid: int32(tid), Target: target, Cap: int32(c)}
+	return true
+}
+
 // noEOF converts a mid-event EOF into an unexpected-EOF error so
 // truncation is reported rather than treated as a clean end.
 func noEOF(err error) error {
@@ -374,6 +430,14 @@ type Writer struct {
 // NewWriter returns a streaming trace writer in the given format.
 func NewWriter(w io.Writer, format Format) *Writer {
 	return &Writer{bw: bufio.NewWriterSize(w, 1<<16), format: format}
+}
+
+// Reset makes the writer start a new trace on dst in the same format, as
+// NewWriter(dst, format) would, while keeping its buffer. Output not yet
+// flushed to the previous destination is discarded.
+func (w *Writer) Reset(dst io.Writer) {
+	w.bw.Reset(dst)
+	w.wrote, w.count = false, 0
 }
 
 // Write appends one event. Events with thread ids that cannot round-trip

@@ -313,3 +313,40 @@ func TestScannerLineLimit(t *testing.T) {
 		t.Errorf("1 MiB barrier line decoded to %d events, want 3 with %d participants", len(tr), n)
 	}
 }
+
+// BenchmarkScanFrame decodes a 1024-event binary trace the way the
+// daemon decodes a wire frame: one Scanner, Reset per frame. The frame
+// is accesses with a lock operation every 16 events.
+func BenchmarkScanFrame(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	tr := make(Trace, 1024)
+	for i := range tr {
+		tid, x := int32(rng.Intn(8)), uint64(rng.Intn(1<<16))
+		switch {
+		case i%16 == 15:
+			tr[i] = Acq(tid, x)
+		case rng.Intn(4) == 0:
+			tr[i] = Wr(tid, x)
+		default:
+			tr[i] = Rd(tid, x)
+		}
+	}
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, tr); err != nil {
+		b.Fatal(err)
+	}
+	var rd bytes.Reader
+	sc := NewScanner(&rd)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rd.Reset(buf.Bytes())
+		sc.Reset(&rd)
+		for sc.Scan() {
+		}
+		if sc.Err() != nil || sc.Index() != 1024 {
+			b.Fatalf("scanned %d events: %v", sc.Index(), sc.Err())
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*1024), "ns/event")
+}
