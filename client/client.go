@@ -137,11 +137,11 @@ func WithValidation(policy string) Option { return func(c *config) { c.hello.Pol
 func WithGranularity(g string) Option { return func(c *config) { c.hello.Gran = g } }
 
 // WithFidelity selects the session's fidelity mode: "full" (default),
-// "sampled", "sampled(p)" with p in (0,1], or "adaptive" (the daemon's
-// governor adjusts the session with load). A malformed spec fails Dial.
-// Anything below full fidelity trades detection probability for
-// throughput; the granted rate and the achieved detection probability
-// are reported in Results.
+// "sampled" (the server's default rate), or "sampled(p)" with p in
+// (0,1]. A malformed spec fails Dial. The rate holds for the whole
+// session, so a sampled session's races are a subset of a full
+// session's; the achieved detection probability is reported in
+// Results.
 func WithFidelity(spec string) Option {
 	return func(c *config) {
 		mode, rate, err := ParseFidelity(spec)

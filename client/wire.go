@@ -64,27 +64,27 @@ const (
 // configuration the daemon builds the session's Monitor with.
 //
 // All post-version fields are optional JSON, so a version-1 peer that
-// predates them interoperates: an old client simply never degrades
-// fidelity, an old server ignores the request and runs full. Unknown
-// fields are ignored the same way: the "shards" field older clients
-// send is dropped and the session runs on the one serial ingestion
-// path. The exception is an older client's request to resume a dropped
-// session, which the server refuses (ErrCodeBadRequest): a fresh
-// detector fed only the rest of a stream misses the synchronization
-// before the drop and reports false races.
+// predates them interoperates: an old client never asks for sampling,
+// and an old server ignores the request and runs full. Unknown fields
+// are ignored the same way: the "shards" field older clients send is
+// dropped and the session runs on the one serial ingestion path. Two
+// legacy requests are refused (ErrCodeBadRequest). One is to resume a
+// dropped session: a fresh detector fed only the rest of a stream
+// misses the synchronization before the drop and reports false races.
+// The other is the "adaptive" fidelity, a rate the server would move
+// under load: a session's sampling rate is fixed at handshake.
 type Handshake struct {
 	Version int    `json:"version"`
 	Tool    string `json:"tool,omitempty"`        // detector name ("" = FastTrack)
 	Policy  string `json:"policy,omitempty"`      // validation: off|strict|repair|drop ("" = off)
 	Gran    string `json:"granularity,omitempty"` // fine|coarse ("" = fine)
 
-	// Fidelity selects the session's fidelity mode: "full" (default),
-	// "sampled" (fixed rate SampleRate), or "adaptive" (the daemon's
-	// governor moves the session along the full→sampled→coarse→shed
-	// ladder with load). See ParseFidelity for the accepted spellings.
+	// Fidelity selects the session's fidelity mode: "full" (default) or
+	// "sampled" (rate SampleRate, fixed for the whole session). See
+	// ParseFidelity for the accepted spellings.
 	Fidelity string `json:"fidelity,omitempty"`
-	// SampleRate is the sampling rate for "sampled" (and the starting/
-	// ceiling rate for "adaptive"); 0 means the server default.
+	// SampleRate is the sampling rate for "sampled"; 0 means the server
+	// default.
 	SampleRate float64 `json:"sampleRate,omitempty"`
 
 	// Tracing asks the server to time this session's frames through the
@@ -108,14 +108,11 @@ type Handshake struct {
 // HelloOK acknowledges a handshake.
 type HelloOK struct {
 	SessionID string `json:"sessionId"`
-	// Fidelity and SampleRate echo the session's granted starting state,
-	// which can differ from the request: under admission pressure the
-	// server may force a "full" session to start sampled (ForcedSampled
-	// is then true, and the session's ceiling is sampled until pressure
-	// clears).
-	Fidelity      string  `json:"fidelity,omitempty"`
-	SampleRate    float64 `json:"sampleRate,omitempty"`
-	ForcedSampled bool    `json:"forcedSampled,omitempty"`
+	// Fidelity and SampleRate echo the session's granted fidelity, which
+	// holds for the whole session: "full" at rate 1, or "sampled" at the
+	// requested rate (the server default when none was given).
+	Fidelity   string  `json:"fidelity,omitempty"`
+	SampleRate float64 `json:"sampleRate,omitempty"`
 	// Tracing grants the handshake's tracing request: the server is
 	// timing this session's frames and will accept trace-ID-flagged
 	// frames. A server that predates tracing leaves it false, and the
@@ -221,14 +218,13 @@ const (
 
 // Fidelity modes of the Handshake.Fidelity field.
 const (
-	FidelityFull     = "full"
-	FidelitySampled  = "sampled"
-	FidelityAdaptive = "adaptive"
+	FidelityFull    = "full"
+	FidelitySampled = "sampled"
 )
 
 // ParseFidelity parses the human spellings of a fidelity mode, as
 // accepted by racedetect's -fidelity flag and racedetectd's handshake:
-// "" or "full"; "adaptive"; "sampled" (server-default rate); and
+// "" or "full"; "sampled" (server-default rate); and
 // "sampled(p)" with p in (0,1], e.g. "sampled(0.1)". It returns the
 // canonical mode name and the explicit rate (0 when none was given).
 func ParseFidelity(s string) (mode string, rate float64, err error) {
@@ -236,8 +232,6 @@ func ParseFidelity(s string) (mode string, rate float64, err error) {
 	switch strings.ToLower(s) {
 	case "", FidelityFull:
 		return FidelityFull, 0, nil
-	case FidelityAdaptive:
-		return FidelityAdaptive, 0, nil
 	case FidelitySampled:
 		return FidelitySampled, 0, nil
 	}
@@ -249,5 +243,5 @@ func ParseFidelity(s string) (mode string, rate float64, err error) {
 		}
 		return FidelitySampled, p, nil
 	}
-	return "", 0, fmt.Errorf("client: unknown fidelity %q (want full, sampled, sampled(p), or adaptive)", s)
+	return "", 0, fmt.Errorf("client: unknown fidelity %q (want full, sampled, or sampled(p))", s)
 }

@@ -9,7 +9,7 @@
 //	racedetect [-tool FastTrack] [-all] [-granularity fine|coarse]
 //	           [-stats] [-policy off|strict|repair|drop]
 //	           [-membudget bytes] [-json]
-//	           [-fidelity full|sampled(p)|adaptive] [-provenance]
+//	           [-fidelity full|sampled(p)] [-provenance]
 //	           [-json.file out.json] [-metrics.addr :6060] trace-file
 //	racedetect -chaos [trace-file]
 //
@@ -25,9 +25,9 @@
 // analyzes the fraction p of the variable space (accesses to the rest
 // are counted but not checked — a real race can be missed with
 // probability about 1-p, and the report says what fraction was
-// analyzed), and adaptive lets the racedetectd governor move the
-// session along the full→sampled→coarse→shed ladder under pressure, so
-// it requires -server.
+// analyzed). The rate holds for the whole run, locally and with
+// -server alike, so a sampled run reports a subset of a full run's
+// races.
 //
 // Under -policy off the trace must be feasible: the first event that
 // breaks the locking or fork/join discipline stops the run with exit 2.
@@ -91,7 +91,7 @@ func main() {
 	jsonFile := flag.String("json.file", "", "write the run report to this file instead of stdout")
 	metricsAddr := flag.String("metrics.addr", "", "serve live metrics and pprof on this address (e.g. :6060)")
 	serverAddr := flag.String("server", "", "stream the trace to a racedetectd daemon at this address instead of analyzing locally")
-	fidelity := flag.String("fidelity", "", "analysis fidelity: full, sampled(p), or adaptive (adaptive requires -server)")
+	fidelity := flag.String("fidelity", "", "analysis fidelity: full or sampled(p)")
 	provenance := flag.Bool("provenance", false, "record race provenance: each warning carries clock evidence, the failed happens-before check, the recent sync chain, and a rendered explanation (FastTrack only)")
 	traceWire := flag.Bool("trace", false, "request pipeline tracing from the daemon: frames carry trace IDs and per-stage spans land in its /debug/trace (requires -server and a daemon started with -trace)")
 	list := flag.Bool("list", false, "list available detectors and exit")
@@ -114,11 +114,8 @@ func main() {
 		fatal(err)
 	}
 	remote := *serverAddr != ""
-	if fidMode == client.FidelityAdaptive && !remote {
-		fatal(fmt.Errorf("-fidelity adaptive is governed by racedetectd; add -server"))
-	}
 	if fidMode == client.FidelitySampled && sampleRate == 0 {
-		sampleRate = 0.25 // match the daemon's default sampled rung
+		sampleRate = 0.25 // match the daemon's default sampling rate
 	}
 
 	if *provenance {
@@ -198,6 +195,10 @@ func applySampleRate(tool fasttrack.Tool, rate float64) error {
 	return nil
 }
 
+// streamBatch is how many events runStream hands each dispatcher at
+// once; it divides the 8192-event progress grid.
+const streamBatch = 1024
+
 // runStream analyzes the trace read from in in one pass, fanning each
 // event out to one dispatcher per named tool, with the full pipeline
 // attached (validation policy, live metrics, progress reporting). It
@@ -243,8 +244,22 @@ func runStream(in io.Reader, name string, names []string, g fasttrack.Granularit
 		feas = trace.NewValidator()
 	}
 
+	// Events reach the dispatchers in batches, which amortizes their
+	// per-event accounting; feasibility is still checked per event.
 	sc := trace.NewScanner(in)
 	prog := newProgress(last.Obs)
+	batch := make([]trace.Event, 0, streamBatch)
+	deliver := func() {
+		for _, d := range ds {
+			d.EventBatch(batch)
+		}
+		batch = batch[:0]
+		// Progress/metrics refresh on a coarse event-count grid so the
+		// hot loop stays cheap between ticks.
+		if last.Fed&8191 == 0 {
+			prog.maybeTick(last.Fed, lastTool)
+		}
+	}
 	for sc.Scan() {
 		e := sc.Event()
 		if feas != nil {
@@ -252,15 +267,11 @@ func runStream(in io.Reader, name string, names []string, g fasttrack.Granularit
 				return reportErr(fmt.Errorf("infeasible trace: %w", err))
 			}
 		}
-		for _, d := range ds {
-			d.Event(e)
-		}
-		// Progress/metrics refresh on a coarse event-count grid so the
-		// hot loop stays cheap between ticks.
-		if last.Fed&8191 == 0 {
-			prog.maybeTick(last.Fed, lastTool)
+		if batch = append(batch, e); len(batch) == streamBatch {
+			deliver()
 		}
 	}
+	deliver()
 	// Under PolicyOff a decode error aborts before any report is printed.
 	if policy == fasttrack.PolicyOff && sc.Err() != nil {
 		return reportErr(sc.Err())

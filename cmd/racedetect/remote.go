@@ -70,9 +70,8 @@ func runRemote(in io.Reader, name, addr, toolName, gran, policyName, fidelity st
 		fmt.Fprintf(humanOut, "  %s\n", r)
 	}
 	printDetails(humanOut, res.Detailed)
-	// The daemon may have analyzed only a fraction of the offered
-	// accesses (a sampled/adaptive session, or a force-sampled admission
-	// under load); qualify the verdict.
+	// A sampled session analyzed only a fraction of the offered
+	// accesses; qualify the verdict.
 	if res.DetectionProbability > 0 && res.DetectionProbability < 1 {
 		fmt.Fprintf(humanOut, "  sampled analysis: detection probability %.3f\n", res.DetectionProbability)
 	}

@@ -8,7 +8,7 @@
 //	racedetectd [-addr 127.0.0.1:7766] [-http 127.0.0.1:7767]
 //	            [-queue 64] [-max-sessions 256]
 //	            [-idle 5m] [-drain 30s] [-report.dir DIR] [-v]
-//	            [-stuck-timeout 30s] [-mem-budget bytes]
+//	            [-stuck-timeout 30s]
 //	            [-trace] [-log-format text|json]
 //
 // -trace enables the pipeline tracer: sessions that request tracing in
@@ -16,14 +16,12 @@
 // decode, detect, callback) served at /debug/trace, with stage-latency
 // histograms in /metrics; frames slower than 50ms land in the
 // slow-frame log. -log-format json emits structured one-line-JSON
-// lifecycle events (session open/end, evictions, quarantines, governor
-// rung moves, admission refusals) on stderr, independent of -v.
+// lifecycle events (session open/end, evictions, quarantines, admission
+// refusals) on stderr, independent of -v.
 //
-// The governor flags tune the adaptive fidelity layer: every 250ms
-// each adaptive session is checked against its queue and shadow-memory
-// (-mem-budget) pressure and moved along the fidelity ladder
-// full → sampled(0.25) → coarse → shed, and any session whose worker
-// makes no progress for -stuck-timeout is quarantined.
+// Each session runs at the fidelity its handshake asked for, full or
+// sampled(p), for its whole life. Every 250ms a watchdog quarantines
+// any session whose worker has made no progress for -stuck-timeout.
 // Admission refusals at the session cap carry a 1s redial hint.
 //
 // The HTTP listener (enabled by -http) serves:
@@ -70,7 +68,6 @@ func main() {
 	drain := flag.Duration("drain", 30*time.Second, "graceful-drain budget on SIGTERM")
 	reportDir := flag.String("report.dir", "", "write one JSON report per finished session into this directory")
 	stuck := flag.Duration("stuck-timeout", 0, "quarantine sessions whose worker makes no progress for this long (0 = default 30s, negative = disabled)")
-	memBudget := flag.Int64("mem-budget", 0, "per-session shadow-memory budget in bytes before the governor degrades fidelity (0 = no memory signal)")
 	tracing := flag.Bool("trace", false, "enable the pipeline tracer (/debug/trace, svc.stage.* histograms)")
 	logFormat := flag.String("log-format", "text", "lifecycle log format: text (free-form, needs -v) or json (structured one-line events)")
 	verbose := flag.Bool("v", false, "log per-session lifecycle events")
@@ -103,15 +100,14 @@ func main() {
 	}
 
 	srv := svc.New(svc.Config{
-		QueueDepth:       *queue,
-		MaxSessions:      *maxSessions,
-		IdleTimeout:      *idle,
-		ReportDir:        *reportDir,
-		StuckTimeout:     *stuck,
-		SessionMemBudget: *memBudget,
-		Tracing:          *tracing,
-		Logf:             logf,
-		EventLog:         eventLog,
+		QueueDepth:   *queue,
+		MaxSessions:  *maxSessions,
+		IdleTimeout:  *idle,
+		ReportDir:    *reportDir,
+		StuckTimeout: *stuck,
+		Tracing:      *tracing,
+		Logf:         logf,
+		EventLog:     eventLog,
 	})
 
 	ln, err := net.Listen("tcp", *addr)

@@ -44,6 +44,19 @@
 //     goroutine, a spinning Load in another) creates no
 //     happens-before edge, and the data accesses it orders are
 //     reported as a race (a false positive);
+//   - under racedetect test, each TestXxx runs on a goroutine the
+//     uninstrumented testing package starts; the shim adopts it with a
+//     synthetic fork from the main thread and records no edge from one
+//     test's end to the next test's start, so two sequential tests
+//     that touch one package variable are reported as a race (a false
+//     positive; ROADMAP, "Precision: racedetect test must order the
+//     testing framework's goroutines");
+//   - the shim keys variables by raw address and never retires an id
+//     (varIDs in rt), so after a GC cycle an object allocated at a
+//     dead object's address inherits its shadow state, and its first
+//     access can be reported as racing with the dead object's last (a
+//     false positive; ROADMAP, "Precision: a freed object's address
+//     must not inherit its shadow");
 //   - comments (including //go:* directives) are dropped from the
 //     instrumented copy.
 package instrument

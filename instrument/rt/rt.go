@@ -9,8 +9,11 @@
 //     The instrumented go statement records the fork edge (Fork in the
 //     parent, Begin in the child). A goroutine that appears without
 //     one — the testing framework's, for example — is adopted with a
-//     synthetic fork from the main thread, which can only mask races,
-//     never invent them. Looking the calling goroutine up parses
+//     synthetic fork from the main thread. That fork orders it after
+//     nothing else, so adoption can invent races: two sequential
+//     TestXxx functions that touch one package variable are reported
+//     as racing (see the instrument package's limitations). Looking
+//     the calling goroutine up parses
 //     runtime.Stack and costs microseconds, so the rewriter does it at
 //     most once per function invocation: every instrumented function
 //     declares a G handle, whose first record resolves the goroutine

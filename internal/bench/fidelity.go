@@ -14,10 +14,11 @@ import (
 // FidelityReport is the machine-readable sampling-tier artifact: the
 // per-event throughput of the FastTrack detector across sampling rates
 // on a vector-clock-heavy workload, with the detection probability each
-// rate buys. It is the cost/coverage curve behind racedetectd's
-// fidelity ladder (full → sampled → coarse → shed), so the CI gate on
-// it is what keeps "degrade under pressure" a real throughput lever
-// rather than an aspiration.
+// rate buys. It is the cost/coverage curve of the sampled(p) fidelity
+// mode, timed on the detector alone: the CI gate on it keeps sampling
+// a real lever on detector cost. On the daemon path the detector is a
+// small share of an event's cost, so a sampled session there is not
+// much faster than a full one.
 type FidelityReport struct {
 	Header
 	Threads int           `json:"threads"`

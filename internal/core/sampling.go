@@ -1,9 +1,8 @@
 package core
 
-// This file implements the detector's sampling tier — the degraded
-// fidelity mode behind the racedetectd fidelity ladder (full →
-// sampled(p) → coarse → shed), after the sampled race detectors of
-// PAPERS.md ("Dynamic Race Detection With O(1) Samples", LiteRace,
+// This file implements the detector's sampling tier — the reduced
+// fidelity behind racedetect's and racedetectd's sampled(p) mode, after
+// the sampled race detectors of PAPERS.md ("Dynamic Race Detection With O(1) Samples", LiteRace,
 // Pacer): analyze a deterministic p-fraction of the variable space at
 // full FastTrack fidelity and spend O(1) on every other access.
 //
@@ -12,8 +11,8 @@ package core
 // thr = p·2³²: the variable is in the sampled set iff hash(x) < thr.
 // Accesses to unsampled variables take the skip path at the very top of
 // read/write — before the memory budget, before the variable table —
-// so they never materialize shadow state (a downgraded session's shadow
-// footprint stops growing immediately) and never touch a vector clock.
+// so they never materialize shadow state (an unsampled variable costs
+// no shadow memory) and never touch a vector clock.
 // The skip path still performs the cheap timestamping the fidelity
 // report needs: the access is counted into Events/Reads/Writes and
 // SampledOut, from which Stats.DetectionProbability derives. The
@@ -21,7 +20,9 @@ package core
 // exclusively by synchronization events, which are never sampled, so
 // the happens-before frontier stays exact at every rate.
 //
-// Why dynamic rate changes are safe (the rr.Sampled contract):
+// Why the rate may even change mid-stream without a false positive (the
+// rr.Sampled contract; racedetect and racedetectd set it once, before
+// the first event):
 //
 //   - The decision is hash(x) < thr — a pure function of the id and the
 //     current threshold. Raising p only adds variables to the sampled
@@ -34,9 +35,12 @@ package core
 //     unordered pair of accesses that both actually occurred — the
 //     paper's Theorem 1 precision argument does not depend on the
 //     history being complete, only on every recorded epoch being real.
-//     Hence no rate schedule can introduce a false positive: races
-//     reported under sampling are a subset (per variable) of the full
-//     run's, which the property tests assert trace-by-trace.
+//     Hence no rate schedule can introduce a false positive, which the
+//     property tests check against the happens-before oracle. At a
+//     fixed rate the reports are moreover a subset of the full run's
+//     (no shadow word is ever stale); a rate that falls and rises
+//     again can surface a true race the full run's overwritten epochs
+//     no longer show.
 //   - At p = 1.0 the threshold is 2³², no 32-bit hash reaches it, the
 //     skip path never fires, and the run is byte-identical to one that
 //     never enabled sampling (also asserted).

@@ -103,14 +103,14 @@ func TestSampledFullRateByteIdentical(t *testing.T) {
 }
 
 // TestAdaptiveRateChangesSoundProperty: changing the rate mid-stream at
-// arbitrary points (the governor's adaptive mode) never corrupts shadow
+// arbitrary points (which the rr.Sampled contract allows) never corrupts shadow
 // state and never manufactures a false positive. The check is against
 // the happens-before oracle, not against the full run's report set: a
 // variable skipped for a while keeps a stale shadow word, and a later
 // check against it can surface a genuine race that full FastTrack's
 // last-access epoch state had already overwritten — a report the full
-// run doesn't have, but a true one. What adaptive mode must never do is
-// flag a variable with no race at all.
+// run doesn't have, but a true one. What a changing rate must never do
+// is flag a variable with no race at all.
 func TestAdaptiveRateChangesSoundProperty(t *testing.T) {
 	cfg := sim.DefaultRandomConfig()
 	cfg.Events = 400
@@ -149,8 +149,8 @@ func TestAdaptiveRateChangesSoundProperty(t *testing.T) {
 }
 
 // TestShedKeepsClocksWarm: at rate 0 no access is analyzed, but sync
-// events still advance the happens-before frontier — so an upgrade back
-// to full fidelity is immediately sound: properly synchronized accesses
+// events still advance the happens-before frontier — so raising the rate
+// back to full fidelity is immediately sound: properly synchronized accesses
 // to fresh variables stay silent and unsynchronized ones are caught.
 func TestShedKeepsClocksWarm(t *testing.T) {
 	d := New(4, 8)

@@ -480,12 +480,8 @@ func (t *disabledTool) Stats() (st Stats) {
 	return t.inner.Stats()
 }
 
-// Feed offers an entire trace.
-func (d *Dispatcher) Feed(tr trace.Trace) {
-	for _, e := range tr {
-		d.Event(e)
-	}
-}
+// Feed offers an entire trace as one batch.
+func (d *Dispatcher) Feed(tr trace.Trace) { d.EventBatch(tr) }
 
 // Pipeline composes a prefilter with a downstream tool, the analog of
 // RoadRunner's "-tool FastTrack:Velodrome" (Section 5.2): every event is

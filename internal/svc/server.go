@@ -59,8 +59,8 @@ const (
 	// retainFinished is how many finalized sessions stay queryable over
 	// HTTP; older ones are forgotten.
 	retainFinished = 64
-	// defaultSampleRate is the sampled rung's rate for sessions that did
-	// not pick one in their handshake.
+	// defaultSampleRate is the rate of a sampled session that did not
+	// pick one in its handshake.
 	defaultSampleRate = 0.25
 	// slowFrameThreshold is the processing latency (queue wait through
 	// callback, excluding the inter-frame wire gap) above which a traced
@@ -85,18 +85,14 @@ type Config struct {
 	// ReportDir, when non-empty, receives one <sessionID>.json report per
 	// finalized session.
 	ReportDir string
-	// GovernorInterval is the fidelity governor's tick period (default
-	// 250ms; negative disables the loop — tests then drive governorTick
-	// directly). See governor.go.
-	GovernorInterval time.Duration
+	// WatchdogInterval is the watchdog's tick period (default 250ms;
+	// negative disables the loop — tests then drive governorTick
+	// directly). See watchdog.go.
+	WatchdogInterval time.Duration
 	// StuckTimeout is how long a session worker may sit on one item
 	// without completing it before the watchdog quarantines the session
 	// (default 30s; negative disables the watchdog).
 	StuckTimeout time.Duration
-	// SessionMemBudget is the per-session shadow-memory pressure threshold
-	// in bytes: an adaptive session above it is downgraded one fidelity
-	// rung at a time until pressure clears (0 = no memory signal).
-	SessionMemBudget int64
 	// RetryAfterHint is the Retry-After hint attached to session-cap
 	// admission refusals (default 1s).
 	RetryAfterHint time.Duration
@@ -107,9 +103,9 @@ type Config struct {
 	// Logf receives operational log lines (nil = silent).
 	Logf func(format string, args ...any)
 	// EventLog, when non-nil, receives structured lifecycle events
-	// (session open/end, evictions, quarantines, governor rung moves,
-	// admission refusals) in addition to the free-form Logf lines; the
-	// daemon's -log-format json wires this to a one-line-JSON emitter.
+	// (session open/end, evictions, quarantines, admission refusals) in
+	// addition to the free-form Logf lines; the daemon's -log-format
+	// json wires this to a one-line-JSON emitter.
 	EventLog func(Event)
 	// Tracing enables the pipeline tracer: sessions that request tracing
 	// in their handshake get per-frame stage spans (wire gap, queue wait,
@@ -122,12 +118,12 @@ type Config struct {
 
 // Event is one structured lifecycle event for Config.EventLog. Kind is
 // the stable event name: "open", "end", "eviction", "quarantine",
-// "downgrade", "upgrade", "refused".
+// "refused".
 type Event struct {
 	Kind     string `json:"event"`
 	Session  string `json:"session,omitempty"`
 	Remote   string `json:"remote,omitempty"`
-	Fidelity string `json:"fidelity,omitempty"` // rung after the event
+	Fidelity string `json:"fidelity,omitempty"` // the session's fidelity
 	Reason   string `json:"reason,omitempty"`
 }
 
@@ -146,8 +142,8 @@ func (c *Config) withDefaults() Config {
 	if d.MaxSessions <= 0 {
 		d.MaxSessions = 256
 	}
-	if d.GovernorInterval == 0 {
-		d.GovernorInterval = 250 * time.Millisecond
+	if d.WatchdogInterval == 0 {
+		d.WatchdogInterval = 250 * time.Millisecond
 	}
 	if d.StuckTimeout == 0 {
 		d.StuckTimeout = 30 * time.Second
@@ -214,12 +210,9 @@ type serverMetrics struct {
 	errorsTotal     *obs.Counter // error frames sent
 	queuePeak       *obs.Gauge   // high-water mark of any session's queue
 
-	sessionsQuarantined    *obs.Gauge   // sessions isolated by the watchdog
-	governorDowngrades     *obs.Counter // fidelity rungs moved down
-	governorUpgrades       *obs.Counter // fidelity rungs moved up
-	governorQuarantines    *obs.Counter // watchdog quarantines
-	admissionRefused       *obs.Counter // hard-cap handshake refusals
-	admissionForcedSampled *obs.Counter // soft-limit forced-sampled admissions
+	sessionsQuarantined *obs.Gauge   // sessions isolated by the watchdog
+	governorQuarantines *obs.Counter // watchdog quarantines
+	admissionRefused    *obs.Counter // hard-cap handshake refusals
 }
 
 // stageHists are the per-stage frame-latency histograms (nanoseconds),
@@ -257,10 +250,10 @@ type Server struct {
 	quarantined atomic.Int64 // sessions currently isolated by the watchdog
 	wg          sync.WaitGroup
 
-	govStop     chan struct{}
-	govStopOnce sync.Once
-	govOnce     sync.Once
-	now         func() int64 // the watchdog's clock: monotonic ns, never 0; tests inject a fake
+	wdStop     chan struct{}
+	wdStopOnce sync.Once
+	wdOnce     sync.Once
+	now        func() int64 // the watchdog's clock: monotonic ns, never 0; tests inject a fake
 }
 
 // clockBase anchors monotonicNow. time.Since reads the monotonic clock,
@@ -279,7 +272,7 @@ func New(cfg Config) *Server {
 		cfg:      cfg,
 		reg:      reg,
 		sessions: map[string]*session{},
-		govStop:  make(chan struct{}),
+		wdStop:   make(chan struct{}),
 		now:      monotonicNow,
 		sm: serverMetrics{
 			sessionsActive:  reg.Gauge("svc.sessionsActive"),
@@ -293,12 +286,9 @@ func New(cfg Config) *Server {
 			errorsTotal:     reg.Counter("svc.errorsTotal"),
 			queuePeak:       reg.Gauge("svc.queueDepthPeak"),
 
-			sessionsQuarantined:    reg.Gauge("svc.sessionsQuarantined"),
-			governorDowngrades:     reg.Counter("svc.governorDowngrades"),
-			governorUpgrades:       reg.Counter("svc.governorUpgrades"),
-			governorQuarantines:    reg.Counter("svc.governorQuarantines"),
-			admissionRefused:       reg.Counter("svc.admissionRefused"),
-			admissionForcedSampled: reg.Counter("svc.admissionForcedSampled"),
+			sessionsQuarantined: reg.Gauge("svc.sessionsQuarantined"),
+			governorQuarantines: reg.Counter("svc.governorQuarantines"),
+			admissionRefused:    reg.Counter("svc.admissionRefused"),
 		},
 	}
 	if cfg.Tracing {
@@ -315,13 +305,6 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// softLimitedLocked reports whether admission is under soft pressure
-// (>= 80% of the session cap in use): new sessions are admitted but
-// forced to start sampled. Callers hold s.mu.
-func (s *Server) softLimitedLocked() bool {
-	return s.active*5 >= s.cfg.MaxSessions*4
-}
-
 // Registry returns the server's metrics registry.
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
@@ -332,8 +315,8 @@ func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	s.ln = ln
 	s.mu.Unlock()
-	if s.cfg.GovernorInterval > 0 {
-		s.govOnce.Do(func() { go s.governorLoop(s.govStop) })
+	if s.cfg.WatchdogInterval > 0 {
+		s.wdOnce.Do(func() { go s.watchdogLoop(s.wdStop) })
 	}
 	for {
 		conn, err := ln.Accept()
@@ -367,7 +350,7 @@ func (s *Server) Serve(ln net.Listener) error {
 // waits — bounded by ctx — for all sessions to finalize and emit their
 // reports.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.govStopOnce.Do(func() { close(s.govStop) })
+	s.wdStopOnce.Do(func() { close(s.wdStop) })
 	s.mu.Lock()
 	s.draining.Store(true)
 	if s.ln != nil {
@@ -433,8 +416,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		return
 	}
 
-	// Admission: the hard cap refuses (with a Retry-After hint), the
-	// soft limit forces the session to start sampled.
+	// Admission: the hard cap refuses, with a Retry-After hint.
 	s.mu.Lock()
 	if s.active >= s.cfg.MaxSessions {
 		s.mu.Unlock()
@@ -443,7 +425,6 @@ func (s *Server) handleConn(conn net.Conn) {
 			fmt.Sprintf("session cap reached (%d)", s.cfg.MaxSessions), s.cfg.RetryAfterHint)
 		return
 	}
-	forced := s.softLimitedLocked()
 	s.active++ // reserved; released in finalize
 	s.activeN.Store(int64(s.active))
 	s.mu.Unlock()
@@ -455,7 +436,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		s.mu.Unlock()
 	}
 
-	plan, err := s.resolveFidelity(h, forced)
+	plan, err := resolveFidelity(h)
 	if err != nil {
 		release()
 		code, msg := client.ErrCodeBadRequest, err.Error()
@@ -477,28 +458,14 @@ func (s *Server) handleConn(conn net.Conn) {
 		return
 	}
 
-	// Apply the starting rate, which doubles as the sampling-capability
-	// probe: an explicit sampled/adaptive request needs a tool that can
-	// sample, while a merely forced-sampled admission of a full request
-	// falls back to an ordinary full session.
-	if plan.mode != client.FidelityFull || plan.forced {
-		startRate := 1.0
-		if plan.start > rungFull {
-			startRate = plan.baseRate
-		}
-		if !mon.SetSamplingRate(startRate) {
-			if plan.mode != client.FidelityFull {
-				release()
-				mon.Close()
-				s.refuse(conn, fw, client.ErrCodeBadRequest,
-					fmt.Sprintf("tool %q does not support %s fidelity", toolName, plan.mode))
-				return
-			}
-			plan = fidelityPlan{mode: client.FidelityFull, baseRate: plan.baseRate}
-		}
-	}
-	if plan.forced {
-		s.sm.admissionForcedSampled.Inc()
+	// A sampled session's rate is set here, once: it never changes
+	// mid-stream, so its races are a subset of a full session's.
+	if plan.mode == client.FidelitySampled && !mon.SetSamplingRate(plan.rate) {
+		release()
+		mon.Close()
+		s.refuse(conn, fw, client.ErrCodeBadRequest,
+			fmt.Sprintf("tool %q does not support %s fidelity", toolName, plan.mode))
+		return
 	}
 
 	id := fmt.Sprintf("s%06d", s.nextID.Add(1))
@@ -509,8 +476,8 @@ func (s *Server) handleConn(conn net.Conn) {
 	s.sm.sessionsActive.Add(1)
 	s.sm.sessionsTotal.Inc()
 	s.cfg.Logf("svc: session %s open (tool=%s policy=%q fidelity=%s) from %s",
-		id, toolName, h.Policy, sess.fidelityString(plan.start), conn.RemoteAddr())
-	s.event(Event{Kind: "open", Session: id, Remote: sess.remote, Fidelity: sess.fidelityString(plan.start)})
+		id, toolName, h.Policy, plan, conn.RemoteAddr())
+	s.event(Event{Kind: "open", Session: id, Remote: sess.remote, Fidelity: plan.String()})
 
 	s.wg.Add(1)
 	go func() {
@@ -518,11 +485,10 @@ func (s *Server) handleConn(conn net.Conn) {
 		sess.workerLoop()
 	}()
 	ok := client.HelloOK{
-		SessionID:     id,
-		Fidelity:      rungNames[plan.start],
-		SampleRate:    sess.rateFor(plan.start),
-		ForcedSampled: plan.forced,
-		Tracing:       sess.traced,
+		SessionID:  id,
+		Fidelity:   plan.mode,
+		SampleRate: plan.rate,
+		Tracing:    sess.traced,
 	}
 	if err := sess.reply(client.FrameHelloOK, ok); err != nil {
 		// The client never saw a session; don't read from it.
@@ -533,6 +499,42 @@ func (s *Server) handleConn(conn net.Conn) {
 	conn.SetReadDeadline(time.Time{}) // clear the handshake deadline
 	ic.timeout = s.cfg.IdleTimeout
 	sess.readLoop(fr)
+}
+
+// fidelityPlan is a session's fidelity, fixed at handshake.
+type fidelityPlan struct {
+	mode string  // client.FidelityFull or client.FidelitySampled
+	rate float64 // the sampling rate; 1 for full
+}
+
+// String renders the plan for humans: "full" or "sampled(0.25)".
+func (p fidelityPlan) String() string {
+	if p.mode == client.FidelityFull {
+		return p.mode
+	}
+	return fmt.Sprintf("%s(%.3g)", p.mode, p.rate)
+}
+
+// resolveFidelity validates a handshake's fidelity request. A sampled
+// request without a rate gets defaultSampleRate.
+func resolveFidelity(h client.Handshake) (fidelityPlan, error) {
+	mode, rate, err := client.ParseFidelity(h.Fidelity)
+	if err != nil {
+		return fidelityPlan{}, fmt.Errorf("%s: %v", client.ErrCodeBadRequest, err)
+	}
+	if rate == 0 {
+		rate = h.SampleRate
+	}
+	if rate < 0 || rate > 1 {
+		return fidelityPlan{}, fmt.Errorf("%s: sample rate %v out of range (0, 1]", client.ErrCodeBadRequest, h.SampleRate)
+	}
+	if mode == client.FidelityFull {
+		return fidelityPlan{mode: mode, rate: 1}, nil
+	}
+	if rate == 0 || rate == 1 {
+		rate = defaultSampleRate
+	}
+	return fidelityPlan{mode: mode, rate: rate}, nil
 }
 
 // idleConn wraps a session connection so the idle timeout measures gaps
@@ -613,7 +615,7 @@ func (s *Server) finalized(sess *session) {
 		reason = e
 	}
 	s.event(Event{Kind: kind, Session: sess.id, Remote: sess.remote,
-		Fidelity: sess.fidelityString(sess.rung.Load()), Reason: reason})
+		Fidelity: sess.fid.String(), Reason: reason})
 }
 
 // lookup returns the session with the given id, live or retained.
@@ -634,10 +636,9 @@ type SessionInfo struct {
 	Races      int    `json:"races"`
 	QueueDepth int    `json:"queueDepth"`
 	StartedAt  string `json:"startedAt"`
-	// Fidelity is the session's current ladder position ("full",
-	// "sampled(0.25)", "coarse(0.031)", "shed"); SampleRate is that
-	// rung's rate and DetectionProbability the fraction of offered
-	// accesses actually analyzed so far.
+	// Fidelity is the session's fidelity ("full" or "sampled(0.25)"),
+	// SampleRate its sampling rate, and DetectionProbability the
+	// fraction of offered accesses actually analyzed so far.
 	Fidelity             string  `json:"fidelity,omitempty"`
 	SampleRate           float64 `json:"sampleRate,omitempty"`
 	DetectionProbability float64 `json:"detectionProbability,omitempty"`
@@ -704,7 +705,7 @@ func (s *Server) Handler() http.Handler {
 		writeJSON(w, out)
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		// Liveness: the process is up and serving; governor state is
+		// Liveness: the process is up and serving; watchdog state is
 		// reported but never fails the probe. Reads atomics ONLY — no
 		// s.mu — so a stalled Serve/Shutdown path holding the server
 		// mutex cannot turn a live process into a probe-dead one (a
@@ -719,21 +720,12 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, _ *http.Request) {
 		// Readiness: a draining or hard-capped daemon should get no new
-		// sessions. Unlike /healthz this deliberately holds s.mu:
-		// readiness pairs active with the soft-limit predicate and the
-		// shed census as one consistent admission snapshot (a torn read
-		// could report ready=false with no pressure flag set), and a
-		// probe timing out because the mutex is wedged is the right
-		// answer for "should new sessions come here".
+		// sessions. Unlike /healthz this deliberately reads active under
+		// s.mu, the lock admission decides under: a probe timing out
+		// because the mutex is wedged is the right answer for "should
+		// new sessions come here".
 		s.mu.Lock()
 		active := s.active
-		soft := s.softLimitedLocked()
-		shed := 0
-		for _, sess := range s.sessions {
-			if sess.state.Load() == stateStreaming && sess.rung.Load() == rungShed {
-				shed++
-			}
-		}
 		s.mu.Unlock()
 		draining := s.draining.Load()
 		ready := !draining && active < s.cfg.MaxSessions
@@ -745,11 +737,8 @@ func (s *Server) Handler() http.Handler {
 			Draining       bool  `json:"draining"`
 			ActiveSessions int   `json:"activeSessions"`
 			MaxSessions    int   `json:"maxSessions"`
-			SoftLimited    bool  `json:"softLimited"`
-			Shedding       bool  `json:"shedding"`
-			ShedSessions   int   `json:"shedSessions"`
 			Quarantined    int64 `json:"quarantined"`
-		}{ready, draining, active, s.cfg.MaxSessions, soft, shed > 0, shed, s.quarantined.Load()})
+		}{ready, draining, active, s.cfg.MaxSessions, s.quarantined.Load()})
 	})
 	return mux
 }

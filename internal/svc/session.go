@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"strings"
 	"sync"
@@ -30,7 +29,7 @@ const (
 	stateLost              // connection ended without a close frame
 	stateEvicted           // idle timeout
 	stateFailed            // protocol, decode, or ingest error
-	stateQuarantined       // watchdog isolated a wedged session (see governor.go)
+	stateQuarantined       // watchdog isolated a wedged session (see watchdog.go)
 )
 
 var stateNames = map[int32]string{
@@ -96,66 +95,34 @@ type session struct {
 	sc      *trace.Scanner
 	scratch []trace.Event
 
-	// Fidelity and governor plumbing (see governor.go). The immutable
-	// part is fixed at handshake; rung/pendingRate are written by the
-	// governor and read by the worker and the HTTP surface; the
-	// statsReq→shadowBytes/toolDisabled pair is the worker-refreshed
-	// snapshot the governor's memory/poison signals read, so the
-	// governor itself never takes the monitor lock.
-	fidelity string  // requested mode: full | sampled | adaptive
-	adaptive bool    // governor may move the session along the ladder
-	forced   bool    // admission soft limit forced a sampled start
-	baseRate float64 // the sampled rung's rate
+	fid fidelityPlan // fixed at handshake
 
-	rung         atomic.Int32
-	pendingRate  atomic.Uint64 // Float64bits of the rate the worker should apply
-	appliedRate  uint64        // worker-local: Float64bits of the applied rate
-	statsReq     atomic.Bool
-	shadowBytes  atomic.Int64
-	toolDisabled atomic.Bool
-	busySince    atomic.Int64 // srv.now() when the worker dequeued its current item; 0 while idle
-	raceN        atomic.Int64 // last race count successfully read off the monitor
-	fidGauge     *obs.Gauge
+	busySince atomic.Int64 // srv.now() when the worker dequeued its current item; 0 while idle (see watchdog.go)
+	raceN     atomic.Int64 // last race count successfully read off the monitor
 
 	abortCh chan struct{} // closed by quarantine; unblocks the reader
 	wgOnce  sync.Once     // releases the worker's WaitGroup slot exactly once
-
-	// gov is governor-tick-local state; only governor ticks touch it.
-	gov struct {
-		overTicks, clearTicks int
-		cooldown              int
-		ceiling               int32
-		requestCeiling        int32
-	}
 }
 
 func newSession(srv *Server, id string, conn net.Conn, fw *trace.FrameWriter,
 	mon *fasttrack.Monitor, tool string, h client.Handshake, plan fidelityPlan) *session {
 	sess := &session{
-		id:       id,
-		srv:      srv,
-		conn:     conn,
-		remote:   conn.RemoteAddr().String(),
-		traced:   srv.cfg.Tracing && h.Tracing,
-		fw:       fw,
-		mon:      mon,
-		tool:     tool,
-		hello:    h,
-		queue:    make(chan qitem, srv.cfg.QueueDepth),
-		started:  time.Now(),
-		doneCh:   make(chan struct{}),
-		abortCh:  make(chan struct{}),
-		queueD:   srv.reg.Gauge("svc.session." + id + ".queueDepth"),
-		fidGauge: srv.reg.Gauge("svc.session." + id + ".fidelityRung"),
-		fidelity: plan.mode,
-		adaptive: plan.adaptive,
-		forced:   plan.forced,
-		baseRate: plan.baseRate,
+		id:      id,
+		srv:     srv,
+		conn:    conn,
+		remote:  conn.RemoteAddr().String(),
+		traced:  srv.cfg.Tracing && h.Tracing,
+		fw:      fw,
+		mon:     mon,
+		tool:    tool,
+		hello:   h,
+		queue:   make(chan qitem, srv.cfg.QueueDepth),
+		started: time.Now(),
+		doneCh:  make(chan struct{}),
+		abortCh: make(chan struct{}),
+		queueD:  srv.reg.Gauge("svc.session." + id + ".queueDepth"),
+		fid:     plan,
 	}
-	sess.gov.ceiling = plan.ceiling
-	sess.gov.requestCeiling = plan.requestCeiling
-	sess.setRung(plan.start)
-	sess.appliedRate = sess.pendingRate.Load() // handleConn applies the starting rate
 	sess.lastActive.Store(time.Now().UnixNano())
 	return sess
 }
@@ -325,15 +292,6 @@ func (sess *session) handleFrame(it qitem) error {
 		if sess.traced {
 			dequeued = time.Now().UnixNano()
 		}
-		// Apply any governor rate change at the frame boundary: the
-		// worker is the monitor's only event producer, so this is the
-		// one place a rate write needs no coordination beyond the
-		// monitor's own lock — and a wedged worker (which can't apply
-		// anything) is exactly what the watchdog quarantines.
-		if r := sess.pendingRate.Load(); r != sess.appliedRate {
-			sess.appliedRate = r
-			sess.mon.SetSamplingRate(math.Float64frombits(r))
-		}
 		n, decodeNs, detectNs, err := sess.ingestChunk(it.payload)
 		sess.events.Add(n)
 		sess.srv.sm.eventsTotal.Add(n)
@@ -342,12 +300,6 @@ func (sess *session) handleFrame(it qitem) error {
 		}
 		sess.frames.Add(1)
 		sess.bytes.Add(int64(len(it.payload)))
-		if sess.statsReq.CompareAndSwap(true, false) {
-			// Refresh the governor's lock-free pressure snapshot.
-			st := sess.mon.Stats()
-			sess.shadowBytes.Store(st.ShadowBytes)
-			sess.toolDisabled.Store(sess.mon.Health().ToolDisabled)
-		}
 		if sess.traced {
 			sess.recordSpan(it, dequeued, decodeNs, detectNs)
 		}
@@ -425,7 +377,7 @@ func (sess *session) ingestChunk(payload []byte) (n, decodeNs, detectNs int64, e
 // recordSpan publishes one traced event frame's span: "wire" is the
 // arrival gap since the session's previous frame, "queue" the wait in
 // the session queue, "decode"/"detect" from ingestChunk, and "callback"
-// the post-ingest remainder (accounting, governor snapshot refresh).
+// the post-ingest remainder (accounting).
 // Frames whose processing latency (everything but "wire") crosses the
 // slow threshold are also kept in the slow-frame log.
 func (sess *session) recordSpan(it qitem, dequeued, decodeNs, detectNs int64) {
@@ -611,7 +563,6 @@ func (sess *session) finalize(state int32, cause error) {
 // info builds the HTTP summary. Like results, it must not touch a
 // quarantined session's monitor.
 func (sess *session) info() SessionInfo {
-	rung := sess.rung.Load()
 	inf := SessionInfo{
 		ID:         sess.id,
 		State:      sess.stateName(),
@@ -622,8 +573,8 @@ func (sess *session) info() SessionInfo {
 		Races:      sess.raceCount(statsBudget),
 		QueueDepth: len(sess.queue),
 		StartedAt:  sess.started.UTC().Format(time.RFC3339Nano),
-		Fidelity:   sess.fidelityString(rung),
-		SampleRate: sess.rateFor(rung),
+		Fidelity:   sess.fid.String(),
+		SampleRate: sess.fid.rate,
 	}
 	// Same watchdog race as the stats endpoint: bound the monitor read
 	// so a listing never hangs on a session quarantined mid-call.

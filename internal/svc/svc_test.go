@@ -864,7 +864,7 @@ func TestHTTPEndpoints(t *testing.T) {
 // wedged it never returned and the probe's HTTP client hung until its
 // own timeout.
 func TestStatsWhileMonitorWedged(t *testing.T) {
-	srv, addr, gate := gatedServer(t, Config{GovernorInterval: -1})
+	srv, addr, gate := gatedServer(t, Config{WatchdogInterval: -1})
 	// Open the gate before startServer's cleanup drains (cleanups run
 	// after this test function's defers), so shutdown never inherits the
 	// wedge this test manufactures.
@@ -915,35 +915,22 @@ func TestHealthzWithServerMutexHeld(t *testing.T) {
 	}
 }
 
-// TestReadyzShedCensus checks that /readyz counts the sessions parked on
-// the shed rung alongside the admission state.
-func TestReadyzShedCensus(t *testing.T) {
-	srv, addr := startServer(t, Config{MaxSessions: 1, GovernorInterval: -1})
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
-
-	sess, err := client.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-
-	srv.lookup(sess.ID()).rung.Store(rungShed)
-	code, body := httpGET(t, hs, "/readyz")
-	if code != http.StatusServiceUnavailable { // at the cap
-		t.Errorf("/readyz at cap: code %d, want 503", code)
-	}
-	for _, want := range []string{`"shedding": true`, `"shedSessions": 1`} {
-		if !strings.Contains(body, want) {
-			t.Errorf("/readyz missing %s:\n%s", want, body)
-		}
-	}
-}
-
 // rawSessionRaces opens a session with a hand-written hello payload,
 // streams tr in 64-event frames, closes the session, and returns the
 // JSON encoding of its final race list.
 func rawSessionRaces(t *testing.T, addr, hello string, tr trace.Trace) []byte {
+	t.Helper()
+	races, err := json.Marshal(rawSession(t, addr, hello, tr, nil).Races)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return races
+}
+
+// rawSession is rawSessionRaces returning the final results. When
+// streamed is non-nil it gets the hello reply once every event frame
+// is sent, before the session closes.
+func rawSession(t *testing.T, addr, hello string, tr trace.Trace, streamed func(client.HelloOK)) client.Results {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -955,8 +942,13 @@ func rawSessionRaces(t *testing.T, addr, hello string, tr trace.Trace) []byte {
 	if err := fw.WriteFrame(client.FrameHello, []byte(hello)); err != nil {
 		t.Fatal(err)
 	}
-	if ft, pl, err := fr.ReadFrame(); err != nil || ft != client.FrameHelloOK {
+	ft, pl, err := fr.ReadFrame()
+	if err != nil || ft != client.FrameHelloOK {
 		t.Fatalf("hello %s: reply frame %d %s, err %v", hello, ft, pl, err)
+	}
+	var ok client.HelloOK
+	if err := json.Unmarshal(pl, &ok); err != nil {
+		t.Fatal(err)
 	}
 	for i := 0; i < len(tr); i += 64 {
 		var payload bytes.Buffer
@@ -973,11 +965,14 @@ func rawSessionRaces(t *testing.T, addr, hello string, tr trace.Trace) []byte {
 			t.Fatal(err)
 		}
 	}
+	if streamed != nil {
+		streamed(ok)
+	}
 	bye, _ := json.Marshal(client.Seq{Seq: 1})
 	if err := fw.WriteFrame(client.FrameClose, bye); err != nil {
 		t.Fatal(err)
 	}
-	ft, pl, err := fr.ReadFrame()
+	ft, pl, err = fr.ReadFrame()
 	if err != nil || ft != client.FrameCloseOK {
 		t.Fatalf("close reply: frame %d %s, err %v", ft, pl, err)
 	}
@@ -985,19 +980,17 @@ func rawSessionRaces(t *testing.T, addr, hello string, tr trace.Trace) []byte {
 	if err := json.Unmarshal(pl, &res); err != nil {
 		t.Fatal(err)
 	}
-	races, err := json.Marshal(res.Races)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return races
+	return res
 }
 
 // TestHandshakeLegacyShardsField: clients that predate the single
 // ingestion path send a "shards" field in their hello. Unknown hello
 // fields are ignored, so such a session is admitted and runs on the
 // serial path, with a race list byte-identical to the same trace sent
-// without the field. A hello asking to resume, which clients sent
-// before resume was removed, is the one legacy field that is refused.
+// without the field. Two legacy hellos are refused: one asking to
+// resume, which clients sent before resume was removed, and one asking
+// for the "adaptive" fidelity, which let the server change a session's
+// sampling rate mid-stream.
 func TestHandshakeLegacyShardsField(t *testing.T) {
 	_, addr := startServer(t, Config{})
 	tr := testTrace(9)
@@ -1020,25 +1013,100 @@ func TestHandshakeLegacyShardsField(t *testing.T) {
 	// Clients that predate the removal of resume asked to continue a
 	// dropped session with "resumeOf" and "epoch". A fresh detector fed
 	// only the rest of a stream reports false races, so that hello is
-	// refused and the old client fails closed.
+	// refused and the old client fails closed. So is a hello asking for
+	// "adaptive": its rate could fall mid-stream, and a session's rate
+	// is now fixed at handshake.
+	for _, legacy := range []string{
+		fmt.Sprintf(`{"version":%d,"resumeOf":"s000001","epoch":2}`, client.ProtocolVersion),
+		fmt.Sprintf(`{"version":%d,"fidelity":"adaptive"}`, client.ProtocolVersion),
+	} {
+		if we := rawHelloRefusal(t, addr, legacy); we.Code != client.ErrCodeBadRequest {
+			t.Errorf("hello %s refused with %q (%s), want %q", legacy, we.Code, we.Msg, client.ErrCodeBadRequest)
+		}
+	}
+}
+
+// rawHelloRefusal sends a hand-written hello payload and returns the
+// error frame the server must answer it with.
+func rawHelloRefusal(t *testing.T, addr, hello string) client.WireError {
+	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	resume := fmt.Sprintf(`{"version":%d,"resumeOf":"s000001","epoch":2}`, client.ProtocolVersion)
-	if err := trace.NewFrameWriter(conn).WriteFrame(client.FrameHello, []byte(resume)); err != nil {
+	if err := trace.NewFrameWriter(conn).WriteFrame(client.FrameHello, []byte(hello)); err != nil {
 		t.Fatal(err)
 	}
 	ft, pl, err := trace.NewFrameReader(conn, 0).ReadFrame()
 	if err != nil || ft != client.FrameErrorMsg {
-		t.Fatalf("resume hello: reply frame %d %s, err %v; want an error frame", ft, pl, err)
+		t.Fatalf("hello %s: reply frame %d %s, err %v; want an error frame", hello, ft, pl, err)
 	}
 	var we client.WireError
 	if err := json.Unmarshal(pl, &we); err != nil {
 		t.Fatal(err)
 	}
-	if we.Code != client.ErrCodeBadRequest {
-		t.Errorf("resume hello refused with %q (%s), want %q", we.Code, we.Msg, client.ErrCodeBadRequest)
+	return we
+}
+
+// TestSampledSession covers a fixed-rate sampled session end to end:
+// the hello reply, /sessions and the session's monitor all carry the
+// rate asked for, the detection probability comes out near it, and the
+// race list is byte-identical to a local replay at that rate.
+func TestSampledSession(t *testing.T) {
+	const rate = 0.25
+	srv, addr := startServer(t, Config{})
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+
+	// Two threads write each of 2000 variables, the even ones under a
+	// common lock and the odd ones unsynchronized. With that many
+	// variables the sampled fraction of the accesses is close to the
+	// rate, and the race list names exactly the odd variables the rate
+	// samples in.
+	tr := trace.Trace{trace.ForkOf(0, 1), trace.ForkOf(0, 2)}
+	for x := uint64(0); x < 2000; x++ {
+		if x%2 == 0 {
+			tr = append(tr, trace.Acq(1, 0), trace.Wr(1, x), trace.Rel(1, 0),
+				trace.Acq(2, 0), trace.Wr(2, x), trace.Rel(2, 0))
+		} else {
+			tr = append(tr, trace.Wr(1, x), trace.Wr(2, x))
+		}
+	}
+
+	hello := fmt.Sprintf(`{"version":%d,"fidelity":"sampled(%v)"}`, client.ProtocolVersion, rate)
+	res := rawSession(t, addr, hello, tr, func(ok client.HelloOK) {
+		if ok.Fidelity != client.FidelitySampled || ok.SampleRate != rate {
+			t.Errorf("hello reply fidelity %q rate %v, want %q %v", ok.Fidelity, ok.SampleRate, client.FidelitySampled, rate)
+		}
+		if _, body := httpGET(t, hs, "/sessions"); !strings.Contains(body, `"fidelity": "sampled(0.25)"`) {
+			t.Errorf("/sessions does not show sampled(0.25):\n%s", body)
+		}
+		if got := srv.lookup(ok.SessionID).mon.SamplingRate(); got != rate {
+			t.Errorf("session monitor SamplingRate() = %v, want %v", got, rate)
+		}
+	})
+	if p := res.DetectionProbability; p < rate-0.05 || p > rate+0.05 {
+		t.Errorf("DetectionProbability = %v, want within 0.05 of %v", p, rate)
+	}
+
+	tool, err := fasttrack.NewTool("FastTrack", fasttrack.Hints{SampleRate: rate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(fasttrack.Replay(tr, tool, fasttrack.Fine))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(res.Races)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("sampled session race list (%d bytes) differs from a local replay at rate %v (%d bytes)",
+			len(got), rate, len(want))
+	}
+	if len(res.Races) == 0 {
+		t.Error("no races at rate 0.25; the comparison needs a racy trace")
 	}
 }

@@ -2,7 +2,6 @@ package svc
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"math/rand"
 	"net"
@@ -21,42 +20,6 @@ import (
 	"fasttrack/internal/chaos"
 	"fasttrack/trace"
 )
-
-// pressureTool wraps a sampling-capable detector and lets the test
-// dictate the shadow-memory footprint the governor sees, so memory
-// pressure can be turned on and off deterministically.
-type pressureTool struct {
-	fasttrack.Sampled
-	shadow *atomic.Int64 // injected ShadowBytes; 0 = report the real one
-}
-
-func (p *pressureTool) Stats() fasttrack.Stats {
-	st := p.Sampled.Stats()
-	if v := p.shadow.Load(); v != 0 {
-		st.ShadowBytes = v
-	}
-	return st
-}
-
-// pressureServer boots a server with a manually ticked governor whose
-// sessions all analyze through a pressureTool sharing one shadow knob.
-func pressureServer(t *testing.T, cfg Config) (*Server, string, *atomic.Int64) {
-	t.Helper()
-	shadow := &atomic.Int64{}
-	cfg.NewMonitor = func(client.Handshake) (*fasttrack.Monitor, string, error) {
-		inner, err := fasttrack.NewTool("FastTrack", fasttrack.Hints{})
-		if err != nil {
-			return nil, "", err
-		}
-		s, ok := inner.(fasttrack.Sampled)
-		if !ok {
-			return nil, "", fmt.Errorf("FastTrack tool does not sample")
-		}
-		return fasttrack.NewMonitor(fasttrack.WithTool(&pressureTool{Sampled: s, shadow: shadow})), "FastTrack", nil
-	}
-	srv, addr := startServer(t, cfg)
-	return srv, addr, shadow
-}
 
 func waitUntil(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -85,142 +48,14 @@ func httpGET(t *testing.T, hs *httptest.Server, path string) (int, string) {
 	return resp.StatusCode, string(b)
 }
 
-// TestFidelityLadderEndToEnd is the degradation demo: an adaptive
-// session pushed over its shadow-memory budget is walked down the
-// ladder full → sampled → coarse by the governor — visible in
-// /sessions and the governor metrics, while the session keeps
-// ingesting — and walked back up to full once pressure clears.
-func TestFidelityLadderEndToEnd(t *testing.T) {
-	const budget = 1 << 20
-	cfg := Config{
-		GovernorInterval: -1, // ticked manually
-		StuckTimeout:     -1, // nothing wedges here
-		SessionMemBudget: budget,
-	}
-	srv, addr, shadow := pressureServer(t, cfg)
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
-
-	sess, err := client.Dial(addr, client.WithFidelity("adaptive"), client.WithBatchSize(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	ss := srv.lookup(sess.ID())
-	if ss == nil {
-		t.Fatal("session not registered")
-	}
-	if !ss.adaptive || ss.forced {
-		t.Fatalf("adaptive=%v forced=%v, want adaptive unforced", ss.adaptive, ss.forced)
-	}
-
-	// pump streams one frame of fresh-variable accesses and waits for it
-	// to be analyzed, which is the boundary where the worker applies a
-	// pending rate change and refreshes the governor's stats snapshot.
-	nextVar := uint64(0)
-	pump := func() {
-		t.Helper()
-		for i := 0; i < 64; i++ {
-			if err := sess.Write(trace.Wr(0, 1000+nextVar)); err != nil {
-				t.Fatal(err)
-			}
-			nextVar++
-		}
-		if err := sess.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tick := srv.governorTick
-
-	pump()
-	if got := ss.rung.Load(); got != rungFull {
-		t.Fatalf("fresh adaptive session on rung %d, want full", got)
-	}
-	if _, body := httpGET(t, hs, "/sessions"); !strings.Contains(body, `"fidelity": "full"`) {
-		t.Errorf("/sessions does not show full fidelity:\n%s", body)
-	}
-
-	// Blow the memory budget. Tick 1 requests a stats refresh, the pump
-	// delivers it, and two consecutive over-pressure ticks downgrade.
-	shadow.Store(2 * budget)
-	tick()
-	pump()
-	tick()
-	tick()
-	if got := ss.rung.Load(); got != rungSampled {
-		t.Fatalf("after 2 pressure ticks: rung %d, want sampled", got)
-	}
-	pump() // worker applies the sampled rate
-	if got := ss.mon.SamplingRate(); got != defaultSampleRate {
-		t.Fatalf("sampling rate %v after downgrade, want server default 0.25", got)
-	}
-
-	// Pressure persists: two more ticks reach the coarse rung.
-	tick()
-	tick()
-	if got := ss.rung.Load(); got != rungCoarse {
-		t.Fatalf("after 4 pressure ticks: rung %d, want coarse", got)
-	}
-	eventsBefore := ss.events.Load()
-	pump() // still ingesting while degraded
-	if got := ss.events.Load(); got != eventsBefore+64 {
-		t.Fatalf("coarse session ingested %d events, want %d", got-eventsBefore, 64)
-	}
-	if got := ss.mon.SamplingRate(); got > 0.04 {
-		t.Errorf("coarse sampling rate %v, want default/8", got)
-	}
-	if _, body := httpGET(t, hs, "/sessions"); !strings.Contains(body, `"fidelity": "coarse(`) {
-		t.Errorf("/sessions does not show coarse fidelity:\n%s", body)
-	}
-	if n := srv.Registry().Snapshot().Counter("svc.governorDowngrades"); n != 2 {
-		t.Errorf("governorDowngrades = %d, want 2", n)
-	}
-
-	// Pressure clears: the governor waits out the cooldown and the
-	// upgrade hysteresis, then climbs back to full one rung at a time.
-	shadow.Store(0)
-	tick() // requests the refresh that will clear the memory signal
-	pump()
-	for i := 0; i < 40 && ss.rung.Load() != rungFull; i++ {
-		tick()
-		pump()
-	}
-	if got := ss.rung.Load(); got != rungFull {
-		t.Fatalf("never recovered to full fidelity, stuck on rung %d", got)
-	}
-	if got := ss.mon.SamplingRate(); got != 1 {
-		t.Errorf("sampling rate %v after recovery, want 1", got)
-	}
-	if n := srv.Registry().Snapshot().Counter("svc.governorUpgrades"); n != 2 {
-		t.Errorf("governorUpgrades = %d, want 2", n)
-	}
-	if _, body := httpGET(t, hs, "/sessions"); !strings.Contains(body, `"fidelity": "full"`) {
-		t.Errorf("/sessions does not show recovered full fidelity:\n%s", body)
-	}
-
-	// The degraded stretch skipped some accesses, and the results say so.
-	res, err := sess.Results()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.DetectionProbability <= 0 || res.DetectionProbability >= 1 {
-		t.Errorf("detection probability %v, want in (0, 1) after a degraded stretch",
-			res.DetectionProbability)
-	}
-	if err := sess.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestAdmissionControl drives the server to its session cap: the soft
-// limit forces late sessions to start sampled, the hard cap refuses
-// with a Retry-After hint, and a retrying dial gets in once capacity
-// frees up.
+// TestAdmissionControl drives the server to its session cap: the hard
+// cap refuses with a Retry-After hint, and a retrying dial gets in once
+// capacity frees up.
 func TestAdmissionControl(t *testing.T) {
 	cfg := Config{
 		MaxSessions:      5,
 		RetryAfterHint:   100 * time.Millisecond,
-		GovernorInterval: -1,
+		WatchdogInterval: -1,
 	}
 	srv, addr := startServer(t, cfg)
 
@@ -230,39 +65,18 @@ func TestAdmissionControl(t *testing.T) {
 			s.Close()
 		}
 	}()
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 5; i++ {
 		s, err := client.Dial(addr)
 		if err != nil {
 			t.Fatalf("dial %d: %v", i, err)
 		}
 		sessions = append(sessions, s)
-		if ss := srv.lookup(s.ID()); ss.forced {
-			t.Errorf("session %d forced sampled below the soft limit", i)
-		}
-	}
-
-	// Session 5 crosses the soft limit (4/5 in use): admitted, but
-	// forced to start sampled with a sampled ceiling.
-	s5, err := client.Dial(addr) // asks for full
-	if err != nil {
-		t.Fatal(err)
-	}
-	sessions = append(sessions, s5)
-	ss5 := srv.lookup(s5.ID())
-	if !ss5.forced || !ss5.adaptive {
-		t.Fatalf("soft-limited session: forced=%v adaptive=%v, want both", ss5.forced, ss5.adaptive)
-	}
-	if got := ss5.rung.Load(); got != rungSampled {
-		t.Fatalf("soft-limited session on rung %d, want sampled", got)
-	}
-	if n := srv.Registry().Snapshot().Counter("svc.admissionForcedSampled"); n != 1 {
-		t.Errorf("admissionForcedSampled = %d, want 1", n)
 	}
 
 	// Session 6 hits the hard cap: refused with code session-cap and the
 	// configured Retry-After hint (retries disabled so the refusal is
 	// counted exactly once).
-	_, err = client.Dial(addr, client.WithRetry(0, 0))
+	_, err := client.Dial(addr, client.WithRetry(0, 0))
 	var se *client.ServerError
 	if !errors.As(err, &se) {
 		t.Fatalf("over-cap dial error %v, want ServerError", err)
@@ -346,7 +160,7 @@ func TestWatchdogQuarantine(t *testing.T) {
 	close(flowing)
 	var monitors atomic.Int32
 	cfg := Config{
-		GovernorInterval: -1,
+		WatchdogInterval: -1,
 		StuckTimeout:     time.Minute, // of fake-clock time
 		NewMonitor: func(h client.Handshake) (*fasttrack.Monitor, string, error) {
 			if monitors.Add(1) == 1 {
@@ -455,7 +269,7 @@ func TestWatchdogSparesYoungBusyWorker(t *testing.T) {
 	gate := make(chan struct{})
 	t.Cleanup(func() { close(gate) }) // after the drain, as above
 	cfg := Config{
-		GovernorInterval: -1,
+		WatchdogInterval: -1,
 		StuckTimeout:     30 * time.Second, // of fake-clock time
 		NewMonitor:       gatedMonitor(gate),
 	}
@@ -490,6 +304,46 @@ func TestWatchdogSparesYoungBusyWorker(t *testing.T) {
 	srv.governorTick()
 	if got := vs.stateName(); got != "quarantined" {
 		t.Fatalf("worker busy past StuckTimeout is %s, want quarantined", got)
+	}
+}
+
+// TestQuarantineFreesHealthzCount: a quarantined session leaves the
+// live session count /healthz reports, as it leaves admission's.
+func TestQuarantineFreesHealthzCount(t *testing.T) {
+	gate := make(chan struct{})
+	t.Cleanup(func() { close(gate) }) // after the drain, as above
+	cfg := Config{
+		WatchdogInterval: -1,
+		StuckTimeout:     time.Minute, // of fake-clock time
+		NewMonitor:       gatedMonitor(gate),
+	}
+	srv := New(cfg)
+	clock := withFakeClock(srv)
+	addr := serve(t, srv)
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+
+	sess, err := client.Dial(addr, client.WithBatchSize(8), client.WithReadTimeout(2*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 16; i++ {
+		if err := sess.Write(trace.Wr(0, uint64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	vs := srv.lookup(sess.ID())
+	waitUntil(t, "worker to start its wedged item", func() bool { return vs.busySince.Load() != 0 })
+	clock.advance(cfg.StuckTimeout)
+	srv.governorTick()
+	if got := vs.stateName(); got != "quarantined" {
+		t.Fatalf("wedged session is %s, want quarantined", got)
+	}
+	_, body := httpGET(t, hs, "/healthz")
+	for _, want := range []string{`"sessions": 0`, `"quarantined": 1`} {
+		if !strings.Contains(body, want) {
+			t.Errorf("/healthz after a quarantine lacks %s:\n%s", want, body)
+		}
 	}
 }
 
@@ -573,9 +427,9 @@ func TestFaultConnStallEvicted(t *testing.T) {
 }
 
 // TestChaosSoak is the everything-at-once stability run: many client
-// lifecycles racing a connection killer and a fast governor, with
-// forced degradations, ending in zero active sessions, no leaked
-// per-session metrics, and a clean drain. A client whose session the
+// lifecycles at mixed fidelities racing a connection killer and a fast
+// watchdog, ending in zero active sessions, no leaked per-session
+// metrics, and a clean drain. A client whose session the
 // killer severed must fail closed, and goes on only by dialing a new
 // session. SOAK_SECONDS stretches it in CI; the default keeps it
 // test-suite friendly.
@@ -589,9 +443,8 @@ func TestChaosSoak(t *testing.T) {
 		dur = time.Duration(secs * float64(time.Second))
 	}
 	cfg := Config{
-		GovernorInterval: 10 * time.Millisecond,
+		WatchdogInterval: 10 * time.Millisecond,
 		StuckTimeout:     5 * time.Second,
-		SessionMemBudget: 1 << 30,
 		MaxSessions:      6,
 		QueueDepth:       16,
 		IdleTimeout:      2 * time.Second,
@@ -625,7 +478,7 @@ func TestChaosSoak(t *testing.T) {
 		}
 	}()
 
-	fidelities := []string{"full", "adaptive", "sampled(0.2)"}
+	fidelities := []string{"full", "sampled(0.2)"}
 	var (
 		wg       sync.WaitGroup
 		observed atomic.Int64 // sessions their client closed after the kill

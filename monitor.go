@@ -359,8 +359,9 @@ func (m *Monitor) TxEnd(tid int32) { m.event(trace.Event{Kind: trace.TxEnd, Tid:
 // producers are streaming. It returns
 // false without effect when the monitor is closed or its current tool
 // does not support sampling — including a FastTrack pipeline the
-// dispatcher has downgraded after repeated panics, so callers (the
-// racedetectd governor) can treat false as "leave this session alone".
+// dispatcher has downgraded after repeated panics. racedetectd calls it
+// once, before a sampled session's first event, and refuses the session
+// on false.
 func (m *Monitor) SetSamplingRate(p float64) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
