@@ -52,11 +52,12 @@
 //     positive; ROADMAP, "Precision: racedetect test must order the
 //     testing framework's goroutines");
 //   - the shim keys variables by raw address and never retires an id
-//     (varIDs in rt), so after a GC cycle an object allocated at a
-//     dead object's address inherits its shadow state, and its first
-//     access can be reported as racing with the dead object's last (a
-//     false positive; ROADMAP, "Precision: a freed object's address
-//     must not inherit its shadow");
+//     (rt's idTable, which densifies addresses, has no removal), so
+//     after a GC cycle an object allocated at a dead object's address
+//     inherits its shadow state, and its first access can be reported
+//     as racing with the dead object's last (a false positive;
+//     ROADMAP, "Precision: a freed object's address must not inherit
+//     its shadow");
 //   - comments (including //go:* directives) are dropped from the
 //     instrumented copy.
 package instrument

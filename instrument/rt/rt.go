@@ -27,16 +27,20 @@
 //   - densification: addresses, locks, channels and WaitGroups become
 //     dense per-namespace ids under the one mutex that serializes the
 //     stream, at the moment their event enters it, so ids are assigned
-//     in stream order;
-//   - delivery: events are encoded as a binary trace and written to
-//     FASTTRACK_TRACE, a file or a pipe. racedetect run hands the
-//     program a pipe and analyzes the stream as it arrives; the shim
-//     itself links no detector, so the only repository package it
-//     imports is fasttrack/trace.
+//     in stream order. Each namespace is an idTable, an open-addressing
+//     hash table keyed by address;
+//   - delivery: under the same mutex each event is encoded with
+//     trace.AppendBinary straight into one stream buffer, which is
+//     written to FASTTRACK_TRACE, a file or a pipe, whenever it holds
+//     writeBytes and at Shutdown. racedetect run hands the program a
+//     pipe and analyzes the stream as it arrives; the shim itself links
+//     no detector, so the only repository package it imports is
+//     fasttrack/trace.
 package rt
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"reflect"
 	"runtime"
@@ -46,8 +50,13 @@ import (
 	"fasttrack/trace"
 )
 
-// flushThreshold bounds a goroutine's local access buffer.
-const flushThreshold = 256
+const (
+	// flushThreshold bounds a goroutine's local access buffer.
+	flushThreshold = 256
+	// writeBytes is how much encoded stream the shim buffers before
+	// writing it to the sink.
+	writeBytes = 64 << 10
+)
 
 // access is one buffered memory access, still keyed by its raw address.
 type access struct {
@@ -76,13 +85,14 @@ var (
 	resolves atomic.Int64
 
 	mu      sync.Mutex // serializes the stream; guards everything below
-	sink    eventSink
-	pending []trace.Event // events bound for the sink at the next unlock
+	sink    io.WriteCloser
+	out     []byte // the encoded stream not yet written to the sink
+	encoded int    // events encoded so far
 	nextTid int32
-	varIDs  map[uintptr]uint64
-	lockIDs map[uintptr]uint64
-	volIDs  map[uintptr]uint64
-	chanIDs map[uintptr]uint64
+	varIDs  idTable
+	lockIDs idTable
+	volIDs  idTable
+	chanIDs idTable
 )
 
 // goid returns the current goroutine's runtime id, parsed from the
@@ -119,16 +129,17 @@ func initShim() {
 
 // start (re)initializes the shim onto sink s, with the calling
 // goroutine as the main thread (tid 0).
-func start(s eventSink) {
+func start(s io.WriteCloser) {
 	mu.Lock()
 	defer mu.Unlock()
 	sink = s
-	pending = pending[:0]
+	out = trace.AppendBinaryHeader(make([]byte, 0, 2*writeBytes))
+	encoded = 0
 	nextTid = 1
-	varIDs = make(map[uintptr]uint64)
-	lockIDs = make(map[uintptr]uint64)
-	volIDs = make(map[uintptr]uint64)
-	chanIDs = make(map[uintptr]uint64)
+	varIDs = newIDTable()
+	lockIDs = newIDTable()
+	volIDs = newIDTable()
+	chanIDs = newIDTable()
 	goids.Range(func(k, _ any) bool {
 		goids.Delete(k)
 		return true
@@ -153,16 +164,22 @@ func Shutdown() {
 		flushLocked(v.(*gstate))
 		return true
 	})
-	deliverLocked()
+	writeLocked(0)
 	s := sink
 	sink = nil
 	mu.Unlock()
 	if s != nil {
-		if err := s.finish(); err != nil {
-			fmt.Fprintln(os.Stderr, "fasttrack/rt:", err)
-			os.Exit(2)
+		if err := s.Close(); err != nil {
+			fatal(err)
 		}
 	}
+}
+
+// fatal reports a failure of the stream and ends the program: a stream
+// with a gap would be analyzed as a different execution.
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "fasttrack/rt:", err)
+	os.Exit(2)
 }
 
 // self returns the calling goroutine's state.
@@ -182,7 +199,7 @@ func lookup(id int64) *gstate {
 	mu.Lock()
 	g := newGstate(nextTid)
 	nextTid++
-	pending = append(pending, trace.ForkOf(0, g.tid))
+	emit(trace.ForkOf(0, g.tid))
 	goids.Store(id, g)
 	unlock()
 	return g
@@ -196,46 +213,56 @@ func (g *gstate) lock() {
 	flushLocked(g)
 }
 
-// unlock hands the pending events to the sink and releases the stream
-// mutex.
+// unlock writes the stream buffer to the sink once it holds writeBytes
+// and releases the stream mutex.
 func unlock() {
-	deliverLocked()
+	writeLocked(writeBytes)
 	mu.Unlock()
 }
 
-// deliverLocked hands the pending events to the sink. Caller holds mu.
-func deliverLocked() {
-	if sink != nil && len(pending) > 0 {
-		sink.events(pending)
+// writeLocked writes the stream buffer to the sink if it holds at least
+// atLeast bytes. After Shutdown the stream is dropped. Caller holds mu.
+func writeLocked(atLeast int) {
+	if len(out) < atLeast || len(out) == 0 {
+		return
 	}
-	pending = pending[:0]
+	if sink != nil {
+		if _, err := sink.Write(out); err != nil {
+			fatal(fmt.Errorf("trace write: %w", err))
+		}
+	}
+	out = out[:0]
 }
 
-// flushLocked appends g's buffered accesses to the pending events,
-// giving each address its dense variable id. Caller holds mu.
+// emit appends e to the stream buffer. Caller holds mu.
+func emit(e trace.Event) {
+	var err error
+	if out, err = trace.AppendBinary(out, encoded, e); err != nil {
+		fatal(err)
+	}
+	encoded++
+}
+
+// flushLocked appends g's buffered accesses to the stream, giving each
+// address its dense variable id. Caller holds mu.
 func flushLocked(g *gstate) {
+	b := out // emit, inlined to store out once per flush
 	for _, a := range g.buf {
-		pending = append(pending, trace.Event{Kind: a.kind, Tid: g.tid, Target: denseID(varIDs, a.addr)})
+		var err error
+		if b, err = trace.AppendBinary(b, encoded, trace.Event{Kind: a.kind, Tid: g.tid, Target: varIDs.id(a.addr)}); err != nil {
+			fatal(err)
+		}
+		encoded++
 	}
+	out = b
 	g.buf = g.buf[:0]
-}
-
-// denseID returns p's id in the namespace table tab, assigning the next
-// one on first sight. Caller holds mu.
-func denseID(tab map[uintptr]uint64, p uintptr) uint64 {
-	id, ok := tab[p]
-	if !ok {
-		id = uint64(len(tab))
-		tab[p] = id
-	}
-	return id
 }
 
 // volID maps a pointer to a volatile id, with room for two volatiles
 // per object (the RWMutex reader/writer pair, the WaitGroup latch).
 // Caller holds mu.
 func volID(p uintptr, side uint64) uint64 {
-	return denseID(volIDs, p)<<1 | side
+	return volIDs.id(p)<<1 | side
 }
 
 // record buffers one access, coalescing an immediate duplicate (same
@@ -284,7 +311,7 @@ func (h *G) Fork() int32 {
 	g.lock()
 	child := nextTid
 	nextTid++
-	pending = append(pending, trace.ForkOf(g.tid, child))
+	emit(trace.ForkOf(g.tid, child))
 	unlock()
 	return child
 }
@@ -294,7 +321,7 @@ func (h *G) Fork() int32 {
 func (h *G) Acquire(p any) {
 	g, a := h.get(), ptrOf(p)
 	g.lock()
-	pending = append(pending, trace.Acq(g.tid, denseID(lockIDs, a)))
+	emit(trace.Acq(g.tid, lockIDs.id(a)))
 	unlock()
 }
 
@@ -303,7 +330,7 @@ func (h *G) Acquire(p any) {
 func (h *G) Release(p any) {
 	g, a := h.get(), ptrOf(p)
 	g.lock()
-	pending = append(pending, trace.Rel(g.tid, denseID(lockIDs, a)))
+	emit(trace.Rel(g.tid, lockIDs.id(a)))
 	unlock()
 }
 
@@ -313,7 +340,7 @@ func (h *G) Release(p any) {
 func (h *G) RAcquire(p any) {
 	g, a := h.get(), ptrOf(p)
 	g.lock()
-	pending = append(pending, trace.VRd(g.tid, volID(a, 0)))
+	emit(trace.VRd(g.tid, volID(a, 0)))
 	unlock()
 }
 
@@ -323,7 +350,7 @@ func (h *G) RAcquire(p any) {
 func (h *G) RRelease(p any) {
 	g, a := h.get(), ptrOf(p)
 	g.lock()
-	pending = append(pending, trace.VWr(g.tid, volID(a, 1)))
+	emit(trace.VWr(g.tid, volID(a, 1)))
 	unlock()
 }
 
@@ -333,10 +360,9 @@ func (h *G) RRelease(p any) {
 func (h *G) AcquireRW(p any) {
 	g, a := h.get(), ptrOf(p)
 	g.lock()
-	pending = append(pending,
-		trace.Acq(g.tid, denseID(lockIDs, a)),
-		trace.VRd(g.tid, volID(a, 0)),
-		trace.VRd(g.tid, volID(a, 1)))
+	emit(trace.Acq(g.tid, lockIDs.id(a)))
+	emit(trace.VRd(g.tid, volID(a, 0)))
+	emit(trace.VRd(g.tid, volID(a, 1)))
 	unlock()
 }
 
@@ -345,9 +371,8 @@ func (h *G) AcquireRW(p any) {
 func (h *G) ReleaseRW(p any) {
 	g, a := h.get(), ptrOf(p)
 	g.lock()
-	pending = append(pending,
-		trace.VWr(g.tid, volID(a, 0)),
-		trace.Rel(g.tid, denseID(lockIDs, a)))
+	emit(trace.VWr(g.tid, volID(a, 0)))
+	emit(trace.Rel(g.tid, lockIDs.id(a)))
 	unlock()
 }
 
@@ -357,7 +382,7 @@ func (h *G) ReleaseRW(p any) {
 func (h *G) WGDone(p any) {
 	g, a := h.get(), ptrOf(p)
 	g.lock()
-	pending = append(pending, trace.VWr(g.tid, volID(a, 0)))
+	emit(trace.VWr(g.tid, volID(a, 0)))
 	unlock()
 }
 
@@ -366,7 +391,7 @@ func (h *G) WGDone(p any) {
 func (h *G) WGWait(p any) {
 	g, a := h.get(), ptrOf(p)
 	g.lock()
-	pending = append(pending, trace.VRd(g.tid, volID(a, 0)))
+	emit(trace.VRd(g.tid, volID(a, 0)))
 	unlock()
 }
 
@@ -378,8 +403,9 @@ func (h *G) WGWait(p any) {
 func (h *G) OnceDo(p any) {
 	g, a := h.get(), ptrOf(p)
 	g.lock()
-	l := denseID(lockIDs, a)
-	pending = append(pending, trace.Acq(g.tid, l), trace.Rel(g.tid, l))
+	l := lockIDs.id(a)
+	emit(trace.Acq(g.tid, l))
+	emit(trace.Rel(g.tid, l))
 	unlock()
 }
 
@@ -389,7 +415,7 @@ func (h *G) chanEvent(ch any, k trace.Kind) {
 	g, v := h.get(), reflect.ValueOf(ch)
 	p, capacity := v.Pointer(), int32(v.Cap())
 	g.lock()
-	pending = append(pending, trace.Event{Kind: k, Tid: g.tid, Target: denseID(chanIDs, p), Cap: capacity})
+	emit(trace.Event{Kind: k, Tid: g.tid, Target: chanIDs.id(p), Cap: capacity})
 	unlock()
 }
 

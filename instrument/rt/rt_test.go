@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"bytes"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -9,16 +10,28 @@ import (
 	"fasttrack/trace"
 )
 
-// memSink keeps the stream in memory. events copies, because the shim
-// reuses the slice it passes.
-type memSink struct{ evs []trace.Event }
+// memSink keeps the encoded stream in memory.
+type memSink struct{ bytes.Buffer }
 
-func (s *memSink) events(evs []trace.Event) { s.evs = append(s.evs, evs...) }
-func (s *memSink) finish() error            { return nil }
+func (s *memSink) Close() error { return nil }
+
+// events decodes the stream. Call it after Shutdown.
+func (s *memSink) events(t testing.TB) []trace.Event {
+	t.Helper()
+	var evs []trace.Event
+	sc := trace.NewScanner(bytes.NewReader(s.Bytes()))
+	for sc.Scan() {
+		evs = append(evs, sc.Event())
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatalf("the shim's stream does not decode: %v", err)
+	}
+	return evs
+}
 
 // capture restarts the shim onto an in-memory sink, with the calling
 // goroutine as the main thread. Read the sink after Shutdown.
-func capture(t *testing.T) *memSink {
+func capture(t testing.TB) *memSink {
 	t.Helper()
 	initOnce.Do(func() {}) // the environment's sink stays out of the tests
 	s := &memSink{}
@@ -68,7 +81,8 @@ func TestVarIDsDenseInStreamOrder(t *testing.T) {
 	})
 	Shutdown()
 
-	main, child := accessTargets(s.evs, 0), accessTargets(s.evs, 1)
+	evs := s.events(t)
+	main, child := accessTargets(evs, 0), accessTargets(evs, 1)
 	if len(main) != n || len(child) != n {
 		t.Fatalf("got %d main and %d child accesses, want %d each", len(main), len(child), n)
 	}
@@ -79,6 +93,149 @@ func TestVarIDsDenseInStreamOrder(t *testing.T) {
 		if got := child[n-1-i]; got != main[i] {
 			t.Fatalf("xs[%d] is x%d on the main goroutine but x%d on the child", i, main[i], got)
 		}
+	}
+}
+
+// TestIDTableMatchesMap: an idTable gives the ids a map assigning
+// len(map) on first sight gives, for addresses that collide, address 0
+// among them, through several doublings.
+func TestIDTableMatchesMap(t *testing.T) {
+	tab := newIDTable()
+	want := map[uintptr]uint64{}
+	x := uint64(1)
+	for i := 0; i < 20000; i++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		p := uintptr(x % 4096 * 8) // about 5 lookups per address
+		if i%1000 == 0 {
+			p = 0
+		}
+		id, ok := want[p]
+		if !ok {
+			id = uint64(len(want))
+			want[p] = id
+		}
+		if got := tab.id(p); got != id {
+			t.Fatalf("lookup %d of %#x: id %d, want %d", i, p, got, id)
+		}
+	}
+	if len(tab.slots) < 2*len(want) || len(tab.addrs) != len(want) {
+		t.Fatalf("%d slots and %d addresses for %d ids", len(tab.slots), len(tab.addrs), len(want))
+	}
+}
+
+// TestIDsInFirstSightOrderAcrossGrowth: two goroutines touch enough
+// distinct addresses, concurrently and in opposite orders, to double
+// the variable table many times. The ids must still be 0..n-1 in the
+// order the addresses first enter the stream, and each address keeps
+// its id on both goroutines.
+func TestIDsInFirstSightOrderAcrossGrowth(t *testing.T) {
+	s := capture(t)
+	const n = 120_000
+	xs := make([]uint64, n)
+	var h G
+	tids := [2]int32{h.Fork(), h.Fork()}
+	var wg sync.WaitGroup
+	for k, tid := range tids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			Begin(tid)
+			defer End()
+			var c G
+			for i := range xs {
+				if k == 0 {
+					c.W(&xs[i])
+				} else {
+					c.R(&xs[n-1-i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	Shutdown()
+
+	evs := s.events(t)
+	var next uint64
+	for _, e := range evs {
+		if e.Kind.IsAccess() && e.Target >= next {
+			if e.Target != next {
+				t.Fatalf("x%d enters the stream after only %d ids were assigned", e.Target, next)
+			}
+			next++
+		}
+	}
+	if next != n {
+		t.Fatalf("%d distinct ids, want %d", next, n)
+	}
+	fwd, back := accessTargets(evs, tids[0]), accessTargets(evs, tids[1])
+	if len(fwd) != n || len(back) != n {
+		t.Fatalf("got %d and %d accesses, want %d each", len(fwd), len(back), n)
+	}
+	for i := range xs {
+		if fwd[i] != back[n-1-i] {
+			t.Fatalf("xs[%d] is x%d on one goroutine and x%d on the other", i, fwd[i], back[n-1-i])
+		}
+	}
+}
+
+// TestStreamMatchesWriter: for a fixed single-goroutine program, the
+// shim's bytes are what trace.Writer encodes for the program's events,
+// every sync entry point included.
+func TestStreamMatchesWriter(t *testing.T) {
+	s := capture(t)
+	var x, y uint64
+	var mu sync.Mutex
+	var rw sync.RWMutex
+	var wg sync.WaitGroup
+	var once sync.Once
+	ch := make(chan int, 3)
+	var h G
+	h.W(&x)
+	h.R(&y)
+	h.Acquire(&mu)
+	h.W(&y)
+	h.Release(&mu)
+	h.RAcquire(&rw)
+	h.R(&x)
+	h.RRelease(&rw)
+	h.AcquireRW(&rw)
+	h.W(&x)
+	h.ReleaseRW(&rw)
+	h.WGDone(&wg)
+	h.WGWait(&wg)
+	h.OnceDo(&once)
+	h.ChanSend(ch)
+	h.ChanRecv(ch)
+	h.ChanClose(ch)
+	Shutdown()
+
+	var want bytes.Buffer
+	w := trace.NewWriter(&want, trace.Binary)
+	for _, e := range []trace.Event{
+		trace.Wr(0, 0), trace.Rd(0, 1), trace.Acq(0, 0), trace.Wr(0, 1), trace.Rel(0, 0),
+		trace.VRd(0, 0), trace.Rd(0, 0), trace.VWr(0, 1),
+		trace.Acq(0, 1), trace.VRd(0, 0), trace.VRd(0, 1), trace.Wr(0, 0), trace.VWr(0, 0), trace.Rel(0, 1),
+		trace.VWr(0, 2), trace.VRd(0, 2),
+		trace.Acq(0, 2), trace.Rel(0, 2),
+		trace.ChSend(0, 0, 3), trace.ChRecv(0, 0, 3), trace.ChClose(0, 0, 3),
+	} {
+		if err := w.Write(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(s.Bytes(), want.Bytes()) {
+		t.Fatalf("shim stream\n%v\nwant\n%v", s.events(t), want.Bytes())
+	}
+
+	empty := capture(t)
+	Shutdown()
+	if got := empty.String(); got != "FTRK1\n" {
+		t.Fatalf("a program without events writes %q, want the binary magic alone", got)
 	}
 }
 
@@ -95,8 +252,8 @@ func TestCoalescesAdjacentDuplicates(t *testing.T) {
 	h.R(&x) // not adjacent to the first: kept
 	Shutdown()
 	want := []trace.Event{trace.Rd(0, 0), trace.Wr(0, 0), trace.Rd(0, 0), trace.Rd(0, 1), trace.Rd(0, 0)}
-	if !reflect.DeepEqual(s.evs, want) {
-		t.Fatalf("stream %v, want %v", s.evs, want)
+	if got := s.events(t); !reflect.DeepEqual(got, want) {
+		t.Fatalf("stream %v, want %v", got, want)
 	}
 }
 
@@ -122,8 +279,8 @@ func TestAccessesLandBeforeOwnSyncEvent(t *testing.T) {
 		trace.Rd(1, 1), trace.Acq(1, 0), trace.Wr(1, 2), trace.Rel(1, 0), trace.Rd(1, 0),
 		trace.Rd(0, 1), trace.Acq(0, 0),
 	}
-	if !reflect.DeepEqual(s.evs, want) {
-		t.Fatalf("stream\n%v\nwant\n%v", s.evs, want)
+	if got := s.events(t); !reflect.DeepEqual(got, want) {
+		t.Fatalf("stream\n%v\nwant\n%v", got, want)
 	}
 }
 
@@ -170,7 +327,7 @@ func TestOneShotMatchesHandle(t *testing.T) {
 		fork()
 		r(&y)
 		Shutdown()
-		return s.evs
+		return s.events(t)
 	}
 	oneShot := run(R, W, Acquire, Release, Fork)
 	var h G
@@ -221,7 +378,7 @@ func TestConcurrentGoroutines(t *testing.T) {
 		want = append(want, trace.Acq(0, 0), trace.Rel(0, 0))
 	}
 	perTid := map[int32][]trace.Event{}
-	for _, e := range s.evs {
+	for _, e := range s.events(t) {
 		if e.Kind != trace.Fork {
 			perTid[e.Tid] = append(perTid[e.Tid], e)
 		}
@@ -256,9 +413,42 @@ func TestNewSinkModes(t *testing.T) {
 			t.Errorf("FASTTRACK_TRACE=%q: err %v, want ok=%v", c.path, err, c.ok)
 		}
 		if s != nil {
-			if err := s.finish(); err != nil {
+			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
 		}
+	}
+}
+
+// nopSink discards the stream.
+type nopSink struct{}
+
+func (nopSink) Write(p []byte) (int, error) { return len(p), nil }
+func (nopSink) Close() error                { return nil }
+
+// BenchmarkAccessFlush measures the shim's cost per access event from
+// the record to the sink, without goroutine lookup: buffering, the id
+// lookup at flush, encoding and the stream buffer. "reuse" cycles
+// through 16384 addresses, "fresh" gives every access a new one, so
+// each flush inserts into (and grows) the variable table.
+func BenchmarkAccessFlush(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		addr func(i int) uintptr
+	}{
+		{"reuse", func(i int) uintptr { return uintptr(i%16384) * 8 }},
+		{"fresh", func(i int) uintptr { return uintptr(i) * 8 }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			initOnce.Do(func() {})
+			start(nopSink{})
+			defer Shutdown()
+			g := self()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g.record(c.addr(i), trace.Write)
+			}
+		})
 	}
 }

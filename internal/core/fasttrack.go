@@ -228,7 +228,9 @@ type Detector struct {
 	// detector additionally tracks the event index of each variable's
 	// most recent non-redundant read and write, so race reports carry
 	// PrevIndex — the position of the prior racing access. Costs two
-	// extra words per variable and one store per slow-path access.
+	// extra words per variable and one store per slow-path access. The
+	// tables hold the index plus one, so a fresh variable's zero entry
+	// means no access yet and the tables grow as w and r do.
 	detailed     bool
 	lastWriteIdx []int
 	lastReadIdx  []int
@@ -300,10 +302,8 @@ func (d *Detector) EnableExtendedSameEpoch() { d.extendedSameEpoch = true }
 // call have no history (their PrevIndex would report -1).
 func (d *Detector) EnableDetailedReports() {
 	d.detailed = true
-	for len(d.lastWriteIdx) < len(d.r) {
-		d.lastWriteIdx = append(d.lastWriteIdx, -1)
-		d.lastReadIdx = append(d.lastReadIdx, -1)
-	}
+	d.lastWriteIdx = grow(d.lastWriteIdx, len(d.r))
+	d.lastReadIdx = grow(d.lastReadIdx, len(d.r))
 }
 
 // thread returns the state of thread t, initializing C_t = inc_t(⊥V)
@@ -319,22 +319,21 @@ func (d *Detector) thread(t int32) *threadState {
 }
 
 // growVars extends the dense serial tables so variable x is valid.
-// Fresh variables have R = W = ⊥e (the zero epoch) and a clear flag.
+// Fresh variables have R = W = ⊥e (the zero epoch), a clear flag and,
+// with detailed reports, no access index.
 // Growth doubles explicitly rather than relying on append: the runtime's
 // large-slice growth factor (~1.25x) re-copies a multi-megabyte table
 // dozens of times during a rapid-allocation phase, and per-element
-// appends pay that for w and r separately. make zeroes the whole
+// appends pay that for every table separately. make zeroes the whole
 // capacity and the tables never shrink, so extending within capacity is
-// a pure reslice — fresh variables are born ⊥e for free.
+// a pure reslice — fresh variables are born zero for free.
 func (d *Detector) growVars(x uint64) {
 	n := int(x) + 1
-	d.w = growEpochs(d.w, n)
-	d.r = growEpochs(d.r, n)
+	d.w = grow(d.w, n)
+	d.r = grow(d.r, n)
 	if d.detailed {
-		for len(d.lastWriteIdx) < n {
-			d.lastWriteIdx = append(d.lastWriteIdx, -1)
-			d.lastReadIdx = append(d.lastReadIdx, -1)
-		}
+		d.lastWriteIdx = grow(d.lastWriteIdx, n)
+		d.lastReadIdx = grow(d.lastReadIdx, n)
 	}
 	if nw := (n + 63) >> 6; len(d.flagged) < nw {
 		if nw <= cap(d.flagged) {
@@ -354,20 +353,20 @@ func (d *Detector) growVars(x uint64) {
 	}
 }
 
-// growEpochs extends es to length n, doubling capacity as needed.
-func growEpochs(es []vc.Epoch, n int) []vc.Epoch {
-	if n <= cap(es) {
-		return es[:n]
+// grow extends s to length n, doubling capacity as needed.
+func grow[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
 	}
-	c := 2 * cap(es)
+	c := 2 * cap(s)
 	if c < 64 {
 		c = 64
 	}
 	for c < n {
 		c *= 2
 	}
-	ns := make([]vc.Epoch, n, c)
-	copy(ns, es)
+	ns := make([]T, n, c)
+	copy(ns, s)
 	return ns
 }
 
@@ -418,9 +417,9 @@ func (d *Detector) report(i int, x uint64, w, r vc.Epoch, ts *threadState, kind 
 	prevIdx := -1
 	if d.detailed {
 		if kind == rr.ReadWrite {
-			prevIdx = d.lastReadIdx[x]
+			prevIdx = d.lastReadIdx[x] - 1
 		} else {
-			prevIdx = d.lastWriteIdx[x]
+			prevIdx = d.lastWriteIdx[x] - 1
 		}
 	}
 	rep := rr.Report{
@@ -646,7 +645,7 @@ func (d *Detector) write(i int, tid int32, x uint64, countEvent bool) {
 // noteRead records the detailed-mode read history and, when the flight
 // recorder is on, the provenance last-access record.
 func (d *Detector) noteRead(i int, x uint64, tid int32, ts *threadState) {
-	d.lastReadIdx[x] = i
+	d.lastReadIdx[x] = i + 1
 	if d.prov != nil {
 		d.provVar(x).r.record(tid, i, d.provGenOf(tid), ts.epoch)
 	}
@@ -654,7 +653,7 @@ func (d *Detector) noteRead(i int, x uint64, tid int32, ts *threadState) {
 
 // noteWrite is noteRead's write-side twin.
 func (d *Detector) noteWrite(i int, x uint64, tid int32, ts *threadState) {
-	d.lastWriteIdx[x] = i
+	d.lastWriteIdx[x] = i + 1
 	if d.prov != nil {
 		d.provVar(x).w.record(tid, i, d.provGenOf(tid), ts.epoch)
 	}

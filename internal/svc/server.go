@@ -516,7 +516,9 @@ func (p fidelityPlan) String() string {
 }
 
 // resolveFidelity validates a handshake's fidelity request. A sampled
-// request without a rate gets defaultSampleRate.
+// request without a rate, neither in the fidelity nor in sampleRate,
+// gets defaultSampleRate; sampled(1) analyzes every variable, as a local
+// racedetect -fidelity 'sampled(1)' does.
 func resolveFidelity(h client.Handshake) (fidelityPlan, error) {
 	mode, rate, err := client.ParseFidelity(h.Fidelity)
 	if err != nil {
@@ -531,7 +533,7 @@ func resolveFidelity(h client.Handshake) (fidelityPlan, error) {
 	if mode == client.FidelityFull {
 		return fidelityPlan{mode: mode, rate: 1}, nil
 	}
-	if rate == 0 || rate == 1 {
+	if rate == 0 {
 		rate = defaultSampleRate
 	}
 	return fidelityPlan{mode: mode, rate: rate}, nil

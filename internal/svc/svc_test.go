@@ -1049,6 +1049,62 @@ func rawHelloRefusal(t *testing.T, addr, hello string) client.WireError {
 	return we
 }
 
+// halfRacyTrace has two threads write each of 2000 variables, the even
+// ones under a common lock and the odd ones unsynchronized. With that
+// many variables the sampled fraction of the accesses is close to the
+// rate, and the race list names exactly the odd variables the rate
+// samples in.
+func halfRacyTrace() trace.Trace {
+	tr := trace.Trace{trace.ForkOf(0, 1), trace.ForkOf(0, 2)}
+	for x := uint64(0); x < 2000; x++ {
+		if x%2 == 0 {
+			tr = append(tr, trace.Acq(1, 0), trace.Wr(1, x), trace.Rel(1, 0),
+				trace.Acq(2, 0), trace.Wr(2, x), trace.Rel(2, 0))
+		} else {
+			tr = append(tr, trace.Wr(1, x), trace.Wr(2, x))
+		}
+	}
+	return tr
+}
+
+// TestSampledAtRateOne: a sampled session at rate 1, asked for either as
+// sampled(1) or as sampled with sampleRate 1, keeps that rate instead of
+// the default, and reports what a full session reports.
+func TestSampledAtRateOne(t *testing.T) {
+	srv, addr := startServer(t, Config{})
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	tr := halfRacyTrace()
+
+	full, err := json.Marshal(rawSession(t, addr, fmt.Sprintf(`{"version":%d,"fidelity":"full"}`, client.ProtocolVersion), tr, nil).Races)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, hello := range []string{
+		fmt.Sprintf(`{"version":%d,"fidelity":"sampled(1)"}`, client.ProtocolVersion),
+		fmt.Sprintf(`{"version":%d,"fidelity":"sampled","sampleRate":1}`, client.ProtocolVersion),
+	} {
+		res := rawSession(t, addr, hello, tr, func(ok client.HelloOK) {
+			if ok.Fidelity != client.FidelitySampled || ok.SampleRate != 1 {
+				t.Errorf("%s: hello reply fidelity %q rate %v, want %q 1", hello, ok.Fidelity, ok.SampleRate, client.FidelitySampled)
+			}
+			if _, body := httpGET(t, hs, "/sessions"); !strings.Contains(body, `"fidelity": "sampled(1)"`) {
+				t.Errorf("%s: /sessions does not show sampled(1):\n%s", hello, body)
+			}
+		})
+		got, err := json.Marshal(res.Races)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, full) {
+			t.Errorf("%s: race list (%d bytes) differs from a full session's (%d bytes)", hello, len(got), len(full))
+		}
+	}
+	if len(full) < 100 {
+		t.Errorf("full session race list %s: the comparison needs a racy trace", full)
+	}
+}
+
 // TestSampledSession covers a fixed-rate sampled session end to end:
 // the hello reply, /sessions and the session's monitor all carry the
 // rate asked for, the detection probability comes out near it, and the
@@ -1059,21 +1115,7 @@ func TestSampledSession(t *testing.T) {
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
 
-	// Two threads write each of 2000 variables, the even ones under a
-	// common lock and the odd ones unsynchronized. With that many
-	// variables the sampled fraction of the accesses is close to the
-	// rate, and the race list names exactly the odd variables the rate
-	// samples in.
-	tr := trace.Trace{trace.ForkOf(0, 1), trace.ForkOf(0, 2)}
-	for x := uint64(0); x < 2000; x++ {
-		if x%2 == 0 {
-			tr = append(tr, trace.Acq(1, 0), trace.Wr(1, x), trace.Rel(1, 0),
-				trace.Acq(2, 0), trace.Wr(2, x), trace.Rel(2, 0))
-		} else {
-			tr = append(tr, trace.Wr(1, x), trace.Wr(2, x))
-		}
-	}
-
+	tr := halfRacyTrace()
 	hello := fmt.Sprintf(`{"version":%d,"fidelity":"sampled(%v)"}`, client.ProtocolVersion, rate)
 	res := rawSession(t, addr, hello, tr, func(ok client.HelloOK) {
 		if ok.Fidelity != client.FidelitySampled || ok.SampleRate != rate {

@@ -7,7 +7,9 @@ import (
 
 // This file defines the two on-disk encodings for traces and the
 // whole-trace helpers over them. Both formats have one implementation,
-// in stream.go: Scanner is the only decoder and Writer the only encoder.
+// in stream.go: Scanner is the only decoder, and Writer the only encoder,
+// whose binary format is AppendBinary (the instrumented program's shim
+// appends events with it directly).
 //
 // The text format is line-oriented and human-editable: one event per line,
 // "<kind> <tid> <target>" with sigils on targets (x=variable, m=lock,

@@ -183,3 +183,66 @@ func FuzzScannerFastMatchesSlow(f *testing.F) {
 		}
 	})
 }
+
+// fuzzEvents reads an event sequence from arbitrary bytes: per event a
+// kind byte, a thread id, a target, a channel capacity and, for a
+// barrier, up to three participants. Every field takes any value of its
+// type, so out-of-range tids, targets and capacities occur.
+func fuzzEvents(in []byte) []Event {
+	next := func(n int) uint64 {
+		var x uint64
+		for i := 0; i < n && len(in) > 0; i++ {
+			x = x<<8 | uint64(in[0])
+			in = in[1:]
+		}
+		return x
+	}
+	var evs []Event
+	for len(in) > 0 {
+		e := Event{Kind: Kind(next(1) % uint64(numKinds)), Tid: int32(next(4)), Target: next(8), Cap: int32(next(4))}
+		if e.Kind == BarrierRelease {
+			for n := next(1) % 4; n > 0; n-- {
+				e.Tids = append(e.Tids, int32(next(4)))
+			}
+		}
+		evs = append(evs, e)
+	}
+	return evs
+}
+
+// FuzzAppendMatchesWriter: for any event sequence, AppendBinaryHeader
+// and AppendBinary build the bytes a binary Writer writes, and reject
+// the same events with the same error, appending nothing for them.
+func FuzzAppendMatchesWriter(f *testing.F) {
+	f.Add([]byte{byte(Read), 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0})
+	f.Add([]byte{byte(Fork), 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, byte(ChanSend), 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 2})
+	f.Add([]byte{byte(BarrierRelease), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 2})
+	f.Add([]byte{byte(Write), 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0})
+	f.Add([]byte{byte(Join), 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var written bytes.Buffer
+		w := NewWriter(&written, Binary)
+		appended := AppendBinaryHeader(nil)
+		n := 0
+		for _, e := range fuzzEvents(in) {
+			werr := w.Write(e)
+			next, aerr := AppendBinary(appended, n, e)
+			if (werr == nil) != (aerr == nil) || werr != nil && werr.Error() != aerr.Error() {
+				t.Fatalf("event %v: Writer error %v, AppendBinary error %v", e, werr, aerr)
+			}
+			if aerr != nil && len(next) != len(appended) {
+				t.Fatalf("event %v: AppendBinary appended %d bytes and failed", e, len(next)-len(appended))
+			}
+			if aerr == nil {
+				n++
+			}
+			appended = next
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(written.Bytes(), appended) {
+			t.Fatalf("Writer wrote\n%x\nAppendBinary built\n%x", written.Bytes(), appended)
+		}
+	})
+}

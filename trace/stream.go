@@ -416,15 +416,16 @@ const (
 	Binary
 )
 
-// Writer encodes events incrementally; it is the only encoder of both
-// formats, and WriteText and WriteBinary are loops over it. Flush must
-// be called to drain the buffer.
+// Writer encodes events incrementally; it is the only encoder of the
+// text format, its binary format is AppendBinary, and WriteText and
+// WriteBinary are loops over it. Flush must be called to drain the
+// buffer.
 type Writer struct {
 	bw     *bufio.Writer
 	format Format
 	wrote  bool
 	count  int
-	buf    [binary.MaxVarintLen64]byte
+	buf    []byte // the binary encoding of the event being written
 }
 
 // NewWriter returns a streaming trace writer in the given format.
@@ -443,63 +444,71 @@ func (w *Writer) Reset(dst io.Writer) {
 // Write appends one event. Events with thread ids that cannot round-trip
 // through the codec are rejected with a positional error.
 func (w *Writer) Write(e Event) error {
+	if w.format == Binary {
+		b, err := AppendBinary(w.buf[:0], w.count, e)
+		if err != nil {
+			return err
+		}
+		w.buf = b
+		w.count++
+		if err := w.header(); err != nil {
+			return err
+		}
+		_, err = w.bw.Write(b)
+		return err
+	}
 	if err := checkWireTids(w.count, e); err != nil {
 		return err
 	}
 	w.count++
-	if !w.wrote {
-		w.wrote = true
-		if w.format == Binary {
-			if _, err := w.bw.WriteString(binaryMagic); err != nil {
-				return err
-			}
-		}
-	}
-	if w.format == Text {
-		if _, err := w.bw.WriteString(e.String()); err != nil {
-			return err
-		}
-		return w.bw.WriteByte('\n')
-	}
-	if err := w.bw.WriteByte(byte(e.Kind)); err != nil {
+	if _, err := w.bw.WriteString(e.String()); err != nil {
 		return err
 	}
-	if err := w.uvarint(uint64(e.Tid)); err != nil {
-		return err
-	}
-	if err := w.uvarint(e.Target); err != nil {
-		return err
-	}
-	if e.Kind == BarrierRelease {
-		if err := w.uvarint(uint64(len(e.Tids))); err != nil {
-			return err
-		}
-		for _, t := range e.Tids {
-			if err := w.uvarint(uint64(t)); err != nil {
-				return err
-			}
-		}
-	}
-	if e.Kind == ChanSend || e.Kind == ChanRecv || e.Kind == ChanClose {
-		if err := w.uvarint(uint64(e.Cap)); err != nil {
-			return err
-		}
-	}
-	return nil
+	return w.bw.WriteByte('\n')
 }
 
-func (w *Writer) uvarint(x uint64) error {
-	n := binary.PutUvarint(w.buf[:], x)
-	_, err := w.bw.Write(w.buf[:n])
+// header writes the binary magic before the first event.
+func (w *Writer) header() error {
+	if w.wrote {
+		return nil
+	}
+	w.wrote = true
+	_, err := w.bw.WriteString(binaryMagic)
 	return err
+}
+
+// AppendBinaryHeader appends the magic that starts a binary trace to dst.
+func AppendBinaryHeader(dst []byte) []byte { return append(dst, binaryMagic...) }
+
+// AppendBinary appends the binary encoding of e, the i-th event of its
+// trace, to dst. It rejects, with a positional error, the events Writer
+// rejects, and appends nothing then. Writer's binary format calls it, so
+// a stream built from AppendBinaryHeader and AppendBinary is
+// byte-identical to one written by Writer.
+func AppendBinary(dst []byte, i int, e Event) ([]byte, error) {
+	if err := checkWireTids(i, e); err != nil {
+		return dst, err
+	}
+	dst = append(dst, byte(e.Kind))
+	dst = binary.AppendUvarint(dst, uint64(e.Tid))
+	dst = binary.AppendUvarint(dst, e.Target)
+	switch e.Kind {
+	case BarrierRelease:
+		dst = binary.AppendUvarint(dst, uint64(len(e.Tids)))
+		for _, t := range e.Tids {
+			dst = binary.AppendUvarint(dst, uint64(t))
+		}
+	case ChanSend, ChanRecv, ChanClose:
+		dst = binary.AppendUvarint(dst, uint64(e.Cap))
+	}
+	return dst, nil
 }
 
 // Flush drains buffered output. An empty binary trace still gets its
 // magic so the output is a valid trace file.
 func (w *Writer) Flush() error {
-	if !w.wrote && w.format == Binary {
-		w.wrote = true
-		if _, err := w.bw.WriteString(binaryMagic); err != nil {
+	if w.format == Binary {
+		if err := w.header(); err != nil {
 			return err
 		}
 	}

@@ -125,11 +125,21 @@ func (tr Trace) Validate() error {
 
 // Validator checks the Section 2.1 feasibility constraints incrementally,
 // one event at a time; Trace.Validate is a convenience wrapper over it.
+//
+// Most events come in runs from one thread, so the validator caches
+// the thread of the last event it accepted, which is running and
+// active: that thread's next event skips both map lookups, and an
+// access by it returns without touching a map. Only a join can end a
+// thread, and a join moves the cache to the joining thread before the
+// joined one dies, so the cache never holds a dead thread. Tids range
+// up to 2^31-1, so the state stays in maps, not tid-indexed slices.
 type Validator struct {
 	state     map[int32]int
 	active    map[int32]bool // executed at least one instruction
 	lockOwner map[uint64]int32
 	index     int
+	last      int32 // the cached thread, if lastOK
+	lastOK    bool
 }
 
 const (
@@ -152,6 +162,10 @@ func NewValidator() *Validator {
 // state. The returned error, if any, is a *ValidationError carrying the
 // event's position in the stream.
 func (v *Validator) Event(e Event) error {
+	if v.lastOK && e.Tid == v.last && e.Kind.IsAccess() {
+		v.index++
+		return nil
+	}
 	i := v.index
 	v.index++
 	fail := func(msg string, args ...any) error {
@@ -167,10 +181,13 @@ func (v *Validator) Event(e Event) error {
 		}
 		return nil
 	}
-	if v.state[e.Tid] != vAlive {
-		return fail("thread %d is not running", e.Tid)
+	if !v.lastOK || e.Tid != v.last {
+		if v.state[e.Tid] != vAlive {
+			return fail("thread %d is not running", e.Tid)
+		}
+		v.active[e.Tid] = true
+		v.last, v.lastOK = e.Tid, true
 	}
-	v.active[e.Tid] = true
 	switch e.Kind {
 	case Acquire:
 		if owner, held := v.lockOwner[e.Target]; held {
