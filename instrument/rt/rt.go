@@ -120,8 +120,7 @@ func initShim() {
 	initOnce.Do(func() {
 		s, err := newSink()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "fasttrack/rt:", err)
-			os.Exit(2)
+			fatal(err)
 		}
 		start(s)
 	})
@@ -175,8 +174,9 @@ func Shutdown() {
 	}
 }
 
-// fatal reports a failure of the stream and ends the program: a stream
-// with a gap would be analyzed as a different execution.
+// fatal reports a failure to open or write the stream and ends the
+// program: a stream with a gap would be analyzed as a different
+// execution.
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "fasttrack/rt:", err)
 	os.Exit(2)

@@ -16,7 +16,7 @@ type memSink struct{ bytes.Buffer }
 func (s *memSink) Close() error { return nil }
 
 // events decodes the stream. Call it after Shutdown.
-func (s *memSink) events(t testing.TB) []trace.Event {
+func (s *memSink) events(t *testing.T) []trace.Event {
 	t.Helper()
 	var evs []trace.Event
 	sc := trace.NewScanner(bytes.NewReader(s.Bytes()))
@@ -31,7 +31,7 @@ func (s *memSink) events(t testing.TB) []trace.Event {
 
 // capture restarts the shim onto an in-memory sink, with the calling
 // goroutine as the main thread. Read the sink after Shutdown.
-func capture(t testing.TB) *memSink {
+func capture(t *testing.T) *memSink {
 	t.Helper()
 	initOnce.Do(func() {}) // the environment's sink stays out of the tests
 	s := &memSink{}
