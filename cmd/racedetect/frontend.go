@@ -11,7 +11,7 @@ import (
 	"regexp"
 	"slices"
 
-	"fasttrack"
+	"fasttrack/client"
 	"fasttrack/instrument"
 )
 
@@ -184,15 +184,18 @@ func runFrontend(mode string, args []string) int {
 }
 
 // analyzeStream runs FastTrack over the target's event stream as it
-// arrives: in-process through runStream, or on the daemon at
-// serverAddr through the -server path. name is the saved trace's path
-// ("" when none), for the JSON report.
+// arrives: in-process, or on the daemon at serverAddr with -server.
+// name is the saved trace's path ("" when none), for the JSON report.
 func analyzeStream(in io.Reader, name, serverAddr string, stats, jsonOut bool, jsonFile string) int {
-	if serverAddr != "" {
-		return runRemote(in, name, serverAddr, "FastTrack", "fine", "off", "", false, false, jsonOut, jsonFile)
+	r := request{
+		hello:    client.Handshake{Tool: "FastTrack", Detailed: jsonOut || jsonFile != ""},
+		name:     name,
+		stats:    stats,
+		jsonOut:  jsonOut,
+		jsonFile: jsonFile,
+		server:   serverAddr,
 	}
-	return runStream(in, name, []string{"FastTrack"}, fasttrack.Fine, fasttrack.PolicyOff, 0, 0, stats,
-		false, jsonOut, jsonFile, nil)
+	return r.analyze(in)
 }
 
 // reportErr prints err and returns the error exit status, for paths

@@ -10,8 +10,17 @@
 //	           [-stats] [-policy off|strict|repair|drop]
 //	           [-membudget bytes] [-json]
 //	           [-fidelity full|sampled(p)] [-provenance]
-//	           [-json.file out.json] [-metrics.addr :6060] trace-file
-//	racedetect -chaos [trace-file]
+//	           [-json.file out.json] [-metrics.addr :6060]
+//	           [-server addr [-trace]] trace-file
+//
+// The flags become one client.Handshake, and client.NewMonitor builds
+// each tool's Monitor from it: here, one per tool (-all runs six), or on
+// a racedetectd daemon with -server. Either way the report is printed
+// by the same renderer, so a local and a remote run of one trace print
+// the same stdout. -membudget and -metrics.addr act on the local
+// analysis only; with -server they are refused. A -server session is
+// held to the validator's identifier caps (thread ids up to 4096, other
+// ids up to 2^24), whatever its policy.
 //
 // -provenance runs the provenance flight recorder (FastTrack only):
 // each warning then carries the vector clocks of both accesses, the
@@ -25,9 +34,9 @@
 // analyzes the fraction p of the variable space (accesses to the rest
 // are counted but not checked — a real race can be missed with
 // probability about 1-p, and the report says what fraction was
-// analyzed). The rate holds for the whole run, locally and with
-// -server alike, so a sampled run reports a subset of a full run's
-// races.
+// analyzed). The rate is fixed when the Monitor is built and holds for
+// the whole run, locally and with -server alike, so a sampled run
+// reports a subset of a full run's races.
 //
 // Under -policy off the trace must be feasible: the first event that
 // breaks the locking or fork/join discipline stops the run with exit 2.
@@ -35,10 +44,6 @@
 // events itself, locally and with -server alike.
 //
 // With "-" as the file name the trace is read from standard input.
-// -chaos runs the fault-injection smoke suite: every registered
-// detector is driven through systematically corrupted variants of the
-// trace (or of a generated random trace when no file is given),
-// asserting that no panic escapes and all degradation is accounted for.
 //
 // Observability:
 //
@@ -58,17 +63,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
-	"strings"
 	"time"
 
 	"fasttrack"
 	"fasttrack/client"
-	"fasttrack/internal/chaos"
-	"fasttrack/internal/obs"
-	"fasttrack/internal/rr"
-	"fasttrack/internal/sim"
 	"fasttrack/trace"
 )
 
@@ -85,11 +84,10 @@ func main() {
 	gran := flag.String("granularity", "fine", "shadow granularity: fine or coarse")
 	stats := flag.Bool("stats", false, "print instrumentation statistics and the operation-mix table")
 	policyName := flag.String("policy", "off", "stream-validation policy: off, strict, repair, or drop")
-	memBudget := flag.Int64("membudget", 0, "FastTrack shadow-memory budget in bytes (0 = unbounded)")
-	chaosMode := flag.Bool("chaos", false, "run the fault-injection smoke suite over every detector")
+	memBudget := flag.Int64("membudget", 0, "FastTrack shadow-memory budget in bytes (0 = unbounded; local analysis only)")
 	jsonOut := flag.Bool("json", false, "write a machine-readable run report to stdout")
 	jsonFile := flag.String("json.file", "", "write the run report to this file instead of stdout")
-	metricsAddr := flag.String("metrics.addr", "", "serve live metrics and pprof on this address (e.g. :6060)")
+	metricsAddr := flag.String("metrics.addr", "", "serve live metrics and pprof on this address (e.g. :6060; local analysis only)")
 	serverAddr := flag.String("server", "", "stream the trace to a racedetectd daemon at this address instead of analyzing locally")
 	fidelity := flag.String("fidelity", "", "analysis fidelity: full or sampled(p)")
 	provenance := flag.Bool("provenance", false, "record race provenance: each warning carries clock evidence, the failed happens-before check, the recent sync chain, and a rendered explanation (FastTrack only)")
@@ -103,21 +101,12 @@ func main() {
 		}
 		return
 	}
-
-	policy, ok := rr.PolicyFromString(*policyName)
-	if !ok {
-		fatal(fmt.Errorf("unknown policy %q (want off, strict, repair, or drop)", *policyName))
+	if flag.NArg() != 1 {
+		fmt.Fprintln(os.Stderr, "usage: racedetect [flags] trace-file")
+		fmt.Fprintln(os.Stderr, "       racedetect run|test [flags] package-dir [-- args...]")
+		flag.PrintDefaults()
+		os.Exit(2)
 	}
-
-	fidMode, sampleRate, err := client.ParseFidelity(*fidelity)
-	if err != nil {
-		fatal(err)
-	}
-	remote := *serverAddr != ""
-	if fidMode == client.FidelitySampled && sampleRate == 0 {
-		sampleRate = 0.25 // match the daemon's default sampling rate
-	}
-
 	if *provenance {
 		if *all {
 			fatal(fmt.Errorf("-provenance is a FastTrack feature; drop -all"))
@@ -126,220 +115,187 @@ func main() {
 			fatal(fmt.Errorf("-provenance: tool %q does not support provenance recording", *toolName))
 		}
 	}
-
-	if *chaosMode {
-		runChaos(flag.Args())
-		return
-	}
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: racedetect [flags] trace-file")
-		fmt.Fprintln(os.Stderr, "       racedetect run|test [flags] package-dir [-- args...]")
-		flag.PrintDefaults()
-		os.Exit(2)
-	}
-
-	g := fasttrack.Fine
-	switch *gran {
-	case "fine":
-	case "coarse":
-		g = fasttrack.Coarse
-	default:
-		fatal(fmt.Errorf("unknown granularity %q", *gran))
-	}
-
-	if *traceWire && !remote {
+	remote := *serverAddr != ""
+	switch {
+	case *traceWire && !remote:
 		fatal(fmt.Errorf("-trace spans the client/daemon pipeline; add -server"))
-	}
-	if remote {
-		if *all {
-			fatal(fmt.Errorf("-server streams a single tool's run; drop -all"))
-		}
-		in, err := openInput(flag.Arg(0))
-		if err != nil {
-			fatal(err)
-		}
-		os.Exit(runRemote(in, flag.Arg(0), *serverAddr, *toolName, *gran, *policyName, *fidelity, *provenance, *traceWire, *jsonOut, *jsonFile))
+	case remote && *all:
+		fatal(fmt.Errorf("-server streams a single tool's run; drop -all"))
+	case remote && *memBudget != 0:
+		fatal(fmt.Errorf("-membudget bounds the local analysis; the daemon has no memory budget, drop it or -server"))
+	case remote && *metricsAddr != "":
+		fatal(fmt.Errorf("-metrics.addr serves the local analysis's metrics; the daemon serves its own (racedetectd -http), drop it or -server"))
 	}
 
-	if sampleRate > 0 && *all {
-		fatal(fmt.Errorf("-fidelity samples a single tool's run; drop -all"))
+	r := request{
+		hello: client.Handshake{
+			Tool:       *toolName,
+			Policy:     *policyName,
+			Gran:       *gran,
+			Fidelity:   *fidelity,
+			Provenance: *provenance,
+			Tracing:    *traceWire,
+			// The JSON report names both accesses of each race, which
+			// needs FastTrack's access history; other tools ignore it.
+			Detailed: *jsonOut || *jsonFile != "",
+		},
+		all:       *all,
+		name:      flag.Arg(0),
+		stats:     *stats,
+		jsonOut:   *jsonOut,
+		jsonFile:  *jsonFile,
+		server:    *serverAddr,
+		memBudget: *memBudget,
 	}
-
 	ms, err := startMetrics(*metricsAddr)
 	if err != nil {
 		fatal(err)
 	}
-	names := []string{*toolName}
-	if *all {
-		names = []string{"Eraser", "MultiRace", "Goldilocks", "BasicVC", "DJIT+", "FastTrack"}
-	}
+	r.metrics = ms
 	in, err := openInput(flag.Arg(0))
 	if err != nil {
 		fatal(err)
 	}
-	os.Exit(runStream(in, flag.Arg(0), names, g, policy, sampleRate, *memBudget, *stats, *provenance, *jsonOut, *jsonFile, ms))
+	os.Exit(r.analyze(in))
 }
 
-// applySampleRate starts a tool's sampling tier at the -fidelity rate
-// (no-op at 0, i.e. full fidelity); a tool that cannot sample is a
-// configuration error, not a silent full-fidelity run.
-func applySampleRate(tool fasttrack.Tool, rate float64) error {
-	if rate <= 0 {
-		return nil
-	}
-	s, ok := tool.(fasttrack.Sampled)
-	if !ok {
-		return fmt.Errorf("-fidelity: tool %q does not support sampled analysis", tool.Name())
-	}
-	s.SetSamplingRate(rate)
-	return nil
+// request is one racedetect analysis: the handshake every tool's
+// Monitor is built from, locally or on a daemon, and how to report it.
+// racedetect run and test make one too.
+type request struct {
+	hello    client.Handshake
+	name     string // the trace's name in the JSON report
+	stats    bool
+	jsonOut  bool
+	jsonFile string
+	server   string // racedetectd address; "" analyzes locally
+
+	// Local analysis only.
+	all       bool // one Monitor per detector instead of hello.Tool's alone
+	memBudget int64
+	metrics   *metricsServer
 }
 
-// streamBatch is how many events runStream hands each dispatcher at
-// once; it divides the 8192-event progress grid.
+// feasible reports whether the client checks the trace's feasibility:
+// under -policy off only, locally and with -server alike. A validating
+// policy strictly rejects, repairs or drops bad events itself.
+func (r request) feasible() bool { return r.hello.Policy == "" || r.hello.Policy == "off" }
+
+// analyze runs the request over the trace read from in and returns the
+// process exit code.
+func (r request) analyze(in io.Reader) int {
+	if r.server != "" {
+		return runRemote(in, r)
+	}
+	return runStream(in, r)
+}
+
+// streamBatch is how many events scan hands its sink at once; it
+// divides the 8192-event progress grid.
 const streamBatch = 1024
 
-// runStream analyzes the trace read from in in one pass, fanning each
-// event out to one dispatcher per named tool, with the full pipeline
-// attached (validation policy, live metrics, progress reporting). It
-// prints every tool's report in order once the stream ends, writes the
-// JSON report when asked (name is the trace's name there), and returns
-// the process exit code. racedetect run and test feed it the
-// instrumented target's stream while the target runs.
-func runStream(in io.Reader, name string, names []string, g fasttrack.Granularity, policy fasttrack.Policy,
-	sampleRate float64, memBudget int64, stats, provenance, jsonOut bool, jsonFile string, ms *metricsServer) int {
-
-	var rep *runReport
-	if jsonOut || jsonFile != "" {
-		rep = &runReport{Schema: runReportSchema, Trace: name, Stream: true}
-	}
-	tools := make([]fasttrack.Tool, len(names))
-	ds := make([]*rr.Dispatcher, len(names))
-	for i, toolName := range names {
-		// The JSON report names both accesses of each race, which needs
-		// FastTrack's access history, as in the remote path.
-		hints := fasttrack.Hints{MemoryBudget: memBudget, Provenance: provenance,
-			DetailedReports: rep != nil && toolName == "FastTrack"}
-		tool, err := fasttrack.NewTool(toolName, hints)
-		if err != nil {
-			return reportErr(err)
-		}
-		if err := applySampleRate(tool, sampleRate); err != nil {
-			return reportErr(err)
-		}
-		d := rr.NewDispatcher(tool)
-		d.Granularity = g
-		d.Policy = policy
-		d.Obs = obs.NewRegistry()
-		tools[i], ds[i] = tool, d
-	}
-	// Live metrics and progress follow the last tool: FastTrack under -all.
-	last, lastTool := ds[len(ds)-1], tools[len(tools)-1]
-	ms.attach(last.Obs)
-
-	// Feasibility checking applies only under PolicyOff; a validating
-	// policy performs its own online checks.
+// scan decodes the trace from in and hands it to sink in batches, the
+// one loop of local and remote runs. When feasible is set each event is
+// checked first, and an infeasible one ends the scan before it reaches
+// the sink. The returned err aborts the run before any report: an
+// infeasible event, a failing sink, or, when feasible is set, a decode
+// error. Under a validating policy a decode error is returned as
+// damaged instead: the events before it are analyzed and reported, and
+// the run then exits 2.
+func scan(in io.Reader, feasible bool, sink func([]trace.Event) error) (damaged, err error) {
 	var feas *trace.Validator
-	if policy == fasttrack.PolicyOff {
+	if feasible {
 		feas = trace.NewValidator()
 	}
-
-	// Events reach the dispatchers in batches, which amortizes their
-	// per-event accounting; feasibility is still checked per event.
 	sc := trace.NewScanner(in)
-	prog := newProgress(last.Obs)
 	batch := make([]trace.Event, 0, streamBatch)
-	deliver := func() {
-		for _, d := range ds {
-			d.EventBatch(batch)
-		}
-		batch = batch[:0]
-		// Progress/metrics refresh on a coarse event-count grid so the
-		// hot loop stays cheap between ticks.
-		if last.Fed&8191 == 0 {
-			prog.maybeTick(last.Fed, lastTool)
-		}
-	}
 	for sc.Scan() {
 		e := sc.Event()
 		if feas != nil {
 			if err := feas.Event(e); err != nil {
-				return reportErr(fmt.Errorf("infeasible trace: %w", err))
+				return nil, fmt.Errorf("infeasible trace: %w", err)
 			}
 		}
 		if batch = append(batch, e); len(batch) == streamBatch {
-			deliver()
+			if err := sink(batch); err != nil {
+				return nil, err
+			}
+			batch = batch[:0]
 		}
 	}
-	deliver()
-	// Under PolicyOff a decode error aborts before any report is printed.
-	if policy == fasttrack.PolicyOff && sc.Err() != nil {
-		return reportErr(sc.Err())
+	if len(batch) > 0 {
+		if err := sink(batch); err != nil {
+			return nil, err
+		}
 	}
-	prog.final(last.Fed, lastTool)
+	if feasible {
+		return nil, sc.Err()
+	}
+	return sc.Err(), nil
+}
 
-	humanOut := humanOutput(rep != nil, jsonFile)
-	exit := 0
-	var strictErr error
-	for i, tool := range tools {
-		d := ds[i]
-		races := tool.Races()
-		health := d.Health()
-		st := tool.Stats()
-		d.FillStats(&st)
-		rr.PublishStats(d.Obs, "tool", st)
-		d.Obs.Gauge("tool.races").Set(int64(len(races)))
-
-		var details []fasttrack.DetailedReport
-		if provenance {
-			if dt, ok := tool.(rr.DetailedTool); ok {
-				details = dt.DetailedRaces()
+// runStream analyzes the trace read from in in one pass, feeding each
+// batch to one Monitor per tool of the request, with live metrics and
+// progress reporting attached to the last one (FastTrack under -all),
+// and renders every tool's report once the stream ends. racedetect run
+// and test feed it the instrumented target's stream while the target
+// runs.
+func runStream(in io.Reader, r request) int {
+	names := []string{r.hello.Tool}
+	if r.all {
+		names = []string{"Eraser", "MultiRace", "Goldilocks", "BasicVC", "DJIT+", "FastTrack"}
+	}
+	mons := make([]*fasttrack.Monitor, len(names))
+	grants := make([]client.Grant, len(names))
+	for i, name := range names {
+		h := r.hello
+		h.Tool = name
+		var err error
+		if mons[i], grants[i], err = client.NewMonitor(h, r.memBudget); err != nil {
+			return reportErr(err)
+		}
+	}
+	last := mons[len(mons)-1]
+	r.metrics.attach(last.MetricsRegistry())
+	prog := newProgress()
+	var fed int64
+	damaged, err := scan(in, r.feasible(), func(batch []trace.Event) error {
+		for _, m := range mons {
+			if _, err := m.IngestBatch(batch); err != nil {
+				return err
 			}
 		}
+		// Progress and metrics refresh on a coarse event-count grid so
+		// the hot loop stays cheap between ticks.
+		if fed += int64(len(batch)); fed&8191 == 0 {
+			prog.maybeTick(fed, last)
+		}
+		return nil
+	})
+	if err != nil {
+		return reportErr(err)
+	}
+	prog.final(fed, last)
 
-		printReport(humanOut, tool, races, st, stats)
-		printDetails(humanOut, details)
-		if policy != fasttrack.PolicyOff {
-			printHealth(humanOut, health)
+	as := make([]analysis, len(mons))
+	for i, m := range mons {
+		as[i] = analysis{Results: client.ResultsOf(m, grants[i].Tool, r.hello.Provenance), metrics: m.Metrics()}
+		as[i].Events = fed
+		h := m.Health()
+		for _, v := range h.ViolationLog {
+			as[i].log = append(as[i].log, v.String())
 		}
-		if rep != nil {
-			rep.Tools = append(rep.Tools, toolReport{
-				Tool:    tool.Name(),
-				Events:  d.Fed,
-				Races:   raceReportsDetailed(races, g == fasttrack.Fine, details),
-				Stats:   st,
-				Health:  healthReport(client.HealthFrom(health)),
-				Metrics: d.Obs.Snapshot(),
-			})
-		}
-		// Every dispatcher validates the same stream, so a strict
-		// violation stops the report at the first tool.
-		if health.Err != nil {
-			strictErr = fmt.Errorf("strict validation: %w", health.Err)
-			break
-		}
-		if len(races) > 0 {
-			exit = 1
+		for _, p := range h.PanicLog {
+			as[i].log = append(as[i].log, p.String())
 		}
 	}
-	fmt.Fprintf(os.Stderr, "racedetect: %d events analyzed\n", sc.Index())
-
-	switch {
-	case sc.Err() != nil:
-		finishJSON(rep, jsonFile, 2)
-		return reportErr(sc.Err())
-	case strictErr != nil:
-		finishJSON(rep, jsonFile, 2)
-		return reportErr(strictErr)
-	}
-	return finishJSON(rep, jsonFile, exit)
+	return r.render(as, damaged, fmt.Sprintf("racedetect: %d events analyzed", fed))
 }
 
 // progress emits periodic one-line status reports on stderr during
 // streaming runs and refreshes the tool.* gauges so a live /metrics
 // scrape sees detector state, not only dispatcher counters.
 type progress struct {
-	reg        *obs.Registry
 	start      time.Time
 	last       time.Time
 	lastEvents int64
@@ -349,23 +305,20 @@ type progress struct {
 // progressInterval is the minimum wall-clock spacing of progress lines.
 const progressInterval = time.Second
 
-func newProgress(reg *obs.Registry) *progress {
+func newProgress() *progress {
 	now := time.Now()
-	return &progress{reg: reg, start: now, last: now}
+	return &progress{start: now, last: now}
 }
 
-func (p *progress) maybeTick(events int64, tool fasttrack.Tool) {
+func (p *progress) maybeTick(events int64, m *fasttrack.Monitor) {
 	now := time.Now()
 	if now.Sub(p.last) < progressInterval {
 		return
 	}
-	st := tool.Stats()
-	races := len(tool.Races())
-	rr.PublishStats(p.reg, "tool", st)
-	p.reg.Gauge("tool.races").Set(int64(races))
+	snap := m.Metrics() // publishes the tool.* gauges
 	rate := float64(events-p.lastEvents) / now.Sub(p.last).Seconds()
 	fmt.Fprintf(os.Stderr, "racedetect: progress events=%d rate=%.0f/s races=%d shadowBytes=%d\n",
-		events, rate, races, st.ShadowBytes)
+		events, rate, snap.Gauge("tool.races"), snap.Gauge("tool.shadowBytes"))
 	p.last = now
 	p.lastEvents = events
 	p.ticked = true
@@ -373,143 +326,18 @@ func (p *progress) maybeTick(events int64, tool fasttrack.Tool) {
 
 // final prints a closing progress line (only if any were printed, so
 // short runs stay quiet) with the whole-run average rate.
-func (p *progress) final(events int64, tool fasttrack.Tool) {
+func (p *progress) final(events int64, m *fasttrack.Monitor) {
 	if !p.ticked {
 		return
 	}
-	races, shadowBytes := len(tool.Races()), tool.Stats().ShadowBytes
+	snap := m.Metrics()
 	el := time.Since(p.start).Seconds()
 	rate := float64(events)
 	if el > 0 {
 		rate = float64(events) / el
 	}
 	fmt.Fprintf(os.Stderr, "racedetect: done events=%d avgRate=%.0f/s races=%d shadowBytes=%d\n",
-		events, rate, races, shadowBytes)
-}
-
-// humanOutput is where the human-readable report goes: stdout, or
-// stderr when the JSON report takes stdout, so stdout stays pure JSON.
-func humanOutput(jsonWanted bool, jsonFile string) io.Writer {
-	if jsonWanted && jsonFile == "" {
-		return os.Stderr
-	}
-	return os.Stdout
-}
-
-// finishJSON emits the run report, if any, and returns exit, or the
-// error status if the report cannot be written.
-func finishJSON(rep *runReport, path string, exit int) int {
-	if rep == nil {
-		return exit
-	}
-	if err := emitJSON(rep, path); err != nil {
-		return reportErr(fmt.Errorf("writing report: %w", err))
-	}
-	return exit
-}
-
-// printHealth renders the pipeline's degradation snapshot.
-func printHealth(w io.Writer, h fasttrack.Health) {
-	if h.Healthy {
-		fmt.Fprintln(w, "  pipeline: healthy")
-		return
-	}
-	fmt.Fprintf(w, "  pipeline: violations=%d repaired=%d dropped=%d synthesized=%d panics=%d quarantined=%d\n",
-		h.Violations, h.Repaired, h.Dropped, h.Synthesized, h.Panics, h.QuarantinedLocations)
-	for _, v := range h.ViolationLog {
-		fmt.Fprintf(w, "    %s\n", v)
-	}
-	for _, p := range h.PanicLog {
-		fmt.Fprintf(w, "    %s\n", p)
-	}
-	if h.ToolDisabled {
-		fmt.Fprintln(w, "    tool disabled after exceeding the panic budget")
-	}
-}
-
-// runChaos is the -chaos smoke mode: corrupt a base trace every way the
-// harness knows and sweep every registered detector through the result
-// under the repair policy, checking the degradation accounting.
-func runChaos(args []string) {
-	var base trace.Trace
-	if len(args) == 1 {
-		var err error
-		base, err = readTrace(args[0])
-		if err != nil {
-			fatal(err)
-		}
-	} else if len(args) == 0 {
-		base = sim.RandomTrace(rand.New(rand.NewSource(1)), sim.DefaultRandomConfig())
-		fmt.Printf("chaos: no trace file; using a random feasible trace (%d events)\n", len(base))
-	} else {
-		fatal(fmt.Errorf("-chaos takes at most one trace file"))
-	}
-
-	failures := 0
-	for _, name := range fasttrack.ToolNames() {
-		for _, mode := range chaos.Modes() {
-			for _, seed := range []int64{1, 2, 3} {
-				tool, err := fasttrack.NewTool(name, fasttrack.Hints{})
-				if err != nil {
-					fatal(err)
-				}
-				res := chaos.Run(tool, base, mode, seed, fasttrack.PolicyRepair)
-				if err := res.Check(); err != nil {
-					failures++
-					fmt.Printf("FAIL %v\n", err)
-					continue
-				}
-				if seed == 1 {
-					h := res.Health
-					fmt.Printf("  %-16s %-12s events=%-5d races=%-3d violations=%-4d repaired=%-4d dropped=%-4d\n",
-						name, mode, res.Events, res.Races, h.Violations, h.Repaired, h.Dropped)
-				}
-			}
-		}
-	}
-	if failures > 0 {
-		fatal(fmt.Errorf("chaos: %d accounting failure(s)", failures))
-	}
-	fmt.Println("chaos: OK")
-}
-
-func printReport(w io.Writer, tool fasttrack.Tool, races []fasttrack.Report, st fasttrack.Stats, stats bool) {
-	fmt.Fprintf(w, "%s: %d warning(s)\n", tool.Name(), len(races))
-	for _, r := range races {
-		fmt.Fprintf(w, "  %s\n", r)
-	}
-	// A sampled run's verdict is qualified: accesses outside the sampled
-	// variable set were never checked, so "0 warnings" means "0 in the
-	// analyzed fraction".
-	if st.SampledOut > 0 {
-		fmt.Fprintf(w, "  sampled analysis: detection probability %.3f (%d of %d accesses analyzed)\n",
-			st.DetectionProbability(), st.Reads+st.Writes-st.SampledOut, st.Reads+st.Writes)
-	}
-	if stats {
-		fmt.Fprintf(w, "  events=%d reads=%d writes=%d syncs=%d vcAlloc=%d vcOps=%d shadowBytes=%d\n",
-			st.Events, st.Reads, st.Writes, st.Syncs, st.VCAlloc, st.VCOp, st.ShadowBytes)
-		if st.MemSqueezes > 0 || st.MemCoarse > 0 {
-			fmt.Fprintf(w, "  membudget: squeezes=%d coarseAccesses=%d\n", st.MemSqueezes, st.MemCoarse)
-		}
-		rr.FprintOpsMix(w, tool.Name(), st)
-	}
-}
-
-// printDetails renders the provenance evidence of each warning, one
-// blank-line-separated block per race, indented to match printReport's
-// warning lines. The remote path (-server) prints the daemon's details
-// through the same function, so local and remote -provenance output is
-// byte-identical for the same trace.
-func printDetails(w io.Writer, details []fasttrack.DetailedReport) {
-	for _, d := range details {
-		fmt.Fprintln(w)
-		for _, line := range strings.Split(d.Explanation, "\n") {
-			fmt.Fprintf(w, "  %s\n", line)
-		}
-	}
-	if len(details) > 0 {
-		fmt.Fprintln(w)
-	}
+		events, rate, snap.Gauge("tool.races"), snap.Gauge("tool.shadowBytes"))
 }
 
 // openInput opens the trace source ("-" = stdin). The process exits
@@ -519,20 +347,6 @@ func openInput(path string) (io.Reader, error) {
 		return os.Stdin, nil
 	}
 	return os.Open(path)
-}
-
-// readTrace loads the whole trace, for -chaos, which corrupts it.
-func readTrace(path string) (trace.Trace, error) {
-	in, err := openInput(path)
-	if err != nil {
-		return nil, err
-	}
-	var tr trace.Trace
-	sc := trace.NewScanner(in)
-	for sc.Scan() {
-		tr = append(tr, sc.Event())
-	}
-	return tr, sc.Err()
 }
 
 func fatal(err error) { os.Exit(reportErr(err)) }

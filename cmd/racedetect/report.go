@@ -2,10 +2,14 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"fasttrack"
+	"fasttrack/client"
+	"fasttrack/internal/rr"
 	"fasttrack/trace"
 )
 
@@ -158,4 +162,136 @@ func emitJSON(rep *runReport, path string) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rep)
+}
+
+// analysis is one tool's finished run as the renderer reads it: a
+// daemon's Results, or the same snapshot of a local Monitor
+// (client.ResultsOf), which also carries what the wire does not: the
+// violation and panic log and the metrics registry.
+type analysis struct {
+	client.Results
+	log     []string
+	metrics fasttrack.MetricsSnapshot
+}
+
+// render prints each tool's report in order, writes the JSON report
+// when asked, puts note on stderr, and returns the exit code: 1 when a
+// tool reported races, 2 when the trace was damaged or a strict policy
+// stopped the stream. Every tool validates the same stream, so a strict
+// violation ends the report at the first tool.
+func (r request) render(as []analysis, damaged error, note string) int {
+	var rep *runReport
+	if r.jsonOut || r.jsonFile != "" {
+		rep = &runReport{Schema: runReportSchema, Trace: r.name, Stream: true}
+	}
+	w := humanOutput(rep != nil, r.jsonFile)
+	exit := 0
+	for _, a := range as {
+		printReport(w, a.Results, r.stats)
+		printDetails(w, a.Detailed)
+		if !r.feasible() {
+			printHealth(w, a.Health, a.log)
+		}
+		if rep != nil {
+			rep.Tools = append(rep.Tools, toolReport{
+				Tool:    a.Tool,
+				Events:  a.Events,
+				Races:   raceReportsDetailed(a.Races, r.hello.Gran != "coarse", a.Detailed),
+				Stats:   a.Stats,
+				Health:  healthReport(a.Health),
+				Metrics: a.metrics,
+			})
+		}
+		if a.Health.Err != "" {
+			if damaged == nil {
+				damaged = fmt.Errorf("strict validation: %s", a.Health.Err)
+			}
+			break
+		}
+		if len(a.Races) > 0 {
+			exit = 1
+		}
+	}
+	fmt.Fprintln(os.Stderr, note)
+	if damaged != nil {
+		finishJSON(rep, r.jsonFile, 2)
+		return reportErr(damaged)
+	}
+	return finishJSON(rep, r.jsonFile, exit)
+}
+
+func printReport(w io.Writer, res client.Results, stats bool) {
+	fmt.Fprintf(w, "%s: %d warning(s)\n", res.Tool, len(res.Races))
+	for _, r := range res.Races {
+		fmt.Fprintf(w, "  %s\n", r)
+	}
+	// A sampled run's verdict is qualified: accesses outside the sampled
+	// variable set were never checked, so "0 warnings" means "0 in the
+	// analyzed fraction".
+	st := res.Stats
+	if st.SampledOut > 0 {
+		fmt.Fprintf(w, "  sampled analysis: detection probability %.3f (%d of %d accesses analyzed)\n",
+			st.DetectionProbability(), st.Reads+st.Writes-st.SampledOut, st.Reads+st.Writes)
+	}
+	if stats {
+		fmt.Fprintf(w, "  events=%d reads=%d writes=%d syncs=%d vcAlloc=%d vcOps=%d shadowBytes=%d\n",
+			st.Events, st.Reads, st.Writes, st.Syncs, st.VCAlloc, st.VCOp, st.ShadowBytes)
+		if st.MemSqueezes > 0 || st.MemCoarse > 0 {
+			fmt.Fprintf(w, "  membudget: squeezes=%d coarseAccesses=%d\n", st.MemSqueezes, st.MemCoarse)
+		}
+		rr.FprintOpsMix(w, res.Tool, st)
+	}
+}
+
+// printDetails renders the provenance evidence of each warning, one
+// blank-line-separated block per race, indented to match printReport's
+// warning lines.
+func printDetails(w io.Writer, details []fasttrack.DetailedReport) {
+	for _, d := range details {
+		fmt.Fprintln(w)
+		for _, line := range strings.Split(d.Explanation, "\n") {
+			fmt.Fprintf(w, "  %s\n", line)
+		}
+	}
+	if len(details) > 0 {
+		fmt.Fprintln(w)
+	}
+}
+
+// printHealth renders the pipeline's degradation snapshot, followed by
+// the violation and panic log of a local run (the wire carries none).
+func printHealth(w io.Writer, h client.Health, log []string) {
+	if h.Healthy {
+		fmt.Fprintln(w, "  pipeline: healthy")
+		return
+	}
+	fmt.Fprintf(w, "  pipeline: violations=%d repaired=%d dropped=%d synthesized=%d panics=%d quarantined=%d\n",
+		h.Violations, h.Repaired, h.Dropped, h.Synthesized, h.Panics, h.QuarantinedLocations)
+	for _, l := range log {
+		fmt.Fprintf(w, "    %s\n", l)
+	}
+	if h.ToolDisabled {
+		fmt.Fprintln(w, "    tool disabled after exceeding the panic budget")
+	}
+}
+
+// humanOutput is where the human-readable report goes: stdout, or
+// stderr when the JSON report takes stdout, so stdout stays pure JSON.
+func humanOutput(jsonWanted bool, jsonFile string) io.Writer {
+	if jsonWanted && jsonFile == "" {
+		return os.Stderr
+	}
+	return os.Stdout
+}
+
+// finishJSON emits the run report, if any, and returns exit, or the
+// error status if the report cannot be written.
+func finishJSON(rep *runReport, path string, exit int) int {
+	if rep == nil {
+		return exit
+	}
+	if err := emitJSON(rep, path); err != nil {
+		return reportErr(fmt.Errorf("writing report: %w", err))
+	}
+	return exit
 }

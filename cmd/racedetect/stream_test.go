@@ -177,3 +177,75 @@ func TestMembudgetSqueezes(t *testing.T) {
 		t.Errorf("membudget 4096 made no squeezes:\n%s", out)
 	}
 }
+
+// TestLocalMatchesServer: a local run and a -server run of the same
+// trace build their Monitors from one handshake with client.NewMonitor
+// and print through one renderer, so their stdout and JSON race lists
+// are byte-identical, sampled and -stats runs included. Under -policy
+// repair both print the pipeline summary; the violation log lines below
+// it are local only, since the wire carries no log.
+func TestLocalMatchesServer(t *testing.T) {
+	bin, base, _ := buildRacedetect(t)
+	addr := startDaemon(t)
+	tsp := writeSimTrace(t, base, "tsp", 0.3)
+	damaged := filepath.Join(base, "damaged.trace")
+	if err := os.WriteFile(damaged, []byte("acq 0 m1\nwr 0 x1\nrel 0 m1\nrel 1 m7\nwr 9 x6\nwr 0 x6\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		args  []string
+		trace string
+		want  string // a line stdout must hold
+	}{
+		{"default", nil, tsp, "FastTrack: "},
+		{"sampled", []string{"-fidelity", "sampled(0.5)"}, tsp, "accesses analyzed)"},
+		{"stats", []string{"-stats"}, tsp, "operation mix (FastTrack)"},
+		{"coarse", []string{"-granularity", "coarse"}, tsp, "FastTrack: "},
+		{"provenance", []string{"-provenance"}, tsp, "failed happens-before check"},
+		{"djit", []string{"-tool", "DJIT+"}, tsp, "DJIT+: "},
+		{"repair", []string{"-policy", "repair", "-stats"}, damaged, "pipeline: violations=2 repaired=2"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			remoteArgs := append([]string{"-server", addr}, tc.args...)
+			lcode, local := racedetectStdout(t, bin, "", append(tc.args, tc.trace)...)
+			rcode, remote := racedetectStdout(t, bin, "", append(remoteArgs, tc.trace)...)
+			if lcode != rcode || lcode > 1 {
+				t.Fatalf("exit %d locally, %d with -server", lcode, rcode)
+			}
+			if !strings.Contains(local, tc.want) {
+				t.Errorf("local stdout lacks %q:\n%s", tc.want, local)
+			}
+			var kept []string
+			for _, line := range strings.SplitAfter(local, "\n") {
+				if !strings.HasPrefix(line, "    event ") {
+					kept = append(kept, line)
+				}
+			}
+			if local = strings.Join(kept, ""); local != remote {
+				t.Errorf("local stdout:\n%s\n-server stdout:\n%s", local, remote)
+			}
+			lj, rj := filepath.Join(base, tc.name+".local.json"), filepath.Join(base, tc.name+".remote.json")
+			racedetectStdout(t, bin, "", append(tc.args, "-json.file", lj, tc.trace)...)
+			racedetectStdout(t, bin, "", append(remoteArgs, "-json.file", rj, tc.trace)...)
+			if l, r := raceList(t, lj), raceList(t, rj); !bytes.Equal(l, r) {
+				t.Errorf("JSON race lists differ:\nlocal  %s\nremote %s", l, r)
+			}
+		})
+	}
+}
+
+// TestServerRefusesLocalFlags: -membudget and -metrics.addr act on the
+// local analysis only, so with -server they are refused rather than
+// silently dropped.
+func TestServerRefusesLocalFlags(t *testing.T) {
+	bin, base, _ := buildRacedetect(t)
+	addr := startDaemon(t)
+	path := writeSimTrace(t, base, "tsp", 0.1)
+	for _, flag := range [][]string{{"-membudget", "4096"}, {"-metrics.addr", "127.0.0.1:0"}} {
+		code, out := racedetect(t, bin, append(append([]string{"-server", addr}, flag...), path)...)
+		if code != 2 || !strings.Contains(out, flag[0]) {
+			t.Errorf("-server %s: exit %d, want 2 with a message naming the flag:\n%s", flag[0], code, out)
+		}
+	}
+}

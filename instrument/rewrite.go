@@ -109,19 +109,12 @@ func (r *rewriter) shimStmt(name string, args ...ast.Expr) ast.Stmt {
 	return &ast.ExprStmt{X: r.shimCall(name, args...)}
 }
 
-// addrOf returns &e with positions stripped so the printer lays the
-// synthesized call out on its own line.
+// addrOf returns &e. The operand node is reused with its original
+// positions, which go/format lays out correctly for the shapes the
+// rewriter emits.
 func addrOf(e ast.Expr) ast.Expr {
-	return &ast.UnaryExpr{Op: token.AND, X: clearPos(e)}
+	return &ast.UnaryExpr{Op: token.AND, X: e}
 }
-
-// clearPos deep-copies nothing — it reuses the expression node — but
-// synthesized statements around original-position expressions confuse
-// go/printer into emitting stale newlines. Rather than deep-copying the
-// tree, positions are left in place; go/format tolerates this for the
-// shapes the rewriter emits. The function exists as the single place to
-// change if a printer edge case surfaces.
-func clearPos(e ast.Expr) ast.Expr { return e }
 
 // rewriteFile instruments every function body in f and injects the shim
 // import (only when used) and the main-function boot hook.

@@ -3,9 +3,9 @@
 // duplicated / reordered / dropped events, out-of-protocol thread ids)
 // and drives detectors through the corrupted streams via the full
 // Scanner → Dispatcher(validator, quarantine) → Tool pipeline. The
-// harness's contract, asserted by its tests and the racedetect -chaos
-// smoke mode, is that no panic escapes the pipeline and every
-// degradation is accounted for in the dispatcher's Health snapshot.
+// harness's contract, asserted by its tests, is that no panic escapes
+// the pipeline and every degradation is accounted for in the
+// dispatcher's Health snapshot.
 package chaos
 
 import (

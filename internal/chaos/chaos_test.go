@@ -15,19 +15,21 @@ import (
 // TestAllDetectorsSurviveChaos is the harness's main contract: every
 // registered detector survives every corruption mode with full
 // degradation accounting and no escaped panic (an escaped panic fails
-// the test by crashing it).
+// the test by crashing it), on random base traces from two seeds.
 func TestAllDetectorsSurviveChaos(t *testing.T) {
-	base := sim.RandomTrace(rand.New(rand.NewSource(42)), sim.DefaultRandomConfig())
-	for _, name := range fasttrack.ToolNames() {
-		for _, mode := range chaos.Modes() {
-			for _, seed := range []int64{1, 2, 3} {
-				tool, err := fasttrack.NewTool(name, fasttrack.Hints{})
-				if err != nil {
-					t.Fatalf("NewTool(%q): %v", name, err)
-				}
-				res := chaos.Run(tool, base, mode, seed, rr.PolicyRepair)
-				if err := res.Check(); err != nil {
-					t.Error(err)
+	for _, baseSeed := range []int64{1, 42} {
+		base := sim.RandomTrace(rand.New(rand.NewSource(baseSeed)), sim.DefaultRandomConfig())
+		for _, name := range fasttrack.ToolNames() {
+			for _, mode := range chaos.Modes() {
+				for _, seed := range []int64{1, 2, 3} {
+					tool, err := fasttrack.NewTool(name, fasttrack.Hints{})
+					if err != nil {
+						t.Fatalf("NewTool(%q): %v", name, err)
+					}
+					res := chaos.Run(tool, base, mode, seed, rr.PolicyRepair)
+					if err := res.Check(); err != nil {
+						t.Errorf("base seed %d: %v", baseSeed, err)
+					}
 				}
 			}
 		}

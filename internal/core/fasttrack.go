@@ -271,7 +271,6 @@ type Detector struct {
 var (
 	_ rr.Tool      = (*Detector)(nil)
 	_ rr.Prefilter = (*Detector)(nil)
-	_ rr.Sampled   = (*Detector)(nil)
 )
 
 // New returns a detector expecting roughly the given numbers of threads

@@ -20,27 +20,17 @@ package core
 // exclusively by synchronization events, which are never sampled, so
 // the happens-before frontier stays exact at every rate.
 //
-// Why the rate may even change mid-stream without a false positive (the
-// rr.Sampled contract; racedetect and racedetectd set it once, before
-// the first event):
+// Why a sampled run reports only true races, and only races a full run
+// reports too (the rate is fixed when the detector is built, from
+// Hints.SampleRate, and never changes while events flow):
 //
-//   - The decision is hash(x) < thr — a pure function of the id and the
-//     current threshold. Raising p only adds variables to the sampled
-//     set (monotone), and no decision ever consults shadow state.
-//   - The skip path mutates nothing but counters, so a variable that
-//     drops out of the sampled set keeps its shadow state frozen. If it
-//     is later re-admitted, its state is merely stale: epochs recorded
-//     at or before the moment it froze. Every FastTrack race check
-//     (epoch-not-ordered-before-C_t) on stale state that fires corresponds to a genuinely
-//     unordered pair of accesses that both actually occurred — the
-//     paper's Theorem 1 precision argument does not depend on the
-//     history being complete, only on every recorded epoch being real.
-//     Hence no rate schedule can introduce a false positive, which the
-//     property tests check against the happens-before oracle. At a
-//     fixed rate the reports are moreover a subset of the full run's
-//     (no shadow word is ever stale); a rate that falls and rises
-//     again can surface a true race the full run's overwritten epochs
-//     no longer show.
+//   - The decision is hash(x) < thr, a pure function of the id and the
+//     fixed threshold; no decision ever consults shadow state.
+//   - Per-variable analysis is independent: skipping variable y changes
+//     neither the thread clocks nor x's shadow state, so a sampled-in
+//     variable's verdict is exactly the full run's. The reports are
+//     therefore the full run's restricted to the sampled set, which the
+//     property tests check.
 //   - At p = 1.0 the threshold is 2³², no 32-bit hash reaches it, the
 //     skip path never fires, and the run is byte-identical to one that
 //     never enabled sampling (also asserted).
@@ -55,10 +45,11 @@ const sampleFull = uint64(1) << 32
 // tables).
 func sampleHash(x uint64) uint64 { return mix64(x) >> 32 }
 
-// SetSamplingRate implements rr.Sampled: the fraction of the variable
-// space analyzed at full fidelity. p >= 1 restores full fidelity; p <= 0
-// sheds every access. Like every detector method it must not run
-// concurrently with event delivery.
+// SetSamplingRate sets the fraction of the variable space analyzed at
+// full fidelity: p >= 1 analyzes every variable, p <= 0 sheds every
+// access. It is called once, before the first event (NewTool does so
+// from Hints.SampleRate); the soundness argument above assumes the rate
+// never changes afterwards.
 func (d *Detector) SetSamplingRate(p float64) {
 	switch {
 	case p >= 1:
@@ -70,13 +61,8 @@ func (d *Detector) SetSamplingRate(p float64) {
 	}
 }
 
-// SamplingRate implements rr.Sampled.
-func (d *Detector) SamplingRate() float64 {
-	return float64(d.sampleThr) / float64(sampleFull)
-}
-
 // sampledOut reports whether an access to variable x must take the skip
-// path under the current rate. Hot-path shape: one compare at full
+// path under the rate. Hot-path shape: one compare at full
 // fidelity (the common case), hash + compare otherwise.
 func (d *Detector) sampledOut(x uint64) bool {
 	thr := d.sampleThr

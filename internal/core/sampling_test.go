@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"fasttrack/internal/chaos"
-	"fasttrack/internal/hb"
 	"fasttrack/internal/rr"
 	"fasttrack/internal/sim"
 	"fasttrack/trace"
@@ -99,95 +98,6 @@ func TestSampledFullRateByteIdentical(t *testing.T) {
 	}
 	if got := tuned.Stats().SampledOut; got != 0 {
 		t.Errorf("sampled(1.0) skipped %d accesses", got)
-	}
-}
-
-// TestAdaptiveRateChangesSoundProperty: changing the rate mid-stream at
-// arbitrary points (which the rr.Sampled contract allows) never corrupts shadow
-// state and never manufactures a false positive. The check is against
-// the happens-before oracle, not against the full run's report set: a
-// variable skipped for a while keeps a stale shadow word, and a later
-// check against it can surface a genuine race that full FastTrack's
-// last-access epoch state had already overwritten — a report the full
-// run doesn't have, but a true one. What a changing rate must never do
-// is flag a variable with no race at all.
-func TestAdaptiveRateChangesSoundProperty(t *testing.T) {
-	cfg := sim.DefaultRandomConfig()
-	cfg.Events = 400
-	cfg.Vars = 24
-	rates := []float64{1, 0.5, 0.1, 0, 0.25, 1}
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		tr := sim.RandomTrace(rng, cfg)
-		racy := hb.New(tr).RacyVars()
-		d := New(4, 8)
-		for i, e := range tr {
-			if rng.Intn(16) == 0 {
-				d.SetSamplingRate(rates[rng.Intn(len(rates))])
-				if err := d.CheckWellFormed(); err != nil {
-					t.Logf("seed %d after rate change at %d: %v", seed, i, err)
-					return false
-				}
-			}
-			d.HandleEvent(i, e)
-		}
-		if err := d.CheckWellFormed(); err != nil {
-			t.Logf("seed %d: %v", seed, err)
-			return false
-		}
-		for _, r := range d.Races() {
-			if !racy[r.Var] {
-				t.Logf("seed %d: adaptive run invented false positive %+v", seed, r)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestShedKeepsClocksWarm: at rate 0 no access is analyzed, but sync
-// events still advance the happens-before frontier — so raising the rate
-// back to full fidelity is immediately sound: properly synchronized accesses
-// to fresh variables stay silent and unsynchronized ones are caught.
-func TestShedKeepsClocksWarm(t *testing.T) {
-	d := New(4, 8)
-	d.SetSamplingRate(0)
-	i := 0
-	ev := func(e trace.Event) { d.HandleEvent(i, e); i++ }
-
-	ev(trace.ForkOf(0, 1))
-	ev(trace.ForkOf(0, 2))
-	// Shed traffic: races offered here must not be reported...
-	ev(trace.Wr(1, 10))
-	ev(trace.Wr(2, 10))
-	// ...and lock-transfer ordering must still be tracked.
-	ev(trace.Acq(1, 1))
-	ev(trace.Wr(1, 11))
-	ev(trace.Rel(1, 1))
-	if got := d.Races(); len(got) != 0 {
-		t.Fatalf("races while shed: %v", got)
-	}
-	if st := d.Stats(); st.SampledOut != 3 {
-		t.Fatalf("SampledOut = %d, want 3", st.SampledOut)
-	}
-
-	d.SetSamplingRate(1)
-	// Synchronized handoff established while shed: no race.
-	ev(trace.Acq(2, 1))
-	ev(trace.Wr(2, 11))
-	ev(trace.Rel(2, 1))
-	// Unsynchronized pair on a fresh variable: caught immediately.
-	ev(trace.Wr(1, 12))
-	ev(trace.Wr(2, 12))
-	got := d.Races()
-	if len(got) != 1 || got[0].Var != 12 {
-		t.Fatalf("races after upgrade = %v, want exactly the x=12 write-write race", got)
-	}
-	if err := d.CheckWellFormed(); err != nil {
-		t.Fatal(err)
 	}
 }
 

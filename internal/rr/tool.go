@@ -303,37 +303,3 @@ type Prefilter interface {
 	Tool
 	HandleFilter(i int, e trace.Event) bool
 }
-
-// Sampled is implemented by tools that support per-variable sampled
-// analysis: the sampled(p) fidelity mode, in which accesses to
-// variables outside the sampled set are counted
-// (Events/Reads/Writes/SampledOut) but receive no shadow-state
-// maintenance, trading detection probability for per-event cost and
-// bounded shadow growth. racedetect and racedetectd set the rate once,
-// before the first event.
-//
-// The contract a conforming implementation must honor:
-//
-//   - The sampling decision is a pure function of the variable id and
-//     the current rate — never of shadow state — and the skip path must
-//     not mutate any shadow state. Synchronization events are always
-//     processed at full fidelity so happens-before clocks stay exact.
-//   - Consequently every race reported at a fixed rate is a race the
-//     same tool reports at rate 1.0 on the same stream, and rate 1.0 is
-//     byte-identical to never having called SetSamplingRate. A rate
-//     changed mid-stream still reports no false positive, but may
-//     report a true race the rate-1.0 run does not.
-//
-// Like every Tool method, SetSamplingRate must not run concurrently
-// with event delivery.
-type Sampled interface {
-	Tool
-	// SetSamplingRate sets the fraction of variables analyzed at full
-	// fidelity: 1 (or anything above) restores full analysis, 0 sheds
-	// every access, values between sample the variable space
-	// deterministically so a variable's verdict is stable at a fixed
-	// rate and monotone in the rate (raising p only adds variables).
-	SetSamplingRate(p float64)
-	// SamplingRate reports the current rate.
-	SamplingRate() float64
-}

@@ -77,6 +77,53 @@ const (
 	DefaultMaxTarget = 1 << 24
 )
 
+// CapViolation returns the index of the first event that breaks the
+// identifier caps maxTid (on thread ids, including a fork's or join's
+// target) and maxTarget (on every other target), and how; or -1 and ""
+// when every event keeps within them. racedetectd applies it under the
+// default caps to every decoded frame, whatever the session's policy,
+// so the loop tests an event in range without a call.
+func CapViolation(events []trace.Event, maxTid int32, maxTarget uint64) (int, string) {
+	for i := range events {
+		e := &events[i]
+		if uint32(e.Tid) > uint32(maxTid) || e.Target > maxTarget || 1<<e.Kind&threadTargets != 0 {
+			if msg := capViolation(e, maxTid, maxTarget); msg != "" {
+				return i, msg
+			}
+		}
+	}
+	return -1, ""
+}
+
+// threadTargets has a bit set for each kind whose thread ids lie outside
+// Tid: in Target (fork, join) or in Tids (barrier).
+const threadTargets = 1<<trace.Fork | 1<<trace.Join | 1<<trace.BarrierRelease
+
+// capViolation describes how e breaks the identifier caps, or returns
+// "" when it keeps within them.
+func capViolation(e *trace.Event, maxTid int32, maxTarget uint64) string {
+	if e.Kind == trace.BarrierRelease {
+		for _, t := range e.Tids {
+			if t < 0 || t > maxTid {
+				return fmt.Sprintf("thread id %d outside [0, %d]", t, maxTid)
+			}
+		}
+	} else if e.Tid < 0 || e.Tid > maxTid {
+		return fmt.Sprintf("thread id %d outside [0, %d]", e.Tid, maxTid)
+	}
+	switch e.Kind {
+	case trace.Fork, trace.Join:
+		if e.Target > uint64(maxTid) {
+			return fmt.Sprintf("thread id %d outside [0, %d]", e.Target, maxTid)
+		}
+	default:
+		if e.Target > maxTarget {
+			return fmt.Sprintf("target id %d outside [0, %d]", e.Target, maxTarget)
+		}
+	}
+	return ""
+}
+
 // ViolationAction records how a violation was handled.
 type ViolationAction uint8
 
@@ -211,27 +258,11 @@ func (v *Validator) Check(i int, e trace.Event) (repairs []trace.Event, drop boo
 // events that would repair it, and whether repair is possible at all.
 func (v *Validator) examine(e trace.Event) (msg string, repairs []trace.Event, reparable bool) {
 	// Identifier sanity: absurd ids are irreparable.
-	if e.Kind == trace.BarrierRelease {
-		for _, t := range e.Tids {
-			if t < 0 || t > v.maxTid {
-				return fmt.Sprintf("thread id %d outside [0, %d]", t, v.maxTid), nil, false
-			}
-		}
-	} else if e.Tid < 0 || e.Tid > v.maxTid {
-		return fmt.Sprintf("thread id %d outside [0, %d]", e.Tid, v.maxTid), nil, false
+	if msg := capViolation(&e, v.maxTid, v.maxTarget); msg != "" {
+		return msg, nil, false
 	}
-	switch e.Kind {
-	case trace.Fork, trace.Join:
-		if e.Target > uint64(v.maxTid) {
-			return fmt.Sprintf("thread id %d outside [0, %d]", e.Target, v.maxTid), nil, false
-		}
-		if int32(e.Target) == e.Tid {
-			return fmt.Sprintf("thread %d %ss itself", e.Tid, e.Kind), nil, false
-		}
-	default:
-		if e.Target > v.maxTarget {
-			return fmt.Sprintf("target id %d outside [0, %d]", e.Target, v.maxTarget), nil, false
-		}
+	if (e.Kind == trace.Fork || e.Kind == trace.Join) && int32(e.Target) == e.Tid {
+		return fmt.Sprintf("thread %d %ss itself", e.Tid, e.Kind), nil, false
 	}
 
 	var msgs []string

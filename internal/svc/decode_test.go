@@ -13,7 +13,7 @@ import (
 // exist, decoding and ingesting a 1024-event frame allocates nothing.
 // The frame is race-free (one thread), so no report is allocated either.
 func TestIngestChunkAllocs(t *testing.T) {
-	mon, _, err := BuildMonitor(client.Handshake{})
+	mon, _, err := client.NewMonitor(client.Handshake{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

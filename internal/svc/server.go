@@ -44,7 +44,6 @@ import (
 	"fasttrack"
 	"fasttrack/client"
 	"fasttrack/internal/obs"
-	"fasttrack/internal/rr"
 	"fasttrack/trace"
 )
 
@@ -59,9 +58,6 @@ const (
 	// retainFinished is how many finalized sessions stay queryable over
 	// HTTP; older ones are forgotten.
 	retainFinished = 64
-	// defaultSampleRate is the rate of a sampled session that did not
-	// pick one in its handshake.
-	defaultSampleRate = 0.25
 	// slowFrameThreshold is the processing latency (queue wait through
 	// callback, excluding the inter-frame wire gap) above which a traced
 	// frame is also kept in the slow-frame log.
@@ -86,8 +82,8 @@ type Config struct {
 	// finalized session.
 	ReportDir string
 	// WatchdogInterval is the watchdog's tick period (default 250ms;
-	// negative disables the loop — tests then drive governorTick
-	// directly). See watchdog.go.
+	// negative disables the ticker, and tests then call watchdogTick
+	// themselves). See watchdog.go.
 	WatchdogInterval time.Duration
 	// StuckTimeout is how long a session worker may sit on one item
 	// without completing it before the watchdog quarantines the session
@@ -97,9 +93,8 @@ type Config struct {
 	// admission refusals (default 1s).
 	RetryAfterHint time.Duration
 	// NewMonitor overrides session monitor construction, used by tests to
-	// install instrumented detectors. The default builds a Monitor from
-	// the handshake via BuildMonitor.
-	NewMonitor func(client.Handshake) (*fasttrack.Monitor, string, error)
+	// install instrumented detectors. The default is client.NewMonitor.
+	NewMonitor func(client.Handshake) (*fasttrack.Monitor, client.Grant, error)
 	// Logf receives operational log lines (nil = silent).
 	Logf func(format string, args ...any)
 	// EventLog, when non-nil, receives structured lifecycle events
@@ -152,49 +147,14 @@ func (c *Config) withDefaults() Config {
 		d.RetryAfterHint = time.Second
 	}
 	if d.NewMonitor == nil {
-		d.NewMonitor = BuildMonitor
+		d.NewMonitor = func(h client.Handshake) (*fasttrack.Monitor, client.Grant, error) {
+			return client.NewMonitor(h, 0)
+		}
 	}
 	if d.Logf == nil {
 		d.Logf = func(string, ...any) {}
 	}
 	return d
-}
-
-// BuildMonitor constructs a session Monitor from a handshake, returning
-// the monitor and the canonical detector name. It is the default
-// Config.NewMonitor.
-func BuildMonitor(h client.Handshake) (*fasttrack.Monitor, string, error) {
-	name := h.Tool
-	if name == "" {
-		name = "FastTrack"
-	}
-	hints := fasttrack.Hints{Provenance: h.Provenance, DetailedReports: h.Detailed}
-	tool, err := fasttrack.NewTool(name, hints)
-	if err != nil {
-		return nil, "", fmt.Errorf("%s: %w", client.ErrCodeUnknownTool, err)
-	}
-	policy := fasttrack.PolicyOff
-	if h.Policy != "" {
-		p, ok := rr.PolicyFromString(h.Policy)
-		if !ok {
-			return nil, "", fmt.Errorf("%s: unknown validation policy %q", client.ErrCodeBadRequest, h.Policy)
-		}
-		policy = p
-	}
-	gran := fasttrack.Fine
-	switch h.Gran {
-	case "", "fine":
-	case "coarse":
-		gran = fasttrack.Coarse
-	default:
-		return nil, "", fmt.Errorf("%s: unknown granularity %q", client.ErrCodeBadRequest, h.Gran)
-	}
-	mon := fasttrack.NewMonitor(
-		fasttrack.WithTool(tool),
-		fasttrack.WithGranularity(gran),
-		fasttrack.WithValidation(policy),
-	)
-	return mon, tool.Name(), nil
 }
 
 // serverMetrics caches the aggregate svc.* metric handles.
@@ -436,48 +396,28 @@ func (s *Server) handleConn(conn net.Conn) {
 		s.mu.Unlock()
 	}
 
-	plan, err := resolveFidelity(h)
+	mon, grant, err := s.cfg.NewMonitor(h)
 	if err != nil {
 		release()
-		code, msg := client.ErrCodeBadRequest, err.Error()
-		if c, m, ok := cutCode(msg); ok {
-			code, msg = c, m
+		code := client.ErrCodeBadRequest
+		var re *client.RequestError
+		if errors.As(err, &re) {
+			code = re.Code
 		}
-		s.refuse(conn, fw, code, msg)
-		return
-	}
-
-	mon, toolName, err := s.cfg.NewMonitor(h)
-	if err != nil {
-		release()
-		code, msg := client.ErrCodeBadRequest, err.Error()
-		if c, m, ok := cutCode(msg); ok {
-			code, msg = c, m
-		}
-		s.refuse(conn, fw, code, msg)
-		return
-	}
-
-	// A sampled session's rate is set here, once: it never changes
-	// mid-stream, so its races are a subset of a full session's.
-	if plan.mode == client.FidelitySampled && !mon.SetSamplingRate(plan.rate) {
-		release()
-		mon.Close()
-		s.refuse(conn, fw, client.ErrCodeBadRequest,
-			fmt.Sprintf("tool %q does not support %s fidelity", toolName, plan.mode))
+		s.refuse(conn, fw, code, err.Error())
 		return
 	}
 
 	id := fmt.Sprintf("s%06d", s.nextID.Add(1))
-	sess := newSession(s, id, conn, fw, mon, toolName, h, plan)
+	sess := newSession(s, id, conn, fw, mon, h, grant)
 	s.mu.Lock()
 	s.sessions[id] = sess
 	s.mu.Unlock()
 	s.sm.sessionsActive.Add(1)
 	s.sm.sessionsTotal.Inc()
 	s.cfg.Logf("svc: session %s open (tool=%s policy=%q fidelity=%s) from %s",
-		id, toolName, h.Policy, plan, conn.RemoteAddr())
-	s.event(Event{Kind: "open", Session: id, Remote: sess.remote, Fidelity: plan.String()})
+		id, grant.Tool, h.Policy, grant.Spec(), conn.RemoteAddr())
+	s.event(Event{Kind: "open", Session: id, Remote: sess.remote, Fidelity: grant.Spec()})
 
 	s.wg.Add(1)
 	go func() {
@@ -486,8 +426,8 @@ func (s *Server) handleConn(conn net.Conn) {
 	}()
 	ok := client.HelloOK{
 		SessionID:  id,
-		Fidelity:   plan.mode,
-		SampleRate: plan.rate,
+		Fidelity:   grant.Fidelity,
+		SampleRate: grant.SampleRate,
 		Tracing:    sess.traced,
 	}
 	if err := sess.reply(client.FrameHelloOK, ok); err != nil {
@@ -499,44 +439,6 @@ func (s *Server) handleConn(conn net.Conn) {
 	conn.SetReadDeadline(time.Time{}) // clear the handshake deadline
 	ic.timeout = s.cfg.IdleTimeout
 	sess.readLoop(fr)
-}
-
-// fidelityPlan is a session's fidelity, fixed at handshake.
-type fidelityPlan struct {
-	mode string  // client.FidelityFull or client.FidelitySampled
-	rate float64 // the sampling rate; 1 for full
-}
-
-// String renders the plan for humans: "full" or "sampled(0.25)".
-func (p fidelityPlan) String() string {
-	if p.mode == client.FidelityFull {
-		return p.mode
-	}
-	return fmt.Sprintf("%s(%.3g)", p.mode, p.rate)
-}
-
-// resolveFidelity validates a handshake's fidelity request. A sampled
-// request without a rate, neither in the fidelity nor in sampleRate,
-// gets defaultSampleRate; sampled(1) analyzes every variable, as a local
-// racedetect -fidelity 'sampled(1)' does.
-func resolveFidelity(h client.Handshake) (fidelityPlan, error) {
-	mode, rate, err := client.ParseFidelity(h.Fidelity)
-	if err != nil {
-		return fidelityPlan{}, fmt.Errorf("%s: %v", client.ErrCodeBadRequest, err)
-	}
-	if rate == 0 {
-		rate = h.SampleRate
-	}
-	if rate < 0 || rate > 1 {
-		return fidelityPlan{}, fmt.Errorf("%s: sample rate %v out of range (0, 1]", client.ErrCodeBadRequest, h.SampleRate)
-	}
-	if mode == client.FidelityFull {
-		return fidelityPlan{mode: mode, rate: 1}, nil
-	}
-	if rate == 0 {
-		rate = defaultSampleRate
-	}
-	return fidelityPlan{mode: mode, rate: rate}, nil
 }
 
 // idleConn wraps a session connection so the idle timeout measures gaps
@@ -617,7 +519,7 @@ func (s *Server) finalized(sess *session) {
 		reason = e
 	}
 	s.event(Event{Kind: kind, Session: sess.id, Remote: sess.remote,
-		Fidelity: sess.fid.String(), Reason: reason})
+		Fidelity: sess.grant.Spec(), Reason: reason})
 }
 
 // lookup returns the session with the given id, live or retained.

@@ -16,6 +16,7 @@ import (
 	"fasttrack"
 	"fasttrack/client"
 	"fasttrack/internal/obs"
+	"fasttrack/internal/rr"
 	"fasttrack/trace"
 )
 
@@ -65,7 +66,7 @@ type session struct {
 	srv    *Server
 	conn   net.Conn
 	mon    *fasttrack.Monitor
-	tool   string
+	grant  client.Grant // the detector and fidelity, fixed at handshake
 	hello  client.Handshake
 	remote string // client address, kept for logs after conn closes
 	traced bool   // server tracing on AND the handshake asked for it
@@ -95,8 +96,6 @@ type session struct {
 	sc      *trace.Scanner
 	scratch []trace.Event
 
-	fid fidelityPlan // fixed at handshake
-
 	busySince atomic.Int64 // srv.now() when the worker dequeued its current item; 0 while idle (see watchdog.go)
 	raceN     atomic.Int64 // last race count successfully read off the monitor
 
@@ -105,7 +104,7 @@ type session struct {
 }
 
 func newSession(srv *Server, id string, conn net.Conn, fw *trace.FrameWriter,
-	mon *fasttrack.Monitor, tool string, h client.Handshake, plan fidelityPlan) *session {
+	mon *fasttrack.Monitor, h client.Handshake, g client.Grant) *session {
 	sess := &session{
 		id:      id,
 		srv:     srv,
@@ -114,14 +113,13 @@ func newSession(srv *Server, id string, conn net.Conn, fw *trace.FrameWriter,
 		traced:  srv.cfg.Tracing && h.Tracing,
 		fw:      fw,
 		mon:     mon,
-		tool:    tool,
+		grant:   g,
 		hello:   h,
 		queue:   make(chan qitem, srv.cfg.QueueDepth),
 		started: time.Now(),
 		doneCh:  make(chan struct{}),
 		abortCh: make(chan struct{}),
 		queueD:  srv.reg.Gauge("svc.session." + id + ".queueDepth"),
-		fid:     plan,
 	}
 	sess.lastActive.Store(time.Now().UnixNano())
 	return sess
@@ -332,9 +330,13 @@ func (sess *session) handleFrame(it qitem) error {
 // reused scratch buffer, and ingests it as a single batch: one wire
 // frame is one Monitor.IngestBatch call, so the per-event lock and
 // dispatch bookkeeping is amortized across the frame. In steady state
-// it allocates nothing. It returns how many events were ingested even on
-// error, so accounting stays exact. On traced sessions it also times the
-// decode and detect stages (both 0 otherwise).
+// it allocates nothing. Every session, whatever its policy, is held to
+// the validator's identifier caps (rr.DefaultMaxTid, rr.DefaultMaxTarget):
+// one absurd id would make the detector's dense tables allocate without
+// bound and take the whole daemon down, so an event past a cap fails its
+// session as undecodable. It returns how many events were ingested even
+// on error, so accounting stays exact. On traced sessions it also times
+// the decode and detect stages (both 0 otherwise).
 func (sess *session) ingestChunk(payload []byte) (n, decodeNs, detectNs int64, err error) {
 	var t0 int64
 	if sess.traced {
@@ -352,15 +354,20 @@ func (sess *session) ingestChunk(payload []byte) (n, decodeNs, detectNs int64, e
 		events = append(events, sc.Event())
 	}
 	sess.scratch = events // keep the grown buffer for the next frame
+	derr := sc.Err()
+	if i, msg := rr.CapViolation(events, rr.DefaultMaxTid, rr.DefaultMaxTarget); i >= 0 {
+		derr = fmt.Errorf("event %d (%s): %s", sess.events.Load()+int64(i), events[i], msg)
+		events = events[:i]
+	}
 	var t1 int64
 	if sess.traced {
 		t1 = time.Now().UnixNano()
 		decodeNs = t1 - t0
 	}
-	if derr := sc.Err(); derr != nil {
-		// The frame's CRC passed but the payload is malformed. Ingest the
-		// decodable prefix so accounting matches the per-event path, then
-		// fail the session on the decode error.
+	if derr != nil {
+		// The frame's CRC passed but the payload is malformed or names an
+		// id past a cap. Ingest the prefix before the bad event so
+		// accounting matches the per-event path, then fail the session.
 		k, _ := sess.mon.IngestBatch(events)
 		return int64(k), decodeNs, 0, fmt.Errorf("%s: chunk %d: %v", client.ErrCodeDecode, sess.frames.Load(), derr)
 	}
@@ -406,25 +413,14 @@ func (sess *session) recordSpan(it qitem, dequeued, decodeNs, detectNs int64) {
 // (the wedged worker may hold its lock forever), so the snapshot is
 // built from the lock-free counters only.
 func (sess *session) results(seq int64) client.Results {
-	res := client.Results{
-		Seq:       seq,
-		SessionID: sess.id,
-		Tool:      sess.tool,
-		Events:    sess.events.Load(),
-	}
+	var res client.Results
 	if sess.state.Load() == stateQuarantined {
 		msg, _ := sess.errMsg.Load().(string)
-		res.Health = client.Health{Err: "quarantined: " + msg}
-		return res
+		res = client.Results{Tool: sess.grant.Tool, Health: client.Health{Err: "quarantined: " + msg}}
+	} else {
+		res = client.ResultsOf(sess.mon, sess.grant.Tool, sess.hello.Provenance)
 	}
-	st := sess.mon.Stats()
-	res.Races = sess.mon.Races()
-	res.Stats = st
-	res.Health = client.HealthFrom(sess.mon.Health())
-	res.DetectionProbability = st.DetectionProbability()
-	if sess.hello.Provenance {
-		res.Detailed = sess.mon.DetailedRaces()
-	}
+	res.Seq, res.SessionID, res.Events = seq, sess.id, sess.events.Load()
 	return res
 }
 
@@ -498,9 +494,18 @@ func (sess *session) reply(t trace.FrameType, v any) error {
 }
 
 // fail sends a best-effort error frame and severs the connection; the
-// worker keeps draining and finalize records the cause.
+// worker keeps draining and finalize records the cause. Like linger, it
+// does not reset a client that is still writing: the write side closes
+// at once (FIN follows the error frame) while the reader goes on
+// reading, so the client reads the error frame instead of failing
+// with "broken pipe", and the connection closes once the client does
+// or lingerTimeout passes.
 func (sess *session) fail(cause error) {
 	sess.sendError(cause)
+	if cw, ok := sess.conn.(interface{ CloseWrite() error }); ok && cw.CloseWrite() == nil {
+		time.AfterFunc(lingerTimeout, func() { sess.conn.Close() })
+		return
+	}
 	sess.conn.Close()
 }
 
@@ -566,15 +571,15 @@ func (sess *session) info() SessionInfo {
 	inf := SessionInfo{
 		ID:         sess.id,
 		State:      sess.stateName(),
-		Tool:       sess.tool,
+		Tool:       sess.grant.Tool,
 		Events:     sess.events.Load(),
 		Frames:     sess.frames.Load(),
 		Bytes:      sess.bytes.Load(),
 		Races:      sess.raceCount(statsBudget),
 		QueueDepth: len(sess.queue),
 		StartedAt:  sess.started.UTC().Format(time.RFC3339Nano),
-		Fidelity:   sess.fid.String(),
-		SampleRate: sess.fid.rate,
+		Fidelity:   sess.grant.Spec(),
+		SampleRate: sess.grant.SampleRate,
 	}
 	// Same watchdog race as the stats endpoint: bound the monitor read
 	// so a listing never hangs on a session quarantined mid-call.

@@ -297,13 +297,14 @@ func gatedServer(t *testing.T, cfg Config) (*Server, string, chan struct{}) {
 
 // gatedMonitor is a Config.NewMonitor hook whose FastTrack tools block
 // on gate.
-func gatedMonitor(gate chan struct{}) func(client.Handshake) (*fasttrack.Monitor, string, error) {
-	return func(client.Handshake) (*fasttrack.Monitor, string, error) {
+func gatedMonitor(gate chan struct{}) func(client.Handshake) (*fasttrack.Monitor, client.Grant, error) {
+	return func(client.Handshake) (*fasttrack.Monitor, client.Grant, error) {
 		inner, err := fasttrack.NewTool("FastTrack", fasttrack.Hints{})
 		if err != nil {
-			return nil, "", err
+			return nil, client.Grant{}, err
 		}
-		return fasttrack.NewMonitor(fasttrack.WithTool(&gatedTool{Tool: inner, gate: gate})), "FastTrack", nil
+		mon := fasttrack.NewMonitor(fasttrack.WithTool(&gatedTool{Tool: inner, gate: gate}))
+		return mon, client.Grant{Tool: "FastTrack", Fidelity: client.FidelityFull, SampleRate: 1}, nil
 	}
 }
 
@@ -725,6 +726,87 @@ func TestHandshakeRejections(t *testing.T) {
 	}
 }
 
+// TestHostileIDsFailOnlyTheirSession: a single event naming an absurd
+// id would make the detector's dense tables allocate without bound and
+// take the whole daemon down. Every session is held to the identifier
+// caps whatever its policy, so the hostile session alone fails, with a
+// decode error; a session streaming alongside it keeps its race list,
+// and the server keeps serving.
+func TestHostileIDsFailOnlyTheirSession(t *testing.T) {
+	srv, addr := startServer(t, Config{})
+	tr := testTrace(1)
+	want := serialRaces(t, tr)
+	bystander, err := client.Dial(addr, client.WithBatchSize(32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := len(tr) / 2
+	if err := streamAll(bystander, tr[:half]); err != nil {
+		t.Fatal(err)
+	}
+	if err := bystander.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	const bigTid = 1<<24 - 1
+	for _, tc := range []struct {
+		name, policy string
+		events       trace.Trace
+	}{
+		{"target", "off", trace.Trace{trace.Wr(0, 1<<40)}},
+		{"thread", "off", trace.Trace{trace.ForkOf(0, bigTid), trace.Wr(bigTid, 1)}},
+		{"target-repair", "repair", trace.Trace{trace.Wr(0, 1<<40)}},
+		{"thread-strict", "strict", trace.Trace{trace.ForkOf(0, bigTid), trace.Wr(bigTid, 1)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sess, err := client.Dial(addr, client.WithValidation(tc.policy))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := streamAll(sess, tc.events); err != nil {
+				t.Fatal(err)
+			}
+			var se *client.ServerError
+			if err := sess.Close(); !errors.As(err, &se) || se.Code != client.ErrCodeDecode {
+				t.Fatalf("Close: %v, want a %s server error", err, client.ErrCodeDecode)
+			}
+			waitUntil(t, "hostile session to finalize", func() bool {
+				return srv.lookup(sess.ID()).done()
+			})
+			if info := srv.lookup(sess.ID()).info(); info.State != "failed" {
+				t.Errorf("hostile session ended %s (%q), want failed", info.State, info.Err)
+			}
+		})
+	}
+
+	if err := streamAll(bystander, tr[half:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := bystander.Close(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := bystander.Results()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameRaces(res.Races, want) {
+		t.Errorf("bystander races = %v\nwant %v", res.Races, want)
+	}
+	fresh, err := client.Dial(addr)
+	if err != nil {
+		t.Fatalf("server stopped serving: %v", err)
+	}
+	if err := streamAll(fresh, tr); err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := fresh.Results(); err != nil || !sameRaces(res.Races, want) {
+		t.Errorf("session after the hostile ones: races %v, err %v; want %v", res.Races, err, want)
+	}
+}
+
 // TestDialRetry proves the bounded-retry dial: two transient failures,
 // then success.
 func TestDialRetry(t *testing.T) {
@@ -1106,7 +1188,7 @@ func TestSampledAtRateOne(t *testing.T) {
 }
 
 // TestSampledSession covers a fixed-rate sampled session end to end:
-// the hello reply, /sessions and the session's monitor all carry the
+// the hello reply, /sessions and the session's grant all carry the
 // rate asked for, the detection probability comes out near it, and the
 // race list is byte-identical to a local replay at that rate.
 func TestSampledSession(t *testing.T) {
@@ -1124,8 +1206,8 @@ func TestSampledSession(t *testing.T) {
 		if _, body := httpGET(t, hs, "/sessions"); !strings.Contains(body, `"fidelity": "sampled(0.25)"`) {
 			t.Errorf("/sessions does not show sampled(0.25):\n%s", body)
 		}
-		if got := srv.lookup(ok.SessionID).mon.SamplingRate(); got != rate {
-			t.Errorf("session monitor SamplingRate() = %v, want %v", got, rate)
+		if g := srv.lookup(ok.SessionID).grant; g.Fidelity != client.FidelitySampled || g.SampleRate != rate {
+			t.Errorf("session grant %+v, want %q at rate %v", g, client.FidelitySampled, rate)
 		}
 	})
 	if p := res.DetectionProbability; p < rate-0.05 || p > rate+0.05 {

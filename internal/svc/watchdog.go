@@ -12,7 +12,7 @@ import (
 // the watchdog; it can only get quarantined by it.
 
 // watchdogLoop ticks until stop closes. It is started by Serve when
-// Config.WatchdogInterval is positive; tests drive governorTick
+// Config.WatchdogInterval is positive; tests drive watchdogTick
 // directly for determinism.
 func (s *Server) watchdogLoop(stop chan struct{}) {
 	t := time.NewTicker(s.cfg.WatchdogInterval)
@@ -22,18 +22,18 @@ func (s *Server) watchdogLoop(stop chan struct{}) {
 		case <-stop:
 			return
 		case <-t.C:
-			s.governorTick()
+			s.watchdogTick()
 		}
 	}
 }
 
-// governorTick runs one watchdog pass over the live sessions. A worker
+// watchdogTick runs one watchdog pass over the live sessions. A worker
 // that has sat on one item for StuckTimeout is wedged (a poisoned
 // detector spinning, a hostile payload, a deadlocked tool); its session
 // is quarantined, and no neighbor is touched. The age is measured, not
 // counted in ticks, so a worker that a starved CPU merely preempted
 // mid-item across ticks is never taken for wedged.
-func (s *Server) governorTick() {
+func (s *Server) watchdogTick() {
 	if s.cfg.StuckTimeout <= 0 {
 		return
 	}
@@ -80,5 +80,5 @@ func (s *Server) quarantine(sess *session, reason string) {
 	s.reg.DeleteByPrefix("svc.session." + sess.id + ".")
 	s.cfg.Logf("svc: session %s quarantined: %s", sess.id, reason)
 	s.event(Event{Kind: "quarantine", Session: sess.id, Remote: sess.remote,
-		Fidelity: sess.fid.String(), Reason: reason})
+		Fidelity: sess.grant.Spec(), Reason: reason})
 }

@@ -162,7 +162,7 @@ func TestWatchdogQuarantine(t *testing.T) {
 	cfg := Config{
 		WatchdogInterval: -1,
 		StuckTimeout:     time.Minute, // of fake-clock time
-		NewMonitor: func(h client.Handshake) (*fasttrack.Monitor, string, error) {
+		NewMonitor: func(h client.Handshake) (*fasttrack.Monitor, client.Grant, error) {
 			if monitors.Add(1) == 1 {
 				return gatedMonitor(wedged)(h) // first session blocks forever
 			}
@@ -200,7 +200,7 @@ func TestWatchdogQuarantine(t *testing.T) {
 	tr := testTrace(11)
 	want := serialRaces(t, tr)
 
-	srv.governorTick()
+	srv.watchdogTick()
 	if got := vs.stateName(); got != "quarantined" {
 		t.Fatalf("victim state %q after watchdog tick, want quarantined", got)
 	}
@@ -234,7 +234,7 @@ func TestWatchdogQuarantine(t *testing.T) {
 	// More ticks must not quarantine the healthy neighbor, idle or
 	// still finishing its last item.
 	for i := 0; i < 10; i++ {
-		srv.governorTick()
+		srv.watchdogTick()
 	}
 	if got := srv.lookup(neighbor.ID()).stateName(); got != "streaming" {
 		t.Errorf("neighbor state %q after extra ticks, want streaming", got)
@@ -294,14 +294,14 @@ func TestWatchdogSparesYoungBusyWorker(t *testing.T) {
 	const ticks = 1000
 	for i := 0; i < ticks; i++ {
 		clock.advance((cfg.StuckTimeout - time.Nanosecond) / ticks)
-		srv.governorTick()
+		srv.watchdogTick()
 		if got := vs.stateName(); got != "streaming" {
 			t.Fatalf("tick %d: busy worker younger than StuckTimeout is %s, want streaming", i+1, got)
 		}
 	}
 
 	clock.advance(cfg.StuckTimeout)
-	srv.governorTick()
+	srv.watchdogTick()
 	if got := vs.stateName(); got != "quarantined" {
 		t.Fatalf("worker busy past StuckTimeout is %s, want quarantined", got)
 	}
@@ -335,7 +335,7 @@ func TestQuarantineFreesHealthzCount(t *testing.T) {
 	vs := srv.lookup(sess.ID())
 	waitUntil(t, "worker to start its wedged item", func() bool { return vs.busySince.Load() != 0 })
 	clock.advance(cfg.StuckTimeout)
-	srv.governorTick()
+	srv.watchdogTick()
 	if got := vs.stateName(); got != "quarantined" {
 		t.Fatalf("wedged session is %s, want quarantined", got)
 	}

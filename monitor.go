@@ -351,46 +351,6 @@ func (m *Monitor) TxBegin(tid int32) { m.event(trace.Event{Kind: trace.TxBegin, 
 // TxEnd marks the end of thread tid's current atomic block.
 func (m *Monitor) TxEnd(tid int32) { m.event(trace.Event{Kind: trace.TxEnd, Tid: tid}) }
 
-// SetSamplingRate changes the wrapped detector's sampling rate — the
-// fraction of the variable space analyzed at full fidelity (see the
-// Sampled interface for the exact contract: races found under sampling
-// are always genuine, rate 1 restores exact full-fidelity behavior).
-// The change is applied under the monitor's lock, so it is safe while
-// producers are streaming. It returns
-// false without effect when the monitor is closed or its current tool
-// does not support sampling — including a FastTrack pipeline the
-// dispatcher has downgraded after repeated panics. racedetectd calls it
-// once, before a sampled session's first event, and refuses the session
-// on false.
-func (m *Monitor) SetSamplingRate(p float64) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return false
-	}
-	s, ok := m.tool().(rr.Sampled)
-	if !ok {
-		return false
-	}
-	s.SetSamplingRate(p)
-	return true
-}
-
-// SamplingRate reports the wrapped detector's current sampling rate, or
-// 1 (full fidelity) when the tool does not support sampling or the
-// monitor is closed.
-func (m *Monitor) SamplingRate() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return 1
-	}
-	if s, ok := m.tool().(rr.Sampled); ok {
-		return s.SamplingRate()
-	}
-	return 1
-}
-
 // Races returns a snapshot of the warnings reported so far, in report
 // order; per variable, at most one warning is ever reported.
 func (m *Monitor) Races() []Report {

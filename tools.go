@@ -29,14 +29,6 @@ type Tool = rr.Tool
 // (Section 5.2 of the paper).
 type Prefilter = rr.Prefilter
 
-// Sampled is a Tool with a runtime-adjustable sampling tier: a
-// deterministic fraction of the variable space is analyzed at full
-// fidelity and the rest is counted but not checked. FastTrack implements
-// it; see the rr package for the soundness contract (sampled races are
-// always a subset of the full run's) and Stats.DetectionProbability for
-// the coverage it cost.
-type Sampled = rr.Sampled
-
 // Report is one race warning.
 type Report = rr.Report
 
@@ -130,11 +122,13 @@ type Hints struct {
 	// shadowing. Degradation is counted in Stats.MemSqueezes and
 	// Stats.MemCoarse. Zero means unbounded; other detectors ignore it.
 	MemoryBudget int64
-	// SampleRate starts FastTrack's sampling tier at the given rate in
-	// (0, 1): only that fraction of the variable space receives full
-	// analysis (see Sampled). Zero (and anything ≥ 1) means full
-	// fidelity; other detectors ignore it. The rate can be changed later
-	// through Monitor.SetSamplingRate.
+	// SampleRate runs FastTrack's sampling tier at the given rate for
+	// the detector's whole life: only a deterministic fraction of the
+	// variable space receives full analysis, and accesses to the rest
+	// are counted but not checked (Stats.SampledOut), so the races found
+	// are a subset of a full run's. Zero and anything ≥ 1 analyze every
+	// variable. FastTrack is the only detector with a sampling tier;
+	// NewTool refuses a nonzero rate for any other.
 	SampleRate float64
 }
 
@@ -194,6 +188,9 @@ func NewTool(name string, h Hints) (Tool, error) {
 	mk, ok := toolMakers[name]
 	if !ok {
 		return nil, fmt.Errorf("fasttrack: unknown tool %q (have %v)", name, ToolNames())
+	}
+	if h.SampleRate != 0 && name != "FastTrack" {
+		return nil, fmt.Errorf("fasttrack: tool %q does not support sampled analysis", name)
 	}
 	return mk(h), nil
 }
