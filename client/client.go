@@ -62,7 +62,6 @@ type config struct {
 	backoff     time.Duration
 	hello       Handshake
 	dial        DialFunc
-	optErr      error
 }
 
 func defaultConfig() config {
@@ -135,24 +134,6 @@ func WithValidation(policy string) Option { return func(c *config) { c.hello.Pol
 // WithGranularity selects the server-side shadow granularity ("fine" or
 // "coarse").
 func WithGranularity(g string) Option { return func(c *config) { c.hello.Gran = g } }
-
-// WithFidelity selects the session's fidelity mode: "full" (default),
-// "sampled" (the server's default rate), or "sampled(p)" with p in
-// (0,1]. A malformed spec fails Dial. The rate holds for the whole
-// session, so a sampled session's races are a subset of a full
-// session's; the achieved detection probability is reported in
-// Results.
-func WithFidelity(spec string) Option {
-	return func(c *config) {
-		mode, rate, err := ParseFidelity(spec)
-		if err != nil {
-			c.optErr = err
-			return
-		}
-		c.hello.Fidelity = mode
-		c.hello.SampleRate = rate
-	}
-}
 
 // WithTracing asks the server to trace this session's frames through
 // the pipeline stages, and records matching client-side spans (queue
@@ -259,10 +240,6 @@ func Dial(addr string, opts ...Option) (*Session, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.optErr != nil {
-		return nil, cfg.optErr
-	}
-
 	conn, ok, err := sweepDial(&cfg, addr)
 	if err != nil {
 		return nil, err

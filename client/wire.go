@@ -33,10 +33,6 @@
 package client
 
 import (
-	"fmt"
-	"strconv"
-	"strings"
-
 	"fasttrack"
 	"fasttrack/trace"
 )
@@ -64,28 +60,19 @@ const (
 // configuration the daemon builds the session's Monitor with.
 //
 // All post-version fields are optional JSON, so a version-1 peer that
-// predates them interoperates: an old client never asks for sampling,
-// and an old server ignores the request and runs full. Unknown fields
-// are ignored the same way: the "shards" field older clients send is
-// dropped and the session runs on the one serial ingestion path. Two
-// legacy requests are refused (ErrCodeBadRequest). One is to resume a
-// dropped session: a fresh detector fed only the rest of a stream
-// misses the synchronization before the drop and reports false races.
-// The other is the "adaptive" fidelity, a rate the server would move
-// under load: a session's sampling rate is fixed at handshake.
+// predates them interoperates. Unknown fields are ignored: the "shards"
+// field older clients send is dropped and the session runs on the one
+// serial ingestion path, and the "fidelity" and "sampleRate" fields of
+// a sampled request are dropped and the session runs full FastTrack,
+// whose races are a superset of a sampled run's. One legacy request is
+// refused (ErrCodeBadRequest): to resume a dropped session, since a
+// fresh detector fed only the rest of a stream misses the
+// synchronization before the drop and reports false races.
 type Handshake struct {
 	Version int    `json:"version"`
 	Tool    string `json:"tool,omitempty"`        // detector name ("" = FastTrack)
 	Policy  string `json:"policy,omitempty"`      // validation: off|strict|repair|drop ("" = off)
 	Gran    string `json:"granularity,omitempty"` // fine|coarse ("" = fine)
-
-	// Fidelity selects the session's fidelity mode: "full" (default) or
-	// "sampled" (rate SampleRate, fixed for the whole session). See
-	// ParseFidelity for the accepted spellings.
-	Fidelity string `json:"fidelity,omitempty"`
-	// SampleRate is the sampling rate for "sampled"; 0 means the server
-	// default.
-	SampleRate float64 `json:"sampleRate,omitempty"`
 
 	// Tracing asks the server to time this session's frames through the
 	// pipeline stages and to accept the optional per-frame trace-ID
@@ -108,11 +95,6 @@ type Handshake struct {
 // HelloOK acknowledges a handshake.
 type HelloOK struct {
 	SessionID string `json:"sessionId"`
-	// Fidelity and SampleRate echo the session's granted fidelity, which
-	// holds for the whole session: "full" at rate 1, or "sampled" at the
-	// requested rate (the server default when none was given).
-	Fidelity   string  `json:"fidelity,omitempty"`
-	SampleRate float64 `json:"sampleRate,omitempty"`
 	// Tracing grants the handshake's tracing request: the server is
 	// timing this session's frames and will accept trace-ID-flagged
 	// frames. A server that predates tracing leaves it false, and the
@@ -180,12 +162,6 @@ type Results struct {
 	Races     []fasttrack.Report `json:"races"`
 	Stats     fasttrack.Stats    `json:"stats"`
 	Health    Health             `json:"health"`
-	// DetectionProbability is the fraction of offered accesses analyzed
-	// at full fidelity (1.0 unless the session ran sampled/degraded); a
-	// race on a sampled-out variable cannot appear in Races, so this
-	// bounds per-variable detection probability. Omitted when 0 (only
-	// possible on a session that never saw an access while fully shed).
-	DetectionProbability float64 `json:"detectionProbability,omitempty"`
 	// Detailed carries provenance-enriched race reports when the session
 	// was opened with Handshake.Provenance; it mirrors Races one-to-one.
 	// Absent on sessions without the flight recorder.
@@ -215,33 +191,3 @@ const (
 	ErrCodeUnknownTool = "unknown-tool"  // handshake named an unknown detector
 	ErrCodeBadRequest  = "bad-handshake" // handshake configuration invalid
 )
-
-// Fidelity modes of the Handshake.Fidelity field.
-const (
-	FidelityFull    = "full"
-	FidelitySampled = "sampled"
-)
-
-// ParseFidelity parses the human spellings of a fidelity mode, as
-// accepted by racedetect's -fidelity flag and racedetectd's handshake:
-// "" or "full"; "sampled" (server-default rate); and
-// "sampled(p)" with p in (0,1], e.g. "sampled(0.1)". It returns the
-// canonical mode name and the explicit rate (0 when none was given).
-func ParseFidelity(s string) (mode string, rate float64, err error) {
-	s = strings.TrimSpace(s)
-	switch strings.ToLower(s) {
-	case "", FidelityFull:
-		return FidelityFull, 0, nil
-	case FidelitySampled:
-		return FidelitySampled, 0, nil
-	}
-	low := strings.ToLower(s)
-	if strings.HasPrefix(low, "sampled(") && strings.HasSuffix(low, ")") {
-		p, perr := strconv.ParseFloat(low[len("sampled("):len(low)-1], 64)
-		if perr != nil || p <= 0 || p > 1 {
-			return "", 0, fmt.Errorf("client: bad sampling rate in %q (want sampled(p) with 0 < p <= 1)", s)
-		}
-		return FidelitySampled, p, nil
-	}
-	return "", 0, fmt.Errorf("client: unknown fidelity %q (want full, sampled, or sampled(p))", s)
-}

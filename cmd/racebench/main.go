@@ -13,13 +13,12 @@
 // Section 5.3 Eclipse-shaped experiment. "ops": per-detector analysis
 // cost (ns/event) and constant-time path shares. "batch":
 // Monitor.IngestBatch throughput across batch sizes vs per-event
-// Ingest. "fidelity": the sampling tier's cost/coverage curve.
-// "provenance": FastTrack throughput with the provenance flight
+// Ingest. "provenance": FastTrack throughput with the provenance flight
 // recorder off vs on across workload mixes. "speed": serial per-event
 // throughput of FastTrack against in-run DJIT+ on memory-bound streams
 // (DESIGN.md §13).
 //
-// For those five tables, -out FILE writes the JSON artifact in the
+// For those four tables, -out FILE writes the JSON artifact in the
 // fasttrack/bench/v2 envelope (BENCH_<table>.json in CI), then runs
 // the table's gates: racebench exits 1 when one fails, so the exit
 // status of `racebench -table X -out F` is the CI gate.
@@ -34,10 +33,10 @@ import (
 )
 
 func main() {
-	table := flag.String("table", "all", "which table to regenerate: all, 1, 2, 3, rules, compose, eclipse, scaling, accordion, ops, batch, fidelity, provenance, speed")
+	table := flag.String("table", "all", "which table to regenerate: all, 1, 2, 3, rules, compose, eclipse, scaling, accordion, ops, batch, provenance, speed")
 	scale := flag.Float64("scale", 1, "workload scale factor")
 	runs := flag.Int("runs", 3, "timed repetitions per cell (fastest kept)")
-	out := flag.String("out", "", "for -table ops/batch/fidelity/provenance/speed: also write the JSON artifact to this file and fail if its gates do")
+	out := flag.String("out", "", "for -table ops/batch/provenance/speed: also write the JSON artifact to this file and fail if its gates do")
 	flag.Parse()
 
 	cfg := bench.DefaultConfig()
@@ -89,11 +88,6 @@ func main() {
 			rep := bench.Batch(cfg, nil, 0)
 			bench.FprintBatch(os.Stdout, rep)
 			return rep
-		case "fidelity":
-			fmt.Println("=== Extension: sampling-tier cost/coverage curve ===")
-			rep := bench.Fidelity(cfg, nil, 0, 0)
-			bench.FprintFidelity(os.Stdout, rep)
-			return rep
 		case "provenance":
 			fmt.Println("=== Extension: provenance flight-recorder overhead ===")
 			rep := bench.Provenance(cfg, 0)
@@ -116,7 +110,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "racebench: -out needs a single artifact table")
 			os.Exit(2)
 		}
-		for _, name := range []string{"1", "2", "3", "rules", "compose", "eclipse", "scaling", "accordion", "ops", "batch", "fidelity", "provenance", "speed"} {
+		for _, name := range []string{"1", "2", "3", "rules", "compose", "eclipse", "scaling", "accordion", "ops", "batch", "provenance", "speed"} {
 			run(name)
 		}
 		return

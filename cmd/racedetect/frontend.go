@@ -48,7 +48,7 @@ func runFrontend(mode string, args []string) int {
 		fs.PrintDefaults()
 	}
 	serverAddr := fs.String("server", "", "analyze on a racedetectd daemon at this address instead of locally")
-	jsonOut := fs.Bool("json", false, "write a machine-readable run report to stdout")
+	jsonOut := fs.Bool("json", false, "write a machine-readable run report to stdout (the target's output goes to stderr)")
 	jsonFile := fs.String("json.file", "", "write the run report to this file instead of stdout")
 	stats := fs.Bool("stats", false, "print instrumentation statistics with the analysis")
 	traceOut := fs.String("o", "", "also save the event stream as a binary trace at this path")
@@ -133,7 +133,9 @@ func runFrontend(mode string, args []string) int {
 	// shim opens it by name. Once the target holds it, this process
 	// drops its own copy, so the stream ends when the target exits.
 	target.Env = append(targetEnv, "FASTTRACK_TRACE=/dev/fd/3")
-	target.Stdin, target.Stdout, target.Stderr = os.Stdin, os.Stdout, os.Stderr
+	// When the JSON report takes stdout, the target's output joins the
+	// human-readable report on stderr, so stdout stays one document.
+	target.Stdin, target.Stdout, target.Stderr = os.Stdin, humanOutput(*jsonOut, *jsonFile), os.Stderr
 	target.ExtraFiles = []*os.File{pw}
 	err = target.Start()
 	pw.Close()

@@ -255,6 +255,40 @@ func main() {
 	}
 }
 
+// TestFrontendJSONKeepsStdoutPure: with -json the run report takes
+// stdout, so the target's own output goes to stderr with the
+// human-readable report, and stdout decodes as one JSON document.
+func TestFrontendJSONKeepsStdoutPure(t *testing.T) {
+	bin, _, module := buildRacedetect(t)
+	cmd := exec.Command(bin, "run", "-module", module, "-json", filepath.Join(module, "examples", "chanrace"))
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+		t.Fatalf("racedetect run -json: %v, want exit 1 (one race)\n%s", err, stderr.String())
+	}
+	dec := json.NewDecoder(bytes.NewReader(out))
+	var rep struct {
+		Tools []struct {
+			Races []json.RawMessage `json:"races"`
+		} `json:"tools"`
+	}
+	if err := dec.Decode(&rep); err != nil {
+		t.Fatalf("stdout is not a JSON report: %v\n%s", err, out)
+	}
+	if dec.More() {
+		t.Errorf("stdout holds more than the report:\n%s", out)
+	}
+	if len(rep.Tools) != 1 || len(rep.Tools[0].Races) != 1 {
+		t.Errorf("report %s: want one tool with one race", out)
+	}
+	for _, line := range []string{"slack = ", "handoff = 42"} {
+		if !strings.Contains(stderr.String(), line) {
+			t.Errorf("stderr lacks the target's %q line:\n%s", line, stderr.String())
+		}
+	}
+}
+
 // TestFrontendTestForwardsArgs: in test mode the arguments after -- go
 // to go test, so -run selects the passing test alone.
 func TestFrontendTestForwardsArgs(t *testing.T) {

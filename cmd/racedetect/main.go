@@ -8,8 +8,7 @@
 //
 //	racedetect [-tool FastTrack] [-all] [-granularity fine|coarse]
 //	           [-stats] [-policy off|strict|repair|drop]
-//	           [-membudget bytes] [-json]
-//	           [-fidelity full|sampled(p)] [-provenance]
+//	           [-membudget bytes] [-json] [-provenance]
 //	           [-json.file out.json] [-metrics.addr :6060]
 //	           [-server addr [-trace]] trace-file
 //
@@ -29,14 +28,6 @@
 // explanation — in the text output, the -json report, and (with
 // -server) the daemon's results. Costs roughly one clock copy per
 // analyzed access; see BENCH_provenance.json.
-//
-// -fidelity trades detection probability for analysis cost: sampled(p)
-// analyzes the fraction p of the variable space (accesses to the rest
-// are counted but not checked — a real race can be missed with
-// probability about 1-p, and the report says what fraction was
-// analyzed). The rate is fixed when the Monitor is built and holds for
-// the whole run, locally and with -server alike, so a sampled run
-// reports a subset of a full run's races.
 //
 // Under -policy off the trace must be feasible: the first event that
 // breaks the locking or fork/join discipline stops the run with exit 2.
@@ -89,7 +80,6 @@ func main() {
 	jsonFile := flag.String("json.file", "", "write the run report to this file instead of stdout")
 	metricsAddr := flag.String("metrics.addr", "", "serve live metrics and pprof on this address (e.g. :6060; local analysis only)")
 	serverAddr := flag.String("server", "", "stream the trace to a racedetectd daemon at this address instead of analyzing locally")
-	fidelity := flag.String("fidelity", "", "analysis fidelity: full or sampled(p)")
 	provenance := flag.Bool("provenance", false, "record race provenance: each warning carries clock evidence, the failed happens-before check, the recent sync chain, and a rendered explanation (FastTrack only)")
 	traceWire := flag.Bool("trace", false, "request pipeline tracing from the daemon: frames carry trace IDs and per-stage spans land in its /debug/trace (requires -server and a daemon started with -trace)")
 	list := flag.Bool("list", false, "list available detectors and exit")
@@ -132,7 +122,6 @@ func main() {
 			Tool:       *toolName,
 			Policy:     *policyName,
 			Gran:       *gran,
-			Fidelity:   *fidelity,
 			Provenance: *provenance,
 			Tracing:    *traceWire,
 			// The JSON report names both accesses of each race, which
@@ -246,12 +235,12 @@ func runStream(in io.Reader, r request) int {
 		names = []string{"Eraser", "MultiRace", "Goldilocks", "BasicVC", "DJIT+", "FastTrack"}
 	}
 	mons := make([]*fasttrack.Monitor, len(names))
-	grants := make([]client.Grant, len(names))
+	tools := make([]string, len(names))
 	for i, name := range names {
 		h := r.hello
 		h.Tool = name
 		var err error
-		if mons[i], grants[i], err = client.NewMonitor(h, r.memBudget); err != nil {
+		if mons[i], tools[i], err = client.NewMonitor(h, r.memBudget); err != nil {
 			return reportErr(err)
 		}
 	}
@@ -279,7 +268,7 @@ func runStream(in io.Reader, r request) int {
 
 	as := make([]analysis, len(mons))
 	for i, m := range mons {
-		as[i] = analysis{Results: client.ResultsOf(m, grants[i].Tool, r.hello.Provenance), metrics: m.Metrics()}
+		as[i] = analysis{Results: client.ResultsOf(m, tools[i], r.hello.Provenance), metrics: m.Metrics()}
 		as[i].Events = fed
 		h := m.Health()
 		for _, v := range h.ViolationLog {

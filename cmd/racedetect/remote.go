@@ -20,7 +20,6 @@ func runRemote(in io.Reader, r request) int {
 		client.WithTool(h.Tool),
 		client.WithGranularity(h.Gran),
 		client.WithValidation(h.Policy),
-		client.WithFidelity(h.Fidelity),
 	}
 	if h.Detailed {
 		opts = append(opts, client.WithDetailedReports())

@@ -225,15 +225,8 @@ func printReport(w io.Writer, res client.Results, stats bool) {
 	for _, r := range res.Races {
 		fmt.Fprintf(w, "  %s\n", r)
 	}
-	// A sampled run's verdict is qualified: accesses outside the sampled
-	// variable set were never checked, so "0 warnings" means "0 in the
-	// analyzed fraction".
-	st := res.Stats
-	if st.SampledOut > 0 {
-		fmt.Fprintf(w, "  sampled analysis: detection probability %.3f (%d of %d accesses analyzed)\n",
-			st.DetectionProbability(), st.Reads+st.Writes-st.SampledOut, st.Reads+st.Writes)
-	}
 	if stats {
+		st := res.Stats
 		fmt.Fprintf(w, "  events=%d reads=%d writes=%d syncs=%d vcAlloc=%d vcOps=%d shadowBytes=%d\n",
 			st.Events, st.Reads, st.Writes, st.Syncs, st.VCAlloc, st.VCOp, st.ShadowBytes)
 		if st.MemSqueezes > 0 || st.MemCoarse > 0 {

@@ -181,7 +181,7 @@ func TestMembudgetSqueezes(t *testing.T) {
 // TestLocalMatchesServer: a local run and a -server run of the same
 // trace build their Monitors from one handshake with client.NewMonitor
 // and print through one renderer, so their stdout and JSON race lists
-// are byte-identical, sampled and -stats runs included. Under -policy
+// are byte-identical, -stats runs included. Under -policy
 // repair both print the pipeline summary; the violation log lines below
 // it are local only, since the wire carries no log.
 func TestLocalMatchesServer(t *testing.T) {
@@ -199,7 +199,6 @@ func TestLocalMatchesServer(t *testing.T) {
 		want  string // a line stdout must hold
 	}{
 		{"default", nil, tsp, "FastTrack: "},
-		{"sampled", []string{"-fidelity", "sampled(0.5)"}, tsp, "accesses analyzed)"},
 		{"stats", []string{"-stats"}, tsp, "operation mix (FastTrack)"},
 		{"coarse", []string{"-granularity", "coarse"}, tsp, "FastTrack: "},
 		{"provenance", []string{"-provenance"}, tsp, "failed happens-before check"},

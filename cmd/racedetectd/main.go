@@ -19,10 +19,10 @@
 // lifecycle events (session open/end, evictions, quarantines, admission
 // refusals) on stderr, independent of -v.
 //
-// Each session runs at the fidelity its handshake asked for, full or
-// sampled(p), for its whole life. Every 250ms a watchdog quarantines
-// any session whose worker has made no progress for -stuck-timeout.
-// Admission refusals at the session cap carry a 1s redial hint.
+// Each session runs full FastTrack (or the detector its handshake
+// names) on every event. Every 250ms a watchdog quarantines any session
+// whose worker has made no progress for -stuck-timeout. Admission
+// refusals at the session cap carry a 1s redial hint.
 //
 // The HTTP listener (enabled by -http) serves:
 //

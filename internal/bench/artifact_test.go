@@ -42,17 +42,6 @@ func batchRep(mut func(*BatchReport)) Report {
 	return r
 }
 
-func fidelityRep(mut func(*FidelityReport)) Report {
-	r := FidelityReport{Header: hdr("fidelity"), Threads: 256, Vars: 8192, Events: 1000}
-	for _, rate := range []float64{1, 0.5, 0.25, 0.1, 0.01, 0} {
-		r.Rows = append(r.Rows, FidelityRow{Rate: rate, ElapsedNs: 100, EventsPerSec: 1e7, Speedup: 5.0, DetectionProbability: rate + 0.049})
-	}
-	if mut != nil {
-		mut(&r)
-	}
-	return r
-}
-
 func provenanceRep(mut func(*ProvenanceReport)) Report {
 	r := ProvenanceReport{Header: hdr("provenance")}
 	for _, w := range []string{"epoch-heavy", "sync-heavy", "shared-heavy"} {
@@ -102,14 +91,6 @@ func TestChecks(t *testing.T) {
 		{"batch/zero rate", batchRep(func(r *BatchReport) { r.Rows[2].EventsPerSec = 0 }), "batch 8: non-positive timing"},
 		{"batch/batch-64 at 0.99x", batchRep(func(r *BatchReport) { r.Rows[3].Speedup = 0.99 }), "batch 64 speedup 0.99x"},
 
-		{"fidelity/valid", fidelityRep(nil), ""},
-		{"fidelity/no events", fidelityRep(func(r *FidelityReport) { r.Events = 0 }), "no events"},
-		{"fidelity/missing rate", fidelityRep(func(r *FidelityReport) { r.Rows = append(r.Rows[:4], r.Rows[5]) }), "no rate-0.01 row"},
-		{"fidelity/zero elapsed", fidelityRep(func(r *FidelityReport) { r.Rows[0].ElapsedNs = 0 }), "rate 1: non-positive timing"},
-		{"fidelity/zero rate", fidelityRep(func(r *FidelityReport) { r.Rows[1].EventsPerSec = 0 }), "rate 0.5: non-positive timing"},
-		{"fidelity/detection off by 0.06", fidelityRep(func(r *FidelityReport) { r.Rows[2].DetectionProbability = 0.31 }), "rate 0.25: detection probability 0.310"},
-		{"fidelity/sampled 0.1 at 4.99x", fidelityRep(func(r *FidelityReport) { r.Rows[3].Speedup = 4.99 }), "sampled(0.1) speedup 4.99x"},
-
 		{"provenance/valid", provenanceRep(nil), ""},
 		{"provenance/missing mix", provenanceRep(func(r *ProvenanceReport) { r.Rows = r.Rows[:2] }), "no shared-heavy row"},
 		{"provenance/no events", provenanceRep(func(r *ProvenanceReport) { r.Rows[0].Events = 0 }), "epoch-heavy: non-positive"},
@@ -134,7 +115,6 @@ func TestChecks(t *testing.T) {
 	}{
 		{"ops", func(m func(*Header)) Report { return opsRep(func(r *OpsReport) { m(&r.Header) }) }},
 		{"batch", func(m func(*Header)) Report { return batchRep(func(r *BatchReport) { m(&r.Header) }) }},
-		{"fidelity", func(m func(*Header)) Report { return fidelityRep(func(r *FidelityReport) { m(&r.Header) }) }},
 		{"provenance", func(m func(*Header)) Report { return provenanceRep(func(r *ProvenanceReport) { m(&r.Header) }) }},
 		{"speed", func(m func(*Header)) Report { return speedRep(func(r *SpeedReport) { m(&r.Header) }) }},
 	} {
@@ -183,8 +163,6 @@ func TestCommittedArtifacts(t *testing.T) {
 			rep = &OpsReport{}
 		case "batch":
 			rep = &BatchReport{}
-		case "fidelity":
-			rep = &FidelityReport{}
 		case "provenance":
 			rep = &ProvenanceReport{}
 		case "speed":
@@ -207,7 +185,7 @@ func TestCommittedArtifacts(t *testing.T) {
 		}
 		seen[h.Table] = true
 	}
-	for _, table := range []string{"batch", "fidelity", "provenance", "speed"} {
+	for _, table := range []string{"batch", "provenance", "speed"} {
 		if !seen[table] {
 			t.Errorf("no committed BENCH_%s.json in the %s envelope", table, Schema)
 		}

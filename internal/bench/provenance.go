@@ -62,7 +62,7 @@ func provenanceWorkloads(events int) []struct {
 	// shared-heavy: rotating readers force read-shared vector clocks and
 	// barrier-ordered rewrites collapse them again, so most accesses are
 	// non-redundant and the recorder snapshots a clock for each.
-	shared := fidelityWorkload(8, 2048, events)
+	shared := sharedWorkload(8, 2048, events)
 
 	return []struct {
 		name string
@@ -159,4 +159,39 @@ func FprintProvenance(w io.Writer, rep ProvenanceReport) {
 	fmt.Fprintln(w, "\n(the recorder pays a sync-ring push per synchronization operation and")
 	fmt.Fprintln(w, " one clock snapshot per non-redundant access; same-epoch hits skip it,")
 	fmt.Fprintln(w, " so the epoch-heavy row is the relative worst case on the cheapest path)")
+}
+
+// sharedWorkload builds a race-free, vector-clock-heavy stream. Every
+// phase, each variable is read by two rotating threads — driving it
+// through the read-exclusive → read-shared transition, which allocates
+// and populates an O(threads) read vector clock — then a barrier orders
+// the phase and one thread rewrites the region (the O(threads)
+// write-shared comparison), collapsing every variable back to an
+// exclusive epoch so the next phase pays the transitions again. Two
+// reads and one write per variable per phase keeps the O(threads) work
+// per access maximal; the region is large so the barriers are amortized
+// to noise. This is FastTrack's most expensive steady state, while the
+// phase ordering keeps it race-free so the timed runs do not degenerate
+// into flagged-variable short-circuits.
+func sharedWorkload(threads, vars, events int) []trace.Event {
+	out := make([]trace.Event, 0, events+4*vars)
+	tids := make([]int32, threads)
+	for i := range tids {
+		tids[i] = int32(i + 1)
+		out = append(out, trace.ForkOf(0, tids[i]))
+	}
+	const barrierID = 1 << 40 // clear of the variable region
+	for phase := 0; len(out) < events; phase++ {
+		for v := 0; v < vars; v++ {
+			out = append(out,
+				trace.Rd(tids[(phase+v)%threads], uint64(v)),
+				trace.Rd(tids[(phase+v+1)%threads], uint64(v)))
+		}
+		out = append(out, trace.Barrier(barrierID, tids...))
+		for v := 0; v < vars; v++ {
+			out = append(out, trace.Wr(tids[phase%threads], uint64(v)))
+		}
+		out = append(out, trace.Barrier(barrierID, tids...))
+	}
+	return out
 }

@@ -109,25 +109,24 @@ func TestQuarantineContinuesDetection(t *testing.T) {
 	}
 }
 
-// TestToolDowngrade verifies that after MaxToolPanics panics on distinct
-// locations the whole tool is downgraded to a no-op and the pipeline
-// keeps running.
+// TestToolDowngrade verifies that after DefaultMaxToolPanics panics on
+// distinct locations the whole tool is downgraded to a no-op and the
+// pipeline keeps running.
 func TestToolDowngrade(t *testing.T) {
 	tool := &chaos.FaultyTool{
 		Inner:   core.New(0, 0),
 		PanicIf: func(i int, e trace.Event) bool { return e.Kind.IsAccess() },
 	}
 	d := rr.NewDispatcher(tool)
-	d.MaxToolPanics = 3
-	for x := uint64(0); x < 10; x++ {
+	for x := uint64(0); x < rr.DefaultMaxToolPanics+2; x++ {
 		d.Event(trace.Wr(0, x*rr.FieldsPerObject)) // distinct shadow locations
 	}
 	h := d.Health()
 	if !h.ToolDisabled {
 		t.Fatalf("tool not disabled after %d panics", h.Panics)
 	}
-	if h.Panics != 3 {
-		t.Fatalf("Panics = %d, want 3 (downgrade should stop further deliveries)", h.Panics)
+	if h.Panics != rr.DefaultMaxToolPanics {
+		t.Fatalf("Panics = %d, want %d (downgrade should stop further deliveries)", h.Panics, rr.DefaultMaxToolPanics)
 	}
 	if h.Healthy {
 		t.Fatal("Health reports healthy with a disabled tool")

@@ -253,12 +253,6 @@ type Detector struct {
 	// re-checked here (see the rule-frequency tests).
 	extendedSameEpoch bool
 
-	// sampleThr is the sampling-tier threshold (see sampling.go): an
-	// access to x is analyzed iff sampleHash(x) < sampleThr. The default
-	// sampleFull (1<<32) is unreachable by the 32-bit hash, so full
-	// fidelity pays one compare and never hashes.
-	sampleThr uint64
-
 	// prov is the provenance flight recorder (see provenance.go); nil —
 	// the default — means race reports stay plain and the access paths
 	// pay only this nil check.
@@ -276,9 +270,7 @@ var (
 // New returns a detector expecting roughly the given numbers of threads
 // and variables (hints only; both grow on demand).
 func New(threadHint, varHint int) *Detector {
-	d := &Detector{
-		sampleThr: sampleFull,
-	}
+	d := &Detector{}
 	if threadHint > 0 {
 		d.threads = make([]threadState, 0, threadHint)
 	}
@@ -512,10 +504,6 @@ func (d *Detector) HandleFilter(i int, e trace.Event) bool {
 // load against the thread's cached epoch — with the remaining rules
 // open-coded after it, so the non-fast-path reads pay no extra call.
 func (d *Detector) read(i int, tid int32, x uint64, countEvent bool) {
-	if d.sampleThr != sampleFull && sampleHash(x) >= d.sampleThr {
-		d.skipAccess(true, countEvent)
-		return
-	}
 	d.st.Reads++
 	if countEvent {
 		d.st.Events++
@@ -584,10 +572,6 @@ func (d *Detector) read(i int, tid int32, x uint64, countEvent bool) {
 // write implements the three write rules of Figure 2 / the write handler
 // of Figure 5. See read for the fast-path shape.
 func (d *Detector) write(i int, tid int32, x uint64, countEvent bool) {
-	if d.sampleThr != sampleFull && sampleHash(x) >= d.sampleThr {
-		d.skipAccess(false, countEvent)
-		return
-	}
 	d.st.Writes++
 	if countEvent {
 		d.st.Events++

@@ -24,8 +24,7 @@ const slotUsed = 1 << 0
 
 // mix64 is the 64-bit murmur finalizer, the probe hash of lockTab.
 // Raw lock ids are often sequential, which linear probing punishes; the
-// finalizer's avalanche spreads them across the table. sampleHash
-// (sampling.go) uses the top half of the same mixer.
+// finalizer's avalanche spreads them across the table.
 func mix64(x uint64) uint64 {
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd

@@ -44,7 +44,7 @@ const FieldsPerObject = 8
 // and every call into the tool is wrapped in a panic quarantine — a
 // panicking HandleEvent never escapes to the caller; instead the
 // offending shadow location is quarantined (skipped from then on) and,
-// after MaxToolPanics panics, the whole tool is downgraded to a no-op
+// after DefaultMaxToolPanics panics, the whole tool is downgraded to a no-op
 // that still serves the warnings and stats gathered so far. All
 // degradation is visible in Health and the resilience fields of Stats.
 type Dispatcher struct {
@@ -58,9 +58,6 @@ type Dispatcher struct {
 	// (DefaultMaxTid/DefaultMaxTarget when zero).
 	MaxTid    int32
 	MaxTarget uint64
-	// MaxToolPanics is the number of recovered tool panics after which
-	// the tool is downgraded to a no-op; DefaultMaxToolPanics when zero.
-	MaxToolPanics int
 
 	// FilteredReentrant counts redundant acquire/release events dropped.
 	FilteredReentrant int64
@@ -100,8 +97,8 @@ type Dispatcher struct {
 	disabled        bool
 }
 
-// DefaultMaxToolPanics is the default panic budget before a tool is
-// downgraded to a no-op.
+// DefaultMaxToolPanics is the panic budget: after this many recovered
+// tool panics, the tool is downgraded to a no-op.
 const DefaultMaxToolPanics = 8
 
 // maxPanicLog bounds the retained panic records.
@@ -402,11 +399,7 @@ func (d *Dispatcher) recoverPanic(i int, e trace.Event, r any) {
 		d.om.panics.Inc()
 		d.om.quarantine.Set(int64(len(d.quarantined)))
 	}
-	max := d.MaxToolPanics
-	if max <= 0 {
-		max = DefaultMaxToolPanics
-	}
-	if !d.disabled && d.panics >= int64(max) {
+	if !d.disabled && d.panics >= DefaultMaxToolPanics {
 		d.Tool = &disabledTool{inner: d.Tool}
 		d.disabled = true
 	}

@@ -280,13 +280,12 @@ func (alwaysPanicTool) Stats() Stats                 { panic("stats") }
 
 func TestToolDowngradeGuardsQueries(t *testing.T) {
 	d := NewDispatcher(alwaysPanicTool{})
-	d.MaxToolPanics = 2
-	for x := uint64(0); x < 5; x++ {
+	for x := uint64(0); x < DefaultMaxToolPanics+3; x++ {
 		d.Event(trace.Wr(0, x*FieldsPerObject))
 	}
 	h := d.Health()
-	if !h.ToolDisabled || h.Panics != 2 {
-		t.Fatalf("Health = %+v, want downgrade after 2 panics", h)
+	if !h.ToolDisabled || h.Panics != DefaultMaxToolPanics {
+		t.Fatalf("Health = %+v, want downgrade after %d panics", h, DefaultMaxToolPanics)
 	}
 	// The downgraded wrapper must absorb the inner tool's panicking
 	// accessors.

@@ -160,11 +160,6 @@ type Stats struct {
 	MemSqueezes int64 `json:"memSqueezes,omitempty"` // read vector clocks forcibly squeezed to epochs
 	MemCoarse   int64 `json:"memCoarse,omitempty"`   // accesses remapped to coarse shadowing by the budget
 
-	// SampledOut counts accesses skipped by the sampling tier (see
-	// Sampled): they are included in Reads/Writes/Events but received no
-	// shadow-state maintenance. DetectionProbability derives from it.
-	SampledOut int64 `json:"sampledOut,omitempty"`
-
 	// ClockSaturations counts increments of a thread clock that had
 	// already reached the epoch format's MaxClock (2^40-1). A saturated
 	// thread's epoch stops advancing, so later accesses by it may be
@@ -174,23 +169,6 @@ type Stats struct {
 	// recycle the session (the downgrade/Reset machinery) when this
 	// starts moving.
 	ClockSaturations int64 `json:"clockSaturations,omitempty"`
-}
-
-// DetectionProbability is the fraction of offered accesses that were
-// fully analyzed: 1.0 at full fidelity, (Reads+Writes-SampledOut) /
-// (Reads+Writes) under sampling. It bounds the per-variable race
-// detection probability of the run — a race on a sampled-out variable
-// cannot be reported — and is surfaced alongside race reports wherever
-// stats are (run reports, wire results, /sessions).
-func (s Stats) DetectionProbability() float64 {
-	accesses := s.Reads + s.Writes
-	if accesses == 0 || s.SampledOut <= 0 {
-		return 1
-	}
-	if s.SampledOut >= accesses {
-		return 0
-	}
-	return float64(accesses-s.SampledOut) / float64(accesses)
 }
 
 // CountKind records one synchronization or transaction-marker event in
@@ -275,7 +253,6 @@ func (s *Stats) Merge(o Stats) {
 	s.UnheldReleases += o.UnheldReleases
 	s.MemSqueezes += o.MemSqueezes
 	s.MemCoarse += o.MemCoarse
-	s.SampledOut += o.SampledOut
 	s.ClockSaturations += o.ClockSaturations
 }
 

@@ -94,7 +94,7 @@ type Config struct {
 	RetryAfterHint time.Duration
 	// NewMonitor overrides session monitor construction, used by tests to
 	// install instrumented detectors. The default is client.NewMonitor.
-	NewMonitor func(client.Handshake) (*fasttrack.Monitor, client.Grant, error)
+	NewMonitor func(client.Handshake) (*fasttrack.Monitor, string, error)
 	// Logf receives operational log lines (nil = silent).
 	Logf func(format string, args ...any)
 	// EventLog, when non-nil, receives structured lifecycle events
@@ -115,11 +115,10 @@ type Config struct {
 // the stable event name: "open", "end", "eviction", "quarantine",
 // "refused".
 type Event struct {
-	Kind     string `json:"event"`
-	Session  string `json:"session,omitempty"`
-	Remote   string `json:"remote,omitempty"`
-	Fidelity string `json:"fidelity,omitempty"` // the session's fidelity
-	Reason   string `json:"reason,omitempty"`
+	Kind    string `json:"event"`
+	Session string `json:"session,omitempty"`
+	Remote  string `json:"remote,omitempty"`
+	Reason  string `json:"reason,omitempty"`
 }
 
 // event emits a structured lifecycle event when a sink is configured.
@@ -147,7 +146,7 @@ func (c *Config) withDefaults() Config {
 		d.RetryAfterHint = time.Second
 	}
 	if d.NewMonitor == nil {
-		d.NewMonitor = func(h client.Handshake) (*fasttrack.Monitor, client.Grant, error) {
+		d.NewMonitor = func(h client.Handshake) (*fasttrack.Monitor, string, error) {
 			return client.NewMonitor(h, 0)
 		}
 	}
@@ -396,7 +395,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		s.mu.Unlock()
 	}
 
-	mon, grant, err := s.cfg.NewMonitor(h)
+	mon, tool, err := s.cfg.NewMonitor(h)
 	if err != nil {
 		release()
 		code := client.ErrCodeBadRequest
@@ -409,15 +408,15 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 
 	id := fmt.Sprintf("s%06d", s.nextID.Add(1))
-	sess := newSession(s, id, conn, fw, mon, h, grant)
+	sess := newSession(s, id, conn, fw, mon, h, tool)
 	s.mu.Lock()
 	s.sessions[id] = sess
 	s.mu.Unlock()
 	s.sm.sessionsActive.Add(1)
 	s.sm.sessionsTotal.Inc()
-	s.cfg.Logf("svc: session %s open (tool=%s policy=%q fidelity=%s) from %s",
-		id, grant.Tool, h.Policy, grant.Spec(), conn.RemoteAddr())
-	s.event(Event{Kind: "open", Session: id, Remote: sess.remote, Fidelity: grant.Spec()})
+	s.cfg.Logf("svc: session %s open (tool=%s policy=%q) from %s",
+		id, tool, h.Policy, conn.RemoteAddr())
+	s.event(Event{Kind: "open", Session: id, Remote: sess.remote})
 
 	s.wg.Add(1)
 	go func() {
@@ -425,10 +424,8 @@ func (s *Server) handleConn(conn net.Conn) {
 		sess.workerLoop()
 	}()
 	ok := client.HelloOK{
-		SessionID:  id,
-		Fidelity:   grant.Fidelity,
-		SampleRate: grant.SampleRate,
-		Tracing:    sess.traced,
+		SessionID: id,
+		Tracing:   sess.traced,
 	}
 	if err := sess.reply(client.FrameHelloOK, ok); err != nil {
 		// The client never saw a session; don't read from it.
@@ -518,8 +515,7 @@ func (s *Server) finalized(sess *session) {
 	if e, _ := sess.errMsg.Load().(string); e != "" {
 		reason = e
 	}
-	s.event(Event{Kind: kind, Session: sess.id, Remote: sess.remote,
-		Fidelity: sess.grant.Spec(), Reason: reason})
+	s.event(Event{Kind: kind, Session: sess.id, Remote: sess.remote, Reason: reason})
 }
 
 // lookup returns the session with the given id, live or retained.
@@ -540,13 +536,7 @@ type SessionInfo struct {
 	Races      int    `json:"races"`
 	QueueDepth int    `json:"queueDepth"`
 	StartedAt  string `json:"startedAt"`
-	// Fidelity is the session's fidelity ("full" or "sampled(0.25)"),
-	// SampleRate its sampling rate, and DetectionProbability the
-	// fraction of offered accesses actually analyzed so far.
-	Fidelity             string  `json:"fidelity,omitempty"`
-	SampleRate           float64 `json:"sampleRate,omitempty"`
-	DetectionProbability float64 `json:"detectionProbability,omitempty"`
-	Err                  string  `json:"err,omitempty"`
+	Err        string `json:"err,omitempty"`
 }
 
 // Handler returns the server's HTTP surface: the live metrics registry

@@ -66,7 +66,7 @@ type session struct {
 	srv    *Server
 	conn   net.Conn
 	mon    *fasttrack.Monitor
-	grant  client.Grant // the detector and fidelity, fixed at handshake
+	tool   string // the detector's canonical name
 	hello  client.Handshake
 	remote string // client address, kept for logs after conn closes
 	traced bool   // server tracing on AND the handshake asked for it
@@ -104,7 +104,7 @@ type session struct {
 }
 
 func newSession(srv *Server, id string, conn net.Conn, fw *trace.FrameWriter,
-	mon *fasttrack.Monitor, h client.Handshake, g client.Grant) *session {
+	mon *fasttrack.Monitor, h client.Handshake, tool string) *session {
 	sess := &session{
 		id:      id,
 		srv:     srv,
@@ -113,7 +113,7 @@ func newSession(srv *Server, id string, conn net.Conn, fw *trace.FrameWriter,
 		traced:  srv.cfg.Tracing && h.Tracing,
 		fw:      fw,
 		mon:     mon,
-		grant:   g,
+		tool:    tool,
 		hello:   h,
 		queue:   make(chan qitem, srv.cfg.QueueDepth),
 		started: time.Now(),
@@ -416,9 +416,9 @@ func (sess *session) results(seq int64) client.Results {
 	var res client.Results
 	if sess.state.Load() == stateQuarantined {
 		msg, _ := sess.errMsg.Load().(string)
-		res = client.Results{Tool: sess.grant.Tool, Health: client.Health{Err: "quarantined: " + msg}}
+		res = client.Results{Tool: sess.tool, Health: client.Health{Err: "quarantined: " + msg}}
 	} else {
-		res = client.ResultsOf(sess.mon, sess.grant.Tool, sess.hello.Provenance)
+		res = client.ResultsOf(sess.mon, sess.tool, sess.hello.Provenance)
 	}
 	res.Seq, res.SessionID, res.Events = seq, sess.id, sess.events.Load()
 	return res
@@ -571,20 +571,13 @@ func (sess *session) info() SessionInfo {
 	inf := SessionInfo{
 		ID:         sess.id,
 		State:      sess.stateName(),
-		Tool:       sess.grant.Tool,
+		Tool:       sess.tool,
 		Events:     sess.events.Load(),
 		Frames:     sess.frames.Load(),
 		Bytes:      sess.bytes.Load(),
 		Races:      sess.raceCount(statsBudget),
 		QueueDepth: len(sess.queue),
 		StartedAt:  sess.started.UTC().Format(time.RFC3339Nano),
-		Fidelity:   sess.grant.Spec(),
-		SampleRate: sess.grant.SampleRate,
-	}
-	// Same watchdog race as the stats endpoint: bound the monitor read
-	// so a listing never hangs on a session quarantined mid-call.
-	if st, _, ok := sess.tryStats(statsBudget); ok {
-		inf.DetectionProbability = st.DetectionProbability()
 	}
 	if e, _ := sess.errMsg.Load().(string); e != "" {
 		inf.Err = e

@@ -297,14 +297,14 @@ func gatedServer(t *testing.T, cfg Config) (*Server, string, chan struct{}) {
 
 // gatedMonitor is a Config.NewMonitor hook whose FastTrack tools block
 // on gate.
-func gatedMonitor(gate chan struct{}) func(client.Handshake) (*fasttrack.Monitor, client.Grant, error) {
-	return func(client.Handshake) (*fasttrack.Monitor, client.Grant, error) {
+func gatedMonitor(gate chan struct{}) func(client.Handshake) (*fasttrack.Monitor, string, error) {
+	return func(client.Handshake) (*fasttrack.Monitor, string, error) {
 		inner, err := fasttrack.NewTool("FastTrack", fasttrack.Hints{})
 		if err != nil {
-			return nil, client.Grant{}, err
+			return nil, "", err
 		}
 		mon := fasttrack.NewMonitor(fasttrack.WithTool(&gatedTool{Tool: inner, gate: gate}))
-		return mon, client.Grant{Tool: "FastTrack", Fidelity: client.FidelityFull, SampleRate: 1}, nil
+		return mon, "FastTrack", nil
 	}
 }
 
@@ -1002,18 +1002,6 @@ func TestHealthzWithServerMutexHeld(t *testing.T) {
 // JSON encoding of its final race list.
 func rawSessionRaces(t *testing.T, addr, hello string, tr trace.Trace) []byte {
 	t.Helper()
-	races, err := json.Marshal(rawSession(t, addr, hello, tr, nil).Races)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return races
-}
-
-// rawSession is rawSessionRaces returning the final results. When
-// streamed is non-nil it gets the hello reply once every event frame
-// is sent, before the session closes.
-func rawSession(t *testing.T, addr, hello string, tr trace.Trace, streamed func(client.HelloOK)) client.Results {
-	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -1027,10 +1015,6 @@ func rawSession(t *testing.T, addr, hello string, tr trace.Trace, streamed func(
 	ft, pl, err := fr.ReadFrame()
 	if err != nil || ft != client.FrameHelloOK {
 		t.Fatalf("hello %s: reply frame %d %s, err %v", hello, ft, pl, err)
-	}
-	var ok client.HelloOK
-	if err := json.Unmarshal(pl, &ok); err != nil {
-		t.Fatal(err)
 	}
 	for i := 0; i < len(tr); i += 64 {
 		var payload bytes.Buffer
@@ -1047,9 +1031,6 @@ func rawSession(t *testing.T, addr, hello string, tr trace.Trace, streamed func(
 			t.Fatal(err)
 		}
 	}
-	if streamed != nil {
-		streamed(ok)
-	}
 	bye, _ := json.Marshal(client.Seq{Seq: 1})
 	if err := fw.WriteFrame(client.FrameClose, bye); err != nil {
 		t.Fatal(err)
@@ -1062,24 +1043,30 @@ func rawSession(t *testing.T, addr, hello string, tr trace.Trace, streamed func(
 	if err := json.Unmarshal(pl, &res); err != nil {
 		t.Fatal(err)
 	}
-	return res
+	races, err := json.Marshal(res.Races)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return races
 }
 
 // TestHandshakeLegacyShardsField: clients that predate the single
-// ingestion path send a "shards" field in their hello. Unknown hello
-// fields are ignored, so such a session is admitted and runs on the
-// serial path, with a race list byte-identical to the same trace sent
-// without the field. Two legacy hellos are refused: one asking to
-// resume, which clients sent before resume was removed, and one asking
-// for the "adaptive" fidelity, which let the server change a session's
-// sampling rate mid-stream.
+// ingestion path send a "shards" field in their hello, and clients that
+// predate the removal of the fidelity ladder may ask for the "adaptive"
+// fidelity. Unknown hello fields are ignored, so such a session is
+// admitted and runs full FastTrack on the serial path, with a race list
+// byte-identical to the same trace sent without the field. A legacy
+// hello asking to resume, which clients sent before resume was removed,
+// is refused.
 func TestHandshakeLegacyShardsField(t *testing.T) {
 	_, addr := startServer(t, Config{})
 	tr := testTrace(9)
 	plain := rawSessionRaces(t, addr, fmt.Sprintf(`{"version":%d}`, client.ProtocolVersion), tr)
-	legacy := rawSessionRaces(t, addr, fmt.Sprintf(`{"version":%d,"shards":8}`, client.ProtocolVersion), tr)
-	if !bytes.Equal(legacy, plain) {
-		t.Errorf("race list with \"shards\": 8 differs:\n got:  %s\n want: %s", legacy, plain)
+	for _, field := range []string{`"shards":8`, `"fidelity":"adaptive"`} {
+		hello := fmt.Sprintf(`{"version":%d,%s}`, client.ProtocolVersion, field)
+		if legacy := rawSessionRaces(t, addr, hello, tr); !bytes.Equal(legacy, plain) {
+			t.Errorf("race list with %s differs:\n got:  %s\n want: %s", field, legacy, plain)
+		}
 	}
 	want, err := json.Marshal(serialRaces(t, tr))
 	if err != nil {
@@ -1095,16 +1082,10 @@ func TestHandshakeLegacyShardsField(t *testing.T) {
 	// Clients that predate the removal of resume asked to continue a
 	// dropped session with "resumeOf" and "epoch". A fresh detector fed
 	// only the rest of a stream reports false races, so that hello is
-	// refused and the old client fails closed. So is a hello asking for
-	// "adaptive": its rate could fall mid-stream, and a session's rate
-	// is now fixed at handshake.
-	for _, legacy := range []string{
-		fmt.Sprintf(`{"version":%d,"resumeOf":"s000001","epoch":2}`, client.ProtocolVersion),
-		fmt.Sprintf(`{"version":%d,"fidelity":"adaptive"}`, client.ProtocolVersion),
-	} {
-		if we := rawHelloRefusal(t, addr, legacy); we.Code != client.ErrCodeBadRequest {
-			t.Errorf("hello %s refused with %q (%s), want %q", legacy, we.Code, we.Msg, client.ErrCodeBadRequest)
-		}
+	// refused and the old client fails closed.
+	resume := fmt.Sprintf(`{"version":%d,"resumeOf":"s000001","epoch":2}`, client.ProtocolVersion)
+	if we := rawHelloRefusal(t, addr, resume); we.Code != client.ErrCodeBadRequest {
+		t.Errorf("hello %s refused with %q (%s), want %q", resume, we.Code, we.Msg, client.ErrCodeBadRequest)
 	}
 }
 
@@ -1132,10 +1113,9 @@ func rawHelloRefusal(t *testing.T, addr, hello string) client.WireError {
 }
 
 // halfRacyTrace has two threads write each of 2000 variables, the even
-// ones under a common lock and the odd ones unsynchronized. With that
-// many variables the sampled fraction of the accesses is close to the
-// rate, and the race list names exactly the odd variables the rate
-// samples in.
+// ones under a common lock and the odd ones unsynchronized: 1000 races,
+// one per odd variable, most of which an analysis of a fraction of the
+// variables would miss.
 func halfRacyTrace() trace.Trace {
 	tr := trace.Trace{trace.ForkOf(0, 1), trace.ForkOf(0, 2)}
 	for x := uint64(0); x < 2000; x++ {
@@ -1149,88 +1129,27 @@ func halfRacyTrace() trace.Trace {
 	return tr
 }
 
-// TestSampledAtRateOne: a sampled session at rate 1, asked for either as
-// sampled(1) or as sampled with sampleRate 1, keeps that rate instead of
-// the default, and reports what a full session reports.
-func TestSampledAtRateOne(t *testing.T) {
-	srv, addr := startServer(t, Config{})
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
+// TestLegacySampledHelloRunsFull: clients that predate the removal of
+// the sampled tier may ask for "sampled(p)" or "sampled" with a
+// "sampleRate". Those fields are unknown now and ignored, so the
+// session is admitted and runs full FastTrack: its race list is
+// byte-identical to a plain hello's, a superset of what the sampled
+// session reported.
+func TestLegacySampledHelloRunsFull(t *testing.T) {
+	_, addr := startServer(t, Config{})
 	tr := halfRacyTrace()
-
-	full, err := json.Marshal(rawSession(t, addr, fmt.Sprintf(`{"version":%d,"fidelity":"full"}`, client.ProtocolVersion), tr, nil).Races)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, hello := range []string{
-		fmt.Sprintf(`{"version":%d,"fidelity":"sampled(1)"}`, client.ProtocolVersion),
-		fmt.Sprintf(`{"version":%d,"fidelity":"sampled","sampleRate":1}`, client.ProtocolVersion),
+	plain := rawSessionRaces(t, addr, fmt.Sprintf(`{"version":%d}`, client.ProtocolVersion), tr)
+	for _, fields := range []string{
+		`"fidelity":"sampled(0.1)","sampleRate":0.1`,
+		`"fidelity":"sampled(1)"`,
+		`"fidelity":"sampled","sampleRate":1`,
 	} {
-		res := rawSession(t, addr, hello, tr, func(ok client.HelloOK) {
-			if ok.Fidelity != client.FidelitySampled || ok.SampleRate != 1 {
-				t.Errorf("%s: hello reply fidelity %q rate %v, want %q 1", hello, ok.Fidelity, ok.SampleRate, client.FidelitySampled)
-			}
-			if _, body := httpGET(t, hs, "/sessions"); !strings.Contains(body, `"fidelity": "sampled(1)"`) {
-				t.Errorf("%s: /sessions does not show sampled(1):\n%s", hello, body)
-			}
-		})
-		got, err := json.Marshal(res.Races)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, full) {
-			t.Errorf("%s: race list (%d bytes) differs from a full session's (%d bytes)", hello, len(got), len(full))
+		hello := fmt.Sprintf(`{"version":%d,%s}`, client.ProtocolVersion, fields)
+		if got := rawSessionRaces(t, addr, hello, tr); !bytes.Equal(got, plain) {
+			t.Errorf("race list with %s (%d bytes) differs from a plain hello's (%d bytes)", fields, len(got), len(plain))
 		}
 	}
-	if len(full) < 100 {
-		t.Errorf("full session race list %s: the comparison needs a racy trace", full)
-	}
-}
-
-// TestSampledSession covers a fixed-rate sampled session end to end:
-// the hello reply, /sessions and the session's grant all carry the
-// rate asked for, the detection probability comes out near it, and the
-// race list is byte-identical to a local replay at that rate.
-func TestSampledSession(t *testing.T) {
-	const rate = 0.25
-	srv, addr := startServer(t, Config{})
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
-
-	tr := halfRacyTrace()
-	hello := fmt.Sprintf(`{"version":%d,"fidelity":"sampled(%v)"}`, client.ProtocolVersion, rate)
-	res := rawSession(t, addr, hello, tr, func(ok client.HelloOK) {
-		if ok.Fidelity != client.FidelitySampled || ok.SampleRate != rate {
-			t.Errorf("hello reply fidelity %q rate %v, want %q %v", ok.Fidelity, ok.SampleRate, client.FidelitySampled, rate)
-		}
-		if _, body := httpGET(t, hs, "/sessions"); !strings.Contains(body, `"fidelity": "sampled(0.25)"`) {
-			t.Errorf("/sessions does not show sampled(0.25):\n%s", body)
-		}
-		if g := srv.lookup(ok.SessionID).grant; g.Fidelity != client.FidelitySampled || g.SampleRate != rate {
-			t.Errorf("session grant %+v, want %q at rate %v", g, client.FidelitySampled, rate)
-		}
-	})
-	if p := res.DetectionProbability; p < rate-0.05 || p > rate+0.05 {
-		t.Errorf("DetectionProbability = %v, want within 0.05 of %v", p, rate)
-	}
-
-	tool, err := fasttrack.NewTool("FastTrack", fasttrack.Hints{SampleRate: rate})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := json.Marshal(fasttrack.Replay(tr, tool, fasttrack.Fine))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := json.Marshal(res.Races)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("sampled session race list (%d bytes) differs from a local replay at rate %v (%d bytes)",
-			len(got), rate, len(want))
-	}
-	if len(res.Races) == 0 {
-		t.Error("no races at rate 0.25; the comparison needs a racy trace")
+	if len(plain) < 100 {
+		t.Errorf("plain session race list %s: the comparison needs a racy trace", plain)
 	}
 }

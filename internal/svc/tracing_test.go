@@ -277,7 +277,7 @@ func TestEventLogStructured(t *testing.T) {
 	if open == nil || end == nil {
 		t.Fatalf("missing open/end events: %+v", events)
 	}
-	if open.Session != id || open.Remote == "" || open.Fidelity != "full" {
+	if open.Session != id || open.Remote == "" {
 		t.Errorf("open event = %+v", *open)
 	}
 	if end.Session != id || end.Reason != "completed" {

@@ -79,6 +79,5 @@ func (s *Server) quarantine(sess *session, reason string) {
 	s.quarantined.Add(1)
 	s.reg.DeleteByPrefix("svc.session." + sess.id + ".")
 	s.cfg.Logf("svc: session %s quarantined: %s", sess.id, reason)
-	s.event(Event{Kind: "quarantine", Session: sess.id, Remote: sess.remote,
-		Fidelity: sess.grant.Spec(), Reason: reason})
+	s.event(Event{Kind: "quarantine", Session: sess.id, Remote: sess.remote, Reason: reason})
 }

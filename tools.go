@@ -122,14 +122,6 @@ type Hints struct {
 	// shadowing. Degradation is counted in Stats.MemSqueezes and
 	// Stats.MemCoarse. Zero means unbounded; other detectors ignore it.
 	MemoryBudget int64
-	// SampleRate runs FastTrack's sampling tier at the given rate for
-	// the detector's whole life: only a deterministic fraction of the
-	// variable space receives full analysis, and accesses to the rest
-	// are counted but not checked (Stats.SampledOut), so the races found
-	// are a subset of a full run's. Zero and anything ≥ 1 analyze every
-	// variable. FastTrack is the only detector with a sampling tier;
-	// NewTool refuses a nonzero rate for any other.
-	SampleRate float64
 }
 
 // toolMakers maps canonical tool names to constructors.
@@ -144,9 +136,6 @@ var toolMakers = map[string]func(h Hints) Tool{
 		}
 		if h.MemoryBudget > 0 {
 			d.SetMemoryBudget(h.MemoryBudget)
-		}
-		if h.SampleRate > 0 && h.SampleRate < 1 {
-			d.SetSamplingRate(h.SampleRate)
 		}
 		return d
 	},
@@ -188,9 +177,6 @@ func NewTool(name string, h Hints) (Tool, error) {
 	mk, ok := toolMakers[name]
 	if !ok {
 		return nil, fmt.Errorf("fasttrack: unknown tool %q (have %v)", name, ToolNames())
-	}
-	if h.SampleRate != 0 && name != "FastTrack" {
-		return nil, fmt.Errorf("fasttrack: tool %q does not support sampled analysis", name)
 	}
 	return mk(h), nil
 }
