@@ -1,7 +1,6 @@
 package client
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -175,7 +174,7 @@ type Stats struct {
 
 // Session is one open analysis session on a racedetectd server. A
 // Session's methods are safe for concurrent use, but events from
-// concurrent writers are interleaved at batch granularity; the common
+// concurrent writers are interleaved event by event; the common
 // shape is one producing goroutine per session.
 //
 // Errors are sticky and fail-closed: once the connection or the
@@ -191,13 +190,18 @@ type Session struct {
 	id      string
 	replies chan inFrame // control replies, fed by readerLoop
 
-	bmu     sync.Mutex // guards the batch encoder
-	buf     bytes.Buffer
-	enc     *trace.Writer
-	batched int64
+	// The pending events frame: the binary trace header, then each
+	// written event appended in place by trace.AppendBinary, so a sealed
+	// frame is handed to the sender as it is, with the bytes a
+	// trace.Writer would write for the same events.
+	bmu     sync.Mutex // guards frame, batched and written
+	frame   []byte
+	batched int   // events in frame
+	written int64 // events accepted by Write
 
-	sendq chan outFrame
-	reqMu sync.Mutex // one outstanding control request at a time
+	sealMu sync.Mutex // held from sealing a frame until it is queued (flushBatch)
+	sendq  chan outFrame
+	reqMu  sync.Mutex // one outstanding control request at a time
 
 	dead     chan struct{} // closed by fail
 	failOnce sync.Once
@@ -206,10 +210,9 @@ type Session struct {
 	seq      atomic.Int64
 	final    atomic.Value // Results, set by Close
 
-	eventsWritten atomic.Int64
-	eventsSent    atomic.Int64
-	framesSent    atomic.Int64
-	stalls        atomic.Int64
+	eventsSent atomic.Int64
+	framesSent atomic.Int64
+	stalls     atomic.Int64
 
 	// Tracing state (WithTracing). spans is nil when tracing was not
 	// requested; traceOK is the server's grant, fixed at the handshake.
@@ -263,7 +266,6 @@ func Dial(addr string, opts ...Option) (*Session, error) {
 		s.spans = obs.NewSpanRing(clientTraceSpans)
 		s.traceBase = randTraceBase()
 	}
-	s.enc = trace.NewWriter(&s.buf, trace.Binary)
 	go s.senderLoop()
 	go s.readerLoop()
 	return s, nil
@@ -481,8 +483,10 @@ func wireErr(payload []byte) error {
 }
 
 // Write appends one event to the current batch, sending the batch as a
-// wire frame when it reaches the configured size. A full frame queue
-// makes Write wait (backpressure).
+// wire frame when it reaches the configured size. An event the codec
+// cannot carry is rejected with trace.AppendBinary's error, positioned
+// by the event's index within the frame, and leaves the batch as it
+// was. A full frame queue makes Write wait (backpressure).
 func (s *Session) Write(e trace.Event) error {
 	if s.closed.Load() {
 		return ErrSessionClosed
@@ -491,13 +495,18 @@ func (s *Session) Write(e trace.Event) error {
 		return err
 	}
 	s.bmu.Lock()
-	if err := s.enc.Write(e); err != nil {
+	if s.batched == 0 {
+		s.frame = trace.AppendBinaryHeader(s.frame[:0])
+	}
+	frame, err := trace.AppendBinary(s.frame, s.batched, e)
+	if err != nil {
 		s.bmu.Unlock()
 		return err
 	}
-	s.eventsWritten.Add(1)
+	s.frame = frame
 	s.batched++
-	full := s.batched >= int64(s.cfg.batchEvents)
+	s.written++
+	full := s.batched >= s.cfg.batchEvents
 	s.bmu.Unlock()
 	if full {
 		return s.flushBatch()
@@ -506,25 +515,30 @@ func (s *Session) Write(e trace.Event) error {
 }
 
 // flushBatch seals the current batch into an events frame and enqueues
-// it, waiting for queue space if necessary.
+// it, waiting for queue space if necessary. It holds sealMu from the
+// seal until the frame is queued, so frames are queued in the order they
+// were sealed; otherwise a frame sealed later could overtake an earlier
+// one on a full queue and deliver a writer's events out of order
+// (TestSessionConcurrentWriters). Only other sealers wait on sealMu, and
+// they would wait for queue space anyway; Write and Stats take bmu
+// alone, which is never held across the wait.
 func (s *Session) flushBatch() error {
+	s.sealMu.Lock()
+	defer s.sealMu.Unlock()
 	s.bmu.Lock()
 	if s.batched == 0 {
 		s.bmu.Unlock()
 		return nil
 	}
-	if err := s.enc.Flush(); err != nil {
-		s.bmu.Unlock()
-		return err
-	}
-	payload := append([]byte(nil), s.buf.Bytes()...)
-	n := s.batched
-	s.buf.Reset()
-	s.enc.Reset(&s.buf)
+	f := outFrame{t: FrameEvents, payload: s.frame}
+	n := int64(s.batched)
+	// The sender owns the sealed frame from here on, so the next one
+	// gets a buffer of its own, with room to come out a little larger
+	// than this one without regrowing.
+	s.frame = make([]byte, 0, len(f.payload)+len(f.payload)/4)
 	s.batched = 0
 	s.bmu.Unlock()
 
-	f := outFrame{t: FrameEvents, payload: payload}
 	if s.spans != nil {
 		f.start = time.Now().UnixNano()
 		if s.traceOK {
@@ -700,9 +714,16 @@ func (s *Session) Close() error {
 
 // Stats returns the client-side accounting so far.
 func (s *Session) Stats() Stats {
+	// An event is counted written before its frame is sealed and sent
+	// after, so reading sent first keeps the snapshot from showing more
+	// events sent than written.
+	sent := s.eventsSent.Load()
+	s.bmu.Lock()
+	written := s.written
+	s.bmu.Unlock()
 	return Stats{
-		EventsWritten: s.eventsWritten.Load(),
-		EventsSent:    s.eventsSent.Load(),
+		EventsWritten: written,
+		EventsSent:    sent,
 		FramesSent:    s.framesSent.Load(),
 		Stalls:        s.stalls.Load(),
 	}

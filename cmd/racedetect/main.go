@@ -183,14 +183,15 @@ func (r request) analyze(in io.Reader) int {
 // divides the 8192-event progress grid.
 const streamBatch = 1024
 
-// scan decodes the trace from in and hands it to sink in batches, the
-// one loop of local and remote runs. When feasible is set each event is
-// checked first, and an infeasible one ends the scan before it reaches
-// the sink. The returned err aborts the run before any report: an
-// infeasible event, a failing sink, or, when feasible is set, a decode
-// error. Under a validating policy a decode error is returned as
-// damaged instead: the events before it are analyzed and reported, and
-// the run then exits 2.
+// scan decodes the trace from in with trace.Scanner.ScanBatch, the
+// decode loop racedetectd's sessions run too, and hands it to sink in
+// batches, the one loop of local and remote runs. When feasible is set
+// each batch is checked first, and an infeasible event ends the scan
+// before its batch reaches the sink. The returned err aborts the run
+// before any report: an infeasible event, a failing sink, or, when
+// feasible is set, a decode error. Under a validating policy a decode
+// error is returned as damaged instead: the events before it are
+// analyzed and reported, and the run then exits 2.
 func scan(in io.Reader, feasible bool, sink func([]trace.Event) error) (damaged, err error) {
 	var feas *trace.Validator
 	if feasible {
@@ -198,23 +199,22 @@ func scan(in io.Reader, feasible bool, sink func([]trace.Event) error) (damaged,
 	}
 	sc := trace.NewScanner(in)
 	batch := make([]trace.Event, 0, streamBatch)
-	for sc.Scan() {
-		e := sc.Event()
+	for {
+		batch = sc.ScanBatch(batch[:0], streamBatch)
 		if feas != nil {
-			if err := feas.Event(e); err != nil {
-				return nil, fmt.Errorf("infeasible trace: %w", err)
+			for _, e := range batch {
+				if err := feas.Event(e); err != nil {
+					return nil, fmt.Errorf("infeasible trace: %w", err)
+				}
 			}
 		}
-		if batch = append(batch, e); len(batch) == streamBatch {
+		if len(batch) > 0 {
 			if err := sink(batch); err != nil {
 				return nil, err
 			}
-			batch = batch[:0]
 		}
-	}
-	if len(batch) > 0 {
-		if err := sink(batch); err != nil {
-			return nil, err
+		if len(batch) < streamBatch {
+			break
 		}
 	}
 	if feasible {

@@ -9,15 +9,9 @@ import (
 	"fasttrack/trace"
 )
 
-// TestIngestChunkAllocs: once the session's decoder and scratch buffer
-// exist, decoding and ingesting a 1024-event frame allocates nothing.
-// The frame is race-free (one thread), so no report is allocated either.
-func TestIngestChunkAllocs(t *testing.T) {
-	mon, _, err := client.NewMonitor(client.Handshake{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mon.Close()
+// chunkFrame is the payload of a race-free (one thread) 1024-event frame
+// of reads and writes with a lock operation every 16 events.
+func chunkFrame(tb testing.TB) []byte {
 	var buf bytes.Buffer
 	w := trace.NewWriter(&buf, trace.Binary)
 	for i := 0; i < 1024; i++ {
@@ -31,21 +25,55 @@ func TestIngestChunkAllocs(t *testing.T) {
 			e = trace.Wr(0, uint64(i%256))
 		}
 		if err := w.Write(e); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	if err := w.Flush(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestIngestChunkAllocs: once the session's decoder and scratch buffer
+// exist, decoding and ingesting a 1024-event frame allocates nothing.
+// The frame is race-free, so no report is allocated either.
+func TestIngestChunkAllocs(t *testing.T) {
+	mon, _, err := client.NewMonitor(client.Handshake{}, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer mon.Close()
+	frame := chunkFrame(t)
 	sess := &session{mon: mon}
 	allocs := testing.AllocsPerRun(20, func() {
-		if n, _, _, err := sess.ingestChunk(buf.Bytes()); n != 1024 || err != nil {
+		if n, _, _, err := sess.ingestChunk(frame); n != 1024 || err != nil {
 			t.Fatalf("ingested %d events: %v", n, err)
 		}
 	})
 	if allocs != 0 {
 		t.Errorf("ingestChunk allocates %v times per frame, want 0", allocs)
 	}
+}
+
+// BenchmarkIngestChunk measures ingestChunk, one op per 1024-event
+// frame, reported in ns/event: the frame's decode into the session's
+// scratch slice plus its IngestBatch into a FastTrack Monitor.
+func BenchmarkIngestChunk(b *testing.B) {
+	mon, _, err := client.NewMonitor(client.Handshake{}, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer mon.Close()
+	frame := chunkFrame(b)
+	sess := &session{mon: mon}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if n, _, _, err := sess.ingestChunk(frame); n != 1024 || err != nil {
+			b.Fatalf("ingested %d events: %v", n, err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*1024), "ns/event")
 }
 
 // TestFinishedSessionFreesDecoder: a finalized session keeps its results

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"strings"
 	"sync"
@@ -326,17 +327,18 @@ func (sess *session) handleFrame(it qitem) error {
 }
 
 // ingestChunk decodes one event-chunk payload (a complete binary trace)
-// with the session's one Scanner, Reset onto the payload, into its
-// reused scratch buffer, and ingests it as a single batch: one wire
-// frame is one Monitor.IngestBatch call, so the per-event lock and
-// dispatch bookkeeping is amortized across the frame. In steady state
-// it allocates nothing. Every session, whatever its policy, is held to
-// the validator's identifier caps (rr.DefaultMaxTid, rr.DefaultMaxTarget):
-// one absurd id would make the detector's dense tables allocate without
-// bound and take the whole daemon down, so an event past a cap fails its
-// session as undecodable. It returns how many events were ingested even
-// on error, so accounting stays exact. On traced sessions it also times
-// the decode and detect stages (both 0 otherwise).
+// with the session's one Scanner, Reset onto the payload, in one
+// ScanBatch call into its reused scratch buffer, and ingests it as a
+// single batch: one wire frame is one Monitor.IngestBatch call, so the
+// per-event lock and dispatch bookkeeping is amortized across the frame.
+// In steady state it allocates nothing. Every session, whatever its
+// policy, is held to the validator's identifier caps (rr.DefaultMaxTid,
+// rr.DefaultMaxTarget): one absurd id would make the detector's dense
+// tables allocate without bound and take the whole daemon down, so an
+// event past a cap fails its session as undecodable. It returns how
+// many events were ingested even on error, so accounting stays exact.
+// On traced sessions it also times the decode and detect stages (both 0
+// otherwise).
 func (sess *session) ingestChunk(payload []byte) (n, decodeNs, detectNs int64, err error) {
 	var t0 int64
 	if sess.traced {
@@ -349,10 +351,7 @@ func (sess *session) ingestChunk(payload []byte) (n, decodeNs, detectNs int64, e
 		sess.sc.Reset(&sess.payload)
 	}
 	sc := sess.sc
-	events := sess.scratch[:0]
-	for sc.Scan() {
-		events = append(events, sc.Event())
-	}
+	events := sc.ScanBatch(sess.scratch[:0], math.MaxInt)
 	sess.scratch = events // keep the grown buffer for the next frame
 	derr := sc.Err()
 	if i, msg := rr.CapViolation(events, rr.DefaultMaxTid, rr.DefaultMaxTarget); i >= 0 {

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"reflect"
 	"testing"
 	"testing/iotest"
@@ -243,6 +245,86 @@ func FuzzAppendMatchesWriter(f *testing.F) {
 		}
 		if !bytes.Equal(written.Bytes(), appended) {
 			t.Fatalf("Writer wrote\n%x\nAppendBinary built\n%x", written.Bytes(), appended)
+		}
+	})
+}
+
+// chunkReader hands out at most n bytes per Read, so events straddle
+// the ends of the scanner's buffer fills.
+type chunkReader struct {
+	r io.Reader
+	n int
+}
+
+func (c chunkReader) Read(p []byte) (int, error) {
+	if len(p) > c.n {
+		p = p[:c.n]
+	}
+	return c.r.Read(p)
+}
+
+// FuzzScanBatchMatchesScan: draining an input with ScanBatch in calls
+// of max events gives what a loop of Scan calls gives: after every call
+// the same events, Index, Offset, Event and Err text. The input is read
+// both as the body of a binary trace and as it is (so text and inputs
+// without the magic run too), through reads of chunk bytes, so batches
+// stop at events cut by a buffer fill as well as at barriers and errors.
+func FuzzScanBatchMatchesScan(f *testing.F) {
+	var full []byte
+	for _, tr := range []Trace{
+		{Rd(0, 1), Wr(1, 1<<40), Acq(2, 3), Rel(2, 3), ForkOf(0, 1<<31-1), JoinOf(0, 5)},
+		{Rd(0, 1), Barrier(7, 0, 1, 2), VRd(3, 4), Barrier(1<<33, 5), VWr(3, 4), {Kind: TxBegin, Tid: 1}},
+		{ChSend(0, 1, 2), ChRecv(1, 1, 2), ChClose(0, 1, MaxChanCap), {Kind: Wait, Target: 1}, {Kind: Notify, Target: 1}},
+	} {
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, tr); err != nil {
+			f.Fatal(err)
+		}
+		body := buf.Bytes()[len(binaryMagic):]
+		full = append(full, body...)
+		f.Add(body, uint8(3), uint8(64))
+		f.Add(body[:len(body)-1], uint8(2), uint8(5)) // cut inside the last event
+	}
+	f.Add(full, uint8(0), uint8(7))
+	f.Add(full, uint8(255), uint8(1))
+	f.Add([]byte{byte(Read), 0, 1, byte(Read), 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02, 1}, uint8(4), uint8(3))
+	f.Add([]byte{byte(Write), 0, 2, byte(numKinds), 0, 0}, uint8(8), uint8(2))
+	f.Add([]byte("rd 0 x1\nwr 1 x2\nbarrier b0 0 1\nbogus\n"), uint8(2), uint8(9))
+	f.Fuzz(func(t *testing.T, in []byte, max, chunk uint8) {
+		for _, data := range [][]byte{append([]byte(binaryMagic), in...), in} {
+			n := int(chunk) + 1
+			batch := NewScanner(chunkReader{bytes.NewReader(data), n})
+			each := NewScanner(chunkReader{bytes.NewReader(data), n})
+			mark := Event{Kind: TxEnd, Tid: 99}
+			if got := batch.ScanBatch([]Event{mark}, 0); len(got) != 1 || batch.Index() != 0 || batch.Offset() != 0 {
+				t.Fatalf("ScanBatch(dst, 0) returned %d events and moved to index %d, offset %d", len(got)-1, batch.Index(), batch.Offset())
+			}
+			for call := 0; ; call++ {
+				got := batch.ScanBatch([]Event{mark}, int(max))
+				if !reflect.DeepEqual(got[0], mark) {
+					t.Fatalf("call %d overwrote dst[0]: %v", call, got[0])
+				}
+				var want []Event
+				for len(want) < int(max) && each.Scan() {
+					want = append(want, each.Event())
+				}
+				if len(got)-1 != len(want) || len(want) > 0 && !reflect.DeepEqual(got[1:], want) {
+					t.Fatalf("call %d: ScanBatch gave %v, Scan gave %v", call, got[1:], want)
+				}
+				if batch.Index() != each.Index() || batch.Offset() != each.Offset() {
+					t.Fatalf("call %d: ScanBatch at index %d offset %d, Scan at index %d offset %d",
+						call, batch.Index(), batch.Offset(), each.Index(), each.Offset())
+				}
+				if !reflect.DeepEqual(batch.Event(), each.Event()) {
+					t.Fatalf("call %d: Event %v after ScanBatch, %v after Scan", call, batch.Event(), each.Event())
+				}
+				if fmt.Sprint(batch.Err()) != fmt.Sprint(each.Err()) {
+					t.Fatalf("call %d: Err %v after ScanBatch, %v after Scan", call, batch.Err(), each.Err())
+				}
+				if len(want) < int(max) || max == 0 {
+					break
+				}
+			}
 		}
 	})
 }

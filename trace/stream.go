@@ -22,8 +22,11 @@ const maxLine = 16 << 20
 // whole in the read buffer is decoded in place from the buffer; one that
 // does not (the last bytes of a buffer fill, a barrier) or that fails a
 // check is read byte by byte, so every error comes from that one path.
-// The zero value is not usable; call NewScanner, and Reset to reuse a
-// Scanner and its buffer on another input.
+// Scan returns one event at a time; ScanBatch appends a run of them to a
+// caller's slice, decoding every event that lies whole in the read buffer
+// in one loop, and yields the same events, positions and errors as a
+// loop over Scan. The zero value is not usable; call NewScanner, and
+// Reset to reuse a Scanner and its buffer on another input.
 type Scanner struct {
 	src     *countingReader
 	br      *bufio.Reader
@@ -101,9 +104,13 @@ func (s *Scanner) Scan() bool {
 	if s.err != nil || s.start() != nil {
 		return false
 	}
-	if s.format == Binary && s.br.Buffered() >= maxEventLen && s.scanBuffered() {
-		s.index++
-		return true
+	if s.format == Binary {
+		b, _ := s.br.Peek(s.br.Buffered())
+		if n := decodeEvent(b, &s.cur); n > 0 {
+			s.br.Discard(n)
+			s.index++
+			return true
+		}
 	}
 	var (
 		e   Event
@@ -125,7 +132,50 @@ func (s *Scanner) Scan() bool {
 	return true
 }
 
-// Event returns the event read by the last successful Scan.
+// ScanBatch appends up to max events to dst and returns the extended
+// slice. It returns fewer than max only at end of input or on error
+// (check Err), and leaves the scanner where the same number of Scan calls
+// would: Index, Offset, Err and Event agree with such a loop. It decodes
+// in one loop every binary event that lies whole in the read buffer, and
+// falls back to Scan for the rest (the text format, barriers, events cut
+// by the buffer's end, and errors).
+func (s *Scanner) ScanBatch(dst []Event, max int) []Event {
+	for max > 0 && s.Scan() {
+		dst = append(dst, s.cur)
+		max--
+		if s.format == Binary {
+			dst, max = s.decodeRun(dst, max)
+		}
+	}
+	return dst
+}
+
+// decodeRun appends to dst up to max of the events that lie whole in
+// the read buffer, each decoded straight into its slot, stopping at the
+// first one decodeEvent declines, and returns dst and what is left of
+// max.
+func (s *Scanner) decodeRun(dst []Event, max int) ([]Event, int) {
+	b, _ := s.br.Peek(s.br.Buffered())
+	used, k := 0, 0
+	for ; k < max && used < len(b); k++ {
+		dst = append(dst, Event{})
+		n := decodeEvent(b[used:], &dst[len(dst)-1])
+		if n == 0 {
+			dst = dst[:len(dst)-1]
+			break
+		}
+		used += n
+	}
+	if k > 0 {
+		s.br.Discard(used)
+		s.index += k
+		s.cur = dst[len(dst)-1]
+	}
+	return dst, max - k
+}
+
+// Event returns the event read by the last successful Scan, or the last
+// one ScanBatch appended.
 func (s *Scanner) Event() Event { return s.cur }
 
 // Index returns the number of events scanned so far (the last event's
@@ -294,10 +344,6 @@ func clip(s string) string {
 	return s[:max] + "..."
 }
 
-// maxEventLen bounds the encoding of a non-barrier binary event: a kind
-// byte and at most three varints (thread, target, channel capacity).
-const maxEventLen = 1 + 3*binary.MaxVarintLen64
-
 func (s *Scanner) scanBinary() (Event, error) {
 	start := s.Offset()
 	kb, err := s.br.ReadByte()
@@ -363,38 +409,40 @@ func (s *Scanner) scanBinary() (Event, error) {
 	return e, nil
 }
 
-// scanBuffered decodes one non-barrier event in place from the read
-// buffer, which holds at least maxEventLen bytes, into s.cur, with the
-// checks of scanBinary. It consumes nothing and reports false on a
-// barrier or on any input scanBinary rejects, so that scanBinary decodes
-// the event again and reports the error.
-func (s *Scanner) scanBuffered() bool {
-	b, _ := s.br.Peek(maxEventLen)
+// decodeEvent decodes one non-barrier binary event in place from the
+// start of b into *e, with the checks of scanBinary, and returns its
+// encoded length. It returns 0, leaving *e as it was, for a barrier, for
+// an event that does not lie whole in b, and for any input scanBinary
+// rejects, so that scanBinary decodes the event again and reports the
+// error. Scan and ScanBatch both decode through it.
+func decodeEvent(b []byte, e *Event) (n int) {
+	if len(b) == 0 {
+		return 0
+	}
 	k := Kind(b[0])
 	if k >= numKinds || k == BarrierRelease {
-		return false
+		return 0
 	}
-	tid, n := binary.Uvarint(b[1:])
-	if n <= 0 || tid > maxWireTid {
-		return false
+	tid, m := binary.Uvarint(b[1:])
+	if m <= 0 || tid > maxWireTid {
+		return 0
 	}
-	used := 1 + n
-	target, n := binary.Uvarint(b[used:])
-	if n <= 0 || (k == Fork || k == Join) && target > maxWireTid {
-		return false
+	n = 1 + m
+	target, m := binary.Uvarint(b[n:])
+	if m <= 0 || (k == Fork || k == Join) && target > maxWireTid {
+		return 0
 	}
-	used += n
+	n += m
 	var c uint64
 	if k == ChanSend || k == ChanRecv || k == ChanClose {
-		c, n = binary.Uvarint(b[used:])
-		if n <= 0 || c > uint64(MaxChanCap) {
-			return false
+		c, m = binary.Uvarint(b[n:])
+		if m <= 0 || c > uint64(MaxChanCap) {
+			return 0
 		}
-		used += n
+		n += m
 	}
-	s.br.Discard(used)
-	s.cur = Event{Kind: k, Tid: int32(tid), Target: target, Cap: int32(c)}
-	return true
+	*e = Event{Kind: k, Tid: int32(tid), Target: target, Cap: int32(c)}
+	return n
 }
 
 // noEOF converts a mid-event EOF into an unexpected-EOF error so

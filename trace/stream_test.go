@@ -315,8 +315,10 @@ func TestScannerLineLimit(t *testing.T) {
 }
 
 // BenchmarkScanFrame decodes a 1024-event binary trace the way the
-// daemon decodes a wire frame: one Scanner, Reset per frame. The frame
-// is accesses with a lock operation every 16 events.
+// daemon decodes a wire frame: one Scanner, Reset per frame, draining it
+// with ScanBatch into a reused slice as racedetectd does, or with a loop
+// over Scan. The frame is accesses with a lock operation every 16
+// events.
 func BenchmarkScanFrame(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	tr := make(Trace, 1024)
@@ -335,18 +337,28 @@ func BenchmarkScanFrame(b *testing.B) {
 	if err := WriteBinary(&buf, tr); err != nil {
 		b.Fatal(err)
 	}
-	var rd bytes.Reader
-	sc := NewScanner(&rd)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rd.Reset(buf.Bytes())
-		sc.Reset(&rd)
-		for sc.Scan() {
-		}
-		if sc.Err() != nil || sc.Index() != 1024 {
-			b.Fatalf("scanned %d events: %v", sc.Index(), sc.Err())
-		}
+	for _, mode := range []string{"ScanBatch", "Scan"} {
+		b.Run(mode, func(b *testing.B) {
+			var rd bytes.Reader
+			sc := NewScanner(&rd)
+			events := make([]Event, 0, len(tr))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rd.Reset(buf.Bytes())
+				sc.Reset(&rd)
+				if mode == "ScanBatch" {
+					events = sc.ScanBatch(events[:0], len(tr)+1)
+				} else {
+					for events = events[:0]; sc.Scan(); {
+						events = append(events, sc.Event())
+					}
+				}
+				if sc.Err() != nil || len(events) != 1024 {
+					b.Fatalf("scanned %d events: %v", len(events), sc.Err())
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*1024), "ns/event")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*1024), "ns/event")
 }
