@@ -29,10 +29,13 @@
 // -server) the daemon's results. Costs roughly one clock copy per
 // analyzed access; see BENCH_provenance.json.
 //
+// Every policy judges feasibility with one state machine,
+// trace.Validator, so a trace is feasible under all four or under none.
 // Under -policy off the trace must be feasible: the first event that
-// breaks the locking or fork/join discipline stops the run with exit 2.
-// A validating policy instead strictly rejects, repairs or drops such
-// events itself, locally and with -server alike.
+// breaks the locking or fork/join discipline stops the run with exit 2,
+// with the message -policy strict gives. A validating policy instead
+// strictly rejects, repairs or drops such events itself, locally and
+// with -server alike. Every run reports its pipeline's health.
 //
 // With "-" as the file name the trace is read from standard input.
 //

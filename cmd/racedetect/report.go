@@ -189,9 +189,7 @@ func (r request) render(as []analysis, damaged error, note string) int {
 	for _, a := range as {
 		printReport(w, a.Results, r.stats)
 		printDetails(w, a.Detailed)
-		if !r.feasible() {
-			printHealth(w, a.Health, a.log)
-		}
+		printHealth(w, a.Health, a.log)
 		if rep != nil {
 			rep.Tools = append(rep.Tools, toolReport{
 				Tool:    a.Tool,

@@ -160,6 +160,56 @@ func TestPolicyRepairsDamagedTrace(t *testing.T) {
 	}
 }
 
+// TestSameVerdictUnderEveryPolicy: -policy off and the validating
+// policies check feasibility with one state machine, locally and with
+// -server, so a feasible trace is healthy under all four and an
+// infeasible one stops off and strict with one message. A re-entrant
+// acquire (the dispatcher filters it) and a join of a thread that never
+// ran are feasible; a release of another thread's lock is not.
+func TestSameVerdictUnderEveryPolicy(t *testing.T) {
+	bin, base, _ := buildRacedetect(t)
+	addr := startDaemon(t)
+	feasible := map[string]int{"off": 0, "strict": 0, "repair": 0, "drop": 0}
+	healthy := map[string]string{"off": "pipeline: healthy", "strict": "pipeline: healthy",
+		"repair": "pipeline: healthy", "drop": "pipeline: healthy"}
+	const stop = "event 3 (rel 1 m1): thread 1 releases lock m1 it does not hold"
+	for _, tr := range []struct {
+		name, text string
+		verdict    map[string]int    // exit code per policy
+		want       map[string]string // a line the output must hold, per policy
+	}{
+		{"reentrant", "fork 0 1\nacq 1 m1\nacq 1 m1\nwr 1 x1\nrel 1 m1\nrel 1 m1\nwr 0 x2\n", feasible, healthy},
+		{"idle-join", "fork 0 1\njoin 0 1\nwr 0 x1\n", feasible, healthy},
+		{"foreign-release", "fork 0 1\nacq 0 m1\nwr 0 x1\nrel 1 m1\n",
+			map[string]int{"off": 2, "strict": 2, "repair": 0, "drop": 0},
+			map[string]string{"off": stop, "strict": stop, "repair": "dropped=1", "drop": "dropped=1"}},
+	} {
+		path := filepath.Join(base, tr.name+".trace")
+		if err := os.WriteFile(path, []byte(tr.text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, policy := range []string{"off", "strict", "repair", "drop"} {
+			for _, remote := range []bool{false, true} {
+				args := []string{"-stats", "-policy", policy}
+				name := tr.name + "/" + policy
+				if remote {
+					args = append(args, "-server", addr)
+					name += "-remote"
+				}
+				t.Run(name, func(t *testing.T) {
+					code, out := racedetect(t, bin, append(args, path)...)
+					if code != tr.verdict[policy] {
+						t.Errorf("exit %d, want %d:\n%s", code, tr.verdict[policy], out)
+					}
+					if !strings.Contains(out, tr.want[policy]) {
+						t.Errorf("output lacks %q:\n%s", tr.want[policy], out)
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestMembudgetSqueezes: the streaming analysis honours -membudget, so a
 // tight budget squeezes FastTrack's shadow memory and -stats says so.
 func TestMembudgetSqueezes(t *testing.T) {

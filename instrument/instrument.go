@@ -58,6 +58,13 @@
 //     as racing with the dead object's last (a false positive;
 //     ROADMAP, "Precision: a freed object's address must not inherit
 //     its shadow");
+//   - a sync.Mutex handed off between goroutines is refused: Go lets
+//     one goroutine unlock a mutex another goroutine locked, but the
+//     trace's feasibility rules (trace.Validator) require the releasing
+//     thread to hold the lock, so racedetect run stops with exit 2 and
+//     "infeasible trace: ... thread 1 releases lock m0 it does not
+//     hold" where go run -race is clean (ROADMAP, "Measure precision on
+//     real Go code", known gaps);
 //   - comments (including //go:* directives) are dropped from the
 //     instrumented copy.
 package instrument

@@ -350,3 +350,29 @@ func TestAllPreciseToolsCatchPlainRace(t *testing.T) {
 		}
 	}
 }
+
+// TestJoinOfIdleThreadMatchesOracle: joining a thread that executed
+// nothing orders the joiner after the joined thread's fork. The precise
+// detectors and the oracle agree that the trace has no race.
+func TestJoinOfIdleThreadMatchesOracle(t *testing.T) {
+	tr := trace.Trace{
+		trace.ForkOf(0, 2),
+		trace.Wr(2, 9),
+		trace.Wr(0, 1),
+		trace.ForkOf(0, 1),
+		trace.JoinOf(2, 1),
+		trace.Rd(2, 1),
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	oracle := hb.New(tr).RacyVars()
+	for _, tool := range []rr.Tool{core.New(2, 2), djit.New(2, 2), basicvc.New(2, 2)} {
+		if got := RacyVars(tool, tr); !SameVars(got, oracle) {
+			t.Errorf("%s %v != oracle %v", tool.Name(), got, oracle)
+		}
+	}
+	if len(oracle) != 0 {
+		t.Errorf("oracle reports %v on a race-free trace", oracle)
+	}
+}

@@ -106,8 +106,15 @@ func (o *Oracle) build() {
 		case trace.Fork:
 			pendingFork[int32(e.Target)] = i
 		case trace.Join:
-			if last, ok := lastOfThread[int32(e.Target)]; ok {
+			// The joined thread's last event, or its fork if it never
+			// ran, happens before the join.
+			u := int32(e.Target)
+			if last, ok := lastOfThread[u]; ok {
 				edge(last, i)
+			}
+			if f, ok := pendingFork[u]; ok {
+				edge(f, i)
+				delete(pendingFork, u)
 			}
 		case trace.VolatileWrite:
 			// JMM: a volatile write happens before every subsequent read

@@ -70,6 +70,31 @@ func TestForkJoinOrdering(t *testing.T) {
 	}
 }
 
+// TestJoinOfIdleThread: a join of a thread that executed nothing still
+// happens after that thread's fork ([FT JOIN] reads the joined thread's
+// clock, which its fork set), so thread 0's write before the fork is
+// ordered before thread 2's read after the join.
+func TestJoinOfIdleThread(t *testing.T) {
+	tr := trace.Trace{
+		trace.ForkOf(0, 2), // 0
+		trace.Wr(2, 9),     // 1
+		trace.Wr(0, 1),     // 2
+		trace.ForkOf(0, 1), // 3
+		trace.JoinOf(2, 1), // 4: thread 1 never ran
+		trace.Rd(2, 1),     // 5
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatalf("infeasible test trace: %v", err)
+	}
+	o := New(tr)
+	if !o.HappensBefore(3, 4) || !o.HappensBefore(2, 5) {
+		t.Error("the join of an idle thread must happen after its fork")
+	}
+	if rv := o.RacyVars(); len(rv) != 0 {
+		t.Errorf("racy: %v", rv)
+	}
+}
+
 func TestVolatileWriteReadEdgeOnly(t *testing.T) {
 	// vwr -> vrd creates ordering; two vwr do not order each other.
 	ordered := racyVars(t, trace.Trace{

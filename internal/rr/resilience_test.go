@@ -207,6 +207,60 @@ func TestValidatorAcquireHeldElsewhere(t *testing.T) {
 	}
 }
 
+// TestValidatorRepairReleasesEveryHoldLevel: a lock held re-entrantly
+// by another thread is released once per level before the acquire, so
+// the shared state machine accepts it.
+func TestValidatorRepairReleasesEveryHoldLevel(t *testing.T) {
+	rec := &recorder{}
+	d := feedAll(t, rec, PolicyRepair, trace.Trace{
+		trace.ForkOf(0, 1),
+		trace.Acq(0, 7),
+		trace.Acq(0, 7), // re-entrant: filtered by the dispatcher
+		trace.Acq(1, 7),
+	})
+	h := d.Health()
+	if h.Repaired != 1 || h.Synthesized != 2 || h.Dropped != 0 {
+		t.Fatalf("Health = %+v, want 1 repair / 2 synthesized releases", h)
+	}
+	want := trace.Trace{trace.ForkOf(0, 1), trace.Acq(0, 7), trace.Rel(0, 7), trace.Acq(1, 7)}
+	if len(rec.events) != len(want) {
+		t.Fatalf("tool saw %v, want %v", rec.events, want)
+	}
+	for i, e := range want {
+		if !evEq(rec.events[i], e) {
+			t.Errorf("event %d = %v, want %v", i, rec.events[i], e)
+		}
+	}
+}
+
+// TestValidatorIrreparableLeavesNoRepair: when the repaired event still
+// fails, its repairs are undone and nothing reaches the tool; the next
+// event of the same thread is repaired from the state before.
+func TestValidatorIrreparableLeavesNoRepair(t *testing.T) {
+	rec := &recorder{}
+	d := feedAll(t, rec, PolicyRepair, trace.Trace{
+		trace.Acq(0, 7),
+		trace.Rel(5, 7), // thread 5 unforked, and m7 is thread 0's: dropped
+		trace.Wr(5, 1),  // repaired with a fork
+	})
+	h := d.Health()
+	if h.Violations != 2 || h.Dropped != 1 || h.Repaired != 1 || h.Synthesized != 1 {
+		t.Fatalf("Health = %+v, want 1 dropped, 1 repaired with 1 synthesized", h)
+	}
+	want := trace.Trace{trace.Acq(0, 7), trace.ForkOf(0, 5), trace.Wr(5, 1)}
+	if len(rec.events) != len(want) {
+		t.Fatalf("tool saw %v, want %v", rec.events, want)
+	}
+	for i, e := range want {
+		if !evEq(rec.events[i], e) {
+			t.Errorf("event %d = %v, want %v", i, rec.events[i], e)
+		}
+	}
+	if msg := h.ViolationLog[0].Msg; msg != "thread 5 is not running" {
+		t.Errorf("first violation %q, want the state machine's first message", msg)
+	}
+}
+
 // TestUnheldReleaseInterceptedUnderPolicyOff is the regression test for
 // the dispatcher forwarding depth-0 releases unchecked: even with
 // validation off, an unheld release must never reach the tool.

@@ -2,17 +2,17 @@ package rr
 
 import (
 	"fmt"
-	"strings"
 
 	"fasttrack/trace"
 )
 
 // This file implements the Dispatcher's online stream validator: a
-// resilience layer that checks the well-formedness constraints of the
-// paper's Section 2.1 (plus resource-safety caps on identifiers) one
-// event at a time, and — unlike trace.Validator, which only rejects —
-// can repair or drop malformed events so that analysis of hostile or
-// damaged streams degrades gracefully instead of aborting. Every
+// policy layer over trace.Validator, the one state machine that checks
+// the feasibility constraints of the paper's Section 2.1. It adds
+// resource-safety caps on identifiers and decides per policy what
+// happens to an infeasible event: stop the stream, repair it with
+// synthesized protocol events, or drop it, so that analysis of hostile
+// or damaged streams degrades gracefully instead of aborting. Every
 // deviation is counted and surfaced through Dispatcher.Health and the
 // resilience fields of Stats.
 
@@ -164,17 +164,18 @@ func (v Violation) String() string {
 // keep exact totals regardless.
 const maxViolationLog = 32
 
-// Validator tracks the thread-liveness and lock-ownership protocol of
-// Section 2.1 and decides, per the configured policy, what to do with
-// each event. The Dispatcher drives it; it is exported for tests and
-// the chaos harness.
+// Validator applies a Policy to the Section 2.1 checks of one
+// trace.Validator, the state machine Trace.Validate and racedetect's
+// -policy off run too, so every policy judges feasibility alike. It
+// adds what a policy needs: the identifier caps, the repair events, the
+// counters and the violation log. The Dispatcher drives it; it is
+// exported for tests and the chaos harness.
 type Validator struct {
 	policy    Policy
 	maxTid    int32
 	maxTarget uint64
 
-	state map[int32]uint8 // thread liveness; 0 starts alive
-	locks map[uint64]lockHold
+	m *trace.Validator
 
 	// Counters. Violations == Repaired + Dropped (+1 if a strict error
 	// stopped the stream) — the accounting invariant the chaos harness
@@ -188,17 +189,6 @@ type Validator struct {
 	Log []Violation
 }
 
-type lockHold struct {
-	owner int32
-	depth int
-}
-
-const (
-	vUnborn = iota
-	vAlive
-	vDead
-)
-
 // NewValidator returns a validator for the given policy with the default
 // identifier caps.
 func NewValidator(p Policy) *Validator {
@@ -206,8 +196,7 @@ func NewValidator(p Policy) *Validator {
 		policy:    p,
 		maxTid:    DefaultMaxTid,
 		maxTarget: DefaultMaxTarget,
-		state:     map[int32]uint8{0: vAlive},
-		locks:     map[uint64]lockHold{},
+		m:         trace.NewValidator(),
 	}
 }
 
@@ -221,148 +210,69 @@ func (v *Validator) SetCaps(maxTid int32, maxTarget uint64) {
 	}
 }
 
-func (v *Validator) alive(t int32) bool { return v.state[t] == vAlive }
-
 // Check examines the i'th event. When repairs is non-nil the caller must
 // feed the repair events, then e. drop reports that e must be skipped.
 // err is non-nil only under PolicyStrict and is sticky at the caller.
+//
+// An event beyond the identifier caps is irreparable. Any other
+// violation is the state machine's; under PolicyRepair the validator
+// builds the missing forks, acquire or releases and checks e again, and
+// drops e if it still fails.
 func (v *Validator) Check(i int, e trace.Event) (repairs []trace.Event, drop bool, err error) {
-	msg, rep, reparable := v.examine(e)
-	if msg == "" {
-		v.apply(e)
-		return nil, false, nil
+	msg := capViolation(&e, v.maxTid, v.maxTarget)
+	reparable := msg == ""
+	if reparable {
+		verr := v.m.Event(e)
+		if verr == nil {
+			return nil, false, nil
+		}
+		msg = verr.(*trace.ValidationError).Msg
 	}
 	v.Violations++
-	switch {
-	case v.policy == PolicyStrict:
+	if v.policy == PolicyStrict {
 		v.log(i, e, msg, ActionErrored)
 		return nil, false, &trace.ValidationError{Index: i, Event: e, Msg: msg}
-	case v.policy == PolicyRepair && reparable:
-		v.log(i, e, msg, ActionRepaired)
-		v.Repaired++
-		v.Synthesized += int64(len(rep))
-		for _, r := range rep {
-			v.apply(r)
-		}
-		v.apply(e)
-		return rep, false, nil
-	default: // PolicyDrop, or irreparable under PolicyRepair
-		v.log(i, e, msg, ActionDropped)
-		v.Dropped++
-		return nil, true, nil
 	}
+	if v.policy == PolicyRepair && reparable {
+		if fix := v.repairs(e); len(fix) > 0 && v.m.Repair(fix, e) == nil {
+			v.log(i, e, msg, ActionRepaired)
+			v.Repaired++
+			v.Synthesized += int64(len(fix))
+			return fix, false, nil
+		}
+	}
+	// PolicyDrop, or irreparable under PolicyRepair.
+	v.log(i, e, msg, ActionDropped)
+	v.Dropped++
+	return nil, true, nil
 }
 
-// examine checks e against the current protocol state without mutating
-// it. It returns a description of the violation (empty if none), the
-// events that would repair it, and whether repair is possible at all.
-func (v *Validator) examine(e trace.Event) (msg string, repairs []trace.Event, reparable bool) {
-	// Identifier sanity: absurd ids are irreparable.
-	if msg := capViolation(&e, v.maxTid, v.maxTarget); msg != "" {
-		return msg, nil, false
-	}
-	if (e.Kind == trace.Fork || e.Kind == trace.Join) && int32(e.Target) == e.Tid {
-		return fmt.Sprintf("thread %d %ss itself", e.Tid, e.Kind), nil, false
-	}
-
-	var msgs []string
+// repairs builds the protocol events e misses: a fork from thread 0 for
+// each thread e names that is not running (thread 0 itself has none),
+// the releases of a lock another thread holds, or the acquire of a lock
+// a release or wait finds free.
+func (v *Validator) repairs(e trace.Event) []trace.Event {
+	var fix []trace.Event
+	threads := []int32{e.Tid}
 	if e.Kind == trace.BarrierRelease {
-		bad := false
-		for _, t := range e.Tids {
-			if v.alive(t) {
-				continue
-			}
-			bad = true
-			// Thread 0 cannot be forked by anyone; apply resurrects it
-			// without a synthesized edge.
-			if t != 0 {
-				repairs = append(repairs, trace.ForkOf(0, t))
-			}
-		}
-		if bad {
-			return "barrier releases threads that are not running", repairs, true
-		}
-		return "", nil, false
+		threads = e.Tids
 	}
-
-	if !v.alive(e.Tid) {
-		msgs = append(msgs, fmt.Sprintf("thread %d is not running", e.Tid))
-		if e.Tid != 0 {
-			repairs = append(repairs, trace.ForkOf(0, e.Tid))
+	for _, t := range threads {
+		if t != 0 && !v.m.Running(t) {
+			fix = append(fix, trace.ForkOf(0, t))
 		}
 	}
-
-	switch e.Kind {
+	switch owner, depth := v.m.Holder(e.Target); e.Kind {
 	case trace.Acquire:
-		if h, held := v.locks[e.Target]; held && h.owner != e.Tid {
-			// Two threads cannot hold one lock; release the phantom hold.
-			msgs = append(msgs, fmt.Sprintf("lock m%d already held by thread %d", e.Target, h.owner))
-			repairs = append(repairs, trace.Rel(h.owner, e.Target))
+		for ; owner != e.Tid && depth > 0; depth-- {
+			fix = append(fix, trace.Rel(owner, e.Target))
 		}
 	case trace.Release, trace.Wait:
-		h, held := v.locks[e.Target]
-		switch {
-		case held && h.owner != e.Tid:
-			return fmt.Sprintf("thread %d releases lock m%d held by thread %d", e.Tid, e.Target, h.owner), nil, false
-		case !held:
-			msgs = append(msgs, fmt.Sprintf("thread %d releases lock m%d it does not hold", e.Tid, e.Target))
-			repairs = append(repairs, trace.Acq(e.Tid, e.Target))
-		}
-	case trace.Fork:
-		switch v.state[int32(e.Target)] {
-		case vAlive:
-			return fmt.Sprintf("fork of thread %d which already exists", e.Target), nil, false
-		case vDead:
-			return fmt.Sprintf("fork of thread %d which already terminated", e.Target), nil, false
-		}
-	case trace.Join:
-		if !v.alive(int32(e.Target)) {
-			return fmt.Sprintf("join of thread %d which is not running", e.Target), nil, false
+		if depth == 0 {
+			fix = append(fix, trace.Acq(e.Tid, e.Target))
 		}
 	}
-	if len(msgs) > 0 {
-		return strings.Join(msgs, "; "), repairs, true
-	}
-	return "", nil, false
-}
-
-// apply advances the protocol state over an event that is (now) valid in
-// sequence — either an accepted input event or a synthesized repair.
-func (v *Validator) apply(e trace.Event) {
-	// The event's own thread is running by now (it was either already
-	// alive, or a repair forked it; a resurrected thread 0 has no
-	// synthesizable fork and is revived here).
-	if e.Kind == trace.BarrierRelease {
-		for _, t := range e.Tids {
-			v.state[t] = vAlive
-		}
-	} else {
-		v.state[e.Tid] = vAlive
-	}
-	switch e.Kind {
-	case trace.Fork:
-		v.state[int32(e.Target)] = vAlive
-	case trace.Join:
-		v.state[int32(e.Target)] = vDead
-	case trace.Acquire:
-		h := v.locks[e.Target]
-		if h.depth > 0 && h.owner == e.Tid {
-			h.depth++
-		} else {
-			h = lockHold{owner: e.Tid, depth: 1}
-		}
-		v.locks[e.Target] = h
-	case trace.Release, trace.Wait:
-		// Wait releases one hold level, mirroring the dispatcher's
-		// conservative re-entrant-wait handling.
-		h := v.locks[e.Target]
-		h.depth--
-		if h.depth <= 0 {
-			delete(v.locks, e.Target)
-		} else {
-			v.locks[e.Target] = h
-		}
-	}
+	return fix
 }
 
 func (v *Validator) log(i int, e trace.Event, msg string, a ViolationAction) {

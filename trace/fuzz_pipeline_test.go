@@ -2,7 +2,8 @@ package trace_test
 
 // End-to-end fuzzing of the resilient analysis pipeline: arbitrary
 // bytes → Scanner → Dispatcher (validating, quarantining) → FastTrack.
-// The contract is no panic anywhere, and exact degradation accounting.
+// The contract is no panic anywhere, exact degradation accounting, and
+// under PolicyStrict the same first violation Trace.Validate reports.
 // This lives in an external test package because it closes the loop
 // through internal/rr and internal/core, which import trace.
 
@@ -25,10 +26,19 @@ func runPipeline(t *testing.T, data []byte, p rr.Policy) {
 	d.MaxTid = 1 << 8
 	d.MaxTarget = 1 << 12
 	sc := trace.NewScanner(bytes.NewReader(data))
+	var tr trace.Trace
 	for sc.Scan() {
+		tr = append(tr, sc.Event())
 		d.Event(sc.Event())
 	}
 	h := d.Health()
+	// Within the caps, the strict dispatcher and Trace.Validate run one
+	// state machine and must stop at the same event, for the same reason.
+	if i, _ := rr.CapViolation(tr, d.MaxTid, d.MaxTarget); i < 0 && p == rr.PolicyStrict {
+		if got, want := errText(h.Err), errText(tr.Validate()); got != want {
+			t.Fatalf("strict dispatcher %q, Validate %q", got, want)
+		}
+	}
 	errored := int64(0)
 	if h.Err != nil {
 		errored = 1
@@ -46,6 +56,7 @@ func runPipeline(t *testing.T, data []byte, p rr.Policy) {
 func FuzzPipeline(f *testing.F) {
 	f.Add([]byte("FTRK1\n"))
 	f.Add([]byte("fork 0 1\nwr 1 5\nwr 0 5\n"))
+	f.Add([]byte("fork 0 1\nacq 1 m1\nacq 1 m1\nrel 1 m1\nrel 1 m1\njoin 0 1\nrel 1 m2\n"))
 	var buf bytes.Buffer
 	_ = trace.WriteBinary(&buf, trace.Trace{
 		trace.ForkOf(0, 1), trace.Acq(1, 2), trace.Wr(1, 3), trace.Rel(1, 2),
