@@ -88,10 +88,10 @@ func TestAccountingSim(t *testing.T) {
 	}
 }
 
-// TestUnheldReleaseAccounting: an intercepted unheld release is its own
-// Stats field. Folding it into Dropped used to break the documented
-// Violations == Repaired + Dropped invariant under PolicyOff, where the
-// interception happens without any validator violation being recorded.
+// TestUnheldReleaseAccounting: under PolicyOff an unheld release never
+// reaches the tool; the dispatcher records it as a dropped violation,
+// so Violations == Repaired + Dropped holds as it does under every
+// validating policy.
 func TestUnheldReleaseAccounting(t *testing.T) {
 	m := NewMonitor()
 	m.Acquire(0, 5)
@@ -99,39 +99,29 @@ func TestUnheldReleaseAccounting(t *testing.T) {
 	m.Release(0, 5) // no matching acquire: intercepted, not forwarded
 	m.Write(0, 1)
 
-	st := m.Stats()
-	if st.UnheldReleases != 1 {
-		t.Errorf("UnheldReleases = %d, want 1", st.UnheldReleases)
+	h := m.Health()
+	if h.Violations != 1 || h.Dropped != 1 || h.Repaired != 0 {
+		t.Errorf("PolicyOff: violations=%d repaired=%d dropped=%d, want 1/0/1",
+			h.Violations, h.Repaired, h.Dropped)
 	}
-	if st.Violations != 0 || st.Repaired != 0 || st.Dropped != 0 {
-		t.Errorf("validator counters must stay zero under PolicyOff: violations=%d repaired=%d dropped=%d",
-			st.Violations, st.Repaired, st.Dropped)
-	}
-	if st.Violations != st.Repaired+st.Dropped {
+	if h.Violations != h.Repaired+h.Dropped {
 		t.Errorf("invariant broken: Violations=%d != Repaired+Dropped=%d",
-			st.Violations, st.Repaired+st.Dropped)
+			h.Violations, h.Repaired+h.Dropped)
 	}
-	if st.Releases != 1 {
+	if st := m.Stats(); st.Releases != 1 {
 		t.Errorf("tool saw %d releases, want 1 (the held one)", st.Releases)
 	}
 
-	// Under a validating policy the validator handles the malformed
-	// release instead, and the invariant still holds with the new field
-	// staying zero.
+	// Under a validating policy the validator repairs the malformed
+	// release instead, so the dispatcher drops nothing.
 	mv := NewMonitor(WithValidation(PolicyRepair))
 	mv.Acquire(0, 5)
 	mv.Release(0, 5)
 	mv.Release(0, 5)
-	stv := mv.Stats()
-	if stv.UnheldReleases != 0 {
-		t.Errorf("PolicyRepair: UnheldReleases = %d, want 0 (validator repaired it first)", stv.UnheldReleases)
-	}
-	if stv.Violations != stv.Repaired+stv.Dropped {
-		t.Errorf("PolicyRepair: invariant broken: Violations=%d != Repaired+Dropped=%d",
-			stv.Violations, stv.Repaired+stv.Dropped)
-	}
-	if stv.Violations == 0 {
-		t.Error("PolicyRepair: the unheld release must be recorded as a violation")
+	hv := mv.Health()
+	if hv.Violations != 1 || hv.Repaired != 1 || hv.Dropped != 0 {
+		t.Errorf("PolicyRepair: violations=%d repaired=%d dropped=%d, want 1/1/0",
+			hv.Violations, hv.Repaired, hv.Dropped)
 	}
 }
 
@@ -152,7 +142,7 @@ func TestAccountingChaos(t *testing.T) {
 			d.Policy = PolicyRepair
 			sc := trace.NewScanner(bytes.NewReader(raw))
 			for sc.Scan() {
-				d.Event(sc.Event())
+				d.EventBatch([]trace.Event{sc.Event()})
 			}
 			if h := d.Health(); h.Panics != 0 {
 				t.Fatalf("%s/%s: %d panics under PolicyRepair", name, mode, h.Panics)

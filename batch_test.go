@@ -268,3 +268,26 @@ func TestIngestBatchConcurrentClose(t *testing.T) {
 			accepted.Load(), m.Rejected(), got, want)
 	}
 }
+
+// TestMonitorEventAllocatesNothing: a single event is a one-element
+// EventBatch, and in the steady state (thread, variables and lock
+// already shadowed) the typed methods and Ingest must not allocate.
+func TestMonitorEventAllocatesNothing(t *testing.T) {
+	m := NewMonitor()
+	m.Write(0, 5)
+	m.Read(0, 6)
+	m.Acquire(0, 9)
+	m.Release(0, 9)
+	allocs := testing.AllocsPerRun(1000, func() {
+		m.Read(0, 6)
+		m.Write(0, 5)
+		if err := m.Ingest(trace.Rd(0, 5)); err != nil {
+			t.Fatal(err)
+		}
+		m.Acquire(0, 9)
+		m.Release(0, 9)
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocations per run of five events, want 0", allocs)
+	}
+}

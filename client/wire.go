@@ -127,7 +127,6 @@ type Health struct {
 	Repaired             int64  `json:"repaired,omitempty"`
 	Dropped              int64  `json:"dropped,omitempty"`
 	Synthesized          int64  `json:"synthesized,omitempty"`
-	UnheldReleases       int64  `json:"unheldReleases,omitempty"`
 	Err                  string `json:"err,omitempty"`
 }
 
@@ -143,7 +142,6 @@ func HealthFrom(h fasttrack.Health) Health {
 		Repaired:             h.Repaired,
 		Dropped:              h.Dropped,
 		Synthesized:          h.Synthesized,
-		UnheldReleases:       h.UnheldReleases,
 	}
 	if h.Err != nil {
 		w.Err = h.Err.Error()

@@ -62,6 +62,7 @@ import (
 
 	"fasttrack"
 	"fasttrack/client"
+	"fasttrack/internal/rr"
 	"fasttrack/trace"
 )
 
@@ -189,8 +190,10 @@ const streamBatch = 1024
 // scan decodes the trace from in with trace.Scanner.ScanBatch, the
 // decode loop racedetectd's sessions run too, and hands it to sink in
 // batches, the one loop of local and remote runs. When feasible is set
-// each batch is checked first, and an infeasible event ends the scan
-// before its batch reaches the sink. The returned err aborts the run
+// each batch is checked first, against the identifier caps that every
+// validating policy and racedetectd apply and against the feasibility
+// state machine, and the first infeasible event ends the scan before
+// its batch reaches the sink. The returned err aborts the run
 // before any report: an infeasible event, a failing sink, or, when
 // feasible is set, a decode error. Under a validating policy a decode
 // error is returned as damaged instead: the events before it are
@@ -205,10 +208,21 @@ func scan(in io.Reader, feasible bool, sink func([]trace.Event) error) (damaged,
 	for {
 		batch = sc.ScanBatch(batch[:0], streamBatch)
 		if feas != nil {
-			for _, e := range batch {
+			// The state machine checks the events before the first one
+			// beyond the caps, so the earlier fault is the one reported.
+			at, msg := rr.CapViolation(batch, rr.DefaultMaxTid, rr.DefaultMaxTarget)
+			checked := batch
+			if at >= 0 {
+				checked = batch[:at]
+			}
+			for _, e := range checked {
 				if err := feas.Event(e); err != nil {
 					return nil, fmt.Errorf("infeasible trace: %w", err)
 				}
+			}
+			if at >= 0 {
+				return nil, fmt.Errorf("infeasible trace: %w",
+					&trace.ValidationError{Index: sc.Index() - len(batch) + at, Event: batch[at], Msg: msg})
 			}
 		}
 		if len(batch) > 0 {

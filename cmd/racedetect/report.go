@@ -79,7 +79,6 @@ type healthReport struct {
 	Repaired             int64  `json:"repaired,omitempty"`
 	Dropped              int64  `json:"dropped,omitempty"`
 	Synthesized          int64  `json:"synthesized,omitempty"`
-	UnheldReleases       int64  `json:"unheldReleases,omitempty"`
 	Err                  string `json:"error,omitempty"`
 }
 

@@ -210,6 +210,48 @@ func TestSameVerdictUnderEveryPolicy(t *testing.T) {
 	}
 }
 
+// TestHostileIdsCapped: the identifier caps hold under every policy,
+// the default included, so an absurd id ends the run with the cap
+// message, or is dropped, instead of sizing a detector's dense tables.
+// Each run has a 2 GB address-space limit, which a table sized by such
+// an id would exceed.
+func TestHostileIdsCapped(t *testing.T) {
+	bin, base, _ := buildRacedetect(t)
+	for _, tr := range []struct{ name, text string }{
+		{"huge-target", "wr 0 x1099511627776\n"},
+		{"huge-tid", "fork 0 2147483647\nwr 2147483647 x1\n"},
+	} {
+		path := filepath.Join(base, tr.name+".trace")
+		if err := os.WriteFile(path, []byte(tr.text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, run := range []struct {
+			policy string
+			code   int
+			want   string
+		}{
+			{"", 2, "outside [0, "},
+			{"off", 2, "outside [0, "},
+			{"strict", 2, "outside [0, "},
+			{"repair", 0, "dropped="},
+			{"drop", 0, "dropped="},
+		} {
+			name := tr.name + "/default"
+			args := []string{"-c", `ulimit -v 2000000 && exec "$0" "$@"`, bin, "-stats"}
+			if run.policy != "" {
+				name = tr.name + "/" + run.policy
+				args = append(args, "-policy", run.policy)
+			}
+			t.Run(name, func(t *testing.T) {
+				code, out := racedetect(t, "sh", append(args, path)...)
+				if code != run.code || !strings.Contains(out, run.want) {
+					t.Errorf("exit %d, want %d with %q:\n%s", code, run.code, run.want, out)
+				}
+			})
+		}
+	}
+}
+
 // TestMembudgetSqueezes: the streaming analysis honours -membudget, so a
 // tight budget squeezes FastTrack's shadow memory and -stats says so.
 func TestMembudgetSqueezes(t *testing.T) {

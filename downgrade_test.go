@@ -35,9 +35,9 @@ func TestMonitorQueriesSurviveToolDowngrade(t *testing.T) {
 	if races := m.Races(); len(races) != 0 {
 		t.Errorf("Races() after downgrade = %v", races)
 	}
-	st := m.Stats()
-	if st.Panics == 0 {
-		t.Error("Stats() after downgrade lost the panic accounting")
+	_ = m.Stats()
+	if m.Health().Panics == 0 {
+		t.Error("Health() after downgrade lost the panic accounting")
 	}
 	m.Write(0, 999)
 	m.Acquire(0, 1)

@@ -170,7 +170,6 @@ type Result struct {
 	Races   int   // warnings reported by the tool afterwards
 	ScanErr error // decode error that ended the stream, if any
 	Health  rr.Health
-	Stats   rr.Stats // tool stats merged with the dispatcher's counters
 }
 
 // Run corrupts tr with the given mode and seed, then feeds the result
@@ -186,11 +185,9 @@ func Run(tool rr.Tool, tr trace.Trace, mode Mode, seed int64, policy rr.Policy) 
 	sc := trace.NewScanner(bytes.NewReader(raw))
 	n := 0
 	for sc.Scan() {
-		d.Event(sc.Event())
+		d.EventBatch([]trace.Event{sc.Event()})
 		n++
 	}
-	st := tool.Stats()
-	d.FillStats(&st)
 	return Result{
 		Mode:    mode,
 		Tool:    tool.Name(),
@@ -199,14 +196,12 @@ func Run(tool rr.Tool, tr trace.Trace, mode Mode, seed int64, policy rr.Policy) 
 		Races:   len(tool.Races()),
 		ScanErr: sc.Err(),
 		Health:  d.Health(),
-		Stats:   st,
 	}
 }
 
 // Check verifies the accounting invariants of a run: every violation is
-// accounted as repaired, dropped, or the strict error, the quarantine
-// only reports state consistent with observed panics, and the merged
-// Stats agree with the Health snapshot.
+// accounted as repaired, dropped, or the strict error, and the
+// quarantine only reports state consistent with observed panics.
 func (r Result) Check() error {
 	h := r.Health
 	errored := int64(0)
@@ -223,10 +218,6 @@ func (r Result) Check() error {
 	if int64(h.QuarantinedLocations) > h.Panics {
 		return fmt.Errorf("chaos %s/%s seed %d: %d quarantined locations from %d panics",
 			r.Mode, r.Tool, r.Seed, h.QuarantinedLocations, h.Panics)
-	}
-	if r.Stats.Violations != h.Violations || r.Stats.Panics != h.Panics {
-		return fmt.Errorf("chaos %s/%s seed %d: Stats (%d violations, %d panics) disagree with Health (%d, %d)",
-			r.Mode, r.Tool, r.Seed, r.Stats.Violations, r.Stats.Panics, h.Violations, h.Panics)
 	}
 	return nil
 }

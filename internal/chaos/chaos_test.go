@@ -100,7 +100,7 @@ func TestQuarantineContinuesDetection(t *testing.T) {
 	}
 	// The quarantined location is skipped from here on, counted as
 	// quarantined accesses.
-	d.Event(trace.Wr(1, 5))
+	d.Feed(trace.Trace{trace.Wr(1, 5)})
 	if got := d.Health().QuarantinedAccesses; got != 1 {
 		t.Fatalf("QuarantinedAccesses = %d, want 1", got)
 	}
@@ -119,7 +119,7 @@ func TestToolDowngrade(t *testing.T) {
 	}
 	d := rr.NewDispatcher(tool)
 	for x := uint64(0); x < rr.DefaultMaxToolPanics+2; x++ {
-		d.Event(trace.Wr(0, x*rr.FieldsPerObject)) // distinct shadow locations
+		d.Feed(trace.Trace{trace.Wr(0, x*rr.FieldsPerObject)}) // distinct shadow locations
 	}
 	h := d.Health()
 	if !h.ToolDisabled {
@@ -132,7 +132,7 @@ func TestToolDowngrade(t *testing.T) {
 		t.Fatal("Health reports healthy with a disabled tool")
 	}
 	// The downgraded pipeline still accepts events and queries.
-	d.Event(trace.Wr(1, 99))
+	d.Feed(trace.Trace{trace.Wr(1, 99)})
 	if got := d.Tool.Races(); got == nil && len(got) != 0 {
 		t.Fatalf("Races() on downgraded tool = %v", got)
 	}

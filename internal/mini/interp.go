@@ -154,7 +154,7 @@ func Run(p *Program, opt Options) *Result {
 	}
 	in.emitFn = func(e trace.Event) {
 		if disp != nil {
-			disp.Event(e)
+			disp.EventBatch([]trace.Event{e})
 		}
 		if opt.RecordTrace {
 			res.Trace = append(res.Trace, e)

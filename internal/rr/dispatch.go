@@ -45,8 +45,9 @@ const FieldsPerObject = 8
 // panicking HandleEvent never escapes to the caller; instead the
 // offending shadow location is quarantined (skipped from then on) and,
 // after DefaultMaxToolPanics panics, the whole tool is downgraded to a no-op
-// that still serves the warnings and stats gathered so far. All
-// degradation is visible in Health and the resilience fields of Stats.
+// that still serves the warnings and stats gathered so far. The
+// dispatcher counts every deviation once, in one ledger: Health reads
+// it, and the rr.* metrics are bumped where it is.
 type Dispatcher struct {
 	Tool        Tool
 	Granularity Granularity
@@ -63,11 +64,6 @@ type Dispatcher struct {
 	FilteredReentrant int64
 	// Fed counts events offered to the dispatcher.
 	Fed int64
-	// UnheldReleases counts releases (and waits) with no matching acquire
-	// that were intercepted rather than forwarded to the tool. Under a
-	// validating policy these are repaired or dropped before reaching the
-	// lock bookkeeping, so the counter stays zero.
-	UnheldReleases int64
 
 	// Obs, when non-nil, receives live pipeline metrics (rr.* namespace:
 	// events fed, delivered by class, validator/quarantine accounting,
@@ -86,23 +82,25 @@ type Dispatcher struct {
 	// own Stats are audited against.
 	deliveredKind [trace.ChanClose + 1]int64
 
-	val  *Validator
-	verr error // sticky PolicyStrict validation error
+	val *Validator
 
-	// Panic quarantine state (see recoverPanic).
-	panics          int64
-	panicLog        []PanicRecord
-	quarantined     map[uint64]bool
-	quarantinedHits int64
-	disabled        bool
+	// ledger is the pipeline's one count of deviations: validation
+	// verdicts (see violation), the sticky strict error, and the panic
+	// quarantine (see recoverPanic). Health returns a copy of it.
+	ledger      Health
+	quarantined map[uint64]bool
 }
 
 // DefaultMaxToolPanics is the panic budget: after this many recovered
 // tool panics, the tool is downgraded to a no-op.
 const DefaultMaxToolPanics = 8
 
-// maxPanicLog bounds the retained panic records.
-const maxPanicLog = 8
+// maxPanicLog and maxViolationLog bound the retained panic and
+// violation records; the counters keep exact totals regardless.
+const (
+	maxPanicLog     = 8
+	maxViolationLog = 32
+)
 
 // PanicRecord describes one recovered tool panic.
 type PanicRecord struct {
@@ -115,9 +113,11 @@ func (p PanicRecord) String() string {
 	return fmt.Sprintf("panic at event %d (%s): %s", p.Index, p.Event, p.Value)
 }
 
-// Health is a degradation snapshot of the dispatcher's pipeline: it
-// reports everything the resilience layer did instead of crashing. A
-// healthy pipeline has Healthy == true and all counters zero.
+// Health is a snapshot of the dispatcher's ledger: everything the
+// resilience layer did instead of crashing, each deviation counted once,
+// here and nowhere else (the rr.validator.* and rr.quarantine.* metrics
+// are bumped as it is). A healthy pipeline has Healthy == true and all
+// counters zero.
 type Health struct {
 	// Healthy is true iff no degradation of any kind occurred.
 	Healthy bool
@@ -133,16 +133,16 @@ type Health struct {
 	// their location was quarantined.
 	QuarantinedLocations int
 	QuarantinedAccesses  int64
-	// Validator accounting: Violations == Repaired + Dropped, plus one if
-	// Err is set (PolicyStrict). Synthesized counts repair events fed to
-	// the tool. ViolationLog holds the first few violations.
+	// Validation accounting: Violations == Repaired + Dropped, plus one
+	// if Err is set (PolicyStrict), under every policy. Under PolicyOff
+	// the only violation is a release or wait of a lock its thread does
+	// not hold, which is dropped. Synthesized counts repair events fed
+	// to the tool. ViolationLog holds the first few violations.
 	Violations   int64
 	Repaired     int64
 	Dropped      int64
 	Synthesized  int64
 	ViolationLog []Violation
-	// UnheldReleases mirrors Dispatcher.UnheldReleases (PolicyOff only).
-	UnheldReleases int64
 	// Err is the sticky PolicyStrict validation error, if any.
 	Err error
 }
@@ -164,30 +164,13 @@ func NewDispatcher(tool Tool) *Dispatcher {
 // wrapper's recover guards contain a tool whose accessors panic too.
 func (d *Dispatcher) CurrentTool() Tool { return d.Tool }
 
-// Event offers one event to the dispatcher. Under PolicyStrict the first
-// violation halts the stream (see Err); all later events are ignored.
-func (d *Dispatcher) Event(e trace.Event) {
-	idx := d.Fed
-	d.Fed++
-	if d.Obs != nil && d.om == nil {
-		d.initObs()
-	}
-	if d.om != nil {
-		d.om.fed.Inc()
-	}
-	d.checked(idx, e)
-	if d.om != nil {
-		d.om.publishDelivered(d)
-	}
-}
-
-// EventBatch offers a batch of events in order. It is semantically
-// identical to calling Event once per element — validation, filtering,
-// and delivery all stay per-event — but the fed accounting (Fed, the
-// rr.events.fed counter) and the rr.delivered.* counters are amortized
-// into one update per batch. idx passed to the validator is each
-// event's position in the fed stream, exactly as the per-event path
-// computes it.
+// EventBatch offers a batch of events in order, the dispatcher's one
+// entry point (a single event is a one-element batch). Validation,
+// filtering and delivery stay per event; the fed accounting (Fed, the
+// rr.events.fed counter) and the rr.delivered.* counters are updated
+// once per batch. Each event's index in the violation log is its
+// position in the fed stream. Under PolicyStrict the first violation
+// halts the stream (see Err); all later events are ignored.
 func (d *Dispatcher) EventBatch(events []trace.Event) {
 	n := int64(len(events))
 	if n == 0 {
@@ -209,10 +192,10 @@ func (d *Dispatcher) EventBatch(events []trace.Event) {
 	}
 }
 
-// checked runs the post-accounting half of Event: the sticky strict
-// error, the optional validator (fed position idx), and delivery.
+// checked runs one event, at fed position idx, through the sticky
+// strict error, the optional validator, and delivery.
 func (d *Dispatcher) checked(idx int64, e trace.Event) {
-	if d.verr != nil {
+	if d.ledger.Err != nil {
 		return
 	}
 	if d.Policy != PolicyOff {
@@ -220,22 +203,54 @@ func (d *Dispatcher) checked(idx int64, e trace.Event) {
 			d.val = NewValidator(d.Policy)
 			d.val.SetCaps(d.MaxTid, d.MaxTarget)
 		}
-		repairs, drop, err := d.val.Check(int(idx), e)
-		if d.om != nil {
-			d.om.publishValidator(d.val)
-		}
-		if err != nil {
-			d.verr = err
-			return
-		}
-		if drop {
-			return
-		}
-		for _, r := range repairs {
-			d.process(r)
+		if msg, act, repairs := d.val.Check(e); msg != "" {
+			d.violation(idx, e, msg, act)
+			if act != ActionRepaired {
+				return
+			}
+			d.synthesized(int64(len(repairs)))
+			for _, r := range repairs {
+				d.process(idx, r)
+			}
 		}
 	}
-	d.process(e)
+	d.process(idx, e)
+}
+
+// violation records that event idx broke the feasibility constraints
+// and how it was handled; ActionErrored also sets the sticky strict
+// error.
+func (d *Dispatcher) violation(idx int64, e trace.Event, msg string, act ViolationAction) {
+	l := &d.ledger
+	l.Violations++
+	if len(l.ViolationLog) < maxViolationLog {
+		l.ViolationLog = append(l.ViolationLog, Violation{Index: int(idx), Event: e, Msg: msg, Action: act})
+	}
+	switch act {
+	case ActionErrored:
+		l.Err = &trace.ValidationError{Index: int(idx), Event: e, Msg: msg}
+	case ActionRepaired:
+		l.Repaired++
+	case ActionDropped:
+		l.Dropped++
+	}
+	if d.om != nil {
+		d.om.violations.Inc()
+		switch act {
+		case ActionRepaired:
+			d.om.repaired.Inc()
+		case ActionDropped:
+			d.om.dropped.Inc()
+		}
+	}
+}
+
+// synthesized counts n repair events about to be fed to the tool.
+func (d *Dispatcher) synthesized(n int64) {
+	d.ledger.Synthesized += n
+	if d.om != nil {
+		d.om.synthesized.Add(n)
+	}
 }
 
 // Delivered returns how many events of kind k the dispatcher actually
@@ -262,11 +277,12 @@ func (d *Dispatcher) DeliveredSyncs() int64 {
 }
 
 // Err returns the sticky PolicyStrict validation error, if any.
-func (d *Dispatcher) Err() error { return d.verr }
+func (d *Dispatcher) Err() error { return d.ledger.Err }
 
 // process applies the framework services (re-entrant lock filtering,
-// wait expansion, granularity) and forwards the event to the tool.
-func (d *Dispatcher) process(e trace.Event) {
+// wait expansion, granularity) and forwards the event to the tool. idx
+// is the fed position of the event e is or repairs.
+func (d *Dispatcher) process(idx int64, e trace.Event) {
 	// Fast path: data accesses are >96% of the stream and need only the
 	// granularity remap.
 	if e.Kind == trace.Read || e.Kind == trace.Write {
@@ -293,8 +309,8 @@ func (d *Dispatcher) process(e trace.Event) {
 		case 0:
 			// Release with no matching acquire: never forwarded unchecked.
 			// A validating policy repairs or drops it before it gets here;
-			// under PolicyOff it is intercepted and counted.
-			d.unheldRelease()
+			// under PolicyOff it is dropped here.
+			d.notHeld(idx, e)
 			return
 		case 1:
 			delete(d.depth, k)
@@ -312,9 +328,8 @@ func (d *Dispatcher) process(e trace.Event) {
 		switch d.depth[k] {
 		case 0:
 			// Waiting on a lock the thread does not hold would forward a
-			// release that never had an acquire; intercept it like an
-			// unheld release.
-			d.unheldRelease()
+			// release that never had an acquire; drop it like one.
+			d.notHeld(idx, e)
 			return
 		case 1:
 			delete(d.depth, k)
@@ -338,7 +353,7 @@ func (d *Dispatcher) forward(e trace.Event) {
 	i := int(d.next)
 	d.next++
 	if d.quarantined != nil && e.Kind.IsAccess() && d.quarantined[e.Target] {
-		d.quarantinedHits++
+		d.ledger.QuarantinedAccesses++
 		return
 	}
 	d.deliver(i, e)
@@ -351,11 +366,10 @@ func (d *Dispatcher) filteredReentrant() {
 	}
 }
 
-func (d *Dispatcher) unheldRelease() {
-	d.UnheldReleases++
-	if d.om != nil {
-		d.om.unheld.Inc()
-	}
+// notHeld drops release or wait e of a lock its thread does not hold,
+// recorded as the violation the state machine reports for it.
+func (d *Dispatcher) notHeld(idx int64, e trace.Event) {
+	d.violation(idx, e, trace.NotHeldMsg(e), ActionDropped)
 }
 
 // deliver counts the event into the per-kind delivery counters and
@@ -385,9 +399,10 @@ func (d *Dispatcher) deliver(i int, e trace.Event) {
 // the offending location in quarantine, and downgrade the tool once the
 // panic budget is spent.
 func (d *Dispatcher) recoverPanic(i int, e trace.Event, r any) {
-	d.panics++
-	if len(d.panicLog) < maxPanicLog {
-		d.panicLog = append(d.panicLog, PanicRecord{Index: i, Event: e, Value: fmt.Sprint(r)})
+	l := &d.ledger
+	l.Panics++
+	if len(l.PanicLog) < maxPanicLog {
+		l.PanicLog = append(l.PanicLog, PanicRecord{Index: i, Event: e, Value: fmt.Sprint(r)})
 	}
 	if e.Kind.IsAccess() {
 		if d.quarantined == nil {
@@ -399,53 +414,24 @@ func (d *Dispatcher) recoverPanic(i int, e trace.Event, r any) {
 		d.om.panics.Inc()
 		d.om.quarantine.Set(int64(len(d.quarantined)))
 	}
-	if !d.disabled && d.panics >= DefaultMaxToolPanics {
+	if !l.ToolDisabled && l.Panics >= DefaultMaxToolPanics {
 		d.Tool = &disabledTool{inner: d.Tool}
-		d.disabled = true
+		l.ToolDisabled = true
 	}
 }
 
 // Quarantined reports whether shadow location x is quarantined.
 func (d *Dispatcher) Quarantined(x uint64) bool { return d.quarantined[x] }
 
-// Health returns a degradation snapshot of the pipeline.
+// Health returns a degradation snapshot of the pipeline: a copy of the
+// ledger, with the quarantine size and the verdict filled in.
 func (d *Dispatcher) Health() Health {
-	h := Health{
-		ToolDisabled:         d.disabled,
-		Panics:               d.panics,
-		PanicLog:             append([]PanicRecord(nil), d.panicLog...),
-		QuarantinedLocations: len(d.quarantined),
-		QuarantinedAccesses:  d.quarantinedHits,
-		UnheldReleases:       d.UnheldReleases,
-		Err:                  d.verr,
-	}
-	if d.val != nil {
-		h.Violations = d.val.Violations
-		h.Repaired = d.val.Repaired
-		h.Dropped = d.val.Dropped
-		h.Synthesized = d.val.Synthesized
-		h.ViolationLog = append([]Violation(nil), d.val.Log...)
-	}
-	h.Healthy = h.Panics == 0 && !h.ToolDisabled && h.Violations == 0 &&
-		h.UnheldReleases == 0 && h.Err == nil
+	h := d.ledger
+	h.PanicLog = append([]PanicRecord(nil), h.PanicLog...)
+	h.ViolationLog = append([]Violation(nil), h.ViolationLog...)
+	h.QuarantinedLocations = len(d.quarantined)
+	h.Healthy = h.Panics == 0 && !h.ToolDisabled && h.Violations == 0 && h.Err == nil
 	return h
-}
-
-// FillStats merges the dispatcher's resilience counters into st, which
-// should be the wrapped tool's own Stats snapshot. Unheld releases get
-// their own field: folding them into Dropped (which counts validator
-// drops) used to break the documented Violations == Repaired + Dropped
-// invariant under PolicyOff, where interceptions happen without any
-// validator violation being recorded.
-func (d *Dispatcher) FillStats(st *Stats) {
-	st.Panics += d.panics
-	st.Quarantined += int64(len(d.quarantined))
-	st.UnheldReleases += d.UnheldReleases
-	if d.val != nil {
-		st.Violations += d.val.Violations
-		st.Repaired += d.val.Repaired
-		st.Dropped += d.val.Dropped
-	}
 }
 
 // disabledTool is the downgrade target for a tool that exceeded the

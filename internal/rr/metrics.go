@@ -1,56 +1,45 @@
 package rr
 
 import (
+	"reflect"
+	"strings"
+
 	"fasttrack/internal/obs"
 	"fasttrack/trace"
 )
 
 // PublishStats mirrors a Stats snapshot into reg as gauges named
-// "<prefix>.<field>". Gauges (not counters) because st is a snapshot
-// owned by the caller: successive calls overwrite rather than
-// accumulate, so republishing after every progress tick is idempotent.
-// Zero-valued fields with an omitempty JSON tag are skipped to keep the
-// /metrics payload proportional to what the tool actually did.
+// "<prefix>.<json name>", one per field. Gauges (not counters) because
+// st is a snapshot owned by the caller: successive calls overwrite
+// rather than accumulate, so republishing after every progress tick is
+// idempotent. A zero field with an omitempty JSON tag is skipped, to
+// keep the /metrics payload proportional to what the tool actually
+// did; shadowBytes is published even at zero.
 func PublishStats(reg *obs.Registry, prefix string, st Stats) {
-	set := func(name string, v int64, always bool) {
-		if v != 0 || always {
-			reg.Gauge(prefix + "." + name).Set(v)
+	v := reflect.ValueOf(st)
+	for i, f := range statGauges {
+		if n := v.Field(i).Int(); n != 0 || f.always {
+			reg.Gauge(prefix + "." + f.name).Set(n)
 		}
 	}
-	set("events", st.Events, true)
-	set("reads", st.Reads, true)
-	set("writes", st.Writes, true)
-	set("syncs", st.Syncs, true)
-	set("acquires", st.Acquires, false)
-	set("releases", st.Releases, false)
-	set("forks", st.Forks, false)
-	set("joins", st.Joins, false)
-	set("volatiles", st.Volatiles, false)
-	set("barriers", st.Barriers, false)
-	set("waits", st.Waits, false)
-	set("markers", st.Markers, false)
-	set("vcAlloc", st.VCAlloc, false)
-	set("vcOps", st.VCOp, false)
-	set("readSameEpoch", st.ReadSameEpoch, false)
-	set("readShared", st.ReadShared, false)
-	set("readExclusive", st.ReadExclusive, false)
-	set("readShare", st.ReadShare, false)
-	set("writeSameEpoch", st.WriteSameEpoch, false)
-	set("writeExclusive", st.WriteExclusive, false)
-	set("writeShared", st.WriteShared, false)
-	set("readOwned", st.ReadOwned, false)
-	set("writeOwned", st.WriteOwned, false)
-	set("lockSetOps", st.LockSetOps, false)
-	set("shadowBytes", st.ShadowBytes, true)
-	set("panics", st.Panics, false)
-	set("quarantined", st.Quarantined, false)
-	set("violations", st.Violations, false)
-	set("repaired", st.Repaired, false)
-	set("dropped", st.Dropped, false)
-	set("unheldReleases", st.UnheldReleases, false)
-	set("memSqueezes", st.MemSqueezes, false)
-	set("memCoarse", st.MemCoarse, false)
 }
+
+// statGauge is the gauge of one Stats field.
+type statGauge struct {
+	name   string // the field's JSON name
+	always bool   // published at zero too
+}
+
+// statGauges holds the gauge of each Stats field, in field order.
+var statGauges = func() []statGauge {
+	t := reflect.TypeOf(Stats{})
+	out := make([]statGauge, t.NumField())
+	for i := range out {
+		name, opts, _ := strings.Cut(t.Field(i).Tag.Get("json"), ",")
+		out[i] = statGauge{name: name, always: opts != "omitempty" || name == "shadowBytes"}
+	}
+	return out
+}()
 
 // obsMetrics caches the dispatcher's metric handles so publishing is a
 // handful of atomic adds with no registry (map) lookups.
@@ -61,20 +50,16 @@ type obsMetrics struct {
 	syncs       *obs.Counter
 	delivered   *obs.Counter
 	filtered    *obs.Counter // re-entrant acquire/release suppressed
-	unheld      *obs.Counter
 	violations  *obs.Counter
 	repaired    *obs.Counter
-	droppedVal  *obs.Counter
+	dropped     *obs.Counter
 	synthesized *obs.Counter
 	panics      *obs.Counter
 	quarantine  *obs.Gauge // quarantined shadow locations (live count)
 	latency     *obs.Histogram
 
-	// Last-published validator values, so deltas can be mirrored into
-	// the monotone counters after each Check.
-	lastViolations, lastRepaired, lastDropped, lastSynthesized int64
-	// Last-published delivery counts, mirrored the same way once per
-	// Event or EventBatch call.
+	// Last-published delivery counts, so their growth can be added to
+	// the monotone counters once per EventBatch call.
 	lastDelivered, lastReads, lastWrites, lastSyncs int64
 }
 
@@ -89,10 +74,9 @@ const (
 	metricSyncs        = "rr.delivered.syncs"
 	metricDelivered    = "rr.delivered.total"
 	metricFiltered     = "rr.filtered.reentrant"
-	metricUnheld       = "rr.filtered.unheldReleases"
 	metricViolations   = "rr.validator.violations"
 	metricRepaired     = "rr.validator.repaired"
-	metricDroppedVal   = "rr.validator.dropped"
+	metricDropped      = "rr.validator.dropped"
 	metricSynthesized  = "rr.validator.synthesized"
 	metricPanics       = "rr.quarantine.panics"
 	metricQuarantined  = "rr.quarantine.locations"
@@ -100,8 +84,8 @@ const (
 	latencySampleEvery = 64 // sample 1 in 64 deliveries into the histogram
 )
 
-// initObs resolves the metric handles once. Called lazily from Event so
-// that setting d.Obs after construction still works.
+// initObs resolves the metric handles once. Called lazily from
+// EventBatch so that setting d.Obs after construction still works.
 func (d *Dispatcher) initObs() {
 	r := d.Obs
 	d.om = &obsMetrics{
@@ -111,10 +95,9 @@ func (d *Dispatcher) initObs() {
 		syncs:       r.Counter(metricSyncs),
 		delivered:   r.Counter(metricDelivered),
 		filtered:    r.Counter(metricFiltered),
-		unheld:      r.Counter(metricUnheld),
 		violations:  r.Counter(metricViolations),
 		repaired:    r.Counter(metricRepaired),
-		droppedVal:  r.Counter(metricDroppedVal),
+		dropped:     r.Counter(metricDropped),
 		synthesized: r.Counter(metricSynthesized),
 		panics:      r.Counter(metricPanics),
 		quarantine:  r.Gauge(metricQuarantined),
@@ -122,36 +105,16 @@ func (d *Dispatcher) initObs() {
 	}
 }
 
-// publishValidator mirrors the validator's counters into the registry
-// as deltas, preserving counter monotonicity across repeated calls.
-func (m *obsMetrics) publishValidator(v *Validator) {
-	if d := v.Violations - m.lastViolations; d > 0 {
-		m.violations.Add(d)
-		m.lastViolations = v.Violations
-	}
-	if d := v.Repaired - m.lastRepaired; d > 0 {
-		m.repaired.Add(d)
-		m.lastRepaired = v.Repaired
-	}
-	if d := v.Dropped - m.lastDropped; d > 0 {
-		m.droppedVal.Add(d)
-		m.lastDropped = v.Dropped
-	}
-	if d := v.Synthesized - m.lastSynthesized; d > 0 {
-		m.synthesized.Add(d)
-		m.lastSynthesized = v.Synthesized
-	}
-}
-
 // publishDelivered mirrors the dispatcher's per-kind delivery counts
 // into the rr.delivered.* counters as deltas. The dispatcher calls it
-// once per Event or EventBatch, so the per-event path does no atomic
-// work for them. forward counts every event it forwards in next and the
-// quarantined ones in quarantinedHits, so their difference is the number
-// handed to deliver; the sync count is summed only when something other
-// than a read or write was delivered since the last call.
+// once per EventBatch, so the per-event path does no atomic work for
+// them. forward counts every event it forwards in next and the
+// quarantined ones in the ledger's QuarantinedAccesses, so their
+// difference is the number handed to deliver; the sync count is summed
+// only when something other than a read or write was delivered since
+// the last call.
 func (m *obsMetrics) publishDelivered(d *Dispatcher) {
-	total := d.next - d.quarantinedHits
+	total := d.next - d.ledger.QuarantinedAccesses
 	if total == m.lastDelivered {
 		return
 	}

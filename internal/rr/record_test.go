@@ -85,9 +85,9 @@ func (r *recorderTool) Stats() Stats    { return r.st }
 func TestMapVar(t *testing.T) {
 	rec := &recorderTool{}
 	d := NewDispatcher(rec)
-	d.Event(trace.Rd(0, 17))
+	d.Feed(trace.Trace{trace.Rd(0, 17)})
 	d.Granularity = Coarse
-	d.Event(trace.Wr(0, 17))
+	d.Feed(trace.Trace{trace.Wr(0, 17)})
 	if got := rec.events[0].Target; got != 17 {
 		t.Errorf("fine granularity delivered x%d, want identity x17", got)
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"fasttrack/internal/obs"
 	"fasttrack/trace"
 )
 
@@ -65,7 +66,7 @@ func TestValidatorRepairsUnheldRelease(t *testing.T) {
 		trace.Wr(0, 1),
 	})
 	h := d.Health()
-	if h.Violations != 1 || h.Repaired != 1 || h.Synthesized != 1 {
+	if h.Violations != 1 || h.Repaired != 1 || h.Synthesized != 1 || h.Dropped != 0 {
 		t.Fatalf("Health = %+v, want 1 violation / 1 repaired / 1 synthesized", h)
 	}
 	want := trace.Trace{trace.Acq(0, 7), trace.Rel(0, 7), trace.Wr(0, 1)}
@@ -76,9 +77,6 @@ func TestValidatorRepairsUnheldRelease(t *testing.T) {
 		if !evEq(rec.events[i], e) {
 			t.Errorf("event %d = %v, want %v", i, rec.events[i], e)
 		}
-	}
-	if d.UnheldReleases != 0 {
-		t.Errorf("UnheldReleases = %d after repair, want 0", d.UnheldReleases)
 	}
 }
 
@@ -263,7 +261,9 @@ func TestValidatorIrreparableLeavesNoRepair(t *testing.T) {
 
 // TestUnheldReleaseInterceptedUnderPolicyOff is the regression test for
 // the dispatcher forwarding depth-0 releases unchecked: even with
-// validation off, an unheld release must never reach the tool.
+// validation off, an unheld release (or wait) must never reach the
+// tool. It is recorded as a dropped violation, with the message the
+// state machine gives for it.
 func TestUnheldReleaseInterceptedUnderPolicyOff(t *testing.T) {
 	rec := &recorder{}
 	d := feedAll(t, rec, PolicyOff, trace.Trace{
@@ -271,9 +271,6 @@ func TestUnheldReleaseInterceptedUnderPolicyOff(t *testing.T) {
 		trace.Event{Kind: trace.Wait, Tid: 0, Target: 8},
 		trace.Wr(0, 1),
 	})
-	if d.UnheldReleases != 2 {
-		t.Fatalf("UnheldReleases = %d, want 2", d.UnheldReleases)
-	}
 	if len(rec.events) != 1 || !evEq(rec.events[0], trace.Wr(0, 1)) {
 		t.Fatalf("tool saw %v, want only the write", rec.events)
 	}
@@ -281,8 +278,60 @@ func TestUnheldReleaseInterceptedUnderPolicyOff(t *testing.T) {
 	if h.Healthy {
 		t.Error("Health.Healthy with intercepted unheld releases")
 	}
-	if h.UnheldReleases != 2 {
-		t.Errorf("Health.UnheldReleases = %d, want 2", h.UnheldReleases)
+	if h.Violations != 2 || h.Dropped != 2 || h.Repaired != 0 || h.Err != nil {
+		t.Errorf("Health = %+v, want 2 violations, both dropped", h)
+	}
+	want := []string{
+		"event 0 (rel 0 m7): thread 0 releases lock m7 it does not hold [dropped]",
+		"event 1 (wait 0 m8): thread 0 waits on lock m8 it does not hold [dropped]",
+	}
+	if len(h.ViolationLog) != len(want) {
+		t.Fatalf("ViolationLog = %v, want %q", h.ViolationLog, want)
+	}
+	for i, v := range h.ViolationLog {
+		if v.String() != want[i] {
+			t.Errorf("violation %d = %q, want %q", i, v, want[i])
+		}
+	}
+}
+
+// TestLedgerBalancesUnderEveryPolicy: every violation is repaired,
+// dropped or the strict error, under all four policies, and the
+// rr.validator.* and rr.quarantine.* counters equal the ledger Health
+// reads.
+func TestLedgerBalancesUnderEveryPolicy(t *testing.T) {
+	tr := trace.Trace{
+		trace.Wr(0, 1),
+		trace.Rel(0, 7), // unheld release: a violation under every policy
+		trace.Wr(0, 3),  // panics: quarantined
+		trace.Wr(4, 2),  // thread 4 never forked (trusted under off)
+		trace.JoinOf(0, 0),
+	}
+	for _, p := range []Policy{PolicyOff, PolicyStrict, PolicyRepair, PolicyDrop} {
+		d := NewDispatcher(&panicTool{target: 3})
+		d.Policy = p
+		d.Obs = obs.NewRegistry()
+		d.Feed(tr)
+		h := d.Health()
+		errored := int64(0)
+		if h.Err != nil {
+			errored = 1
+		}
+		if h.Violations == 0 || h.Violations != h.Repaired+h.Dropped+errored {
+			t.Errorf("%v: %d violations, %d repaired + %d dropped + %d errored", p, h.Violations, h.Repaired, h.Dropped, errored)
+		}
+		snap := d.Obs.Snapshot()
+		for name, want := range map[string]int64{
+			"rr.validator.violations":  h.Violations,
+			"rr.validator.repaired":    h.Repaired,
+			"rr.validator.dropped":     h.Dropped,
+			"rr.validator.synthesized": h.Synthesized,
+			"rr.quarantine.panics":     h.Panics,
+		} {
+			if got := snap.Counter(name); got != want {
+				t.Errorf("%v: %s = %d, Health says %d", p, name, got, want)
+			}
+		}
 	}
 }
 
@@ -335,7 +384,7 @@ func (alwaysPanicTool) Stats() Stats                 { panic("stats") }
 func TestToolDowngradeGuardsQueries(t *testing.T) {
 	d := NewDispatcher(alwaysPanicTool{})
 	for x := uint64(0); x < DefaultMaxToolPanics+3; x++ {
-		d.Event(trace.Wr(0, x*FieldsPerObject))
+		d.Feed(trace.Trace{trace.Wr(0, x*FieldsPerObject)})
 	}
 	h := d.Health()
 	if !h.ToolDisabled || h.Panics != DefaultMaxToolPanics {
@@ -352,7 +401,9 @@ func TestToolDowngradeGuardsQueries(t *testing.T) {
 	_ = d.Tool.Stats()
 }
 
-func TestFillStatsMergesResilienceCounters(t *testing.T) {
+// TestHealthCountsResilience: the quarantine and the validator count
+// into one ledger, read through Health.
+func TestHealthCountsResilience(t *testing.T) {
 	pt := &panicTool{target: 3}
 	d := NewDispatcher(pt)
 	d.Policy = PolicyRepair
@@ -361,14 +412,13 @@ func TestFillStatsMergesResilienceCounters(t *testing.T) {
 		trace.Wr(0, 3),     // panic + quarantine
 		trace.JoinOf(0, 0), // self-join: irreparable, dropped
 	})
-	var st Stats
-	d.FillStats(&st)
-	if st.Panics != 1 || st.Quarantined != 1 {
-		t.Errorf("Stats panics/quarantined = %d/%d, want 1/1", st.Panics, st.Quarantined)
+	h := d.Health()
+	if h.Panics != 1 || h.QuarantinedLocations != 1 {
+		t.Errorf("Health panics/quarantined = %d/%d, want 1/1", h.Panics, h.QuarantinedLocations)
 	}
-	if st.Violations != 2 || st.Repaired != 1 || st.Dropped != 1 {
-		t.Errorf("Stats violations/repaired/dropped = %d/%d/%d, want 2/1/1",
-			st.Violations, st.Repaired, st.Dropped)
+	if h.Violations != 2 || h.Repaired != 1 || h.Dropped != 1 {
+		t.Errorf("Health violations/repaired/dropped = %d/%d/%d, want 2/1/1",
+			h.Violations, h.Repaired, h.Dropped)
 	}
 }
 

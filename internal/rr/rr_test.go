@@ -1,8 +1,12 @@
 package rr
 
 import (
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
+	"fasttrack/internal/obs"
 	"fasttrack/trace"
 )
 
@@ -51,10 +55,12 @@ func TestDispatcherForwardsPlainEvents(t *testing.T) {
 func TestDispatcherReentrantLockFiltering(t *testing.T) {
 	rec := &recorder{}
 	d := NewDispatcher(rec)
-	d.Event(trace.Acq(0, 5))
-	d.Event(trace.Acq(0, 5)) // re-entrant: dropped
-	d.Event(trace.Rel(0, 5)) // inner release: dropped
-	d.Event(trace.Rel(0, 5))
+	d.Feed(trace.Trace{
+		trace.Acq(0, 5),
+		trace.Acq(0, 5), // re-entrant: dropped
+		trace.Rel(0, 5), // inner release: dropped
+		trace.Rel(0, 5),
+	})
 	if len(rec.events) != 2 {
 		t.Fatalf("forwarded %d lock events, want 2: %v", len(rec.events), rec.events)
 	}
@@ -62,8 +68,7 @@ func TestDispatcherReentrantLockFiltering(t *testing.T) {
 		t.Errorf("FilteredReentrant = %d, want 2", d.FilteredReentrant)
 	}
 	// Different threads' holds of different locks are independent.
-	d.Event(trace.Acq(1, 5))
-	d.Event(trace.Acq(0, 6))
+	d.Feed(trace.Trace{trace.Acq(1, 5), trace.Acq(0, 6)})
 	if len(rec.events) != 4 {
 		t.Errorf("independent acquires were filtered")
 	}
@@ -72,10 +77,12 @@ func TestDispatcherReentrantLockFiltering(t *testing.T) {
 func TestDispatcherWaitExpansion(t *testing.T) {
 	rec := &recorder{}
 	d := NewDispatcher(rec)
-	d.Event(trace.Acq(0, 5))
-	d.Event(trace.Event{Kind: trace.Wait, Tid: 0, Target: 5})
-	d.Event(trace.Acq(0, 5)) // wake-up: must NOT be treated as re-entrant
-	d.Event(trace.Rel(0, 5))
+	d.Feed(trace.Trace{
+		trace.Acq(0, 5),
+		{Kind: trace.Wait, Tid: 0, Target: 5},
+		trace.Acq(0, 5), // wake-up: must NOT be treated as re-entrant
+		trace.Rel(0, 5),
+	})
 	want := []trace.Kind{trace.Acquire, trace.Release, trace.Acquire, trace.Release}
 	if len(rec.events) != len(want) {
 		t.Fatalf("forwarded %d events, want %d: %v", len(rec.events), len(want), rec.events)
@@ -90,14 +97,16 @@ func TestDispatcherWaitExpansion(t *testing.T) {
 func TestDispatcherWaitUnderReentrantHold(t *testing.T) {
 	rec := &recorder{}
 	d := NewDispatcher(rec)
-	d.Event(trace.Acq(0, 5))
-	d.Event(trace.Acq(0, 5)) // depth 2 (dropped)
-	d.Event(trace.Event{Kind: trace.Wait, Tid: 0, Target: 5})
+	d.Feed(trace.Trace{
+		trace.Acq(0, 5),
+		trace.Acq(0, 5), // depth 2 (dropped)
+		{Kind: trace.Wait, Tid: 0, Target: 5},
+	})
 	// Conservatively treated as releasing one level: nothing forwarded.
 	if len(rec.events) != 1 {
 		t.Fatalf("events = %v", rec.events)
 	}
-	d.Event(trace.Event{Kind: trace.Wait, Tid: 0, Target: 5})
+	d.Feed(trace.Trace{trace.Event{Kind: trace.Wait, Tid: 0, Target: 5}})
 	if len(rec.events) != 2 || rec.events[1].Kind != trace.Release {
 		t.Fatalf("outermost wait must forward a release: %v", rec.events)
 	}
@@ -106,7 +115,7 @@ func TestDispatcherWaitUnderReentrantHold(t *testing.T) {
 func TestDispatcherDropsNotify(t *testing.T) {
 	rec := &recorder{}
 	d := NewDispatcher(rec)
-	d.Event(trace.Event{Kind: trace.Notify, Tid: 0, Target: 5})
+	d.Feed(trace.Trace{trace.Event{Kind: trace.Notify, Tid: 0, Target: 5}})
 	if len(rec.events) != 0 {
 		t.Errorf("notify forwarded: %v", rec.events)
 	}
@@ -116,9 +125,7 @@ func TestDispatcherCoarseGranularity(t *testing.T) {
 	rec := &recorder{}
 	d := NewDispatcher(rec)
 	d.Granularity = Coarse
-	d.Event(trace.Rd(0, 0))
-	d.Event(trace.Rd(0, FieldsPerObject-1))
-	d.Event(trace.Rd(0, FieldsPerObject))
+	d.Feed(trace.Trace{trace.Rd(0, 0), trace.Rd(0, FieldsPerObject-1), trace.Rd(0, FieldsPerObject)})
 	if rec.events[0].Target != rec.events[1].Target {
 		t.Error("fields of one object must share a shadow location")
 	}
@@ -126,7 +133,7 @@ func TestDispatcherCoarseGranularity(t *testing.T) {
 		t.Error("different objects must not share a shadow location")
 	}
 	// Locks are not remapped.
-	d.Event(trace.Acq(0, FieldsPerObject))
+	d.Feed(trace.Trace{trace.Acq(0, FieldsPerObject)})
 	if rec.events[3].Target != FieldsPerObject {
 		t.Errorf("lock id remapped to %d", rec.events[3].Target)
 	}
@@ -188,5 +195,45 @@ func TestRaceKindStrings(t *testing.T) {
 		if k.String() != want {
 			t.Errorf("%d.String() = %q, want %q", k, k.String(), want)
 		}
+	}
+}
+
+// TestEveryStatsFieldPublishedAndMerged: PublishStats gives every Stats
+// field a gauge named after its JSON key, and Merge sums every field, so
+// a counter added to Stats cannot be left out of either. A zero Stats
+// publishes only the always-present gauges.
+func TestEveryStatsFieldPublishedAndMerged(t *testing.T) {
+	var st Stats
+	v := reflect.ValueOf(&st).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetInt(int64(i + 1))
+	}
+	reg := obs.NewRegistry()
+	PublishStats(reg, "tool", st)
+	snap := reg.Snapshot()
+	merged := st
+	merged.Merge(st)
+	mv := reflect.ValueOf(merged)
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Type().Field(i)
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if got := snap.Gauge("tool." + name); got != int64(i+1) {
+			t.Errorf("%s: gauge tool.%s = %d, want %d", f.Name, name, got, i+1)
+		}
+		if got := mv.Field(i).Int(); got != 2*int64(i+1) {
+			t.Errorf("%s: Merge gave %d, want %d", f.Name, got, 2*(i+1))
+		}
+	}
+
+	zero := obs.NewRegistry()
+	PublishStats(zero, "tool", Stats{})
+	var names []string
+	for name := range zero.Snapshot().Gauges {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	want := []string{"tool.events", "tool.reads", "tool.shadowBytes", "tool.syncs", "tool.writes"}
+	if !reflect.DeepEqual(names, want) {
+		t.Errorf("zero Stats published %v, want %v", names, want)
 	}
 }

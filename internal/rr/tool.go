@@ -9,6 +9,7 @@ package rr
 
 import (
 	"fmt"
+	"reflect"
 
 	"fasttrack/trace"
 )
@@ -90,8 +91,12 @@ func (r Report) String() string {
 // Stats are the instrumentation counters every tool maintains; the
 // evaluation harness derives Table 2 (VC allocations / VC operations),
 // Table 3 (shadow bytes), and the Figure 2 rule frequencies from them.
-// The JSON tags define the stable schema of the machine-readable run
-// report (racedetect -json) and the metrics snapshot.
+// They are the tool's own counters only: what the pipeline did to the
+// stream before the tool saw it (violations, repairs, drops, panics) is
+// counted once, by the Dispatcher, and read from its Health. Every
+// field is an int64. The JSON tags define the stable schema of the
+// machine-readable run report (racedetect -json) and name the tool.*
+// gauges of the metrics snapshot (see PublishStats).
 type Stats struct {
 	Events int64 `json:"events"` // events handled
 	Reads  int64 `json:"reads"`
@@ -140,20 +145,6 @@ type Stats struct {
 
 	LockSetOps  int64 `json:"lockSetOps,omitempty"`  // Eraser-style lock set updates/intersections
 	ShadowBytes int64 `json:"shadowBytes,omitempty"` // live shadow-memory footprint, computed by Stats()
-
-	// Resilience counters, filled in by the Dispatcher (via Monitor.Stats
-	// or Dispatcher.FillStats); always zero for a bare tool.
-	Panics      int64 `json:"panics,omitempty"`      // tool panics recovered by the quarantine
-	Quarantined int64 `json:"quarantined,omitempty"` // shadow locations quarantined after panics
-	Violations  int64 `json:"violations,omitempty"`  // stream well-formedness violations observed
-	Repaired    int64 `json:"repaired,omitempty"`    // violations repaired by synthesizing events
-	Dropped     int64 `json:"dropped,omitempty"`     // validator-rejected events dropped from the stream
-
-	// UnheldReleases counts releases of unheld locks intercepted by the
-	// dispatcher before reaching the tool. They are tracked separately
-	// from Dropped so that Violations == Repaired + Dropped holds exactly
-	// for the validator's own accounting under every policy.
-	UnheldReleases int64 `json:"unheldReleases,omitempty"`
 
 	// Memory-budget degradation, maintained by detectors that support a
 	// shadow-memory budget (FastTrack).
@@ -217,43 +208,13 @@ func (s Stats) SyncKindSum() int64 {
 }
 
 // Merge adds every counter of o into s. Tee and Pipeline use it to
-// combine component stats, so new fields only need to be added here.
+// combine component stats.
 func (s *Stats) Merge(o Stats) {
-	s.Events += o.Events
-	s.Reads += o.Reads
-	s.Writes += o.Writes
-	s.Syncs += o.Syncs
-	s.Acquires += o.Acquires
-	s.Releases += o.Releases
-	s.Forks += o.Forks
-	s.Joins += o.Joins
-	s.Volatiles += o.Volatiles
-	s.Barriers += o.Barriers
-	s.Waits += o.Waits
-	s.Channels += o.Channels
-	s.Markers += o.Markers
-	s.VCAlloc += o.VCAlloc
-	s.VCOp += o.VCOp
-	s.ReadSameEpoch += o.ReadSameEpoch
-	s.ReadShared += o.ReadShared
-	s.ReadExclusive += o.ReadExclusive
-	s.ReadShare += o.ReadShare
-	s.WriteSameEpoch += o.WriteSameEpoch
-	s.WriteExclusive += o.WriteExclusive
-	s.WriteShared += o.WriteShared
-	s.ReadOwned += o.ReadOwned
-	s.WriteOwned += o.WriteOwned
-	s.LockSetOps += o.LockSetOps
-	s.ShadowBytes += o.ShadowBytes
-	s.Panics += o.Panics
-	s.Quarantined += o.Quarantined
-	s.Violations += o.Violations
-	s.Repaired += o.Repaired
-	s.Dropped += o.Dropped
-	s.UnheldReleases += o.UnheldReleases
-	s.MemSqueezes += o.MemSqueezes
-	s.MemCoarse += o.MemCoarse
-	s.ClockSaturations += o.ClockSaturations
+	sv, ov := reflect.ValueOf(s).Elem(), reflect.ValueOf(o)
+	for i := 0; i < sv.NumField(); i++ {
+		f := sv.Field(i)
+		f.SetInt(f.Int() + ov.Field(i).Int())
+	}
 }
 
 // Tool is a back-end dynamic analysis: it consumes the event stream one

@@ -12,9 +12,8 @@ import (
 // resource-safety caps on identifiers and decides per policy what
 // happens to an infeasible event: stop the stream, repair it with
 // synthesized protocol events, or drop it, so that analysis of hostile
-// or damaged streams degrades gracefully instead of aborting. Every
-// deviation is counted and surfaced through Dispatcher.Health and the
-// resilience fields of Stats.
+// or damaged streams degrades gracefully instead of aborting. The
+// Dispatcher counts every deviation once, in the ledger Health reads.
 
 // Policy selects how the Dispatcher responds to stream well-formedness
 // violations.
@@ -22,8 +21,8 @@ type Policy uint8
 
 const (
 	// PolicyOff disables validation. The dispatcher still never forwards
-	// a release with no matching acquire to the tool (it is intercepted
-	// and counted in UnheldReleases); everything else is trusted.
+	// a release or wait of a lock its thread does not hold to the tool:
+	// it is recorded as a dropped violation. Everything else is trusted.
 	PolicyOff Policy = iota
 	// PolicyStrict stops the stream at the first violation; the error is
 	// available from Dispatcher.Err and Health.
@@ -82,7 +81,8 @@ const (
 // target) and maxTarget (on every other target), and how; or -1 and ""
 // when every event keeps within them. racedetectd applies it under the
 // default caps to every decoded frame, whatever the session's policy,
-// so the loop tests an event in range without a call.
+// and racedetect to every batch it checks for feasibility under
+// -policy off, so the loop tests an event in range without a call.
 func CapViolation(events []trace.Event, maxTid int32, maxTarget uint64) (int, string) {
 	for i := range events {
 		e := &events[i]
@@ -160,33 +160,18 @@ func (v Violation) String() string {
 	return fmt.Sprintf("event %d (%s): %s [%s]", v.Index, v.Event, v.Msg, v.Action)
 }
 
-// maxViolationLog bounds the retained violation records; the counters
-// keep exact totals regardless.
-const maxViolationLog = 32
-
 // Validator applies a Policy to the Section 2.1 checks of one
 // trace.Validator, the state machine Trace.Validate and racedetect's
 // -policy off run too, so every policy judges feasibility alike. It
-// adds what a policy needs: the identifier caps, the repair events, the
-// counters and the violation log. The Dispatcher drives it; it is
-// exported for tests and the chaos harness.
+// adds what a policy needs: the identifier caps and the repair events.
+// It counts nothing: the Dispatcher drives it and records each verdict
+// in its ledger.
 type Validator struct {
 	policy    Policy
 	maxTid    int32
 	maxTarget uint64
 
 	m *trace.Validator
-
-	// Counters. Violations == Repaired + Dropped (+1 if a strict error
-	// stopped the stream) — the accounting invariant the chaos harness
-	// asserts.
-	Violations  int64
-	Repaired    int64
-	Dropped     int64
-	Synthesized int64
-
-	// Log holds the first maxViolationLog violations.
-	Log []Violation
 }
 
 // NewValidator returns a validator for the given policy with the default
@@ -210,41 +195,36 @@ func (v *Validator) SetCaps(maxTid int32, maxTarget uint64) {
 	}
 }
 
-// Check examines the i'th event. When repairs is non-nil the caller must
-// feed the repair events, then e. drop reports that e must be skipped.
-// err is non-nil only under PolicyStrict and is sticky at the caller.
+// Check examines one event. An empty msg means e keeps the constraints
+// and is forwarded as is. Otherwise msg says how e breaks them and act
+// what the policy does about it: ActionErrored stops the stream
+// (PolicyStrict), ActionRepaired forwards the repairs and then e, and
+// ActionDropped skips e.
 //
 // An event beyond the identifier caps is irreparable. Any other
 // violation is the state machine's; under PolicyRepair the validator
 // builds the missing forks, acquire or releases and checks e again, and
 // drops e if it still fails.
-func (v *Validator) Check(i int, e trace.Event) (repairs []trace.Event, drop bool, err error) {
-	msg := capViolation(&e, v.maxTid, v.maxTarget)
+func (v *Validator) Check(e trace.Event) (msg string, act ViolationAction, repairs []trace.Event) {
+	msg = capViolation(&e, v.maxTid, v.maxTarget)
 	reparable := msg == ""
 	if reparable {
 		verr := v.m.Event(e)
 		if verr == nil {
-			return nil, false, nil
+			return "", 0, nil
 		}
 		msg = verr.(*trace.ValidationError).Msg
 	}
-	v.Violations++
 	if v.policy == PolicyStrict {
-		v.log(i, e, msg, ActionErrored)
-		return nil, false, &trace.ValidationError{Index: i, Event: e, Msg: msg}
+		return msg, ActionErrored, nil
 	}
 	if v.policy == PolicyRepair && reparable {
 		if fix := v.repairs(e); len(fix) > 0 && v.m.Repair(fix, e) == nil {
-			v.log(i, e, msg, ActionRepaired)
-			v.Repaired++
-			v.Synthesized += int64(len(fix))
-			return fix, false, nil
+			return msg, ActionRepaired, fix
 		}
 	}
 	// PolicyDrop, or irreparable under PolicyRepair.
-	v.log(i, e, msg, ActionDropped)
-	v.Dropped++
-	return nil, true, nil
+	return msg, ActionDropped, nil
 }
 
 // repairs builds the protocol events e misses: a fork from thread 0 for
@@ -273,10 +253,4 @@ func (v *Validator) repairs(e trace.Event) []trace.Event {
 		}
 	}
 	return fix
-}
-
-func (v *Validator) log(i int, e trace.Event, msg string, a ViolationAction) {
-	if len(v.Log) < maxViolationLog {
-		v.Log = append(v.Log, Violation{Index: i, Event: e, Msg: msg, Action: a})
-	}
 }

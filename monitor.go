@@ -112,7 +112,7 @@ func WithRaceHandler(f func(Report)) MonitorOption {
 
 // WithValidation enables online stream validation under the given
 // policy. PolicyRepair and PolicyDrop degrade gracefully on malformed
-// event sequences (the degradation is visible in Health and Stats);
+// event sequences (the degradation is visible in Health);
 // PolicyStrict stops analysis at the first violation, reported by
 // Health().Err. The default is PolicyOff.
 func WithValidation(p Policy) MonitorOption {
@@ -161,11 +161,9 @@ func (m *Monitor) Close() error {
 	if m.closed {
 		return nil
 	}
-	st := m.tool().Stats()
-	m.disp.FillStats(&st)
 	m.final = &monitorFinal{
 		races:  append([]Report(nil), m.tool().Races()...),
-		stats:  st,
+		stats:  m.tool().Stats(),
 		health: m.disp.Health(),
 	}
 	if dt, ok := m.tool().(rr.DetailedTool); ok {
@@ -226,7 +224,7 @@ func (m *Monitor) event(e trace.Event) error {
 		m.rejected.Add(1)
 		return ErrMonitorClosed
 	}
-	m.disp.Event(e)
+	m.disp.EventBatch([]trace.Event{e})
 	m.drainRacesLocked()
 	return nil
 }
@@ -386,22 +384,21 @@ func (m *Monitor) DetailedRaces() []DetailedReport {
 	return out
 }
 
-// Stats returns a snapshot of the detector's counters, including the
-// pipeline's resilience counters (panics recovered, locations
-// quarantined, validation repairs/drops).
+// Stats returns a snapshot of the detector's own counters. What the
+// pipeline did to the stream before the detector saw it (violations,
+// repairs, drops, recovered panics, quarantined locations) is counted
+// in Health alone.
 func (m *Monitor) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
 		return m.final.stats
 	}
-	st := m.tool().Stats()
-	m.disp.FillStats(&st)
-	return st
+	return m.tool().Stats()
 }
 
-// TryStats returns the Stats and Health snapshots as one non-blocking
-// acquisition: ok is false, with zero-value snapshots, when the monitor
+// TryStats returns the detector's Stats and the pipeline's Health as
+// one non-blocking acquisition: ok is false, with zero-value snapshots, when the monitor
 // lock is contended at the instant of the call. It exists for
 // out-of-band observers (the daemon's HTTP stats endpoint) that must
 // stay responsive even when an ingesting goroutine has wedged inside
@@ -415,9 +412,7 @@ func (m *Monitor) TryStats() (Stats, Health, bool) {
 	if m.closed {
 		return m.final.stats, m.final.health, true
 	}
-	st := m.tool().Stats()
-	m.disp.FillStats(&st)
-	return st, m.disp.Health(), true
+	return m.tool().Stats(), m.disp.Health(), true
 }
 
 // TryRaces is the non-blocking Races(): ok is false, with a nil
@@ -438,7 +433,8 @@ func (m *Monitor) TryRaces() ([]Report, bool) {
 // Health returns a degradation snapshot of the monitor's pipeline: a
 // crashed (panicking) detector, quarantined shadow locations, and
 // stream-validation accounting all surface here instead of aborting the
-// caller's process.
+// caller's process. It is the one place these are counted; Stats holds
+// the detector's own counters.
 func (m *Monitor) Health() Health {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -466,7 +462,6 @@ func (m *Monitor) Metrics() MetricsSnapshot {
 		races = len(m.final.races)
 	} else {
 		st = m.tool().Stats()
-		m.disp.FillStats(&st)
 		races = len(m.tool().Races())
 	}
 	m.mu.Unlock()

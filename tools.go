@@ -72,7 +72,7 @@ const (
 const FieldsPerObject = rr.FieldsPerObject
 
 // Policy selects how the event pipeline responds to malformed streams:
-// ignore the problem (PolicyOff, the default, which still intercepts
+// ignore the problem (PolicyOff, the default, which still drops
 // releases with no matching acquire), stop at the first violation
 // (PolicyStrict), synthesize the missing protocol events and continue
 // (PolicyRepair), or skip offending events (PolicyDrop). See the rr
@@ -242,7 +242,7 @@ func ReplayStream(r io.Reader, tool Tool, g Granularity, validate bool) ([]Repor
 				return tool.Races(), sc.Index() - 1, err
 			}
 		}
-		d.Event(e)
+		d.EventBatch([]trace.Event{e})
 	}
 	return tool.Races(), sc.Index(), sc.Err()
 }

@@ -29,7 +29,7 @@ func runPipeline(t *testing.T, data []byte, p rr.Policy) {
 	var tr trace.Trace
 	for sc.Scan() {
 		tr = append(tr, sc.Event())
-		d.Event(sc.Event())
+		d.EventBatch([]trace.Event{sc.Event()})
 	}
 	h := d.Health()
 	// Within the caps, the strict dispatcher and Trace.Validate run one
@@ -49,8 +49,7 @@ func runPipeline(t *testing.T, data []byte, p rr.Policy) {
 	}
 	// Queries must stay serviceable whatever the input did.
 	_ = d.Tool.Races()
-	st := d.Tool.Stats()
-	d.FillStats(&st)
+	_ = d.Tool.Stats()
 }
 
 func FuzzPipeline(f *testing.F) {

@@ -251,11 +251,7 @@ func (v *Validator) step(e Event, force bool) string {
 	case Release, Wait:
 		h := v.locks[e.Target]
 		if !force && (h.depth == 0 || h.owner != e.Tid) {
-			verb := "releases"
-			if e.Kind == Wait {
-				verb = "waits on"
-			}
-			return fmt.Sprintf("thread %d %s lock m%d it does not hold", e.Tid, verb, e.Target)
+			return NotHeldMsg(e)
 		}
 		h.depth--
 		v.setHold(e.Target, h)
@@ -279,6 +275,16 @@ func (v *Validator) step(e Event, force bool) string {
 		}
 	}
 	return ""
+}
+
+// NotHeldMsg is the violation message for release or wait e of a lock
+// its thread does not hold.
+func NotHeldMsg(e Event) string {
+	verb := "releases"
+	if e.Kind == Wait {
+		verb = "waits on"
+	}
+	return fmt.Sprintf("thread %d %s lock m%d it does not hold", e.Tid, verb, e.Target)
 }
 
 // setHold records lock m's hold, forgetting the lock once it is free.
