@@ -17,9 +17,7 @@
 // a racedetectd daemon with -server. Either way the report is printed
 // by the same renderer, so a local and a remote run of one trace print
 // the same stdout. -membudget and -metrics.addr act on the local
-// analysis only; with -server they are refused. A -server session is
-// held to the validator's identifier caps (thread ids up to 4096, other
-// ids up to 2^24), whatever its policy.
+// analysis only; with -server they are refused.
 //
 // -provenance runs the provenance flight recorder (FastTrack only):
 // each warning then carries the vector clocks of both accesses, the
@@ -31,11 +29,19 @@
 //
 // Every policy judges feasibility with one state machine,
 // trace.Validator, so a trace is feasible under all four or under none.
-// Under -policy off the trace must be feasible: the first event that
-// breaks the locking or fork/join discipline stops the run with exit 2,
-// with the message -policy strict gives. A validating policy instead
-// strictly rejects, repairs or drops such events itself, locally and
-// with -server alike. Every run reports its pipeline's health.
+// Every policy holds the trace to the identifier caps: thread ids up to
+// 4096 and the variables of reads and writes up to 2^24. Under -policy
+// off the trace must be feasible and within the caps: the first event
+// that breaks the locking or fork/join discipline or names an id beyond
+// a cap stops the run. The report of the events before it is printed,
+// and the run exits 2 with the message -policy strict gives, prefixed
+// "infeasible trace:". A validating policy instead strictly rejects,
+// repairs or drops such events itself (an id beyond a cap cannot be
+// repaired, so repair drops it), locally and with -server alike. A
+// trace that does not decode likewise ends the run, under every policy,
+// after the report of the events before the damage; a stop earlier in
+// the trace is reported in its place. Every run reports its pipeline's
+// health.
 //
 // With "-" as the file name the trace is read from standard input.
 //
@@ -62,7 +68,6 @@ import (
 
 	"fasttrack"
 	"fasttrack/client"
-	"fasttrack/internal/rr"
 	"fasttrack/trace"
 )
 
@@ -190,14 +195,13 @@ const streamBatch = 1024
 // scan decodes the trace from in with trace.Scanner.ScanBatch, the
 // decode loop racedetectd's sessions run too, and hands it to sink in
 // batches, the one loop of local and remote runs. When feasible is set
-// each batch is checked first, against the identifier caps that every
-// validating policy and racedetectd apply and against the feasibility
-// state machine, and the first infeasible event ends the scan before
-// its batch reaches the sink. The returned err aborts the run
-// before any report: an infeasible event, a failing sink, or, when
-// feasible is set, a decode error. Under a validating policy a decode
-// error is returned as damaged instead: the events before it are
-// analyzed and reported, and the run then exits 2.
+// each batch is checked first against the feasibility state machine.
+// The first fault, a decode error or (when feasible is set) an
+// infeasible event, ends the scan once the events before it have
+// reached the sink, and is returned as damaged: the run reports what it
+// analyzed and exits 2, as it does when the dispatchers stop at an id
+// beyond the identifier caps. The returned err, a failing sink, aborts
+// the run before any report.
 func scan(in io.Reader, feasible bool, sink func([]trace.Event) error) (damaged, err error) {
 	var feas *trace.Validator
 	if feasible {
@@ -208,21 +212,12 @@ func scan(in io.Reader, feasible bool, sink func([]trace.Event) error) (damaged,
 	for {
 		batch = sc.ScanBatch(batch[:0], streamBatch)
 		if feas != nil {
-			// The state machine checks the events before the first one
-			// beyond the caps, so the earlier fault is the one reported.
-			at, msg := rr.CapViolation(batch, rr.DefaultMaxTid, rr.DefaultMaxTarget)
-			checked := batch
-			if at >= 0 {
-				checked = batch[:at]
-			}
-			for _, e := range checked {
-				if err := feas.Event(e); err != nil {
-					return nil, fmt.Errorf("infeasible trace: %w", err)
+			for i, e := range batch {
+				if verr := feas.Event(e); verr != nil {
+					damaged = fmt.Errorf("infeasible trace: %w", verr)
+					batch = batch[:i]
+					break
 				}
-			}
-			if at >= 0 {
-				return nil, fmt.Errorf("infeasible trace: %w",
-					&trace.ValidationError{Index: sc.Index() - len(batch) + at, Event: batch[at], Msg: msg})
 			}
 		}
 		if len(batch) > 0 {
@@ -230,12 +225,12 @@ func scan(in io.Reader, feasible bool, sink func([]trace.Event) error) (damaged,
 				return nil, err
 			}
 		}
+		if damaged != nil {
+			return damaged, nil
+		}
 		if len(batch) < streamBatch {
 			break
 		}
-	}
-	if feasible {
-		return nil, sc.Err()
 	}
 	return sc.Err(), nil
 }

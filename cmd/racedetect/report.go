@@ -175,9 +175,12 @@ type analysis struct {
 
 // render prints each tool's report in order, writes the JSON report
 // when asked, puts note on stderr, and returns the exit code: 1 when a
-// tool reported races, 2 when the trace was damaged or a strict policy
-// stopped the stream. Every tool validates the same stream, so a strict
-// violation ends the report at the first tool.
+// tool reported races, 2 when the trace was damaged or a dispatcher
+// stopped the stream (Health.Err). Every tool checks the same stream, so
+// a stop ends the report at the first tool. A stop comes before any
+// fault the scan found later, so it is the fault reported: under
+// -policy off an id beyond the identifier caps, otherwise a strict
+// violation.
 func (r request) render(as []analysis, damaged error, note string) int {
 	var rep *runReport
 	if r.jsonOut || r.jsonFile != "" {
@@ -200,9 +203,11 @@ func (r request) render(as []analysis, damaged error, note string) int {
 			})
 		}
 		if a.Health.Err != "" {
-			if damaged == nil {
-				damaged = fmt.Errorf("strict validation: %s", a.Health.Err)
+			verdict := "strict validation"
+			if r.feasible() {
+				verdict = "infeasible trace"
 			}
+			damaged = fmt.Errorf("%s: %s", verdict, a.Health.Err)
 			break
 		}
 		if len(a.Races) > 0 {

@@ -161,28 +161,51 @@ func TestPolicyRepairsDamagedTrace(t *testing.T) {
 }
 
 // TestSameVerdictUnderEveryPolicy: -policy off and the validating
-// policies check feasibility with one state machine, locally and with
-// -server, so a feasible trace is healthy under all four and an
-// infeasible one stops off and strict with one message. A re-entrant
-// acquire (the dispatcher filters it) and a join of a thread that never
-// ran are feasible; a release of another thread's lock is not.
+// policies check feasibility with one state machine, and the identifier
+// caps in the dispatcher, locally and with -server, so a feasible trace
+// is healthy under all four and an infeasible one stops off and strict
+// with one message (under off, one that does not name strict). A
+// re-entrant acquire (the dispatcher filters it), a join of a thread
+// that never ran and a lock id of 2^60 are feasible; a release of
+// another thread's lock is not, and neither is a write to a variable
+// id or a fork of a thread id beyond its cap, which repair cannot mend
+// and drops. Under off and strict, the first fault is the one
+// reported: an id beyond a cap before an infeasible event or a decode
+// error; an event that breaks both is reported as infeasible.
 func TestSameVerdictUnderEveryPolicy(t *testing.T) {
 	bin, base, _ := buildRacedetect(t)
 	addr := startDaemon(t)
 	feasible := map[string]int{"off": 0, "strict": 0, "repair": 0, "drop": 0}
+	infeasible := map[string]int{"off": 2, "strict": 2, "repair": 0, "drop": 0}
 	healthy := map[string]string{"off": "pipeline: healthy", "strict": "pipeline: healthy",
 		"repair": "pipeline: healthy", "drop": "pipeline: healthy"}
+	stops := func(stop, dropped string) map[string]string {
+		return map[string]string{"off": stop, "strict": stop, "repair": dropped, "drop": dropped}
+	}
 	const stop = "event 3 (rel 1 m1): thread 1 releases lock m1 it does not hold"
+	const lock = "m1152921504606846976"
 	for _, tr := range []struct {
 		name, text string
 		verdict    map[string]int    // exit code per policy
-		want       map[string]string // a line the output must hold, per policy
+		want       map[string]string // a line the output (exit 2: its last line) must hold, per policy
 	}{
 		{"reentrant", "fork 0 1\nacq 1 m1\nacq 1 m1\nwr 1 x1\nrel 1 m1\nrel 1 m1\nwr 0 x2\n", feasible, healthy},
 		{"idle-join", "fork 0 1\njoin 0 1\nwr 0 x1\n", feasible, healthy},
-		{"foreign-release", "fork 0 1\nacq 0 m1\nwr 0 x1\nrel 1 m1\n",
-			map[string]int{"off": 2, "strict": 2, "repair": 0, "drop": 0},
-			map[string]string{"off": stop, "strict": stop, "repair": "dropped=1", "drop": "dropped=1"}},
+		{"foreign-release", "fork 0 1\nacq 0 m1\nwr 0 x1\nrel 1 m1\n", infeasible, stops(stop, "dropped=1")},
+		{"huge-target", "wr 0 x1099511627776\n", infeasible,
+			stops("event 0 (wr 0 x1099511627776): target id 1099511627776 outside [0, 16777216]", "dropped=1")},
+		{"huge-tid", "fork 0 2147483647\nwr 2147483647 x1\n", infeasible,
+			stops("event 0 (fork 0 2147483647): thread id 2147483647 outside [0, 4096]", "dropped=2")},
+		{"unforked-huge-tid", "wr 5000 x1\n", infeasible,
+			stops("event 0 (wr 5000 x1): thread 5000 is not running", "dropped=1")},
+		{"capped-then-unheld", "wr 0 x1099511627776\nrel 0 m1\n", infeasible,
+			map[string]string{"off": "event 0 (wr 0 x1099511627776)", "strict": "event 0 (wr 0 x1099511627776)",
+				"repair": "repaired=1 dropped=1", "drop": "dropped=2"}},
+		{"capped-then-garbage", "wr 0 x1099511627776\nwr 0 x1\nbogus 1 2\n",
+			map[string]int{"off": 2, "strict": 2, "repair": 2, "drop": 2},
+			stops("event 0 (wr 0 x1099511627776)", `line 3: unknown operation "bogus"`)},
+		{"tagged-lock", "fork 0 1\nacq 1 " + lock + "\nwr 1 x1\nrel 1 " + lock + "\nacq 0 " + lock + "\nwr 0 x1\nrel 0 " + lock + "\n",
+			feasible, healthy},
 	} {
 		path := filepath.Join(base, tr.name+".trace")
 		if err := os.WriteFile(path, []byte(tr.text), 0o644); err != nil {
@@ -201,8 +224,17 @@ func TestSameVerdictUnderEveryPolicy(t *testing.T) {
 					if code != tr.verdict[policy] {
 						t.Errorf("exit %d, want %d:\n%s", code, tr.verdict[policy], out)
 					}
-					if !strings.Contains(out, tr.want[policy]) {
+					got := out
+					if tr.verdict[policy] == 2 {
+						// The message that ends the run is its last line.
+						lines := strings.Split(strings.TrimSpace(out), "\n")
+						got = lines[len(lines)-1]
+					}
+					if !strings.Contains(got, tr.want[policy]) {
 						t.Errorf("output lacks %q:\n%s", tr.want[policy], out)
+					}
+					if policy == "off" && strings.Contains(out, "strict") {
+						t.Errorf("-policy off names strict:\n%s", out)
 					}
 				})
 			}

@@ -291,14 +291,31 @@ func TestStreamRecorderRoundTrip(t *testing.T) {
 func TestReplayStreamValidates(t *testing.T) {
 	in := "rel 0 m1\n"
 	tool, _ := NewTool("FastTrack", Hints{})
-	_, _, err := ReplayStream(strings.NewReader(in), tool, Fine, true)
-	if err == nil {
-		t.Error("infeasible stream must fail validation")
+	_, events, err := ReplayStream(strings.NewReader(in), tool, Fine, true)
+	if want := (trace.Trace{trace.Rel(0, 1)}).Validate(); err == nil || events != 0 || err.Error() != want.Error() {
+		t.Errorf("infeasible stream: events=%d err=%v, want 0 and %v", events, err, want)
 	}
 	tool2, _ := NewTool("FastTrack", Hints{})
-	_, events, err := ReplayStream(strings.NewReader(in), tool2, Fine, false)
+	_, events, err = ReplayStream(strings.NewReader(in), tool2, Fine, false)
 	if err != nil || events != 1 {
 		t.Errorf("unvalidated stream: events=%d err=%v", events, err)
+	}
+}
+
+// TestMonitorStopsAtAbsurdID: a Monitor holds its events to the
+// identifier caps under every policy, the default included, so a write
+// to a variable id of 2^40 stops the stream instead of sizing the
+// detector's variable table by it, and later events are ignored.
+func TestMonitorStopsAtAbsurdID(t *testing.T) {
+	m := NewMonitor()
+	m.Write(0, 1<<40)
+	m.Write(0, 1)
+	h := m.Health()
+	if h.Err == nil || !strings.Contains(h.Err.Error(), "event 0 (wr 0 x1099511627776): target id") {
+		t.Errorf("Health.Err = %v, want the cap stop at event 0", h.Err)
+	}
+	if st := m.Stats(); st.Events != 0 || st.ShadowBytes > 1<<20 {
+		t.Errorf("detector saw %d events and holds %d shadow bytes, want none", st.Events, st.ShadowBytes)
 	}
 }
 

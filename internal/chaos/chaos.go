@@ -137,7 +137,7 @@ func Mutate(tr trace.Trace, mode Mode, rng *rand.Rand) []byte {
 			switch rng.Intn(3) {
 			case 0: // unknown but plausible tid
 				e.Tid = maxTid + 1 + int32(rng.Intn(8))
-			case 1: // absurd tid (beyond the validator's cap)
+			case 1: // absurd tid (beyond the dispatcher's cap)
 				e.Tid = rr.DefaultMaxTid + 1 + int32(rng.Intn(1<<10))
 			case 2: // collide with another thread
 				e.Tid = int32(rng.Intn(int(maxTid) + 1))

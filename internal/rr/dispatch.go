@@ -39,7 +39,8 @@ const FieldsPerObject = 8
 //   - under Coarse granularity, variable ids are remapped to per-object
 //     shadow locations.
 //
-// The dispatcher is additionally the pipeline's resilience layer: an
+// The dispatcher is additionally the pipeline's resilience layer: it
+// holds every event to the identifier caps (see DefaultMaxTid), an
 // optional stream validator (see Policy) checks well-formedness online,
 // and every call into the tool is wrapped in a panic quarantine — a
 // panicking HandleEvent never escapes to the caller; instead the
@@ -55,8 +56,9 @@ type Dispatcher struct {
 	// Policy selects stream validation (default PolicyOff). Set before
 	// feeding events.
 	Policy Policy
-	// MaxTid/MaxTarget override the validator's identifier caps
-	// (DefaultMaxTid/DefaultMaxTarget when zero).
+	// MaxTid/MaxTarget override the identifier caps
+	// (DefaultMaxTid/DefaultMaxTarget when zero), which hold under every
+	// policy. Set before feeding events.
 	MaxTid    int32
 	MaxTarget uint64
 
@@ -82,10 +84,12 @@ type Dispatcher struct {
 	// own Stats are audited against.
 	deliveredKind [trace.ChanClose + 1]int64
 
-	val *Validator
+	// feas is a validating policy's Section 2.1 state machine (see
+	// machine).
+	feas *trace.Validator
 
 	// ledger is the pipeline's one count of deviations: validation
-	// verdicts (see violation), the sticky strict error, and the panic
+	// verdicts (see violation), the sticky error, and the panic
 	// quarantine (see recoverPanic). Health returns a copy of it.
 	ledger      Health
 	quarantined map[uint64]bool
@@ -134,16 +138,19 @@ type Health struct {
 	QuarantinedLocations int
 	QuarantinedAccesses  int64
 	// Validation accounting: Violations == Repaired + Dropped, plus one
-	// if Err is set (PolicyStrict), under every policy. Under PolicyOff
-	// the only violation is a release or wait of a lock its thread does
-	// not hold, which is dropped. Synthesized counts repair events fed
-	// to the tool. ViolationLog holds the first few violations.
+	// if Err is set, under every policy. Under PolicyOff the only
+	// violations are a release or wait of a lock its thread does not
+	// hold, which is dropped, and an id beyond the caps, which sets
+	// Err. Synthesized counts repair events fed to the tool.
+	// ViolationLog holds the first few violations.
 	Violations   int64
 	Repaired     int64
 	Dropped      int64
 	Synthesized  int64
 	ViolationLog []Violation
-	// Err is the sticky PolicyStrict validation error, if any.
+	// Err is the sticky error that stopped the stream, if any:
+	// PolicyStrict's first violation, or under PolicyOff an id beyond
+	// the identifier caps. Every later event is ignored.
 	Err error
 }
 
@@ -165,12 +172,12 @@ func NewDispatcher(tool Tool) *Dispatcher {
 func (d *Dispatcher) CurrentTool() Tool { return d.Tool }
 
 // EventBatch offers a batch of events in order, the dispatcher's one
-// entry point (a single event is a one-element batch). Validation,
-// filtering and delivery stay per event; the fed accounting (Fed, the
-// rr.events.fed counter) and the rr.delivered.* counters are updated
-// once per batch. Each event's index in the violation log is its
-// position in the fed stream. Under PolicyStrict the first violation
-// halts the stream (see Err); all later events are ignored.
+// entry point (a single event is a one-element batch). The cap test,
+// validation, filtering and delivery stay per event; the fed accounting
+// (Fed, the rr.events.fed counter) and the rr.delivered.* counters are
+// updated once per batch. Each event's index in the violation log is
+// its position in the fed stream. An error that stops the stream (see
+// Health.Err) makes the dispatcher ignore all later events.
 func (d *Dispatcher) EventBatch(events []trace.Event) {
 	n := int64(len(events))
 	if n == 0 {
@@ -184,42 +191,39 @@ func (d *Dispatcher) EventBatch(events []trace.Event) {
 	if d.om != nil {
 		d.om.fed.Add(n)
 	}
+	maxTid, maxTarget := d.MaxTid, d.MaxTarget
+	if maxTid <= 0 {
+		maxTid = DefaultMaxTid
+	}
+	if maxTarget == 0 {
+		maxTarget = DefaultMaxTarget
+	}
 	for i := range events {
-		d.checked(base+int64(i), events[i])
+		if d.ledger.Err != nil {
+			break
+		}
+		e, idx := &events[i], base+int64(i)
+		// The identifier caps, under every policy: one test on the
+		// event in hand, and a call only for an event that may break
+		// one (an id past a cap, or a fork, join or barrier, whose
+		// threads lie outside Tid).
+		if uint32(e.Tid) > uint32(maxTid) || e.Target > maxTarget && e.Kind.IsAccess() || 1<<e.Kind&threadTargets != 0 {
+			if msg := capViolation(e, maxTid, maxTarget); msg != "" {
+				d.capped(idx, *e, msg)
+				continue
+			}
+		}
+		if d.Policy == PolicyOff || d.validate(idx, *e) {
+			d.process(idx, *e)
+		}
 	}
 	if d.om != nil {
 		d.om.publishDelivered(d)
 	}
 }
 
-// checked runs one event, at fed position idx, through the sticky
-// strict error, the optional validator, and delivery.
-func (d *Dispatcher) checked(idx int64, e trace.Event) {
-	if d.ledger.Err != nil {
-		return
-	}
-	if d.Policy != PolicyOff {
-		if d.val == nil {
-			d.val = NewValidator(d.Policy)
-			d.val.SetCaps(d.MaxTid, d.MaxTarget)
-		}
-		if msg, act, repairs := d.val.Check(e); msg != "" {
-			d.violation(idx, e, msg, act)
-			if act != ActionRepaired {
-				return
-			}
-			d.synthesized(int64(len(repairs)))
-			for _, r := range repairs {
-				d.process(idx, r)
-			}
-		}
-	}
-	d.process(idx, e)
-}
-
 // violation records that event idx broke the feasibility constraints
-// and how it was handled; ActionErrored also sets the sticky strict
-// error.
+// or an identifier cap, and how it was handled; ActionErrored also sets the sticky error.
 func (d *Dispatcher) violation(idx int64, e trace.Event, msg string, act ViolationAction) {
 	l := &d.ledger
 	l.Violations++
@@ -276,7 +280,8 @@ func (d *Dispatcher) DeliveredSyncs() int64 {
 	return n
 }
 
-// Err returns the sticky PolicyStrict validation error, if any.
+// Err returns the sticky error that stopped the stream, if any (see
+// Health.Err).
 func (d *Dispatcher) Err() error { return d.ledger.Err }
 
 // process applies the framework services (re-entrant lock filtering,

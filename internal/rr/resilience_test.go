@@ -167,6 +167,44 @@ func TestValidatorAbsurdIdsCapped(t *testing.T) {
 	}
 }
 
+// TestCapsHoldUnderEveryPolicy: the identifier caps cover thread ids and
+// the variables of reads and writes under every policy, the default
+// included: an id beyond them stops the stream under off and strict and
+// is dropped under repair and drop. Lock and volatile ids, which no tool
+// indexes densely, pass at any size.
+func TestCapsHoldUnderEveryPolicy(t *testing.T) {
+	const tag = 1 << 60
+	tr := trace.Trace{
+		trace.ForkOf(0, 1),
+		trace.Acq(1, tag),
+		trace.Wr(1, 1),
+		trace.VWr(1, tag),
+		trace.Rel(1, tag),
+		trace.Wr(0, 1<<40), // beyond DefaultMaxTarget
+		trace.Wr(0, 2),
+	}
+	for _, p := range []Policy{PolicyOff, PolicyStrict, PolicyRepair, PolicyDrop} {
+		rec := &recorder{}
+		d := feedAll(t, rec, p, tr)
+		h := d.Health()
+		stops := p == PolicyOff || p == PolicyStrict
+		dropped, delivered := int64(0), 5
+		if !stops {
+			dropped, delivered = 1, 6
+		}
+		var verr *trace.ValidationError
+		if stops != errors.As(h.Err, &verr) || stops && verr.Index != 5 {
+			t.Errorf("%v: Err = %v, want a stop at event 5: %v", p, h.Err, stops)
+		}
+		if h.Violations != 1 || h.Dropped != dropped {
+			t.Errorf("%v: Health = %+v, want the one capped event", p, h)
+		}
+		if len(rec.events) != delivered {
+			t.Errorf("%v: tool saw %v, want the %d events around the capped one", p, rec.events, delivered)
+		}
+	}
+}
+
 func TestValidatorBarrierRepair(t *testing.T) {
 	rec := &recorder{}
 	d := feedAll(t, rec, PolicyRepair, trace.Trace{

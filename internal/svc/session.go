@@ -17,7 +17,6 @@ import (
 	"fasttrack"
 	"fasttrack/client"
 	"fasttrack/internal/obs"
-	"fasttrack/internal/rr"
 	"fasttrack/trace"
 )
 
@@ -331,13 +330,13 @@ func (sess *session) handleFrame(it qitem) error {
 // ScanBatch call into its reused scratch buffer, and ingests it as a
 // single batch: one wire frame is one Monitor.IngestBatch call, so the
 // per-event lock and dispatch bookkeeping is amortized across the frame.
-// In steady state it allocates nothing. Every session, whatever its
-// policy, is held to the validator's identifier caps (rr.DefaultMaxTid,
-// rr.DefaultMaxTarget): one absurd id would make the detector's dense
-// tables allocate without bound and take the whole daemon down, so an
-// event past a cap fails its session as undecodable. It returns how
-// many events were ingested even on error, so accounting stays exact.
-// On traced sessions it also times the decode and detect stages (both 0
+// In steady state it allocates nothing. The session's dispatcher holds
+// every event to the identifier caps, as a local run's does, so an
+// absurd id stops or is dropped from that session alone, by its policy.
+// A payload that passed its CRC but does not decode fails the session
+// once the events before the bad one are ingested. It returns how many
+// events were ingested, even on error, so accounting stays exact. On
+// traced sessions it also times the decode and detect stages (both 0
 // otherwise).
 func (sess *session) ingestChunk(payload []byte) (n, decodeNs, detectNs int64, err error) {
 	var t0 int64
@@ -353,26 +352,17 @@ func (sess *session) ingestChunk(payload []byte) (n, decodeNs, detectNs int64, e
 	sc := sess.sc
 	events := sc.ScanBatch(sess.scratch[:0], math.MaxInt)
 	sess.scratch = events // keep the grown buffer for the next frame
-	derr := sc.Err()
-	if i, msg := rr.CapViolation(events, rr.DefaultMaxTid, rr.DefaultMaxTarget); i >= 0 {
-		derr = fmt.Errorf("event %d (%s): %s", sess.events.Load()+int64(i), events[i], msg)
-		events = events[:i]
-	}
 	var t1 int64
 	if sess.traced {
 		t1 = time.Now().UnixNano()
 		decodeNs = t1 - t0
 	}
-	if derr != nil {
-		// The frame's CRC passed but the payload is malformed or names an
-		// id past a cap. Ingest the prefix before the bad event so
-		// accounting matches the per-event path, then fail the session.
-		k, _ := sess.mon.IngestBatch(events)
-		return int64(k), decodeNs, 0, fmt.Errorf("%s: chunk %d: %v", client.ErrCodeDecode, sess.frames.Load(), derr)
-	}
 	k, ierr := sess.mon.IngestBatch(events)
 	if sess.traced {
 		detectNs = time.Now().UnixNano() - t1
+	}
+	if derr := sc.Err(); derr != nil {
+		return int64(k), decodeNs, detectNs, fmt.Errorf("%s: chunk %d: %v", client.ErrCodeDecode, sess.frames.Load(), derr)
 	}
 	if ierr != nil {
 		return int64(k), decodeNs, detectNs, fmt.Errorf("%s: %v", client.ErrCodeIngest, ierr)

@@ -728,10 +728,12 @@ func TestHandshakeRejections(t *testing.T) {
 
 // TestHostileIDsFailOnlyTheirSession: a single event naming an absurd
 // id would make the detector's dense tables allocate without bound and
-// take the whole daemon down. Every session is held to the identifier
-// caps whatever its policy, so the hostile session alone fails, with a
-// decode error; a session streaming alongside it keeps its race list,
-// and the server keeps serving.
+// take the whole daemon down. Every session's dispatcher holds its
+// events to the identifier caps whatever its policy, as a local run's
+// does: under off and strict the hostile session completes with the
+// stop in Health.Err, under repair with the event dropped, and the
+// hostile events never reach the detector. A session streaming
+// alongside keeps its race list, and the server keeps serving.
 func TestHostileIDsFailOnlyTheirSession(t *testing.T) {
 	srv, addr := startServer(t, Config{})
 	tr := testTrace(1)
@@ -752,11 +754,12 @@ func TestHostileIDsFailOnlyTheirSession(t *testing.T) {
 	for _, tc := range []struct {
 		name, policy string
 		events       trace.Trace
+		dropped      int64 // 0: the first event stops the session
 	}{
-		{"target", "off", trace.Trace{trace.Wr(0, 1<<40)}},
-		{"thread", "off", trace.Trace{trace.ForkOf(0, bigTid), trace.Wr(bigTid, 1)}},
-		{"target-repair", "repair", trace.Trace{trace.Wr(0, 1<<40)}},
-		{"thread-strict", "strict", trace.Trace{trace.ForkOf(0, bigTid), trace.Wr(bigTid, 1)}},
+		{"target", "off", trace.Trace{trace.Wr(0, 1<<40)}, 0},
+		{"thread", "off", trace.Trace{trace.ForkOf(0, bigTid), trace.Wr(bigTid, 1)}, 0},
+		{"target-repair", "repair", trace.Trace{trace.Wr(0, 1<<40)}, 1},
+		{"thread-strict", "strict", trace.Trace{trace.ForkOf(0, bigTid), trace.Wr(bigTid, 1)}, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sess, err := client.Dial(addr, client.WithValidation(tc.policy))
@@ -766,15 +769,26 @@ func TestHostileIDsFailOnlyTheirSession(t *testing.T) {
 			if err := streamAll(sess, tc.events); err != nil {
 				t.Fatal(err)
 			}
-			var se *client.ServerError
-			if err := sess.Close(); !errors.As(err, &se) || se.Code != client.ErrCodeDecode {
-				t.Fatalf("Close: %v, want a %s server error", err, client.ErrCodeDecode)
+			if err := sess.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			res, err := sess.Results()
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := res.Health
+			stopped := strings.Contains(h.Err, "event 0 (") && strings.Contains(h.Err, "outside [0, ")
+			if stopped != (tc.dropped == 0) || h.Dropped != tc.dropped {
+				t.Errorf("health %+v, want %d dropped or a stop at event 0", h, tc.dropped)
+			}
+			if st := res.Stats; st.Events != 0 || st.ShadowBytes > 1<<20 {
+				t.Errorf("the detector saw %d hostile events and holds %d shadow bytes", st.Events, st.ShadowBytes)
 			}
 			waitUntil(t, "hostile session to finalize", func() bool {
 				return srv.lookup(sess.ID()).done()
 			})
-			if info := srv.lookup(sess.ID()).info(); info.State != "failed" {
-				t.Errorf("hostile session ended %s (%q), want failed", info.State, info.Err)
+			if info := srv.lookup(sess.ID()).info(); info.State != "completed" {
+				t.Errorf("hostile session ended %s (%q), want completed", info.State, info.Err)
 			}
 		})
 	}

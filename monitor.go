@@ -114,7 +114,10 @@ func WithRaceHandler(f func(Report)) MonitorOption {
 // policy. PolicyRepair and PolicyDrop degrade gracefully on malformed
 // event sequences (the degradation is visible in Health);
 // PolicyStrict stops analysis at the first violation, reported by
-// Health().Err. The default is PolicyOff.
+// Health().Err. The default is PolicyOff. Whatever the policy, an
+// event naming an id beyond the identifier caps never reaches the
+// detector: PolicyOff and PolicyStrict stop there (Health().Err), the
+// others drop it.
 func WithValidation(p Policy) MonitorOption {
 	return func(c *monitorConfig) { c.policy = p }
 }

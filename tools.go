@@ -73,7 +73,8 @@ const FieldsPerObject = rr.FieldsPerObject
 
 // Policy selects how the event pipeline responds to malformed streams:
 // ignore the problem (PolicyOff, the default, which still drops
-// releases with no matching acquire), stop at the first violation
+// releases with no matching acquire and stops at an id beyond the
+// identifier caps), stop at the first violation
 // (PolicyStrict), synthesize the missing protocol events and continue
 // (PolicyRepair), or skip offending events (PolicyDrop). See the rr
 // package for the exact checks.
@@ -224,25 +225,23 @@ func Replay(tr trace.Trace, tool Tool, g Granularity) []Report {
 
 // ReplayStream analyzes a trace incrementally from a reader (text or
 // binary format, auto-detected) without materializing it in memory.
-// When validate is true each event is also checked against the
-// feasibility constraints of the paper's Section 2.1 before analysis.
-// It returns the tool's warnings and the number of events processed.
+// When validate is true the dispatcher checks each event against the
+// feasibility constraints of the paper's Section 2.1 before analysis
+// (PolicyStrict), and the first infeasible one stops the stream with
+// its error. Validated or not, so does an id beyond the identifier
+// caps. It returns the tool's warnings and the number of events processed.
 func ReplayStream(r io.Reader, tool Tool, g Granularity, validate bool) ([]Report, int, error) {
 	d := rr.NewDispatcher(tool)
 	d.Granularity = g
-	sc := trace.NewScanner(r)
-	var v *trace.Validator
 	if validate {
-		v = trace.NewValidator()
+		d.Policy = rr.PolicyStrict
 	}
+	sc := trace.NewScanner(r)
 	for sc.Scan() {
-		e := sc.Event()
-		if v != nil {
-			if err := v.Event(e); err != nil {
-				return tool.Races(), sc.Index() - 1, err
-			}
+		d.EventBatch([]trace.Event{sc.Event()})
+		if err := d.Err(); err != nil {
+			return tool.Races(), sc.Index() - 1, err
 		}
-		d.EventBatch([]trace.Event{e})
 	}
 	return tool.Races(), sc.Index(), sc.Err()
 }

@@ -3,12 +3,14 @@ package trace_test
 // End-to-end fuzzing of the resilient analysis pipeline: arbitrary
 // bytes → Scanner → Dispatcher (validating, quarantining) → FastTrack.
 // The contract is no panic anywhere, exact degradation accounting, and
-// under PolicyStrict the same first violation Trace.Validate reports.
+// under PolicyStrict the same first violation Trace.Validate reports,
+// or an earlier id beyond the identifier caps.
 // This lives in an external test package because it closes the loop
 // through internal/rr and internal/core, which import trace.
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"fasttrack/internal/core"
@@ -32,11 +34,16 @@ func runPipeline(t *testing.T, data []byte, p rr.Policy) {
 		d.EventBatch([]trace.Event{sc.Event()})
 	}
 	h := d.Health()
-	// Within the caps, the strict dispatcher and Trace.Validate run one
-	// state machine and must stop at the same event, for the same reason.
-	if i, _ := rr.CapViolation(tr, d.MaxTid, d.MaxTarget); i < 0 && p == rr.PolicyStrict {
-		if got, want := errText(h.Err), errText(tr.Validate()); got != want {
-			t.Fatalf("strict dispatcher %q, Validate %q", got, want)
+	// The strict dispatcher and Trace.Validate run one state machine and
+	// stop at the same event, for the same reason, unless the dispatcher
+	// stops first, or at the same event, at an id beyond a cap.
+	if p == rr.PolicyStrict {
+		verr := tr.Validate()
+		if got, want := errText(h.Err), errText(verr); got != want {
+			capped := strings.Contains(got, "outside [0, ")
+			if !capped || verr != nil && h.Err.(*trace.ValidationError).Index > verr.(*trace.ValidationError).Index {
+				t.Fatalf("strict dispatcher %q, Validate %q", got, want)
+			}
 		}
 	}
 	errored := int64(0)
