@@ -21,9 +21,8 @@ func (e *RequestError) Error() string { return e.Msg }
 // returns it with the detector's canonical name. racedetect (for each
 // tool of a local run) and racedetectd (for each session) build every
 // analysis through it, so a trace analyzed locally and on a daemon
-// meets the same pipeline. memBudget caps FastTrack's shadow memory
-// (0 = unbounded); a handshake carries none. Errors are *RequestError.
-func NewMonitor(h Handshake, memBudget int64) (*fasttrack.Monitor, string, error) {
+// meets the same pipeline. Errors are *RequestError.
+func NewMonitor(h Handshake) (*fasttrack.Monitor, string, error) {
 	name := h.Tool
 	if name == "" {
 		name = "FastTrack"
@@ -44,7 +43,7 @@ func NewMonitor(h Handshake, memBudget int64) (*fasttrack.Monitor, string, error
 	default:
 		return nil, "", badRequest("unknown granularity %q (want fine or coarse)", h.Gran)
 	}
-	hints := fasttrack.Hints{Provenance: h.Provenance, DetailedReports: h.Detailed, MemoryBudget: memBudget}
+	hints := fasttrack.Hints{Provenance: h.Provenance, DetailedReports: h.Detailed}
 	tool, err := fasttrack.NewTool(name, hints)
 	if err != nil {
 		return nil, "", &RequestError{Code: ErrCodeUnknownTool, Msg: err.Error()}

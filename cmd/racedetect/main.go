@@ -8,7 +8,7 @@
 //
 //	racedetect [-tool FastTrack] [-all] [-granularity fine|coarse]
 //	           [-stats] [-policy off|strict|repair|drop]
-//	           [-membudget bytes] [-json] [-provenance]
+//	           [-json] [-provenance]
 //	           [-json.file out.json] [-metrics.addr :6060]
 //	           [-server addr [-trace]] trace-file
 //
@@ -16,8 +16,8 @@
 // each tool's Monitor from it: here, one per tool (-all runs six), or on
 // a racedetectd daemon with -server. Either way the report is printed
 // by the same renderer, so a local and a remote run of one trace print
-// the same stdout. -membudget and -metrics.addr act on the local
-// analysis only; with -server they are refused.
+// the same stdout. -metrics.addr acts on the local analysis only; with
+// -server it is refused.
 //
 // -provenance runs the provenance flight recorder (FastTrack only):
 // each warning then carries the vector clocks of both accesses, the
@@ -41,7 +41,8 @@
 // trace that does not decode likewise ends the run, under every policy,
 // after the report of the events before the damage; a stop earlier in
 // the trace is reported in its place. Every run reports its pipeline's
-// health.
+// health; a run that stops names its fault there ("pipeline: stopped:")
+// and, with -json, in the run report's "error".
 //
 // With "-" as the file name the trace is read from standard input.
 //
@@ -84,7 +85,6 @@ func main() {
 	gran := flag.String("granularity", "fine", "shadow granularity: fine or coarse")
 	stats := flag.Bool("stats", false, "print instrumentation statistics and the operation-mix table")
 	policyName := flag.String("policy", "off", "stream-validation policy: off, strict, repair, or drop")
-	memBudget := flag.Int64("membudget", 0, "FastTrack shadow-memory budget in bytes (0 = unbounded; local analysis only)")
 	jsonOut := flag.Bool("json", false, "write a machine-readable run report to stdout")
 	jsonFile := flag.String("json.file", "", "write the run report to this file instead of stdout")
 	metricsAddr := flag.String("metrics.addr", "", "serve live metrics and pprof on this address (e.g. :6060; local analysis only)")
@@ -120,8 +120,6 @@ func main() {
 		fatal(fmt.Errorf("-trace spans the client/daemon pipeline; add -server"))
 	case remote && *all:
 		fatal(fmt.Errorf("-server streams a single tool's run; drop -all"))
-	case remote && *memBudget != 0:
-		fatal(fmt.Errorf("-membudget bounds the local analysis; the daemon has no memory budget, drop it or -server"))
 	case remote && *metricsAddr != "":
 		fatal(fmt.Errorf("-metrics.addr serves the local analysis's metrics; the daemon serves its own (racedetectd -http), drop it or -server"))
 	}
@@ -137,13 +135,12 @@ func main() {
 			// needs FastTrack's access history; other tools ignore it.
 			Detailed: *jsonOut || *jsonFile != "",
 		},
-		all:       *all,
-		name:      flag.Arg(0),
-		stats:     *stats,
-		jsonOut:   *jsonOut,
-		jsonFile:  *jsonFile,
-		server:    *serverAddr,
-		memBudget: *memBudget,
+		all:      *all,
+		name:     flag.Arg(0),
+		stats:    *stats,
+		jsonOut:  *jsonOut,
+		jsonFile: *jsonFile,
+		server:   *serverAddr,
 	}
 	ms, err := startMetrics(*metricsAddr)
 	if err != nil {
@@ -169,9 +166,8 @@ type request struct {
 	server   string // racedetectd address; "" analyzes locally
 
 	// Local analysis only.
-	all       bool // one Monitor per detector instead of hello.Tool's alone
-	memBudget int64
-	metrics   *metricsServer
+	all     bool // one Monitor per detector instead of hello.Tool's alone
+	metrics *metricsServer
 }
 
 // feasible reports whether the client checks the trace's feasibility:
@@ -252,7 +248,7 @@ func runStream(in io.Reader, r request) int {
 		h := r.hello
 		h.Tool = name
 		var err error
-		if mons[i], tools[i], err = client.NewMonitor(h, r.memBudget); err != nil {
+		if mons[i], tools[i], err = client.NewMonitor(h); err != nil {
 			return reportErr(err)
 		}
 	}

@@ -27,6 +27,9 @@ type runReport struct {
 	Trace  string       `json:"trace"`
 	Stream bool         `json:"stream,omitempty"`
 	Tools  []toolReport `json:"tools"`
+	// Error is the fault that stopped the run, the message of its exit
+	// status 2; a run that reached the end of the trace has none.
+	Error string `json:"error,omitempty"`
 }
 
 type toolReport struct {
@@ -180,18 +183,34 @@ type analysis struct {
 // a stop ends the report at the first tool. A stop comes before any
 // fault the scan found later, so it is the fault reported: under
 // -policy off an id beyond the identifier caps, otherwise a strict
-// violation.
+// violation. A run that ends with status 2 names its fault in each
+// tool's pipeline line and in the JSON report's error.
 func (r request) render(as []analysis, damaged error, note string) int {
+	for i, a := range as {
+		if a.Health.Err != "" {
+			verdict := "strict validation"
+			if r.feasible() {
+				verdict = "infeasible trace"
+			}
+			damaged = fmt.Errorf("%s: %s", verdict, a.Health.Err)
+			as = as[:i+1]
+			break
+		}
+	}
+	var stop string
+	if damaged != nil {
+		stop = damaged.Error()
+	}
 	var rep *runReport
 	if r.jsonOut || r.jsonFile != "" {
-		rep = &runReport{Schema: runReportSchema, Trace: r.name, Stream: true}
+		rep = &runReport{Schema: runReportSchema, Trace: r.name, Stream: true, Error: stop}
 	}
 	w := humanOutput(rep != nil, r.jsonFile)
 	exit := 0
 	for _, a := range as {
 		printReport(w, a.Results, r.stats)
 		printDetails(w, a.Detailed)
-		printHealth(w, a.Health, a.log)
+		printHealth(w, a.Health, a.log, stop)
 		if rep != nil {
 			rep.Tools = append(rep.Tools, toolReport{
 				Tool:    a.Tool,
@@ -201,14 +220,6 @@ func (r request) render(as []analysis, damaged error, note string) int {
 				Health:  healthReport(a.Health),
 				Metrics: a.metrics,
 			})
-		}
-		if a.Health.Err != "" {
-			verdict := "strict validation"
-			if r.feasible() {
-				verdict = "infeasible trace"
-			}
-			damaged = fmt.Errorf("%s: %s", verdict, a.Health.Err)
-			break
 		}
 		if len(a.Races) > 0 {
 			exit = 1
@@ -231,9 +242,6 @@ func printReport(w io.Writer, res client.Results, stats bool) {
 		st := res.Stats
 		fmt.Fprintf(w, "  events=%d reads=%d writes=%d syncs=%d vcAlloc=%d vcOps=%d shadowBytes=%d\n",
 			st.Events, st.Reads, st.Writes, st.Syncs, st.VCAlloc, st.VCOp, st.ShadowBytes)
-		if st.MemSqueezes > 0 || st.MemCoarse > 0 {
-			fmt.Fprintf(w, "  membudget: squeezes=%d coarseAccesses=%d\n", st.MemSqueezes, st.MemCoarse)
-		}
 		rr.FprintOpsMix(w, res.Tool, st)
 	}
 }
@@ -254,19 +262,24 @@ func printDetails(w io.Writer, details []fasttrack.DetailedReport) {
 }
 
 // printHealth renders the pipeline's degradation snapshot, followed by
-// the violation and panic log of a local run (the wire carries none).
-func printHealth(w io.Writer, h client.Health, log []string) {
-	if h.Healthy {
+// the violation and panic log of a local run (the wire carries none),
+// and then stop, the fault that ended the run, if any.
+func printHealth(w io.Writer, h client.Health, log []string, stop string) {
+	if !h.Healthy {
+		fmt.Fprintf(w, "  pipeline: violations=%d repaired=%d dropped=%d synthesized=%d panics=%d quarantined=%d\n",
+			h.Violations, h.Repaired, h.Dropped, h.Synthesized, h.Panics, h.QuarantinedLocations)
+		for _, l := range log {
+			fmt.Fprintf(w, "    %s\n", l)
+		}
+		if h.ToolDisabled {
+			fmt.Fprintln(w, "    tool disabled after exceeding the panic budget")
+		}
+	}
+	switch {
+	case stop != "":
+		fmt.Fprintf(w, "  pipeline: stopped: %s\n", stop)
+	case h.Healthy:
 		fmt.Fprintln(w, "  pipeline: healthy")
-		return
-	}
-	fmt.Fprintf(w, "  pipeline: violations=%d repaired=%d dropped=%d synthesized=%d panics=%d quarantined=%d\n",
-		h.Violations, h.Repaired, h.Dropped, h.Synthesized, h.Panics, h.QuarantinedLocations)
-	for _, l := range log {
-		fmt.Fprintf(w, "    %s\n", l)
-	}
-	if h.ToolDisabled {
-		fmt.Fprintln(w, "    tool disabled after exceeding the panic budget")
 	}
 }
 

@@ -6,8 +6,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"regexp"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -171,7 +169,9 @@ func TestPolicyRepairsDamagedTrace(t *testing.T) {
 // id or a fork of a thread id beyond its cap, which repair cannot mend
 // and drops. Under off and strict, the first fault is the one
 // reported: an id beyond a cap before an infeasible event or a decode
-// error; an event that breaks both is reported as infeasible.
+// error; an event that breaks both is reported as infeasible. A run
+// that stops names its fault in its report, never as a bare "pipeline:
+// healthy", and its -json report carries the fault as its error.
 func TestSameVerdictUnderEveryPolicy(t *testing.T) {
 	bin, base, _ := buildRacedetect(t)
 	addr := startDaemon(t)
@@ -229,6 +229,18 @@ func TestSameVerdictUnderEveryPolicy(t *testing.T) {
 						// The message that ends the run is its last line.
 						lines := strings.Split(strings.TrimSpace(out), "\n")
 						got = lines[len(lines)-1]
+						fault := strings.TrimPrefix(got, "racedetect: ")
+						report := strings.Join(lines[:len(lines)-1], "\n")
+						if !strings.Contains(report, fault) || strings.Contains(report, "pipeline: healthy") {
+							t.Errorf("report does not name the fault %q:\n%s", fault, out)
+						}
+						jcode, doc := racedetectStdout(t, bin, "", append(append([]string{"-json"}, args...), path)...)
+						var rep struct {
+							Error string `json:"error"`
+						}
+						if err := json.Unmarshal([]byte(doc), &rep); err != nil || jcode != 2 || rep.Error != fault {
+							t.Errorf("-json: exit %d, error %q (%v), want 2 and %q:\n%s", jcode, rep.Error, err, fault, doc)
+						}
 					}
 					if !strings.Contains(got, tr.want[policy]) {
 						t.Errorf("output lacks %q:\n%s", tr.want[policy], out)
@@ -281,24 +293,6 @@ func TestHostileIdsCapped(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestMembudgetSqueezes: the streaming analysis honours -membudget, so a
-// tight budget squeezes FastTrack's shadow memory and -stats says so.
-func TestMembudgetSqueezes(t *testing.T) {
-	bin, base, _ := buildRacedetect(t)
-	path := writeSimTrace(t, base, "tsp", 0.3)
-	code, out := racedetectStdout(t, bin, "", "-membudget", "4096", "-stats", path)
-	if code > 1 {
-		t.Fatalf("exit %d:\n%s", code, out)
-	}
-	m := regexp.MustCompile(`membudget: squeezes=(\d+)`).FindStringSubmatch(out)
-	if m == nil {
-		t.Fatalf("no membudget line:\n%s", out)
-	}
-	if n, _ := strconv.Atoi(m[1]); n == 0 {
-		t.Errorf("membudget 4096 made no squeezes:\n%s", out)
 	}
 }
 
@@ -358,14 +352,13 @@ func TestLocalMatchesServer(t *testing.T) {
 	}
 }
 
-// TestServerRefusesLocalFlags: -membudget and -metrics.addr act on the
-// local analysis only, so with -server they are refused rather than
-// silently dropped.
+// TestServerRefusesLocalFlags: -metrics.addr acts on the local analysis
+// only, so with -server it is refused rather than silently dropped.
 func TestServerRefusesLocalFlags(t *testing.T) {
 	bin, base, _ := buildRacedetect(t)
 	addr := startDaemon(t)
 	path := writeSimTrace(t, base, "tsp", 0.1)
-	for _, flag := range [][]string{{"-membudget", "4096"}, {"-metrics.addr", "127.0.0.1:0"}} {
+	for _, flag := range [][]string{{"-metrics.addr", "127.0.0.1:0"}} {
 		code, out := racedetect(t, bin, append(append([]string{"-server", addr}, flag...), path)...)
 		if code != 2 || !strings.Contains(out, flag[0]) {
 			t.Errorf("-server %s: exit %d, want 2 with a message naming the flag:\n%s", flag[0], code, out)

@@ -442,7 +442,9 @@ func Begin(tid int32) {
 }
 
 // End flushes the goroutine's remaining buffered accesses and retires
-// its registration (the runtime may reuse goroutine ids).
+// its registration, so that goids does not grow with every goroutine
+// the program ever started. (The runtime never reuses a goroutine id:
+// each comes from a monotonic counter; only the g structs are reused.)
 func End() {
 	initShim()
 	if v, ok := goids.LoadAndDelete(goid()); ok {

@@ -61,9 +61,8 @@ func sharedTag(idx int) vc.Epoch { return sharedTagBase | vc.Epoch(idx) }
 // collector to scan. Releasing a slot (write-shared demotion) keeps its
 // region for the next promotion, so the read-share inflation path
 // allocates only when the store has never been this large; discarding
-// (budget squeeze, accordion compaction) forgets the region, and
-// compactSlab repacks the survivors so the memory actually returns to
-// the allocator.
+// (accordion compaction) forgets the region, and compactSlab repacks
+// the survivors so the memory actually returns to the allocator.
 type rvcStore struct {
 	clocks  []vc.Clock  // flat slab of every slot's components
 	regions []rvcRegion // slot -> region in clocks
@@ -150,9 +149,8 @@ func (rs *rvcStore) promote(n int, rt vc.Tid, rc vc.Clock, t vc.Tid, c vc.Clock)
 // release retires a slot, keeping its region for reuse.
 func (rs *rvcStore) release(idx int) { rs.free = append(rs.free, int32(idx)) }
 
-// discard retires a slot and forgets its region, for the memory
-// reclamation seams (budget squeeze, compaction). The slab space is
-// reclaimed by the compactSlab those seams run afterwards.
+// discard retires a slot and forgets its region, for Compact. The slab
+// space is reclaimed by the compactSlab Compact runs afterwards.
 func (rs *rvcStore) discard(idx int) {
 	rs.regions[idx].width = 0
 	rs.free = append(rs.free, int32(idx))
@@ -160,7 +158,7 @@ func (rs *rvcStore) discard(idx int) {
 
 // compactSlab repacks the live regions into a fresh, exactly-sized slab
 // so discarded and leaked regions go back to the allocator. Called by
-// the reclamation seams, never on access paths.
+// Compact, never on access paths.
 func (rs *rvcStore) compactSlab() {
 	freeSet := make(map[int32]bool, len(rs.free))
 	for _, idx := range rs.free {
@@ -219,8 +217,7 @@ type Detector struct {
 
 	// pool recycles vector-clock backing arrays across the sync-path
 	// allocation sites (lock/volatile materialization, barrier joins,
-	// thread creation); the reclamation seams (Compact, budget trims)
-	// feed it.
+	// thread creation).
 	pool vc.Pool
 
 	// Detailed error reporting (the "more precise error reporting" of
@@ -234,14 +231,6 @@ type Detector struct {
 	detailed     bool
 	lastWriteIdx []int
 	lastReadIdx  []int
-
-	// Memory budget (see budget.go): when budget > 0 the detector keeps
-	// its shadow footprint under budget bytes by degrading precision —
-	// first squeezing read vector clocks back to epochs, then folding
-	// locations at or above coarseFrom into coarse (per-object) shadow
-	// locations.
-	budget     int64
-	coarseFrom uint64
 
 	// extendedSameEpoch enables the extended [FT READ SAME EPOCH] rule
 	// the paper describes (Section 3, "Read Operations"): it additionally
@@ -487,10 +476,10 @@ func (d *Detector) HandleFilter(i int, e trace.Event) bool {
 	switch e.Kind {
 	case trace.Read:
 		d.read(i, e.Tid, e.Target, false)
-		return d.flagBit(d.budgetVar(e.Target))
+		return d.flagBit(e.Target)
 	case trace.Write:
 		d.write(i, e.Tid, e.Target, false)
-		return d.flagBit(d.budgetVar(e.Target))
+		return d.flagBit(e.Target)
 	default:
 		d.HandleEvent(i, e)
 		return true
@@ -507,9 +496,6 @@ func (d *Detector) read(i int, tid int32, x uint64, countEvent bool) {
 	d.st.Reads++
 	if countEvent {
 		d.st.Events++
-	}
-	if d.budget > 0 {
-		x = d.budgetAccess(x)
 	}
 	if x >= uint64(len(d.r)) {
 		d.growVars(x)
@@ -575,9 +561,6 @@ func (d *Detector) write(i int, tid int32, x uint64, countEvent bool) {
 	d.st.Writes++
 	if countEvent {
 		d.st.Events++
-	}
-	if d.budget > 0 {
-		x = d.budgetAccess(x)
 	}
 	if x >= uint64(len(d.r)) {
 		d.growVars(x)
@@ -742,9 +725,8 @@ func (d *Detector) barrier(tids []int32) {
 // Races implements rr.Tool.
 func (d *Detector) Races() []rr.Report { return d.races }
 
-// footprint computes the live shadow-memory footprint in bytes; the
-// memory budget (budget.go) compares it against the configured ceiling.
-// Every retained byte is charged to the structure that pins it: the
+// footprint computes the live shadow-memory footprint in bytes, for
+// Stats.ShadowBytes. Every retained byte is charged to the structure that pins it: the
 // dense epoch arrays (16 bytes per variable across w and r), the flag
 // bitset, the detailed-mode index tables, read-VC stores (free slots
 // included — their arrays are still held), provenance state, thread/lock/volatile clocks, and the slab pool's free lists.

@@ -24,8 +24,8 @@ func liveBytes(f func()) int64 {
 // TestFootprintTracksMeasuredAllocation is the regression test for the
 // shadow-accounting bug: footprint() used to charge 24 bytes per
 // variable against an actual cost of ~48, and ignored the detailed-mode
-// index tables entirely, so a memory budget engaged its degradation
-// rungs ~2x late. The accounting must now stay within a factor of two
+// index tables entirely, so Stats.ShadowBytes read about half the real
+// footprint. The accounting must now stay within a factor of two
 // of the live heap the shadow state actually pins (the slack covers
 // allocator rounding and growth headroom), in both directions.
 func TestFootprintTracksMeasuredAllocation(t *testing.T) {
@@ -55,8 +55,8 @@ func TestFootprintTracksMeasuredAllocation(t *testing.T) {
 }
 
 // TestFootprintCountsDetailedTables: the detailed-mode last-access index
-// tables (16 bytes per variable) were previously invisible to the
-// budget. Enabling detailed reports must now raise the accounted
+// tables (16 bytes per variable) were previously invisible to
+// Stats.ShadowBytes. Enabling detailed reports must now raise the accounted
 // footprint by at least that much.
 func TestFootprintCountsDetailedTables(t *testing.T) {
 	const nvars = 50_000

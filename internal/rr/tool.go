@@ -146,11 +146,6 @@ type Stats struct {
 	LockSetOps  int64 `json:"lockSetOps,omitempty"`  // Eraser-style lock set updates/intersections
 	ShadowBytes int64 `json:"shadowBytes,omitempty"` // live shadow-memory footprint, computed by Stats()
 
-	// Memory-budget degradation, maintained by detectors that support a
-	// shadow-memory budget (FastTrack).
-	MemSqueezes int64 `json:"memSqueezes,omitempty"` // read vector clocks forcibly squeezed to epochs
-	MemCoarse   int64 `json:"memCoarse,omitempty"`   // accesses remapped to coarse shadowing by the budget
-
 	// ClockSaturations counts increments of a thread clock that had
 	// already reached the epoch format's MaxClock (2^40-1). A saturated
 	// thread's epoch stops advancing, so later accesses by it may be

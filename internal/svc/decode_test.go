@@ -38,7 +38,7 @@ func chunkFrame(tb testing.TB) []byte {
 // exist, decoding and ingesting a 1024-event frame allocates nothing.
 // The frame is race-free, so no report is allocated either.
 func TestIngestChunkAllocs(t *testing.T) {
-	mon, _, err := client.NewMonitor(client.Handshake{}, 0)
+	mon, _, err := client.NewMonitor(client.Handshake{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestIngestChunkAllocs(t *testing.T) {
 // frame, reported in ns/event: the frame's decode into the session's
 // scratch slice plus its IngestBatch into a FastTrack Monitor.
 func BenchmarkIngestChunk(b *testing.B) {
-	mon, _, err := client.NewMonitor(client.Handshake{}, 0)
+	mon, _, err := client.NewMonitor(client.Handshake{})
 	if err != nil {
 		b.Fatal(err)
 	}

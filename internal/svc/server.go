@@ -146,9 +146,7 @@ func (c *Config) withDefaults() Config {
 		d.RetryAfterHint = time.Second
 	}
 	if d.NewMonitor == nil {
-		d.NewMonitor = func(h client.Handshake) (*fasttrack.Monitor, string, error) {
-			return client.NewMonitor(h, 0)
-		}
+		d.NewMonitor = client.NewMonitor
 	}
 	if d.Logf == nil {
 		d.Logf = func(string, ...any) {}

@@ -3,14 +3,11 @@ package vc
 import "math/bits"
 
 // Pool is a size-classed free list of vector-clock backing arrays: the
-// slab allocator behind the detector's zero-allocation hot paths. Sites
-// that used to allocate a fresh VC per operation (lock-release
-// materialization, barrier joins, read-share inflation, thread
-// creation) Get from a pool instead, and the reclamation seams —
-// write-shared demotion, budget squeezes, accordion compaction, session
-// Reset — Put the retired backing arrays back. In steady state a
-// detector's VC population reaches a fixed point and the Go allocator
-// drops out of the per-event cost entirely.
+// slab allocator behind the detector's sync-path allocation sites
+// (lock-release materialization, barrier joins, channel clocks, thread
+// creation), which Get from a pool instead of allocating. A site that
+// retires a clock Puts its backing array back, as the barrier join does
+// with its scratch clock.
 //
 // A Pool is not safe for concurrent use; each detector owns its own.
 // The zero value is ready to use.
@@ -68,15 +65,6 @@ func (p *Pool) Put(v VC) {
 		return
 	}
 	p.classes[c] = append(p.classes[c], v[:0])
-}
-
-// Drain empties the free lists, releasing every pinned backing array to
-// the allocator. Memory-pressure seams (the detector's budget squeeze)
-// call it when retaining pooled slabs would defeat the reclamation.
-func (p *Pool) Drain() {
-	for c := range p.classes {
-		p.classes[c] = nil
-	}
 }
 
 // Bytes reports the memory pinned by the pool's free lists, for the

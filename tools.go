@@ -116,13 +116,6 @@ type Hints struct {
 	// access while enabled (see BENCH_provenance.json); other detectors
 	// ignore it.
 	Provenance bool
-	// MemoryBudget caps FastTrack's shadow-memory footprint at the given
-	// number of bytes. Under pressure the detector degrades precision
-	// instead of growing: read vector clocks are squeezed back to epochs
-	// first, then new locations fall back to coarse (per-object)
-	// shadowing. Degradation is counted in Stats.MemSqueezes and
-	// Stats.MemCoarse. Zero means unbounded; other detectors ignore it.
-	MemoryBudget int64
 }
 
 // toolMakers maps canonical tool names to constructors.
@@ -134,9 +127,6 @@ var toolMakers = map[string]func(h Hints) Tool{
 		}
 		if h.Provenance {
 			d.EnableProvenance()
-		}
-		if h.MemoryBudget > 0 {
-			d.SetMemoryBudget(h.MemoryBudget)
 		}
 		return d
 	},
@@ -171,9 +161,7 @@ func ToolNames() []string {
 }
 
 // NewTool constructs a detector by name. Recognized names are those
-// returned by ToolNames: "FastTrack", "DJIT+", "BasicVC", "Eraser",
-// "MultiRace", "Goldilocks", "Empty", and the "TL" thread-local
-// prefilter.
+// ToolNames returns (racedetect -list prints them).
 func NewTool(name string, h Hints) (Tool, error) {
 	mk, ok := toolMakers[name]
 	if !ok {
