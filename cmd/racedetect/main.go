@@ -210,7 +210,7 @@ func scan(in io.Reader, feasible bool, sink func([]trace.Event) error) (damaged,
 		if feas != nil {
 			for i, e := range batch {
 				if verr := feas.Event(e); verr != nil {
-					damaged = fmt.Errorf("infeasible trace: %w", verr)
+					damaged = stopErr(true, verr.Error())
 					batch = batch[:i]
 					break
 				}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -188,11 +189,7 @@ type analysis struct {
 func (r request) render(as []analysis, damaged error, note string) int {
 	for i, a := range as {
 		if a.Health.Err != "" {
-			verdict := "strict validation"
-			if r.feasible() {
-				verdict = "infeasible trace"
-			}
-			damaged = fmt.Errorf("%s: %s", verdict, a.Health.Err)
+			damaged = stopErr(r.feasible(), a.Health.Err)
 			as = as[:i+1]
 			break
 		}
@@ -231,6 +228,20 @@ func (r request) render(as []analysis, damaged error, note string) int {
 		return reportErr(damaged)
 	}
 	return finishJSON(rep, r.jsonFile, exit)
+}
+
+// stopErr is the fault of a run stopped at an event: the verdict
+// ("infeasible trace" when the client checks feasibility, "strict
+// validation" when the policy does), then fault, the stopping event's
+// error, without its "trace: " package prefix. It reads "infeasible
+// trace: event 3 (rel 1 m1): ...". A remote run's fault arrives as a
+// string, so the prefix is trimmed from the text.
+func stopErr(feasible bool, fault string) error {
+	verdict := "strict validation"
+	if feasible {
+		verdict = "infeasible trace"
+	}
+	return errors.New(verdict + ": " + strings.TrimPrefix(fault, "trace: "))
 }
 
 func printReport(w io.Writer, res client.Results, stats bool) {

@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -134,15 +135,15 @@ func TestPolicyRepairsDamagedTrace(t *testing.T) {
 		{"repair", []string{"-policy", "repair", "-stats"}, 1,
 			[]string{"repaired=2", "FastTrack: 1 warning(s)", "write-write race on x6"}},
 		{"strict", []string{"-policy", "strict"}, 2,
-			[]string{"strict validation", "event 3 (rel 1 m7)"}},
+			[]string{"strict validation: event 3 (rel 1 m7)"}},
 		{"off", nil, 2,
-			[]string{"infeasible trace", "event 3 (rel 1 m7)"}},
+			[]string{"infeasible trace: event 3 (rel 1 m7)"}},
 		{"repair-remote", []string{"-server", addr, "-policy", "repair"}, 1,
 			[]string{"FastTrack: 1 warning(s)", "write-write race on x6"}},
 		{"strict-remote", []string{"-server", addr, "-policy", "strict"}, 2,
-			[]string{"strict validation", "event 3 (rel 1 m7)"}},
+			[]string{"strict validation: event 3 (rel 1 m7)"}},
 		{"off-remote", []string{"-server", addr}, 2,
-			[]string{"infeasible trace", "event 3 (rel 1 m7)"}},
+			[]string{"infeasible trace: event 3 (rel 1 m7)"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			code, out := racedetect(t, bin, append(tc.args, path)...)
@@ -171,7 +172,10 @@ func TestPolicyRepairsDamagedTrace(t *testing.T) {
 // reported: an id beyond a cap before an infeasible event or a decode
 // error; an event that breaks both is reported as infeasible. A run
 // that stops names its fault in its report, never as a bare "pipeline:
-// healthy", and its -json report carries the fault as its error.
+// healthy", and its -json report carries the fault as its error. Under
+// off and strict the fault is the verdict followed directly by the
+// stopping event, "infeasible trace: event N (" or "strict validation:
+// event N (".
 func TestSameVerdictUnderEveryPolicy(t *testing.T) {
 	bin, base, _ := buildRacedetect(t)
 	addr := startDaemon(t)
@@ -181,6 +185,10 @@ func TestSameVerdictUnderEveryPolicy(t *testing.T) {
 		"repair": "pipeline: healthy", "drop": "pipeline: healthy"}
 	stops := func(stop, dropped string) map[string]string {
 		return map[string]string{"off": stop, "strict": stop, "repair": dropped, "drop": dropped}
+	}
+	verdict := map[string]*regexp.Regexp{
+		"off":    regexp.MustCompile(`^infeasible trace: event \d+ \(`),
+		"strict": regexp.MustCompile(`^strict validation: event \d+ \(`),
 	}
 	const stop = "event 3 (rel 1 m1): thread 1 releases lock m1 it does not hold"
 	const lock = "m1152921504606846976"
@@ -231,8 +239,11 @@ func TestSameVerdictUnderEveryPolicy(t *testing.T) {
 						got = lines[len(lines)-1]
 						fault := strings.TrimPrefix(got, "racedetect: ")
 						report := strings.Join(lines[:len(lines)-1], "\n")
-						if !strings.Contains(report, fault) || strings.Contains(report, "pipeline: healthy") {
+						if !strings.Contains(report, "pipeline: stopped: "+fault) || strings.Contains(report, "pipeline: healthy") {
 							t.Errorf("report does not name the fault %q:\n%s", fault, out)
+						}
+						if re := verdict[policy]; re != nil && !re.MatchString(fault) {
+							t.Errorf("fault %q does not match %s", fault, re)
 						}
 						jcode, doc := racedetectStdout(t, bin, "", append(append([]string{"-json"}, args...), path)...)
 						var rep struct {

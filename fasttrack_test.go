@@ -295,6 +295,22 @@ func TestReplayStreamValidates(t *testing.T) {
 	if want := (trace.Trace{trace.Rel(0, 1)}).Validate(); err == nil || events != 0 || err.Error() != want.Error() {
 		t.Errorf("infeasible stream: events=%d err=%v, want 0 and %v", events, err, want)
 	}
+	// A stop in the middle of a decoded batch counts only the events
+	// before it.
+	var mid trace.Trace
+	for i := 0; i < 1030; i++ {
+		mid = append(mid, trace.Wr(0, 1))
+	}
+	mid = append(mid, trace.Rel(0, 1), trace.Wr(0, 2))
+	var buf bytes.Buffer
+	if err := trace.WriteBinary(&buf, mid); err != nil {
+		t.Fatal(err)
+	}
+	tool, _ = NewTool("FastTrack", Hints{})
+	_, events, err = ReplayStream(&buf, tool, Fine, true)
+	if want := mid.Validate(); err == nil || events != 1030 || err.Error() != want.Error() {
+		t.Errorf("stop at event 1030: events=%d err=%v, want 1030 and %v", events, err, want)
+	}
 	tool2, _ := NewTool("FastTrack", Hints{})
 	_, events, err = ReplayStream(strings.NewReader(in), tool2, Fine, false)
 	if err != nil || events != 1 {

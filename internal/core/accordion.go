@@ -123,8 +123,8 @@ func (d *Detector) Compact(dead []int32) CompactStats {
 				}
 				if n == 0 {
 					// All recorded readers reclaimed: back to epoch mode;
-					// the store slot's region is dropped, not pooled —
-					// compaction is a reclamation seam.
+					// the store slot's region is dropped, not kept for
+					// reuse — compaction is a reclamation seam.
 					rs.discard(idx)
 					*rp = vc.Bottom
 				} else {
@@ -168,9 +168,8 @@ func (d *Detector) Compact(dead []int32) CompactStats {
 	compactL(&d.locks)
 	compactL(&d.vols)
 
-	// Drop fully-unreferenced dead threads' own clocks. Dropped, not
-	// pooled: compaction's contract is that the footprint shrinks, and
-	// pooled slabs would stay pinned (and counted).
+	// Drop fully-unreferenced dead threads' own clocks: compaction's
+	// contract is that the footprint shrinks.
 	for u := range deadSet {
 		if retained[u] {
 			st.RetainedThreads++

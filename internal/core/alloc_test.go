@@ -13,7 +13,7 @@ import (
 // paper's workloads — must not touch the Go allocator.
 // testing.AllocsPerRun is exact for serial code, so any
 // regression (a map rehash on the hot path, an escaped closure, a
-// forgotten pool) fails loudly.
+// clock reallocated instead of copied into) fails loudly.
 
 // allocDetector builds a detector with thread 0 and variable 5
 // pre-materialized, so the measured loops exercise steady-state paths
@@ -51,7 +51,7 @@ func TestExclusivePathsAllocateNothing(t *testing.T) {
 	// A release between accesses advances the thread's epoch, so every
 	// access misses the same-epoch compare and takes the exclusive rule —
 	// still required to be allocation-free (epoch store plus, on the
-	// release, a pooled/materialized lock-clock copy).
+	// release, a copy into the lock's existing clock).
 	d := allocDetector()
 	i := 100
 	assertZeroAllocs(t, "read-exclusive", func() {
@@ -67,14 +67,41 @@ func TestExclusivePathsAllocateNothing(t *testing.T) {
 }
 
 func TestSyncSteadyStateAllocatesNothing(t *testing.T) {
-	// Steady-state lock traffic: acquire joins into the thread's clock,
-	// release copies into the lock's pooled clock in place.
+	// Steady-state sync traffic: once a lock, volatile, channel or
+	// barrier has its clocks, each operation joins into or copies into
+	// clocks that already exist. Acquire joins into the thread's clock,
+	// release copies into the lock's own clock in place; a volatile
+	// write joins into the volatile's clock; a channel operation copies
+	// into its ring slot's clock or joins into the rendezvous
+	// accumulator; a barrier joins in place in its first participant's
+	// clock and copies into the others'.
 	d := allocDetector()
+	d.HandleEvent(4, trace.ForkOf(0, 1))
 	i := 100
 	assertZeroAllocs(t, "acquire/release", func() {
 		d.HandleEvent(i, trace.Acq(0, 9))
 		d.HandleEvent(i+1, trace.Rel(0, 9))
 		i += 2
+	})
+	assertZeroAllocs(t, "volatile write/read", func() {
+		d.HandleEvent(i, trace.VWr(0, 3))
+		d.HandleEvent(i+1, trace.VRd(1, 3))
+		i += 2
+	})
+	assertZeroAllocs(t, "buffered send/recv", func() {
+		d.HandleEvent(i, trace.ChSend(0, 4, 2))
+		d.HandleEvent(i+1, trace.ChRecv(1, 4, 2))
+		i += 2
+	})
+	assertZeroAllocs(t, "unbuffered send/recv", func() {
+		d.HandleEvent(i, trace.ChSend(0, 5, 0))
+		d.HandleEvent(i+1, trace.ChRecv(1, 5, 0))
+		i += 2
+	})
+	barrier := trace.Barrier(6, 0, 1)
+	assertZeroAllocs(t, "barrier", func() {
+		d.HandleEvent(i, barrier)
+		i++
 	})
 }
 

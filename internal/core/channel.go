@@ -107,7 +107,6 @@ func (d *Detector) ringPut(ring []chanSlot, seq uint64, c vc.VC, acc *vc.VC) {
 		d.accJoin(acc, slot.clk)
 	}
 	if slot.clk == nil {
-		slot.clk = d.pool.Get(len(c))
 		d.st.VCAlloc++
 	}
 	slot.clk = slot.clk.CopyInto(c)
@@ -126,11 +125,10 @@ func ringTake(ring []chanSlot, seq uint64) vc.VC {
 	return slot.clk
 }
 
-// accJoin folds c into the accumulator, materializing it from the pool
-// on first use.
+// accJoin folds c into the accumulator, which the join allocates on
+// first use.
 func (d *Detector) accJoin(acc *vc.VC, c vc.VC) {
 	if *acc == nil {
-		*acc = d.pool.Get(len(c))
 		d.st.VCAlloc++
 	}
 	*acc = (*acc).Join(c)
@@ -210,7 +208,6 @@ func (d *Detector) chanClose(tid int32, ch uint64, capacity int32) {
 		cs.sendsAtClose = cs.sends
 	}
 	if cs.closeClk == nil {
-		cs.closeClk = d.pool.Get(len(ts.c))
 		d.st.VCAlloc++
 	}
 	cs.closeClk = cs.closeClk.Join(ts.c)

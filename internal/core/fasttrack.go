@@ -215,11 +215,6 @@ type Detector struct {
 	flagged []uint64
 	shared  rvcStore
 
-	// pool recycles vector-clock backing arrays across the sync-path
-	// allocation sites (lock/volatile materialization, barrier joins,
-	// thread creation).
-	pool vc.Pool
-
 	// Detailed error reporting (the "more precise error reporting" of
 	// the paper's Section 4 implementation notes): when enabled, the
 	// detector additionally tracks the event index of each variable's
@@ -291,7 +286,7 @@ func (d *Detector) EnableDetailedReports() {
 func (d *Detector) thread(t int32) *threadState {
 	for int(t) >= len(d.threads) {
 		u := vc.Tid(len(d.threads))
-		cv := d.pool.Get(len(d.threads) + 1).Inc(u)
+		cv := vc.New(len(d.threads) + 1).Inc(u)
 		d.st.VCAlloc++
 		d.threads = append(d.threads, threadState{c: cv, epoch: cv.Epoch(u)})
 	}
@@ -635,18 +630,16 @@ func (d *Detector) acquire(tid int32, m uint64) {
 }
 
 // release implements [FT RELEASE]: L_m := C_t; C_t := inc_t(C_t). One
-// table probe resolves the lock; its clock is materialized from the
-// slab pool on first release and copied into in place afterwards, so
-// steady-state releases do not allocate.
+// table probe resolves the lock; its clock is allocated on first
+// release and copied into in place afterwards, so steady-state releases
+// do not allocate.
 func (d *Detector) release(tid int32, m uint64) {
 	ts := d.thread(tid)
 	p := d.locks.ref(m)
-	lm := *p
-	if lm == nil {
-		lm = d.pool.Get(len(ts.c))
+	if *p == nil {
 		d.st.VCAlloc++
 	}
-	*p = lm.CopyInto(ts.c)
+	*p = (*p).CopyInto(ts.c)
 	d.st.VCOp++
 	d.incThread(ts, vc.Tid(tid))
 }
@@ -689,37 +682,42 @@ func (d *Detector) volatileRead(tid int32, v uint64) {
 func (d *Detector) volatileWrite(tid int32, v uint64) {
 	ts := d.thread(tid)
 	p := d.vols.ref(v)
-	lv := *p
-	if lv == nil {
-		lv = d.pool.Get(len(ts.c))
+	if *p == nil {
 		d.st.VCAlloc++
 	}
-	*p = lv.Join(ts.c)
+	*p = (*p).Join(ts.c)
 	d.st.VCOp++
 	d.incThread(ts, vc.Tid(tid))
 }
 
 // barrier implements [FT BARRIER RELEASE]: every released thread's clock
 // becomes inc_t(⊔_{u∈T} C_u), so each thread's first post-barrier step
-// happens after all pre-barrier steps of all participants. The join
-// scratch comes from (and returns to) the slab pool.
+// happens after all pre-barrier steps of all participants. The join is
+// computed in place in the first participant's clock and copied into the
+// others' before that one is incremented, so a steady-state barrier
+// allocates nothing. VCAlloc still counts the join's clock: the counter
+// tracks the algorithm's allocations, not the allocator's.
 func (d *Detector) barrier(tids []int32) {
 	if len(tids) == 0 {
 		return
 	}
-	join := d.pool.Get(len(d.threads))
 	d.st.VCAlloc++
+	first := tids[0]
+	join := d.thread(first).c
 	for _, u := range tids {
 		join = join.Join(d.thread(u).c)
 		d.st.VCOp++
 	}
+	d.threads[first].c = join
 	for _, u := range tids {
-		us := d.thread(u)
-		us.c = us.c.CopyInto(join)
-		d.incThread(us, vc.Tid(u))
+		if u != first {
+			us := &d.threads[u]
+			us.c = us.c.CopyInto(join)
+			d.incThread(us, vc.Tid(u))
+		}
 		d.st.VCOp++
 	}
-	d.pool.Put(join)
+	d.incThread(&d.threads[first], vc.Tid(first))
 }
 
 // Races implements rr.Tool.
@@ -729,7 +727,8 @@ func (d *Detector) Races() []rr.Report { return d.races }
 // Stats.ShadowBytes. Every retained byte is charged to the structure that pins it: the
 // dense epoch arrays (16 bytes per variable across w and r), the flag
 // bitset, the detailed-mode index tables, read-VC stores (free slots
-// included — their arrays are still held), provenance state, thread/lock/volatile clocks, and the slab pool's free lists.
+// included — their arrays are still held), provenance state, and
+// thread/lock/volatile/channel clocks.
 func (d *Detector) footprint() int64 {
 	var bytes int64
 	bytes += int64(cap(d.w)+cap(d.r)) * 8
@@ -754,7 +753,6 @@ func (d *Detector) footprint() int64 {
 	bytes += d.locks.bytes()
 	bytes += d.vols.bytes()
 	bytes += d.chanBytes()
-	bytes += d.pool.Bytes()
 	return bytes
 }
 

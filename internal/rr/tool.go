@@ -152,8 +152,7 @@ type Stats struct {
 	// treated as ordered when they are not — races can be missed, never
 	// invented. Nonzero means the session has outlived the clock width
 	// and its precision is degrading; long-running deployments should
-	// recycle the session (the downgrade/Reset machinery) when this
-	// starts moving.
+	// recycle the session (Monitor.Reset) when this starts moving.
 	ClockSaturations int64 `json:"clockSaturations,omitempty"`
 }
 

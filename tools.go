@@ -217,7 +217,8 @@ func Replay(tr trace.Trace, tool Tool, g Granularity) []Report {
 // feasibility constraints of the paper's Section 2.1 before analysis
 // (PolicyStrict), and the first infeasible one stops the stream with
 // its error. Validated or not, so does an id beyond the identifier
-// caps. It returns the tool's warnings and the number of events processed.
+// caps. It returns the tool's warnings and the number of events processed:
+// those before the stopping event, if any.
 func ReplayStream(r io.Reader, tool Tool, g Granularity, validate bool) ([]Report, int, error) {
 	d := rr.NewDispatcher(tool)
 	d.Granularity = g
@@ -225,11 +226,19 @@ func ReplayStream(r io.Reader, tool Tool, g Granularity, validate bool) ([]Repor
 		d.Policy = rr.PolicyStrict
 	}
 	sc := trace.NewScanner(r)
-	for sc.Scan() {
-		d.EventBatch([]trace.Event{sc.Event()})
+	batch := make([]trace.Event, 0, replayStreamBatch)
+	for {
+		batch = sc.ScanBatch(batch[:0], replayStreamBatch)
+		d.EventBatch(batch)
 		if err := d.Err(); err != nil {
-			return tool.Races(), sc.Index() - 1, err
+			return tool.Races(), err.(*trace.ValidationError).Index, err
+		}
+		if len(batch) < replayStreamBatch {
+			return tool.Races(), sc.Index(), sc.Err()
 		}
 	}
-	return tool.Races(), sc.Index(), sc.Err()
 }
+
+// replayStreamBatch is how many events ReplayStream decodes and dispatches at
+// once.
+const replayStreamBatch = 1024
